@@ -19,12 +19,11 @@ from .estimation import (AllHoursInvalidError, FitReport, HourSamples,
                          estimate_diffusion, estimate_drift, identify_day,
                          identify_hour)
 from .elm import (ElmModel, TrainSet, elm_init, elm_predict, elm_train,
-                  fit_scaler, model_from_json, model_to_json,
-                  training_residual)
+                  fit_scaler, training_residual)
 from .ensemble import (EnsembleModel, TrainingError, WeatherDay,
-                       bootstrap_resample, load_ensemble, predict_day_params,
-                       predict_params_batch, predict_slot, save_ensemble,
-                       train_ensemble, trimmed_mean)
+                       bootstrap_resample, load_ensemble,
+                       predict_params_batch, save_ensemble, train_ensemble,
+                       trimmed_mean)
 from .metrics import (EvalInput, MetricReport, UndefinedMetricError,
                       autocorr_mismatch, evaluate, kl_divergence, nd, nrmse,
                       picp, rho_risk)
@@ -48,9 +47,8 @@ __all__ = [
     "elm_train", "estimate_diffusion", "estimate_drift", "evaluate",
     "fit_scaler", "identify_day", "identify_hour", "impute_days",
     "ingest_weather", "kl_divergence", "load_config", "load_ensemble",
-    "make_fan", "model_from_json", "model_to_json", "nd", "normalize",
-    "nrmse", "picp", "predict_day_params", "predict_params_batch",
-    "predict_slot", "project_params", "rho_risk", "save_ensemble",
+    "make_fan", "nd", "normalize", "nrmse", "picp", "predict_params_batch",
+    "project_params", "rho_risk", "save_ensemble",
     "simulate_day", "simulate_hour", "solar_elevation", "split_days",
     "stationary_beta_shapes", "stationary_density", "stationary_sample",
     "synth_generate", "train_ensemble", "training_residual",

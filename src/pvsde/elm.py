@@ -5,41 +5,45 @@ only the linear output weights are trained, by (optionally ridge-damped)
 least squares via a singular value decomposition.  Features are
 standardized before the random projection so standard-normal weights do
 not saturate the sigmoids on raw physical units.
+
+``hidden_layer`` and ``solve_output_weights`` broadcast over leading axes,
+so a stack of networks (an ensemble's members) trains in one call, and a
+target matrix trains one output column per target on the same hidden layer
+(the multi-output ELM).
 """
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 DEFAULT_RIDGE = 1e-8
 _SV_CUTOFF = 1e-10          # singular values below cutoff * s_max are dropped
-_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
 class TrainSet:
-    """Paired regression inputs (N x input_dim) and scalar targets (N)."""
+    """Paired regression inputs (N x input_dim) and targets, (N) or (N x T)."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        y = np.asarray(self.targets, dtype=float).ravel()
+        y = np.asarray(self.targets, dtype=float)
+        if y.ndim != 2:
+            y = y.ravel()
         object.__setattr__(self, "inputs", X)
         object.__setattr__(self, "targets", y)
-        if X.shape[0] != y.size or y.size < 1:
+        if X.shape[0] != y.shape[0] or y.shape[0] < 1:
             raise ValueError("inputs and targets must pair up, N >= 1")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("training data must be finite")
 
     @property
     def n(self) -> int:
-        return self.targets.size
+        return self.targets.shape[0]
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class ElmModel:
 
     input_weights: np.ndarray       # (K, input_dim), frozen at init
     biases: np.ndarray              # (K,), frozen at init
-    output_weights: np.ndarray      # (K,), zero until trained
+    output_weights: np.ndarray      # (K,) or (K, T), zero until trained
     scaler_mean: np.ndarray         # (input_dim,)
     scaler_std: np.ndarray          # (input_dim,), zero-variance -> 1
 
@@ -88,34 +92,45 @@ def fit_scaler(X):
     return mean, std
 
 
-def _hidden(model: ElmModel, X):
-    Z = (np.atleast_2d(X) - model.scaler_mean) / model.scaler_std
-    return _sigmoid(Z @ model.input_weights.T + model.biases)
+def hidden_layer(Z, W, b):
+    """Sigmoid activations (..., N, K) of standardized inputs Z (..., N, p)
+    under frozen weights W (..., K, p) and biases b (..., K)."""
+    return _sigmoid(Z @ np.swapaxes(W, -1, -2) + b[..., None, :])
 
 
-def elm_train(model: ElmModel, data: TrainSet,
-              ridge: float = DEFAULT_RIDGE, scaler=None) -> ElmModel:
-    """Solve the output weights by (ridge) least squares on the hidden layer.
+def solve_output_weights(H, Y, ridge: float = DEFAULT_RIDGE):
+    """Ridge least-squares output weights V (..., K, T) with H V ~ Y, for
+    hidden activations H (..., N, K) and targets Y (..., N, T).
 
-    With ridge = 0 this is the plain minimum-norm pseudoinverse solution
-    (singular values below 1e-10 of the largest are treated as zero).  An
-    externally fitted ``scaler`` (mean, std) may be supplied so ensemble
-    members share one standardization; otherwise it is fitted from ``data``.
+    Singular values below 1e-10 of each network's largest are treated as
+    zero, so ridge = 0 gives the minimum-norm pseudoinverse solution.
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
+    U, s, Vt = np.linalg.svd(H, full_matrices=False)
+    keep = s > _SV_CUTOFF * s[..., :1]
+    gain = np.divide(s, s * s + ridge, out=np.zeros_like(s), where=keep)
+    return (np.swapaxes(Vt, -1, -2)
+            @ (gain[..., None] * (np.swapaxes(U, -1, -2) @ Y)))
+
+
+def _hidden(model: ElmModel, X):
+    Z = (np.atleast_2d(X) - model.scaler_mean) / model.scaler_std
+    return hidden_layer(Z, model.input_weights, model.biases)
+
+
+def elm_train(model: ElmModel, data: TrainSet,
+              ridge: float = DEFAULT_RIDGE) -> ElmModel:
+    """Fit the standardization to ``data`` and solve the output weights by
+    ``solve_output_weights`` on the hidden layer."""
     if data.inputs.shape[1] != model.input_dim:
         raise ValueError("input dimension mismatch")
-    mean, std = scaler if scaler is not None else fit_scaler(data.inputs)
-    model = replace(model, scaler_mean=np.asarray(mean, dtype=float),
-                    scaler_std=np.asarray(std, dtype=float))
-    H = _hidden(model, data.inputs)
-    U, s, Vt = np.linalg.svd(H, full_matrices=False)
-    keep = s > _SV_CUTOFF * s[0] if s.size else np.zeros(0, dtype=bool)
-    U, s, Vt = U[:, keep], s[keep], Vt[keep]
-    gain = s / (s * s + ridge)
-    v = Vt.T @ (gain * (U.T @ data.targets))
-    return replace(model, output_weights=v)
+    mean, std = fit_scaler(data.inputs)
+    model = replace(model, scaler_mean=mean, scaler_std=std)
+    V = solve_output_weights(_hidden(model, data.inputs),
+                             data.targets.reshape(data.n, -1), ridge)
+    return replace(model, output_weights=V.reshape(
+        (model.hidden_size,) + data.targets.shape[1:]))
 
 
 def elm_predict(model: ElmModel, x):
@@ -125,46 +140,10 @@ def elm_predict(model: ElmModel, x):
     if np.atleast_2d(x).shape[1] != model.input_dim:
         raise ValueError("input dimension mismatch")
     out = _hidden(model, x) @ model.output_weights
-    return float(out[0]) if single else out
+    return out[0] if single else out
 
 
 def training_residual(model: ElmModel, data: TrainSet) -> float:
     """Max absolute training error of a trained model."""
     return float(np.max(np.abs(elm_predict(model, data.inputs)
                                - data.targets)))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _b64(a) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8")
-                            .tobytes()).decode("ascii")
-
-
-def _unb64(s, shape):
-    return np.frombuffer(base64.b64decode(s), dtype="<f8").reshape(shape).copy()
-
-
-def model_to_json(model: ElmModel) -> str:
-    doc = dict(format_version=_FORMAT_VERSION,
-               hidden_size=model.hidden_size, input_dim=model.input_dim,
-               input_weights=_b64(model.input_weights),
-               biases=_b64(model.biases),
-               output_weights=_b64(model.output_weights),
-               scaler_mean=_b64(model.scaler_mean),
-               scaler_std=_b64(model.scaler_std))
-    return json.dumps(doc, sort_keys=True)
-
-
-def model_from_json(text: str) -> ElmModel:
-    doc = json.loads(text)
-    if doc.get("format_version") != _FORMAT_VERSION:
-        raise ValueError("unsupported model format version")
-    K, p = doc["hidden_size"], doc["input_dim"]
-    return ElmModel(input_weights=_unb64(doc["input_weights"], (K, p)),
-                    biases=_unb64(doc["biases"], (K,)),
-                    output_weights=_unb64(doc["output_weights"], (K,)),
-                    scaler_mean=_unb64(doc["scaler_mean"], (p,)),
-                    scaler_std=_unb64(doc["scaler_std"], (p,)))

@@ -1,26 +1,34 @@
 """Bootstrap-aggregated ELM ensemble mapping weather features to SDE
 parameters.
 
-One scalar regression "slot" exists per (daytime hour, parameter) pair —
-5 x m slots in total.  Each slot holds M ELMs trained on bootstrap
-resamples of the training days; a prediction discards the largest and
-smallest 20% of the member outputs and averages the rest.  Per-member
-random streams derive from (master seed, slot index, member index), so
-training order never affects the result, and persistence only needs each
-member's output weights — the frozen hidden layers are regenerated from
-the same seeds on load.
+Each of the m daytime hours has M extreme learning machines.  Member j of
+an hour is trained on its own bootstrap resample of that hour's trusted
+training days, and one hidden layer per member serves all five parameters
+(a, b, beta, c, d) as a multi-output ELM.  The ensemble is therefore three
+arrays: hidden weights (m, M, K, p), hidden biases (m, M, K) and output
+weights (m, M, K, 5), and each hour trains with one batched SVD solve over
+all its members and targets.  A prediction discards the largest and
+smallest 20% of the member outputs per parameter, averages the rest and
+projects the result onto the valid parameter set.
+
+The hidden layers come from one draw of a stream seeded by the master seed
+alone, kept apart from the bootstrap stream, so a saved model holds only
+the output weights and regenerates the hidden layers on load.  With
+``hour_local`` an hour's members see only that hour's p features,
+otherwise the full-day feature vector.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elm import (ElmModel, TrainSet, _b64, _unb64, elm_init, elm_predict,
-                  elm_train, fit_scaler)
+from .elm import (DEFAULT_RIDGE, TrainSet, fit_scaler, hidden_layer,
+                  solve_output_weights)
 from .sde import DayParams, project_params
 
 PARAM_NAMES = ("a", "b", "beta", "c", "d")
@@ -28,11 +36,12 @@ DEFAULT_HIDDEN = 100
 DEFAULT_MEMBERS = 200
 TRIM_FRACTION = 0.20
 MIN_SLOT_PAIRS = 10
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_WEIGHTS_FILE = "output_weights.npy"
 
 
 class TrainingError(RuntimeError):
-    """A slot cannot be trained (too few valid pairs)."""
+    """An hour cannot be trained (too few valid days)."""
 
 
 @dataclass(frozen=True)
@@ -50,35 +59,68 @@ class WeatherDay:
             raise ValueError("weather features must be finite after imputation")
 
 
+def _streams(master_seed: int):
+    """Independent (hidden-layer, bootstrap) generators of one ensemble."""
+    return [np.random.default_rng(s)
+            for s in np.random.SeedSequence(master_seed).spawn(2)]
+
+
 @dataclass
 class EnsembleModel:
-    """5 x m slots of M ELMs plus the shared feature scaler and metadata."""
+    """Per-hour stacks of M multi-output ELMs and the shared feature scaler.
 
-    slots: list[list[ElmModel]]     # indexed hour * 5 + param
-    m: int
-    hidden_size: int
-    n_members: int
+    The hidden layers are not arguments: they are drawn from
+    ``master_seed`` on construction.
+    """
+
+    output_weights: np.ndarray      # (m, M, K, 5)
     master_seed: int
-    scaler_mean: np.ndarray
-    scaler_std: np.ndarray
+    scaler_mean: np.ndarray         # (input_dim,)
+    scaler_std: np.ndarray          # (input_dim,)
     feature_names: tuple[str, ...] = ()
     trim_fraction: float = TRIM_FRACTION
-    hour_local: bool = False        # slots see only their hour's features
+    hour_local: bool = False        # an hour sees only its own features
     train_rmse: dict = field(default_factory=dict)
+    input_weights: np.ndarray = field(init=False, repr=False)  # (m,M,K,p)
+    biases: np.ndarray = field(init=False, repr=False)         # (m, M, K)
+
+    def __post_init__(self):
+        m, M, K, _ = self.output_weights.shape
+        if self.hour_local and self.input_dim % m:
+            raise ValueError("hour-local features must split evenly by hour")
+        p = self.input_dim // m if self.hour_local else self.input_dim
+        rng = _streams(self.master_seed)[0]
+        self.input_weights = rng.standard_normal((m, M, K, p))
+        self.biases = rng.standard_normal((m, M, K))
+
+    @property
+    def m(self) -> int:
+        return self.output_weights.shape[0]
+
+    @property
+    def n_members(self) -> int:
+        return self.output_weights.shape[1]
+
+    @property
+    def hidden_size(self) -> int:
+        return self.output_weights.shape[2]
 
     @property
     def input_dim(self) -> int:
         return self.scaler_mean.size
 
-    def slot_columns(self, hour: int):
-        """Feature columns feeding one hour's slots."""
-        if not self.hour_local:
-            return slice(None)
-        p = self.input_dim // self.m
-        return slice(hour * p, (hour + 1) * p)
+    def _hour_inputs(self, X, hour: int):
+        """Standardized feature columns (N, p) feeding one hour."""
+        p = self.input_weights.shape[-1]
+        cols = (slice(hour * p, (hour + 1) * p) if self.hour_local
+                else slice(None))
+        return (X[:, cols] - self.scaler_mean[cols]) / self.scaler_std[cols]
 
-    def slot_index(self, hour: int, param: str) -> int:
-        return hour * len(PARAM_NAMES) + PARAM_NAMES.index(param)
+    def _hour_outputs(self, Z, hour: int):
+        """Trimmed mean over members of the raw parameters (N, 5)."""
+        H = hidden_layer(Z, self.input_weights[hour], self.biases[hour])
+        return trimmed_mean(H @ self.output_weights[hour],
+                            self.trim_fraction)
 
 
 def bootstrap_resample(data: TrainSet, rng) -> TrainSet:
@@ -89,139 +131,81 @@ def bootstrap_resample(data: TrainSet, rng) -> TrainSet:
     return TrainSet(inputs=data.inputs[idx], targets=data.targets[idx])
 
 
-def _member_streams(master_seed: int, slot: int, member: int):
-    """Independent (bootstrap, weight-init) streams for one member.
-
-    Separate child streams keep the regenerated hidden layer independent of
-    how many bootstrap indices were drawn, so persistence can rebuild it.
-    """
-    kids = np.random.SeedSequence([master_seed, slot, member]).spawn(2)
-    return np.random.default_rng(kids[0]), np.random.default_rng(kids[1])
-
-
 def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
                    n_members: int = DEFAULT_MEMBERS, master_seed: int = 0,
-                   flags=None, ridge=None,
+                   flags=None, ridge: float = DEFAULT_RIDGE,
                    hour_local: bool = False) -> EnsembleModel:
-    """Train all 5 x m slots from (WeatherDay, DayParams) training pairs.
+    """Train every hour's members from (WeatherDay, DayParams) pairs.
 
     ``flags`` optionally maps each pair to a per-hour boolean mask marking
-    unreliable hours; flagged hours are excluded from that hour's slots.
-    With ``hour_local`` each hour's slots regress on that hour's feature
+    unreliable hours; flagged hours are excluded from that hour's training
+    days.  With ``hour_local`` each hour regresses on that hour's feature
     slice only, instead of the full-day vector.
     """
     pairs = list(pairs)
     if len(pairs) < MIN_SLOT_PAIRS:
         raise TrainingError(f"need >= {MIN_SLOT_PAIRS} training days, "
                             f"got {len(pairs)}")
+    if hidden_size < 1 or n_members < 1:
+        raise ValueError("hidden_size and n_members must be >= 1")
     m = pairs[0][1].m
     X_all = np.stack([w.features for w, _ in pairs])
-    scaler = fit_scaler(X_all)
+    mean, std = fit_scaler(X_all)
     targets = np.stack([dp.as_matrix() for _, dp in pairs])   # (N, 5, m)
-    feature_names = pairs[0][0].feature_names
-
-    slots: list[list[ElmModel]] = []
-    rmse: dict[str, float] = {}
-    kwargs = {} if ridge is None else dict(ridge=ridge)
-    p_hour = X_all.shape[1] // m
+    trusted = (np.ones((len(pairs), m), dtype=bool) if flags is None
+               else ~np.asarray(flags, dtype=bool))
+    model = EnsembleModel(
+        output_weights=np.zeros((m, n_members, hidden_size,
+                                 len(PARAM_NAMES))),
+        master_seed=master_seed, scaler_mean=mean, scaler_std=std,
+        feature_names=tuple(pairs[0][0].feature_names),
+        hour_local=hour_local)
+    boot_rng = _streams(master_seed)[1]
     for hour in range(m):
-        cols = (slice(hour * p_hour, (hour + 1) * p_hour) if hour_local
-                else slice(None))
-        hour_scaler = (scaler[0][cols], scaler[1][cols])
+        keep = trusted[:, hour]
+        if int(keep.sum()) < MIN_SLOT_PAIRS:
+            raise TrainingError(
+                f"hour={hour}: only {int(keep.sum())} valid days "
+                f"(need {MIN_SLOT_PAIRS})")
+        data = TrainSet(inputs=model._hour_inputs(X_all[keep], hour),
+                        targets=targets[keep, :, hour])
+        boots = [bootstrap_resample(data, boot_rng) for _ in range(n_members)]
+        H = hidden_layer(np.stack([bt.inputs for bt in boots]),
+                         model.input_weights[hour], model.biases[hour])
+        model.output_weights[hour] = solve_output_weights(
+            H, np.stack([bt.targets for bt in boots]), ridge)
+        err = model._hour_outputs(data.inputs, hour) - data.targets
         for pi, pname in enumerate(PARAM_NAMES):
-            slot_id = hour * len(PARAM_NAMES) + pi
-            if flags is not None:
-                keep = np.array([not flags[j][hour]
-                                 for j in range(len(pairs))])
-            else:
-                keep = np.ones(len(pairs), dtype=bool)
-            if int(keep.sum()) < MIN_SLOT_PAIRS:
-                raise TrainingError(
-                    f"slot hour={hour} param={pname}: only {int(keep.sum())} "
-                    f"valid pairs (need {MIN_SLOT_PAIRS})")
-            data = TrainSet(inputs=X_all[keep][:, cols],
-                            targets=targets[keep, pi, hour])
-            members = []
-            for j in range(n_members):
-                boot_rng, init_rng = _member_streams(master_seed, slot_id, j)
-                boot = bootstrap_resample(data, boot_rng)
-                model = elm_init(data.inputs.shape[1], hidden_size, init_rng)
-                members.append(elm_train(model, boot, scaler=hour_scaler,
-                                         **kwargs))
-            slots.append(members)
-            pred = predict_slot_batch(members, data.inputs)
-            rmse[f"h{hour}_{pname}"] = float(
-                np.sqrt(np.mean((pred - data.targets) ** 2)))
-    return EnsembleModel(slots=slots, m=m, hidden_size=hidden_size,
-                         n_members=n_members, master_seed=master_seed,
-                         scaler_mean=scaler[0], scaler_std=scaler[1],
-                         feature_names=tuple(feature_names),
-                         hour_local=hour_local, train_rmse=rmse)
+            model.train_rmse[f"h{hour}_{pname}"] = float(
+                np.sqrt(np.mean(err[:, pi] ** 2)))
+    return model
 
 
-def trimmed_mean(values, trim_fraction: float = TRIM_FRACTION) -> float:
-    """Mean after discarding floor(trim * n) values from each end."""
-    v = np.sort(np.asarray(values, dtype=float))
-    k = int(np.floor(trim_fraction * v.size))
-    kept = v[k:v.size - k] if v.size - 2 * k > 0 else v
-    return float(kept.mean())
-
-
-def predict_slot(members, x, trim_fraction: float = TRIM_FRACTION) -> float:
-    """Trimmed-mean aggregation of one slot's member outputs."""
-    outs = np.array([elm_predict(mdl, np.asarray(x, dtype=float))
-                     for mdl in members])
-    return trimmed_mean(outs, trim_fraction)
-
-
-def predict_slot_batch(members, X, trim_fraction: float = TRIM_FRACTION):
-    """Vectorized predict_slot over the rows of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    outs = np.stack([elm_predict(mdl, X) for mdl in members])  # (M, N)
-    outs.sort(axis=0)
-    k = int(np.floor(trim_fraction * len(members)))
-    kept = outs[k:len(members) - k] if len(members) - 2 * k > 0 else outs
+def trimmed_mean(values, trim_fraction: float = TRIM_FRACTION):
+    """Mean along the first axis after discarding floor(trim * n) values
+    from each end."""
+    v = np.sort(np.asarray(values, dtype=float), axis=0)
+    n = v.shape[0]
+    k = int(np.floor(trim_fraction * n))
+    kept = v[k:n - k] if n - 2 * k > 0 else v
     return kept.mean(axis=0)
 
 
-def predict_day_params(model: EnsembleModel, day: WeatherDay, log=None):
-    """Predict all hourly parameters for one day and project to validity."""
-    x = day.features
-    if x.size != model.input_dim:
-        raise ValueError("feature length does not match the trained model")
-    hours = []
-    for hour in range(model.m):
-        xh = x[model.slot_columns(hour)]
-        raw = {p: predict_slot(model.slots[model.slot_index(hour, p)], xh,
-                               model.trim_fraction)
-               for p in PARAM_NAMES}
-        hours.append(project_params(raw["a"], raw["b"], raw["beta"],
-                                    raw["c"], raw["d"], log=log))
-    return DayParams(hours=tuple(hours))
-
-
 def predict_params_batch(model: EnsembleModel, days, log=None):
-    """Predict DayParams for many WeatherDays with one pass per slot."""
+    """Predict the projected DayParams of each WeatherDay."""
     X = np.stack([d.features for d in days])
     if X.shape[1] != model.input_dim:
         raise ValueError("feature length does not match the trained model")
-    raw = np.empty((len(days), model.m, len(PARAM_NAMES)))
-    for hour in range(model.m):
-        Xh = X[:, model.slot_columns(hour)]
-        for pi, pname in enumerate(PARAM_NAMES):
-            slot = model.slots[model.slot_index(hour, pname)]
-            raw[:, hour, pi] = predict_slot_batch(slot, Xh,
-                                                  model.trim_fraction)
-    out = []
-    for j in range(len(days)):
-        hours = [project_params(*raw[j, h], log=log) for h in range(model.m)]
-        out.append(DayParams(hours=tuple(hours)))
-    return out
+    raw = np.stack([model._hour_outputs(model._hour_inputs(X, hour), hour)
+                    for hour in range(model.m)], axis=1)     # (N, m, 5)
+    return [DayParams(hours=tuple(project_params(*raw[j, h], log=log)
+                                  for h in range(model.m)))
+            for j in range(len(days))]
 
 
 # ---------------------------------------------------------------------------
-# persistence: manifest + per-slot output weights; hidden layers are
-# regenerated from the deterministic member streams.
+# persistence: manifest.json + the output weights as one .npy file; the
+# hidden layers are regenerated from the master seed.
 
 
 def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
@@ -234,22 +218,15 @@ def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
                     hour_local=model.hour_local,
                     input_dim=model.input_dim,
                     feature_names=list(model.feature_names),
-                    scaler_mean=_b64(model.scaler_mean),
-                    scaler_std=_b64(model.scaler_std),
+                    scaler_mean=model.scaler_mean.tolist(),
+                    scaler_std=model.scaler_std.tolist(),
                     train_rmse=model.train_rmse,
                     param_names=list(PARAM_NAMES))
     _atomic_write(os.path.join(out_dir, "manifest.json"),
-                  json.dumps(manifest, sort_keys=True, indent=1))
-    for hour in range(model.m):
-        for pi, pname in enumerate(PARAM_NAMES):
-            slot_id = hour * len(PARAM_NAMES) + pi
-            V = np.stack([mdl.output_weights
-                          for mdl in model.slots[slot_id]])
-            doc = dict(slot=slot_id, hour=hour, param=pname,
-                       output_weights=_b64(V))
-            _atomic_write(
-                os.path.join(out_dir, f"slot_{slot_id:03d}.json"),
-                json.dumps(doc, sort_keys=True))
+                  json.dumps(manifest, sort_keys=True, indent=1).encode())
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(model.output_weights, dtype="<f8"))
+    _atomic_write(os.path.join(out_dir, _WEIGHTS_FILE), buf.getvalue())
 
 
 def load_ensemble(model_dir: str) -> EnsembleModel:
@@ -257,42 +234,26 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
         man = json.load(f)
     if man.get("format_version") != _FORMAT_VERSION:
         raise ValueError("unsupported ensemble format version")
-    m, K, M = man["m"], man["hidden_size"], man["n_members"]
     p = man["input_dim"]
-    hour_local = man.get("hour_local", False)
-    mean = _unb64(man["scaler_mean"], (p,))
-    std = _unb64(man["scaler_std"], (p,))
-    p_hour = p // m
-    slots = []
-    for slot_id in range(m * len(PARAM_NAMES)):
-        hour = slot_id // len(PARAM_NAMES)
-        cols = (slice(hour * p_hour, (hour + 1) * p_hour) if hour_local
-                else slice(None))
-        dim = p_hour if hour_local else p
-        with open(os.path.join(model_dir, f"slot_{slot_id:03d}.json")) as f:
-            doc = json.load(f)
-        V = _unb64(doc["output_weights"], (M, K))
-        members = []
-        for j in range(M):
-            _, init_rng = _member_streams(man["master_seed"], slot_id, j)
-            base = elm_init(dim, K, init_rng)
-            members.append(ElmModel(input_weights=base.input_weights,
-                                    biases=base.biases,
-                                    output_weights=V[j],
-                                    scaler_mean=mean[cols],
-                                    scaler_std=std[cols]))
-        slots.append(members)
-    return EnsembleModel(slots=slots, m=m, hidden_size=K, n_members=M,
-                         master_seed=man["master_seed"],
+    mean = np.array(man["scaler_mean"], dtype=float)
+    std = np.array(man["scaler_std"], dtype=float)
+    if mean.shape != (p,) or std.shape != (p,):
+        raise ValueError("manifest scaler length does not match input_dim")
+    V = np.load(os.path.join(model_dir, _WEIGHTS_FILE), allow_pickle=False)
+    want = (man["m"], man["n_members"], man["hidden_size"], len(PARAM_NAMES))
+    if V.shape != want or V.dtype != np.float64:
+        raise ValueError(f"{_WEIGHTS_FILE} holds {V.dtype} {V.shape}, "
+                         f"the manifest says float64 {want}")
+    return EnsembleModel(output_weights=V, master_seed=man["master_seed"],
                          scaler_mean=mean, scaler_std=std,
                          feature_names=tuple(man["feature_names"]),
                          trim_fraction=man["trim_fraction"],
-                         hour_local=hour_local,
-                         train_rmse=man.get("train_rmse", {}))
+                         hour_local=man["hour_local"],
+                         train_rmse=man["train_rmse"])
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, data: bytes) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
+    with open(tmp, "wb") as f:
+        f.write(data)
     os.replace(tmp, path)

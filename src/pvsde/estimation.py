@@ -313,24 +313,6 @@ def _initial_drift(v, dt):
     return a, b, phi_raw
 
 
-def _init_point(v, dt):
-    """Documented initialization (c0, d0, beta0, a0, b0) for sanity checks."""
-    lo, hi = v.min(), v.max()
-    rng_ = max(hi - lo, 1e-3)
-    c0 = lo - 0.05 * rng_
-    d0 = hi + 0.05 * rng_
-    W0 = np.maximum((v[:-1] - c0) * (d0 - v[:-1]), SIGMA2_FLOOR)
-    beta0 = float(np.mean(np.diff(v) ** 2) / max(np.mean(W0) * dt, 1e-14))
-    beta0 = min(max(beta0, BETA_MIN), BETA_MAX)
-    X, Y = v[:-1], v[1:]
-    mX = X.mean()
-    r = float(((X - mX) * (Y - Y.mean())).mean()
-              / max(((X - mX) ** 2).mean(), 1e-14))
-    a0 = min(max(-math.log(max(r, 0.01)) / dt, A_MIN), A_MAX)
-    b0 = float(v.mean())
-    return a0, _clamp_b(b0, c0, d0), beta0, c0, d0
-
-
 # ---------------------------------------------------------------------------
 # public operations
 

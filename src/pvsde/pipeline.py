@@ -204,9 +204,7 @@ def ingest_pv(path: str):
 
 def write_fan_csv(path: str, fan: SimulationFan, n_dump: int) -> None:
     with open(path + ".tmp", "w") as f:
-        fan.to_csv(f, dump_paths=False)
-        for p in fan.paths[:n_dump]:
-            f.write("P," + ",".join(repr(float(v)) for v in p) + "\n")
+        fan.to_csv(f, n_dump)
     os.replace(path + ".tmp", path)
 
 
@@ -417,9 +415,9 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
                                     step_seconds=cfg.step_seconds, m=cfg.m,
                                     seed=_day_seed(cfg.seed, i))
         id_days[date] = day
-        id_flags[date] = [_untrusted(r.flags) for r in reports]
+        id_flags[date] = [r.flags for r in reports]
     write_params_json(os.path.join(out_dir, "params_identified.json"),
-                      {d: day_params_to_obj(id_days[d])
+                      {d: day_params_to_obj(id_days[d], id_flags[d])
                        for d in train_dates},
                       cfg.step_seconds, cfg.m)
 
@@ -427,7 +425,8 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     model = train_ensemble([(weather[d], id_days[d]) for d in train_dates],
                            hidden_size=cfg.hidden_size,
                            n_members=cfg.n_members, master_seed=cfg.seed,
-                           flags=[id_flags[d] for d in train_dates],
+                           flags=[[_untrusted(fl) for fl in id_flags[d]]
+                                  for d in train_dates],
                            ridge=cfg.ridge, hour_local=cfg.hour_local)
     save_ensemble(model, os.path.join(out_dir, "model"))
     _atomic_text(os.path.join(out_dir, "model", "impute.json"),

@@ -227,8 +227,9 @@ class SimulationFan:
         raise KeyError(f"quantile level {level} not cached "
                        f"(have {self.quantile_levels})")
 
-    def to_csv(self, path_or_buf, dump_paths=False):
-        """Write `step,mean,q05,q25,q50,q75,q95` rows; optionally raw paths."""
+    def to_csv(self, path_or_buf, n_dump: int):
+        """Write `step,mean,q05,q25,q50,q75,q95` rows, then the first
+        ``n_dump`` raw paths as `P,v0,v1,...` rows."""
         close = False
         if isinstance(path_or_buf, (str, bytes)):
             f = open(path_or_buf, "w")
@@ -242,10 +243,8 @@ class SimulationFan:
                 row = [str(i), repr(float(self.mean[i]))]
                 row += [repr(float(q[i])) for q in self.quantiles]
                 f.write(",".join(row) + "\n")
-            if dump_paths:
-                f.write("# paths\n")
-                for p in self.paths:
-                    f.write(",".join(repr(float(v)) for v in p) + "\n")
+            for p in self.paths[:n_dump]:
+                f.write("P," + ",".join(repr(float(v)) for v in p) + "\n")
         finally:
             if close:
                 f.close()

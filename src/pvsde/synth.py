@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sde import DayParams, SdeParams, project_params, simulate_day
-from .weather import COMPASS_DEGREES, HourGrid, encode_hour
+from .weather import COMPASS_DEGREES, HourGrid
 
 IRRADIANCE_SCALE = 3.5      # MJ/m^2 roughly spanning the observed range
 _COMPASS = tuple(COMPASS_DEGREES)
@@ -133,13 +133,3 @@ def _date_label(day_idx: int) -> str:
     month = (day_idx % 360) // 30 + 1
     day = day_idx % 30 + 1
     return f"{year:04d}-{month:02d}-{day:02d}"
-
-
-def encode_weather_features(rows) -> np.ndarray:
-    """Flatten one day's hourly rows to the model's feature vector."""
-    slices = [encode_hour(r["temperature"], r["humidity"], r["pressure"],
-                          r["precipitation"], r["wind_speed"],
-                          COMPASS_DEGREES[r["wind_direction"]],
-                          r["cloud"], r["irradiance"])
-              for r in rows]
-    return np.concatenate(slices)

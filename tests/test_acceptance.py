@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from pvsde.elm import TrainSet, elm_init, elm_train, training_residual
-from pvsde.ensemble import (WeatherDay, predict_day_params, train_ensemble,
+from pvsde.ensemble import (WeatherDay, predict_params_batch, train_ensemble,
                             trimmed_mean)
 from pvsde.estimation import HourSamples, identify_hour
 from pvsde.metrics import EvalInput, kl_divergence, nd, picp, rho_risk
@@ -282,12 +282,11 @@ def test_criterion_9_regime_ordering(capsys):
                           DayParams((th,))))
     model = train_ensemble(pairs, hidden_size=60, n_members=30,
                            master_seed=0, ridge=2.0, hour_local=True)
-    clear = predict_day_params(
-        model, WeatherDay("clear", _hour_features(REGIME_WEATHER["clear"])))
-    cloudy = predict_day_params(
-        model, WeatherDay("cloudy",
-                          _hour_features(REGIME_WEATHER["cloudy"]))).hours[0]
-    clear = clear.hours[0]
+    clear, cloudy = predict_params_batch(
+        model, [WeatherDay("clear", _hour_features(REGIME_WEATHER["clear"])),
+                WeatherDay("cloudy",
+                           _hour_features(REGIME_WEATHER["cloudy"]))])
+    clear, cloudy = clear.hours[0], cloudy.hours[0]
     ok = clear.b > cloudy.b and clear.beta < cloudy.beta
     _announce(capsys, "criterion 9 regime ordering", ok,
               f"b {clear.b:.4f} vs {cloudy.b:.4f},"

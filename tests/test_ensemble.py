@@ -1,13 +1,13 @@
 """Tests for the bagged weather-to-parameter ensemble."""
 
+import json
+
 import numpy as np
 import pytest
 
-from pvsde.ensemble import (EnsembleModel, TrainingError, WeatherDay,
-                            bootstrap_resample, load_ensemble,
-                            predict_day_params, predict_params_batch,
-                            predict_slot, save_ensemble, train_ensemble,
-                            trimmed_mean)
+from pvsde.ensemble import (TrainingError, WeatherDay, bootstrap_resample,
+                            load_ensemble, predict_params_batch,
+                            save_ensemble, train_ensemble, trimmed_mean)
 from pvsde.elm import TrainSet
 from pvsde.sde import DayParams, SdeParams
 
@@ -102,8 +102,8 @@ class TestTraining:
                                master_seed=1)
         test = _make_pairs(n_days=16, seed=99)
         errs = []
-        for day, truth in test:
-            pred = predict_day_params(model, day)
+        preds = predict_params_batch(model, [day for day, _ in test])
+        for pred, (_, truth) in zip(preds, test):
             for ph, th in zip(pred.hours, truth.hours):
                 errs.append(abs(ph.b - th.b))
         assert np.mean(errs) < 0.05
@@ -114,21 +114,10 @@ class TestTraining:
                                master_seed=2)
         wild = WeatherDay(date="x", features=np.full(6, 25.0),
                           feature_names=pairs[0][0].feature_names)
-        pred = predict_day_params(model, wild)
+        pred, = predict_params_batch(model, [wild])
         for th in pred.hours:
             assert th.c < th.d and th.c <= th.b <= th.d
             assert 0.0 <= th.beta <= 1.0 and 1e-4 <= th.a <= 2.0
-
-    def test_batch_matches_single(self):
-        pairs = _make_pairs(n_days=16)
-        model = train_ensemble(pairs, hidden_size=10, n_members=5,
-                               master_seed=3)
-        days = [p[0] for p in _make_pairs(n_days=4, seed=50)]
-        batch = predict_params_batch(model, days)
-        for day, got in zip(days, batch):
-            single = predict_day_params(model, day)
-            np.testing.assert_allclose(got.as_matrix(), single.as_matrix(),
-                                       rtol=1e-12)
 
     def test_seed_determinism(self):
         pairs = _make_pairs(n_days=16)
@@ -138,21 +127,21 @@ class TestTraining:
                             master_seed=4)
         day = pairs[0][0]
         np.testing.assert_array_equal(
-            predict_day_params(m1, day).as_matrix(),
-            predict_day_params(m2, day).as_matrix())
+            predict_params_batch(m1, [day])[0].as_matrix(),
+            predict_params_batch(m2, [day])[0].as_matrix())
 
     def test_hour_local_uses_own_hours_features(self):
         pairs = _make_pairs(n_days=48)
         model = train_ensemble(pairs, hidden_size=20, n_members=10,
                                master_seed=5, hour_local=True)
         day = _make_pairs(n_days=1, seed=77)[0][0]
-        base = predict_day_params(model, day)
+        base, = predict_params_batch(model, [day])
         # perturbing hour 1's features must not move hour 0's prediction
         x = day.features.copy()
         x[3:] += 0.3
         moved = WeatherDay(date=day.date, features=x,
                            feature_names=day.feature_names)
-        pred = predict_day_params(model, moved)
+        pred, = predict_params_batch(model, [moved])
         np.testing.assert_array_equal(pred.as_matrix()[:, 0],
                                       base.as_matrix()[:, 0])
         assert not np.allclose(pred.as_matrix()[:, 1], base.as_matrix()[:, 1])
@@ -167,8 +156,8 @@ class TestPersistence:
         clone = load_ensemble(str(tmp_path / "model"))
         day = pairs[3][0]
         np.testing.assert_array_equal(
-            predict_day_params(model, day).as_matrix(),
-            predict_day_params(clone, day).as_matrix())
+            predict_params_batch(model, [day])[0].as_matrix(),
+            predict_params_batch(clone, [day])[0].as_matrix())
 
     def test_saved_files_are_byte_deterministic(self, tmp_path):
         pairs = _make_pairs(n_days=16)
@@ -190,5 +179,24 @@ class TestPersistence:
         assert clone.hour_local
         day = pairs[5][0]
         np.testing.assert_array_equal(
-            predict_day_params(model, day).as_matrix(),
-            predict_day_params(clone, day).as_matrix())
+            predict_params_batch(model, [day])[0].as_matrix(),
+            predict_params_batch(clone, [day])[0].as_matrix())
+
+    def test_model_dir_must_match_its_manifest(self, tmp_path):
+        pairs = _make_pairs(n_days=16)
+        model = train_ensemble(pairs, hidden_size=10, n_members=5,
+                               master_seed=9)
+        root = tmp_path / "model"
+        save_ensemble(model, str(root))
+        assert sorted(p.name for p in root.iterdir()) == [
+            "manifest.json", "output_weights.npy"]
+        # a weights file of another shape than the manifest declares
+        np.save(root / "output_weights.npy", model.output_weights[:, :4])
+        with pytest.raises(ValueError, match="manifest"):
+            load_ensemble(str(root))
+        # a directory of an older format version
+        man = json.loads((root / "manifest.json").read_text())
+        man["format_version"] = 1
+        (root / "manifest.json").write_text(json.dumps(man))
+        with pytest.raises(ValueError, match="format version"):
+            load_ensemble(str(root))

@@ -122,6 +122,17 @@ class TestFanCsv:
         np.testing.assert_array_equal(got.mean, fan.mean)
         assert got.quantile_levels == fan.quantile_levels
 
+    def test_to_csv_reads_back(self, tmp_path):
+        # the fan's own writer and the pipeline's reader share one format
+        day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
+        fan = make_fan(day, 0.5, n_paths=20, seed=3, substeps=1)
+        path = str(tmp_path / "fan.csv")
+        fan.to_csv(path, 20)
+        got = read_fan_csv(path, 30.0)
+        np.testing.assert_array_equal(got.paths, fan.paths)
+        np.testing.assert_array_equal(got.quantiles, fan.quantiles)
+        assert got.quantile_levels == fan.quantile_levels
+
 
 class TestCommands:
     def test_synth_then_identify(self, tmp_path):
@@ -160,6 +171,24 @@ class TestCommands:
         assert rc != 0
         err = json.loads(capsys.readouterr().err)
         assert err["error"] and err["message"]
+
+    def test_e2e_keeps_estimation_flags(self, tmp_path):
+        from pvsde.pipeline import cmd_e2e
+        cfg = RunConfig(n_days=14, m=3, start_hour=9, n_members=3,
+                        hidden_size=10, n_paths=50, seed=4, split=0.75,
+                        dump_paths=10)
+        ds = str(tmp_path / "ds")
+        cmd_synth(cfg, ds)
+        cmd_identify(cfg, os.path.join(ds, "pv.csv"),
+                     str(tmp_path / "params.json"))
+        cmd_e2e(cfg, ds, str(tmp_path / "run"))
+        ident = read_params_json(str(tmp_path / "params.json"))["days"]
+        e2e = read_params_json(
+            str(tmp_path / "run" / "params_identified.json"))["days"]
+        assert e2e and set(e2e) < set(ident)
+        flags = {d: [h["flags"] for h in obj] for d, obj in e2e.items()}
+        assert flags == {d: [h["flags"] for h in ident[d]] for d in e2e}
+        assert any(fl for day in flags.values() for fl in day)
 
     def test_e2e_rerun_is_byte_identical(self, tmp_path):
         cfg = RunConfig(n_days=14, m=3, start_hour=9, n_members=3,

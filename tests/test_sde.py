@@ -197,11 +197,12 @@ class TestFan:
     def test_csv_round_trip_of_quantiles(self):
         fan = self._fan(n_paths=50)
         buf = io.StringIO()
-        fan.to_csv(buf, dump_paths=True)
+        fan.to_csv(buf, n_dump=50)
         lines = buf.getvalue().splitlines()
         header = lines[0].split(",")
         assert header[:2] == ["step", "mean"]
-        assert len(lines) == 1 + fan.n_steps + 1 + 50
+        assert len(lines) == 1 + fan.n_steps + 50
+        assert lines[-1].split(",")[0] == "P"
         row = lines[1].split(",")
         assert float(row[1]) == fan.mean[0]
         assert float(row[2]) == fan.quantiles[0][0]

@@ -11,10 +11,9 @@ from .solar import (ConfigurationError, PvSeries, RawPvSeries, SiteConfig,
                     solar_elevation)
 from .sde import (DEFAULT_QUANTILE_LEVELS, DayParams,
                   DegenerateDistributionError, SdeParams, SimulationFan,
-                  StabilityError, TIME_UNIT_SECONDS, diffusion, drift,
-                  make_fan, project_params, simulate_day, simulate_hour,
-                  stationary_beta_shapes, stationary_density,
-                  stationary_sample)
+                  StabilityError, TIME_UNIT_SECONDS, euler_paths, make_fan,
+                  project_params, simulate_hour, stationary_beta_shapes,
+                  stationary_density, stationary_sample)
 from .estimation import (AllHoursInvalidError, FitReport, HourSamples,
                          estimate_diffusion, estimate_drift, identify_day,
                          identify_hour)
@@ -43,13 +42,13 @@ __all__ = [
     "SyntheticSpec", "TIME_UNIT_SECONDS", "TrainSet", "TrainingError",
     "UndefinedMetricError", "WeatherDay", "WeatherFormatError",
     "autocorr_mismatch", "bootstrap_resample", "cos_zenith", "daylight_mask",
-    "denormalize", "diffusion", "drift", "elm_init", "elm_predict",
-    "elm_train", "estimate_diffusion", "estimate_drift", "evaluate",
+    "denormalize", "elm_init", "elm_predict", "elm_train",
+    "estimate_diffusion", "estimate_drift", "euler_paths", "evaluate",
     "fit_scaler", "identify_day", "identify_hour", "impute_days",
     "ingest_weather", "kl_divergence", "load_config", "load_ensemble",
     "make_fan", "nd", "normalize", "nrmse", "picp", "predict_params_batch",
     "project_params", "rho_risk", "save_ensemble",
-    "simulate_day", "simulate_hour", "solar_elevation", "split_days",
+    "simulate_hour", "solar_elevation", "split_days",
     "stationary_beta_shapes", "stationary_density", "stationary_sample",
     "synth_generate", "train_ensemble", "training_residual",
     "trimmed_mean", "true_param_map", "write_weather_csv",

@@ -67,6 +67,9 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must be in (0, 1)")
+        if self.dump_paths < 1:
+            # a fan file with no sample paths cannot be evaluated
+            raise ValueError("dump_paths must be >= 1")
 
     @property
     def grid(self) -> HourGrid:

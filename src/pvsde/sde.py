@@ -8,6 +8,12 @@ with state confined to [c, d].  Rates ``a`` and ``beta`` are stored per
 internal time unit of ``TIME_UNIT_SECONDS`` (30 s, the native sampling
 period of the PV telemetry); all public entry points take wall-clock
 seconds and convert.
+
+One kernel, ``euler_paths``, steps the discrete Euler chain for a bundle
+of paths under per-hour or per-path parameters and a given noise source.
+It has three callers: the data generator (``synth.synth_generate``, every
+synthetic day one path), the estimator's matching simulations (through
+``simulate_hour``) and the forecast fans (``make_fan``).
 """
 
 from __future__ import annotations
@@ -116,18 +122,6 @@ class DayParams:
         return np.stack([h.as_array() for h in self.hours], axis=1)
 
 
-def drift(p, theta: SdeParams):
-    """Mean-reverting drift a (b - p); zero at the target p = b."""
-    return theta.a * (theta.b - np.asarray(p, dtype=float))
-
-
-def diffusion(p, theta: SdeParams):
-    """Volatility sqrt(beta (p - c) (d - p)), clamped to 0 outside [c, d]."""
-    p = np.asarray(p, dtype=float)
-    s = theta.beta * np.maximum(0.0, p - theta.c) * np.maximum(0.0, theta.d - p)
-    return np.sqrt(s)
-
-
 def _clamp_interior(p, c, d):
     eps = _BOUND_EPS * (d - c)
     return np.clip(p, c + eps, d - eps)
@@ -137,30 +131,39 @@ def _auto_substeps(a_max: float, dt_units: float) -> int:
     return max(1, int(np.ceil(a_max * dt_units / _AUTO_A_DT)))
 
 
-def _em_segment(p, theta: SdeParams, dt_units, n_steps, substeps, rng,
-                out=None):
-    """Advance a vector of states n_steps coarse steps; record each step.
+def euler_paths(params, p0, dt_units, n_steps, substeps, noise):
+    """Step the Euler chain of consecutive hours for a bundle of paths.
 
-    Returns (n_steps, len(p)) array of post-step states, clamped to [c, d].
+    ``params`` holds one [a, b, beta, c, d] row per hour, shape (m, 5), or
+    one column per path, shape (m, 5, n).  Hour i takes ``n_steps`` coarse
+    steps of ``dt_units``, each split into ``substeps[i]`` Euler substeps;
+    ``noise`` holds one standard-normal row per substep, consumed in order.
+    At each hour's start the state is clamped just inside that hour's
+    bounds and carried on; after every substep it is clamped to [c, d].
+    Returns the (m * n_steps, n) states after each coarse step.
     """
-    a, b, beta, c, d = theta.a, theta.b, theta.beta, theta.c, theta.d
-    h = dt_units / substeps
-    if a * h > _MAX_A_DT:
-        raise StabilityError(
-            f"a*dt = {a * h:.3f} > {_MAX_A_DT}; reduce the step or increase substeps")
-    p = np.array(p, dtype=float, ndmin=1)
-    sq = np.sqrt(h)
-    if out is None:
-        out = np.empty((n_steps, p.size))
-    z = rng.standard_normal((n_steps * substeps, p.size))
+    params = np.asarray(params, dtype=float)
+    p = np.array(p0, dtype=float, ndmin=1)
+    out = np.empty((params.shape[0] * n_steps, p.size))
+    # per-hour rows as Python floats: numpy scalars slow every step ~15%
+    rows = params.tolist() if params.ndim == 2 else params
     k = 0
-    for i in range(n_steps):
-        for _ in range(substeps):
-            s2 = beta * np.maximum(0.0, p - c) * np.maximum(0.0, d - p)
-            p = p + a * (b - p) * h + np.sqrt(s2) * sq * z[k]
-            np.clip(p, c, d, out=p)
-            k += 1
-        out[i] = p
+    for i, (theta, sub) in enumerate(zip(rows, substeps)):
+        a, b, beta, c, d = theta
+        h = dt_units / sub
+        if np.any(a * h > _MAX_A_DT):
+            raise StabilityError(
+                f"a*dt = {np.max(a) * h:.3f} > {_MAX_A_DT}; "
+                "reduce the step or increase substeps")
+        sq = np.sqrt(h)
+        p = _clamp_interior(p, c, d)
+        for row in range(i * n_steps, (i + 1) * n_steps):
+            for _ in range(sub):
+                s2 = beta * np.maximum(0.0, p - c) * np.maximum(0.0, d - p)
+                p = p + a * (b - p) * h + np.sqrt(s2) * sq * noise[k]
+                np.clip(p, c, d, out=p)
+                k += 1
+            out[row] = p
     return out
 
 
@@ -177,33 +180,10 @@ def simulate_hour(theta: SdeParams, p0, step_seconds=30.0, n_steps=120,
     dt = step_seconds / TIME_UNIT_SECONDS
     if substeps is None:
         substeps = _auto_substeps(theta.a, dt)
-    p0 = _clamp_interior(np.asarray(p0, dtype=float), theta.c, theta.d)
-    path = _em_segment(p0, theta, dt, n_steps, substeps, rng)
-    return path[:, 0] if path.shape[1] == 1 and np.ndim(p0) == 0 else path
-
-
-def simulate_day(day: DayParams, p0, step_seconds=30.0, rng=None,
-                 substeps=None):
-    """Concatenated hourly segments, continuous across hour boundaries.
-
-    State carries over between hours; when the next hour's bounds exclude
-    it, it is clamped just inside them.  Length m * 3600/step_seconds.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    scalar = np.ndim(p0) == 0
-    p = np.array(p0, dtype=float, ndmin=1)
-    n_hour = int(round(3600.0 / step_seconds))
-    dt = step_seconds / TIME_UNIT_SECONDS
-    segments = []
-    for theta in day.hours:
-        sub = substeps if substeps is not None else _auto_substeps(theta.a, dt)
-        p = _clamp_interior(p, theta.c, theta.d)
-        seg = _em_segment(p, theta, dt, n_hour, sub, rng)
-        p = seg[-1].copy()
-        segments.append(seg)
-    path = np.concatenate(segments, axis=0)
-    return path[:, 0] if scalar else path
+    noise = rng.standard_normal((n_steps * substeps, np.size(p0)))
+    path = euler_paths(theta.as_array()[None], p0, dt, n_steps, [substeps],
+                       noise)
+    return path[:, 0] if np.ndim(p0) == 0 else path
 
 
 @dataclass(frozen=True)
@@ -263,7 +243,6 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_hour = int(round(3600.0 / step_seconds))
-    n_steps = day.m * n_hour
     dt = step_seconds / TIME_UNIT_SECONDS
 
     # Per-path noise from spawned child streams, consumed hour by hour.
@@ -275,45 +254,13 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     for j, ss in enumerate(children):
         noise[:, j] = np.random.default_rng(ss).standard_normal(total_draws)
 
-    p = np.full(n_paths, float(p0))
-    paths = np.empty((n_steps, n_paths))
-    k = 0
-    row = 0
-    for theta, sub in zip(day.hours, subs):
-        p = _clamp_interior(p, theta.c, theta.d)
-        rngslice = noise[k:k + n_hour * sub]
-        seg = _em_with_noise(p, theta, dt, n_hour, sub, rngslice)
-        paths[row:row + n_hour] = seg
-        p = seg[-1].copy()
-        k += n_hour * sub
-        row += n_hour
-    paths = paths.T
+    paths = euler_paths(day.as_matrix().T, np.full(n_paths, float(p0)), dt,
+                        n_hour, subs, noise).T
     levels = tuple(quantile_levels)
     qs = np.quantile(paths, levels, axis=0)
     return SimulationFan(paths=paths, step_seconds=float(step_seconds),
                          quantile_levels=levels, quantiles=qs,
                          mean=paths.mean(axis=0))
-
-
-def _em_with_noise(p, theta: SdeParams, dt_units, n_steps, substeps, noise):
-    """Euler segment driven by pre-drawn noise rows (one per substep)."""
-    a, b, beta, c, d = theta.a, theta.b, theta.beta, theta.c, theta.d
-    h = dt_units / substeps
-    if a * h > _MAX_A_DT:
-        raise StabilityError(
-            f"a*dt = {a * h:.3f} > {_MAX_A_DT}; reduce the step or increase substeps")
-    p = np.array(p, dtype=float)
-    sq = np.sqrt(h)
-    out = np.empty((n_steps, p.size))
-    k = 0
-    for i in range(n_steps):
-        for _ in range(substeps):
-            s2 = beta * np.maximum(0.0, p - c) * np.maximum(0.0, d - p)
-            p = p + a * (b - p) * h + np.sqrt(s2) * sq * noise[k]
-            np.clip(p, c, d, out=p)
-            k += 1
-        out[i] = p
-    return out
 
 
 def stationary_beta_shapes(theta: SdeParams):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sde import DayParams, SdeParams, project_params, simulate_day
+from .sde import (TIME_UNIT_SECONDS, DayParams, SdeParams, euler_paths,
+                  project_params)
 from .weather import COMPASS_DEGREES, HourGrid
 
 IRRADIANCE_SCALE = 3.5      # MJ/m^2 roughly spanning the observed range
@@ -103,26 +104,31 @@ def synth_generate(spec: SyntheticSpec, rng):
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    m = spec.grid.m
     n_hour = int(round(3600.0 / spec.step_seconds))
-    weather_days, pv_days, params_days, dates = [], [], [], []
-    for day_idx in range(spec.n_days):
+    weather_days, params_days = [], []
+    params = np.empty((m, 5, spec.n_days))
+    noise = np.empty((m * n_hour, spec.n_days))
+    for j in range(spec.n_days):
         rows = _day_weather(rng, spec.grid)
         thetas = [_jitter(true_param_map(row["humidity"], row["cloud"],
                                          row["irradiance"]),
                           spec.noise_level, rng)
                   for row in rows]
         day = DayParams(hours=tuple(thetas))
-        first = thetas[0]
-        p0 = 0.5 * (first.c + first.d)
-        # One Euler step per sample: the generated series follows the same
-        # discrete-time transition the identification stage inverts.
-        pv = simulate_day(day, p0, step_seconds=spec.step_seconds, rng=rng,
-                          substeps=1)
-        assert pv.size == spec.grid.m * n_hour
+        params[:, :, j] = day.as_matrix().T
+        noise[:, j] = rng.standard_normal(m * n_hour)
         weather_days.append(rows)
-        pv_days.append(pv)
         params_days.append(day)
-        dates.append(_date_label(day_idx))
+    # Every day is one path of the kernel, started mid-way between its
+    # first hour's bounds.  One Euler step per sample: the generated series
+    # follows the same discrete-time transition the identification stage
+    # inverts.
+    p0 = 0.5 * (params[0, 3] + params[0, 4])
+    pv = euler_paths(params, p0, spec.step_seconds / TIME_UNIT_SECONDS,
+                     n_hour, [1] * m, noise)
+    pv_days = list(np.ascontiguousarray(pv.T))
+    dates = [_date_label(j) for j in range(spec.n_days)]
     return dates, weather_days, pv_days, params_days
 
 

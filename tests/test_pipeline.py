@@ -75,6 +75,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(split=1.5)
 
+    def test_dump_paths_below_one_rejected(self, tmp_path, capsys):
+        # fan files with no sample paths cannot be read back for evaluation
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="dump_paths"):
+                RunConfig(dump_paths=bad)
+        p = tmp_path / "run.cfg"
+        p.write_text("dump_paths = 0\n")
+        with pytest.raises(ValueError, match="dump_paths"):
+            load_config(str(p))
+        rc = cli_main(["--config", str(p), "synth",
+                       "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "dump_paths" in err["message"]
+        assert not (tmp_path / "ds").exists()
+
 
 class TestSplit:
     def test_deterministic_and_exhaustive(self):

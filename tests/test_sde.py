@@ -7,9 +7,9 @@ import pytest
 from scipy import stats
 
 from pvsde.sde import (DayParams, SdeParams, SimulationFan, StabilityError,
-                       diffusion, drift, make_fan, project_params,
-                       simulate_day, simulate_hour, stationary_beta_shapes,
-                       stationary_density, stationary_sample)
+                       euler_paths, make_fan, project_params, simulate_hour,
+                       stationary_beta_shapes, stationary_density,
+                       stationary_sample)
 
 CLEAR = SdeParams(a=0.3298, b=0.8333, beta=0.0348, c=0.6895, d=0.8477)
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
@@ -27,14 +27,25 @@ class TestParams:
             CLEAR.as_array(), [0.3298, 0.8333, 0.0348, 0.6895, 0.8477])
 
     def test_drift_and_diffusion_formulas(self):
-        p = 0.7
-        assert drift(p, CLEAR) == pytest.approx(0.3298 * (0.8333 - 0.7))
-        expected = np.sqrt(0.0348 * (0.7 - 0.6895) * (0.8477 - 0.7))
-        assert diffusion(p, CLEAR) == pytest.approx(expected)
+        # one Euler step: p + a (b - p) h + sqrt(beta (p - c)(d - p)) sqrt(h) z
+        a, b, beta, c, d = CLEAR.as_array()
+        p, h, z = 0.7, 0.5, 0.3
+        step = euler_paths(CLEAR.as_array()[None], p, h, 1, [1], [[z]])
+        expected = (p + a * (b - p) * h
+                    + np.sqrt(beta * (p - c) * (d - p)) * np.sqrt(h) * z)
+        assert step.shape == (1, 1)
+        assert abs(step[0, 0] - expected) <= 1e-15
 
     def test_diffusion_zero_on_boundary(self):
-        assert diffusion(CLEAR.c, CLEAR) == 0.0
-        assert diffusion(CLEAR.d, CLEAR) == 0.0
+        # a huge first kick clips the state onto c or d; the next step is
+        # then pure drift, whatever its noise
+        a, b, beta, c, d = CLEAR.as_array()
+        noise = [[-100.0, -100.0, 100.0, 100.0], [-5.0, 5.0, -5.0, 5.0]]
+        paths = euler_paths(CLEAR.as_array()[None], [0.7] * 4, 1.0, 2, [1],
+                            noise)
+        np.testing.assert_array_equal(paths[0], [c, c, d, d])
+        on_c, on_d = c + a * (b - c) * 1.0, d + a * (b - d) * 1.0
+        np.testing.assert_array_equal(paths[1], [on_c, on_c, on_d, on_d])
 
 
 class TestProjection:
@@ -63,6 +74,32 @@ class TestProjection:
         assert th2 == th
 
 
+class TestEulerPaths:
+    def test_paths_started_on_bounds_stay_inside(self):
+        c, d = CLEAR.c, CLEAR.d
+        # paths started on either bound, kicked by large noise, stay inside
+        noise = 3.0 * np.random.default_rng(2).standard_normal((200, 2))
+        paths = euler_paths(CLEAR.as_array()[None], [c, d], 1.0, 200, [1],
+                            noise)
+        assert (paths >= c).all() and (paths <= d).all()
+
+    def test_per_path_params_match_single_runs(self):
+        rng = np.random.default_rng(6)
+        per_path = np.stack([np.stack([CLEAR.as_array(), CLOUDY.as_array()]),
+                             np.stack([CLOUDY.as_array(), CLEAR.as_array()]),
+                             np.stack([CLOUDY.as_array(),
+                                       CLOUDY.as_array()])], axis=2)
+        assert per_path.shape == (2, 5, 3)
+        p0 = np.array([0.75, 0.5, 0.3])
+        noise = rng.standard_normal((40 * 3, 3))
+        paths = euler_paths(per_path, p0, 1.0, 40, [2, 1], noise)
+        assert paths.shape == (80, 3)
+        for j in range(3):
+            single = euler_paths(per_path[:, :, j], p0[j], 1.0, 40, [2, 1],
+                                 noise[:, j:j + 1])
+            np.testing.assert_array_equal(paths[:, j], single[:, 0])
+
+
 class TestSimulateHour:
     def test_paths_stay_inside_bounds(self):
         rng = np.random.default_rng(0)
@@ -87,6 +124,12 @@ class TestSimulateHour:
         rng = np.random.default_rng(1)
         path = simulate_hour(CLEAR, 0.0, n_steps=5, rng=rng)
         assert (path > CLEAR.c).all()
+
+    def test_coarse_step_raises_stability_error(self):
+        theta = SdeParams(a=0.6, b=0.5, beta=0.1, c=0.1, d=0.9)
+        with pytest.raises(StabilityError):
+            simulate_hour(theta, 0.5, n_steps=5, substeps=1,
+                          rng=np.random.default_rng(0))
 
     def test_mean_relaxes_toward_b(self):
         # E[P_t] = b + (p0 - b) exp(-a t) for the linear drift, as long as
@@ -148,19 +191,23 @@ class TestSimulateDay:
     def _day(self):
         return DayParams(hours=(CLEAR, CLOUDY, CLEAR))
 
+    def _path(self, day, p0):
+        return make_fan(day, p0, n_paths=1, substeps=1).paths[0]
+
     def test_length_and_bounds(self):
-        path = simulate_day(self._day(), 0.75, rng=np.random.default_rng(0))
+        day = self._day()
+        path = self._path(day, 0.75)
         assert path.shape == (3 * 120,)
-        assert (path[:120] >= CLEAR.c).all()
-        assert (path[120:240] >= CLOUDY.c).all()
+        for i, th in enumerate(day.hours):
+            seg = path[i * 120:(i + 1) * 120]
+            assert (seg >= th.c).all() and (seg <= th.d).all()
 
     def test_state_carries_across_hours(self):
         # with zero volatility the chain is deterministic, so the first
         # step of hour 2 must extend hour 1's endpoint exactly
         h1 = SdeParams(a=0.3, b=0.8, beta=0.0, c=0.1, d=0.9)
         h2 = SdeParams(a=0.2, b=0.3, beta=0.0, c=0.1, d=0.9)
-        path = simulate_day(DayParams(hours=(h1, h2)), 0.5,
-                            rng=np.random.default_rng(0), substeps=1)
+        path = self._path(DayParams(hours=(h1, h2)), 0.5)
         expected = path[119] + h2.a * (h2.b - path[119])
         assert path[120] == pytest.approx(expected, rel=1e-12)
 

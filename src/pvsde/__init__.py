@@ -15,8 +15,7 @@ from .sde import (DEFAULT_QUANTILE_LEVELS, DayParams,
                   project_params, simulate_hour, stationary_beta_shapes,
                   stationary_density, stationary_sample)
 from .estimation import (AllHoursInvalidError, FitReport, HourSamples,
-                         estimate_diffusion, estimate_drift, identify_day,
-                         identify_hour)
+                         identify_day, identify_hour, identify_hours)
 from .elm import (ElmModel, TrainSet, elm_init, elm_predict, elm_train,
                   fit_scaler, training_residual)
 from .ensemble import (EnsembleModel, TrainingError, WeatherDay,
@@ -43,8 +42,8 @@ __all__ = [
     "UndefinedMetricError", "WeatherDay", "WeatherFormatError",
     "autocorr_mismatch", "bootstrap_resample", "cos_zenith", "daylight_mask",
     "denormalize", "elm_init", "elm_predict", "elm_train",
-    "estimate_diffusion", "estimate_drift", "euler_paths", "evaluate",
-    "fit_scaler", "identify_day", "identify_hour", "impute_days",
+    "euler_paths", "evaluate", "fit_scaler", "identify_day",
+    "identify_hour", "identify_hours", "impute_days",
     "ingest_weather", "kl_divergence", "load_config", "load_ensemble",
     "make_fan", "nd", "normalize", "nrmse", "picp", "predict_params_batch",
     "project_params", "rho_risk", "save_ensemble",

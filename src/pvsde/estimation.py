@@ -2,7 +2,10 @@
 
 The estimator inverts the discrete (Euler) transition of the process at
 the native sampling period: conditional mean ``P + a·dt·(b − P)`` and
-conditional variance ``beta·dt·(P − c)(d − P)``.  The pieces are:
+conditional variance ``beta·dt·(P − c)(d − P)``.  It works on the
+transition pairs (X_t, X_{t+1}) of a regular sample grid: a pair counts
+only when both of its samples are valid, so a masked gap is never bridged,
+and time is counted from an hour's first valid sample.  The pieces are:
 
 * diffusion triple (c, d, beta): profiled Gaussian pseudo-likelihood over
   the two boundary offsets (Nelder–Mead in log-offset coordinates, beta
@@ -15,36 +18,51 @@ conditional variance ``beta·dt·(P − c)(d − P)``.  The pieces are:
   indirect inference — simulate short paths from the current estimate and
   adjust a until the simulated slope statistic matches the observed one;
 * mean level b: generalized least squares on the relaxation curve
-  ``b + (v0 − b)(1 − a·dt)^t``, which stays accurate when the hour is a
-  transient rather than a stationary stretch;
+  ``b + (v0 − b)(1 − a·dt)^t`` over the valid samples at their true time
+  indices, which stays accurate when the hour is a transient rather than a
+  stationary stretch;
 * a final parametric-bootstrap rescaling of beta removes the residual
   multiplicative bias of the profiled estimate (applied only when the
   process mixes fast enough for the bootstrap to be informative).
 
-Each hour is fit independently; day-level identification fans the hours
-out, repairs masked hours from their neighbours, and reports flags.
+Every stage runs once for a batch of hours, in lockstep: one batched
+Nelder–Mead minimizes the profiled likelihood of all hours (and later of
+all their bootstrap replicas), and each matching step simulates the paths
+of every hour in one ``euler_paths`` call on the full hour grid, its
+statistics taken over the observed sample and pair masks.  Each hour keeps
+its own random stream and draws from it in the order a lone hour would, so
+an hour's estimate does not depend on the batch it is fit in.  Day-level
+identification batches the valid hours, repairs masked hours from their
+neighbours, and reports flags.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+# pvsdebench's tracer wraps ``estimation.minimize`` by name; the estimator
+# itself minimizes with ``_nelder_mead_batch``
+from scipy.optimize import minimize  # noqa: F401
 
-from .sde import TIME_UNIT_SECONDS, DayParams, SdeParams, project_params, simulate_hour
+from .sde import (TIME_UNIT_SECONDS, DayParams, SdeParams, euler_paths,
+                  project_params)
 
 A_MIN = 1e-4
-A_MAX = 2.0
 BETA_MIN = 1e-6
 BETA_MAX = 1.0
 SIGMA2_FLOOR = 1e-12
 DEGENERATE_DELTA = 0.01     # half-gap added around a constant series
 _SPAN_EPS = 1e-6            # below this sample range the series is constant
+_MIN_SAMPLES = 20            # valid samples an hour needs to be identified
 
-_NM_OPTIONS = dict(maxiter=150, xatol=1e-4, fatol=1e-6)
+_NM_MAXITER = 150           # Nelder–Mead stopping tests
+_NM_XATOL = 1e-4
+_NM_FATOL = 1e-6
 _N_MATCH = 64               # simulated paths per indirect-inference step
+_N_VAR_ITERS = 5            # variance-matching steps per runaway boundary
 _N_BOOT = 16                # bootstrap replicas for the beta rescaling
 _N_BOOT_INNER = 24          # simulated paths inside each bootstrap replica
 _A_CAP_UNITS = 0.45         # keeps a·dt safely inside the Euler stability bound
@@ -69,25 +87,50 @@ _EPHI_GRID = np.array([
 ])
 _CAL_N = 120                # transition count the table was built at
 
+# flags of the diffusion repairs, in the order they are reported
+_REPAIR_FLAGS = ("boundary-pinned-low", "boundary-pinned-high",
+                 "variance-matched-high", "variance-matched-low")
+
 
 class AllHoursInvalidError(ValueError):
     """Raised when no hourly window of a day has enough valid samples."""
 
 
+def _usable(valid):
+    """Rows of a (H, T) mask with enough valid samples and a valid pair."""
+    return ((valid.sum(axis=1) >= _MIN_SAMPLES)
+            & (valid[:, :-1] & valid[:, 1:]).any(axis=1))
+
+
+def _check_rows(values, valid):
+    if valid.shape != values.shape:
+        raise ValueError("valid mask must match the values' shape")
+    if not _usable(valid).all():
+        raise ValueError(f"need at least {_MIN_SAMPLES} valid samples and "
+                         "two consecutive ones per hour")
+    if not np.isfinite(values[valid]).all():
+        raise ValueError("samples must be finite")
+
+
 @dataclass(frozen=True)
 class HourSamples:
-    """One hour of normalized PV samples at a fixed period ``h`` seconds."""
+    """One hour of normalized PV samples at a fixed period ``h`` seconds.
+
+    ``valid`` marks the samples to use (all of them when omitted); a masked
+    sample may hold any value.
+    """
 
     values: np.ndarray
     h: float = 30.0
+    valid: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        ok = (np.ones(v.shape, dtype=bool) if self.valid is None
+              else np.asarray(self.valid, dtype=bool))
         object.__setattr__(self, "values", v)
-        if v.size < 20:
-            raise ValueError(f"need at least 20 samples, got {v.size}")
-        if not np.isfinite(v).all():
-            raise ValueError("samples must be finite")
+        object.__setattr__(self, "valid", ok)
+        _check_rows(v[None], ok[None])
         if self.h <= 0:
             raise ValueError("sampling period must be > 0")
 
@@ -107,331 +150,446 @@ class FitReport:
     flags: tuple[str, ...] = ()
 
 
+class _Rows:
+    """Hours (or bootstrap replicas) on a common sample grid, one per row.
+
+    Each row is shifted to start at its first valid sample; masked samples
+    are zeroed and left out through the sample mask ``m`` and the
+    transition-pair mask ``pm``.
+    """
+
+    def __init__(self, values, valid):
+        T = values.shape[1]
+        idx = np.argmax(valid, axis=1)[:, None] + np.arange(T)
+        inside = idx < T
+        idx = np.minimum(idx, T - 1)
+        self.m = inside & np.take_along_axis(valid, idx, axis=1)
+        self.v = np.where(self.m, np.take_along_axis(values, idx, axis=1), 0.0)
+        self.pm = self.m[:, :-1] & self.m[:, 1:]
+        self.X, self.Y = self.v[:, :-1], self.v[:, 1:]
+        self.lo = np.where(self.m, self.v, np.inf).min(axis=1)
+        self.hi = np.where(self.m, self.v, -np.inf).max(axis=1)
+        self.span = np.maximum(self.hi - self.lo, 1e-3)
+
+    def take(self, rows) -> "_Rows":
+        return _Rows(self.v[rows], self.m[rows])
+
+
 # ---------------------------------------------------------------------------
-# low-level statistics
+# low-level statistics, over the valid entries along ``axis``
 
 
-def _lag1_slope(P):
-    """Per-column lag-1 regression slope of a (time, paths) array."""
-    X, Y = P[:-1], P[1:]
-    mX = X.mean(axis=0)
-    vx = ((X - mX) ** 2).mean(axis=0)
-    cov = ((X - mX) * (Y - Y.mean(axis=0))).mean(axis=0)
-    return np.where(vx > 1e-14, cov / np.maximum(vx, 1e-14), 1.0)
+def _msum(x, mask, axis):
+    return np.where(mask, x, 0.0).sum(axis=axis)
+
+
+def _lag1(X, Y, mask, axis):
+    """Lag-1 covariance and variance of X over the valid pairs."""
+    n = mask.sum(axis=axis)
+    mX = np.expand_dims(_msum(X, mask, axis) / n, axis)
+    mY = np.expand_dims(_msum(Y, mask, axis) / n, axis)
+    dX = X - mX
+    return _msum(dX * (Y - mY), mask, axis) / n, _msum(dX ** 2, mask, axis) / n
+
+
+def _masked_var(P, mask, axis):
+    n = mask.sum(axis=axis)
+    dev = P - np.expand_dims(_msum(P, mask, axis) / n, axis)
+    return _msum(dev * dev, mask, axis) / n
 
 
 def _invert_phi(phi_raw, n_trans):
-    """Map a raw lag-1 slope to a debiased coefficient.
+    """Map raw lag-1 slopes to debiased coefficients.
 
     Uses the tabulated calibration directly at its native series length and
     rescales the tabulated bias by 1/N for other lengths (the leading bias
     term of the slope estimator decays like 1/N).
     """
-    phi = float(np.interp(phi_raw, _EPHI_GRID, _PHI_GRID))
-    if abs(n_trans - _CAL_N) > 2:
-        scale = _CAL_N / max(n_trans, 2)
-        for _ in range(2):
-            bias = (np.interp(phi, _PHI_GRID, _EPHI_GRID) - phi) * scale
-            phi = min(max(phi_raw - bias, -0.99), 0.9995)
+    phi = np.interp(phi_raw, _EPHI_GRID, _PHI_GRID)
+    far = np.abs(n_trans - _CAL_N) > 2
+    scale = _CAL_N / np.maximum(n_trans, 2)
+    for _ in range(2):
+        bias = (np.interp(phi, _PHI_GRID, _EPHI_GRID) - phi) * scale
+        phi = np.where(far, np.clip(phi_raw - bias, -0.99, 0.9995), phi)
     return phi
 
 
-def _profiled_beta(e2, W, dt):
+def _e2(s, dt, a, b):
+    """Squared one-step residuals of the drift (a, b) per row."""
+    return (s.Y - (s.X + a[:, None] * dt * (b[:, None] - s.X))) ** 2
+
+
+def _profiled_beta(e2, W, pm, dt):
     """Closed-form beta that minimizes the Gaussian pseudo-likelihood."""
-    beta = e2.sum() / max(W.sum() * dt, 1e-14)
-    return min(max(beta, BETA_MIN), BETA_MAX)
+    beta = _msum(e2, pm, 1) / np.maximum(_msum(W, pm, 1) * dt, 1e-14)
+    return np.clip(beta, BETA_MIN, BETA_MAX)
 
 
-def _gauss_nll(v, dt, a, b, beta, c, d):
-    """Gaussian pseudo negative log-likelihood of the one-step transition."""
-    X, Y = v[:-1], v[1:]
-    M1 = X + a * dt * (b - X)
-    V = np.maximum(beta * dt * (X - c) * (d - X), SIGMA2_FLOOR)
-    return float(0.5 * np.sum(np.log(V) + (Y - M1) ** 2 / V))
+def _gauss_nll(s, dt, a, b, beta, c, d):
+    """Gaussian pseudo negative log-likelihood of the one-step transitions."""
+    X = s.X
+    V = np.maximum(beta[:, None] * dt * (X - c[:, None]) * (d[:, None] - X),
+                   SIGMA2_FLOOR)
+    return 0.5 * _msum(np.log(V) + _e2(s, dt, a, b) / V, s.pm, 1)
+
+
+def _reprofile_beta(s, dt, a, b, c, d):
+    W = np.maximum((s.X - c[:, None]) * (d[:, None] - s.X), SIGMA2_FLOOR)
+    return _profiled_beta(_e2(s, dt, a, b), W, s.pm, dt)
 
 
 # ---------------------------------------------------------------------------
-# component fits
+# batched Nelder–Mead
 
 
-def _fit_diffusion_mle(v, dt, a, b):
+def _nelder_mead_batch(f, z0):
+    """Scipy's Nelder–Mead on B problems at once, in lockstep.
+
+    Runs ``scipy.optimize.minimize(method="Nelder-Mead", options=dict(
+    maxiter=150, xatol=1e-4, fatol=1e-6))`` step for step on every problem:
+    the same initial simplex, coefficients, stopping tests and iteration
+    count (with only ``maxiter`` set, scipy sets no evaluation limit).
+    ``f(z, rows)`` evaluates problems ``rows`` at the points ``z`` (k, N).
+    A problem leaves the active set once it has converged or run out of
+    iterations.  Returns the best vertices (B, N), the best values, the
+    iteration counts and the convergence flags.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    B, N = z0.shape
+    sim = np.repeat(np.asarray(z0, dtype=float)[:, None, :], N + 1, axis=1)
+    for k in range(N):
+        sim[:, k + 1, k] = np.where(z0[:, k] != 0, (1 + 0.05) * z0[:, k],
+                                    0.00025)
+    fsim = np.stack([f(sim[:, k], np.arange(B)) for k in range(N + 1)], 1)
+    nit = np.ones(B, dtype=int)
+    act = np.arange(B)
+    while act.size:
+        order = np.argsort(fsim[act], axis=1)
+        s = np.take_along_axis(sim[act], order[:, :, None], axis=1)
+        fs = np.take_along_axis(fsim[act], order, axis=1)
+        sim[act], fsim[act] = s, fs
+        done = (nit[act] >= _NM_MAXITER) | (
+            (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL)
+            & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= _NM_FATOL))
+        act, s, fs = act[~done], s[~done], fs[~done]
+        if not act.size:
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / N
+        worst, fworst = s[:, -1], fs[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = f(xr, act)
+        expand = fxr < fs[:, 0]
+        contract = ~expand & ~(fxr < fs[:, -2])     # NaN contracts too
+        outside = contract & (fxr < fworst)
+        inside = contract & ~outside
+        x2 = np.where(expand[:, None],
+                      (1 + rho * chi) * xbar - rho * chi * worst,
+                      np.where(outside[:, None],
+                               (1 + psi * rho) * xbar - psi * rho * worst,
+                               (1 - psi) * xbar + psi * worst))
+        f2 = np.full(act.size, np.nan)
+        two = expand | contract
+        if two.any():
+            f2[two] = f(x2[two], act[two])
+        take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
+                 | (inside & (f2 < fworst)))
+        shrink = contract & ~take2
+        keep = ~shrink
+        s[keep, -1] = np.where(take2[:, None], x2, xr)[keep]
+        fs[keep, -1] = np.where(take2, f2, fxr)[keep]
+        if shrink.any():
+            sh = s[shrink]
+            sh[:, 1:] = sh[:, :1] + sigma * (sh[:, 1:] - sh[:, :1])
+            s[shrink] = sh
+            fs[shrink, 1:] = f(sh[:, 1:].reshape(-1, N),
+                               np.repeat(act[shrink], N)).reshape(-1, N)
+        sim[act], fsim[act] = s, fs
+        nit[act] += 1
+    return sim[:, 0], fsim.min(axis=1), nit, nit < _NM_MAXITER
+
+
+# ---------------------------------------------------------------------------
+# component fits, each for every row of a batch
+
+
+def _fit_diffusion_mle(s, dt, a, b):
     """Profiled-likelihood fit of (c, d, beta) with (a, b) held fixed.
 
     The optimization runs over z = log of the two boundary offsets in units
     of the sample span, which keeps the fit exactly equivariant under affine
     rescaling of the samples.
     """
-    X, Y = v[:-1], v[1:]
-    lo, hi = v.min(), v.max()
-    span = max(hi - lo, 1e-3)
-    e2 = (Y - (X + a * dt * (b - X))) ** 2
+    e2 = _e2(s, dt, a, b)
 
-    def nll_parts(z):
-        c = lo - span * math.exp(z[0])
-        d = hi + span * math.exp(z[1])
-        W = np.maximum((X - c) * (d - X), SIGMA2_FLOOR)
-        beta = _profiled_beta(e2, W, dt)
-        V = np.maximum(beta * dt * W, SIGMA2_FLOOR)
-        return 0.5 * np.sum(np.log(V) + e2 / V), beta, c, d
+    def nll_parts(z, rows):
+        # math.exp: np.exp differs from it in the last bit on some inputs
+        off = np.fromiter(map(math.exp, z.ravel().tolist()), float,
+                          z.size).reshape(z.shape)
+        c = s.lo[rows] - s.span[rows] * off[:, 0]
+        d = s.hi[rows] + s.span[rows] * off[:, 1]
+        X, pm, e2r = s.X[rows], s.pm[rows], e2[rows]
+        W = np.maximum((X - c[:, None]) * (d[:, None] - X), SIGMA2_FLOOR)
+        beta = _profiled_beta(e2r, W, pm, dt)
+        V = np.maximum(beta[:, None] * dt * W, SIGMA2_FLOOR)
+        return 0.5 * _msum(np.log(V) + e2r / V, pm, 1), beta, c, d
 
-    z0 = np.array([math.log(0.05), math.log(0.05)])
-    res = minimize(lambda z: nll_parts(z)[0], z0,
-                   method="Nelder-Mead", options=_NM_OPTIONS)
-    nll, beta, c, d = nll_parts(res.x)
-    c = max(c, lo - 3.0 * span)
-    d = min(d, hi + 3.0 * span)
-    return beta, c, d, nll, bool(res.success), int(res.nit)
-
-
-def _fit_b_relaxation(v, dt, a, c, d):
-    """Mean level from least squares on the one-step relaxation curve."""
-    t = np.arange(v.size)
-    g = np.power(1.0 - min(a * dt, 0.999), t)
-    y = v - v[0] * g
-    x = 1.0 - g
-    denom = float((x * x).sum())
-    b = float((y * x).sum() / denom) if denom > 1e-12 else float(v.mean())
-    margin = _B_MARGIN * (d - c)
-    return min(max(b, c + margin), d - margin)
+    z0 = np.full((len(a), 2), math.log(0.05))
+    z, _, nit, converged = _nelder_mead_batch(
+        lambda z, rows: nll_parts(z, rows)[0], z0)
+    nll, beta, c, d = nll_parts(z, np.arange(len(a)))
+    c = np.maximum(c, s.lo - 3.0 * s.span)
+    d = np.minimum(d, s.hi + 3.0 * s.span)
+    return beta, c, d, nll, converged, nit
 
 
 def _clamp_b(b, c, d):
     margin = _B_MARGIN * (d - c)
-    return min(max(b, c + margin), d - margin)
+    return np.minimum(np.maximum(b, c + margin), d - margin)
+
+
+def _fit_b_relaxation(s, dt, a, c, d):
+    """Mean level from least squares on the one-step relaxation curve."""
+    g = np.power((1.0 - np.minimum(a * dt, 0.999))[:, None],
+                 np.arange(s.v.shape[1]))
+    y = s.v - s.v[:, :1] * g
+    x = 1.0 - g
+    denom = _msum(x * x, s.m, 1)
+    b = np.where(denom > 1e-12,
+                 _msum(y * x, s.m, 1) / np.maximum(denom, 1e-12),
+                 _msum(s.v, s.m, 1) / s.m.sum(axis=1))
+    return _clamp_b(b, c, d)
 
 
 def _make_params(a, b, beta, c, d, dt):
-    """Project onto valid parameters, keeping a inside the Euler-stable box."""
-    a = min(max(a, A_MIN), _A_CAP_UNITS / dt)
-    return project_params(a, _clamp_b(b, c, d), beta, c, d)
+    """Project each row onto valid parameters, keeping a inside the
+    Euler-stable box; (5, B) rows a, b, beta, c, d."""
+    cap = _A_CAP_UNITS / dt
+    return np.array([
+        project_params(min(max(ai, A_MIN), cap), _clamp_b(bi, ci, di),
+                       be, ci, di).as_array()
+        for ai, bi, be, ci, di in zip(*(np.asarray(x).tolist()
+                                        for x in (a, b, beta, c, d)))]).T
 
 
-def _simulate_matching(theta, p0, dt, n_steps, rng, n_paths):
-    """Simulate paths on the sample grid, conditioned on the observed start."""
-    q0 = np.full(n_paths, min(max(p0, theta.c + 1e-9), theta.d - 1e-9))
-    S = simulate_hour(theta, q0, step_seconds=dt * TIME_UNIT_SECONDS,
-                      n_steps=n_steps, rng=rng, substeps=1)
+def _simulate_matching(theta, p0, dt, noise):
+    """Simulate paths on the sample grid, conditioned on each row's
+    observed start; the paths of row i are a block of ``noise``'s columns.
+    Returns (T, paths) states, the start included."""
+    n_paths = noise.shape[1] // theta.shape[1]
+    q0 = np.repeat(np.minimum(np.maximum(p0, theta[3] + 1e-9),
+                              theta[4] - 1e-9), n_paths)
+    S = euler_paths(np.repeat(theta, n_paths, axis=1)[None], q0, dt,
+                    noise.shape[0], [1], noise)
     return np.vstack([q0[None, :], S])
 
 
-def _fit_a_indirect(v, dt, beta, c, d, phi_obs, a, b, rng, iters=3):
+def _draw(rngs, shape):
+    """One block of standard normals per row, rows side by side."""
+    return np.concatenate([g.standard_normal(shape) for g in rngs], axis=-1)
+
+
+def _fork(g, shape):
+    """A copy of stream ``g`` to draw ``shape`` normals from later, with
+    ``g`` itself moved past them now."""
+    h = copy.deepcopy(g)
+    g.standard_normal(shape)
+    return h
+
+
+def _fit_a_indirect(s, dt, beta, c, d, phi_obs, a, b, rngs, iters):
     """Refine a by matching the simulated lag-1 slope to the observed one.
 
     The update uses the local slope of the calibration curve as the
     Jacobian of the simulated statistic with respect to the coefficient.
     """
-    n_trans = v.size - 1
+    pm = np.repeat(s.pm.T, _N_MATCH, axis=1)
     for _ in range(iters):
         theta = _make_params(a, b, beta, c, d, dt)
-        sim = _simulate_matching(theta, v[0], dt, n_trans, rng, _N_MATCH)
-        phi_sim = float(_lag1_slope(sim).mean())
-        phi0 = 1.0 - theta.a * dt
-        hi_ = min(phi0 + 0.02, 0.999)
-        lo_ = max(phi0 - 0.02, 0.01)
+        P = _simulate_matching(theta, s.v[:, 0], dt,
+                               _draw(rngs, (s.v.shape[1] - 1, _N_MATCH)))
+        cov, vx = _lag1(P[:-1], P[1:], pm, 0)
+        slopes = np.where(vx > 1e-14, cov / np.maximum(vx, 1e-14), 1.0)
+        phi_sim = slopes.reshape(-1, _N_MATCH).mean(axis=1)
+        phi0 = 1.0 - theta[0] * dt
+        hi_ = np.minimum(phi0 + 0.02, 0.999)
+        lo_ = np.maximum(phi0 - 0.02, 0.01)
         slope = (np.interp(hi_, _PHI_GRID, _EPHI_GRID)
                  - np.interp(lo_, _PHI_GRID, _EPHI_GRID)) / (hi_ - lo_)
         phi_new = phi0 + _DAMP * (phi_obs - phi_sim) / slope
-        a = min(max((1.0 - phi_new) / dt, A_MIN), _A_CAP_UNITS / dt)
-        b = _fit_b_relaxation(v, dt, a, c, d)
+        a = np.clip((1.0 - phi_new) / dt, A_MIN, _A_CAP_UNITS / dt)
+        b = _fit_b_relaxation(s, dt, a, c, d)
     return a, b
 
 
-def _reprofile_beta(v, dt, a, b, c, d):
-    X, Y = v[:-1], v[1:]
-    e2 = (Y - (X + a * dt * (b - X))) ** 2
-    W = np.maximum((X - c) * (d - X), SIGMA2_FLOOR)
-    return _profiled_beta(e2, W, dt)
-
-
-def _match_variance(v, dt, a, b, beta, c, d, side, rng, iters=5,
-                    n_paths=_N_MATCH):
+def _match_variance(s, dt, a, b, beta, c, d, side, rngs, n_paths):
     """Re-fit a runaway boundary by matching the simulated path variance.
 
     When the likelihood is nearly flat in the far boundary the fitted offset
     can wander; the path variance is monotone in that offset with a known
     stationary slope, so a few damped matching steps pin it down.
     """
-    lo, hi = v.min(), v.max()
-    span = max(hi - lo, 1e-3)
-    var_obs = float(v.var())
-    n_trans = v.size - 1
-    for _ in range(iters):
+    var_obs = _masked_var(s.v, s.m, 1)
+    m = np.repeat(s.m.T, n_paths, axis=1)
+    for _ in range(_N_VAR_ITERS):
         theta = _make_params(a, b, beta, c, d, dt)
-        sim = _simulate_matching(theta, v[0], dt, n_trans, rng, n_paths)
-        var_sim = float(sim.var(axis=0).mean())
+        ta, tb, tbeta, tc, td = theta
+        P = _simulate_matching(theta, s.v[:, 0], dt,
+                               _draw(rngs, (s.v.shape[1] - 1, n_paths)))
+        var_sim = _masked_var(P, m, 0).reshape(-1, n_paths).mean(axis=1)
         if side == "d":
-            slope = max(theta.beta * (theta.b - theta.c)
-                        / (2.0 * theta.a + theta.beta), 1e-9)
-            d = min(max(theta.d + _DAMP * (var_obs - var_sim) / slope,
-                        hi + 1e-3 * span), hi + 2.0 * span)
+            slope = np.maximum(tbeta * (tb - tc) / (2.0 * ta + tbeta), 1e-9)
+            d = np.minimum(np.maximum(td + _DAMP * (var_obs - var_sim) / slope,
+                                      s.hi + 1e-3 * s.span),
+                           s.hi + 2.0 * s.span)
         else:
-            slope = max(theta.beta * (theta.d - theta.b)
-                        / (2.0 * theta.a + theta.beta), 1e-9)
-            c = max(min(theta.c - _DAMP * (var_obs - var_sim) / slope,
-                        lo - 1e-3 * span), lo - 2.0 * span)
-        beta = _reprofile_beta(v, dt, a, b, c, d)
+            slope = np.maximum(tbeta * (td - tb) / (2.0 * ta + tbeta), 1e-9)
+            c = np.maximum(np.minimum(tc - _DAMP * (var_obs - var_sim) / slope,
+                                      s.lo - 1e-3 * s.span),
+                           s.lo - 2.0 * s.span)
+        beta = _reprofile_beta(s, dt, a, b, c, d)
     return beta, c, d
 
 
-def _diffusion_pipeline(v, dt, a, b, rng, n_paths=_N_MATCH):
-    """Full diffusion fit: profiled likelihood plus boundary repairs."""
-    lo, hi = v.min(), v.max()
-    span = max(hi - lo, 1e-3)
-    beta, c, d, nll, converged, nit = _fit_diffusion_mle(v, dt, a, b)
-    flags = []
-    sticky_lo = int((v <= lo + 1e-9).sum()) >= _STICKY_COUNT
-    sticky_hi = int((v >= hi - 1e-9).sum()) >= _STICKY_COUNT
-    if sticky_lo:
-        c = lo - 1e-4 * span
-        flags.append("boundary-pinned-low")
-    if sticky_hi:
-        d = hi + 1e-4 * span
-        flags.append("boundary-pinned-high")
-    if not sticky_hi and d - hi > _RUNAWAY_FRAC * span:
-        beta, c, d = _match_variance(v, dt, a, b, beta, c, d, "d", rng,
-                                     n_paths=n_paths)
-        flags.append("variance-matched-high")
-    if not sticky_lo and lo - c > _RUNAWAY_FRAC * span:
-        beta, c, d = _match_variance(v, dt, a, b, beta, c, d, "c", rng,
-                                     n_paths=n_paths)
-        flags.append("variance-matched-low")
-    beta = _reprofile_beta(v, dt, a, b, c, d)
-    return beta, c, d, nll, converged, nit, flags
+def _diffusion_pipeline(s, dt, a, b, rngs, n_paths):
+    """Full diffusion fit: profiled likelihood plus boundary repairs.
+
+    ``rngs`` holds each row's stream (rows may share one).  Before any
+    matching runs, each row forks its stream for every side it matches,
+    high side first, which is the order a lone row draws in.  Returns the
+    fit and a (B, 4) mask of the repairs in ``_REPAIR_FLAGS``.
+    """
+    beta, c, d, nll, converged, nit = _fit_diffusion_mle(s, dt, a, b)
+    pin_lo = (((s.v <= s.lo[:, None] + 1e-9) & s.m).sum(axis=1)
+              >= _STICKY_COUNT)
+    pin_hi = (((s.v >= s.hi[:, None] - 1e-9) & s.m).sum(axis=1)
+              >= _STICKY_COUNT)
+    c = np.where(pin_lo, s.lo - 1e-4 * s.span, c)
+    d = np.where(pin_hi, s.hi + 1e-4 * s.span, d)
+    run_hi = ~pin_hi & (d - s.hi > _RUNAWAY_FRAC * s.span)
+    run_lo = ~pin_lo & (s.lo - c > _RUNAWAY_FRAC * s.span)
+    shape = (_N_VAR_ITERS, s.v.shape[1] - 1, n_paths)
+    forks = {"d": [], "c": []}
+    for g, hi_, lo_ in zip(rngs, run_hi, run_lo):
+        if hi_:
+            forks["d"].append(_fork(g, shape))
+        if lo_:
+            forks["c"].append(_fork(g, shape))
+    for side, run in (("d", run_hi), ("c", run_lo)):
+        if run.any():
+            beta[run], c[run], d[run] = _match_variance(
+                s.take(run), dt, a[run], b[run], beta[run], c[run], d[run],
+                side, forks[side], n_paths)
+    beta = _reprofile_beta(s, dt, a, b, c, d)
+    repairs = np.stack([pin_lo, pin_hi, run_hi, run_lo], axis=1)
+    return beta, c, d, nll, converged, nit, repairs
 
 
-def _initial_drift(v, dt):
+def _initial_drift(s, dt):
     """Moment-matching starting point for (a, b) before any refinement."""
-    X, Y = v[:-1], v[1:]
-    mX = X.mean()
-    vx = float(((X - mX) ** 2).mean())
-    phi_raw = float(((X - mX) * (Y - Y.mean())).mean() / max(vx, 1e-14))
-    phi = _invert_phi(phi_raw, v.size - 1)
-    a = min(max((1.0 - phi) / dt, A_MIN), _A_CAP_UNITS / dt)
-    lo, hi = v.min(), v.max()
-    span = max(hi - lo, 1e-3)
-    b = _fit_b_relaxation(v, dt, a, lo - 0.05 * span, hi + 0.05 * span)
+    cov, vx = _lag1(s.X, s.Y, s.pm, 1)
+    phi_raw = cov / np.maximum(vx, 1e-14)
+    phi = _invert_phi(phi_raw, s.pm.sum(axis=1))
+    a = np.clip((1.0 - phi) / dt, A_MIN, _A_CAP_UNITS / dt)
+    b = _fit_b_relaxation(s, dt, a, s.lo - 0.05 * s.span,
+                          s.hi + 0.05 * s.span)
     return a, b, phi_raw
+
+
+def _bootstrap_mean_beta(s, dt, theta, rngs):
+    """Mean beta re-fit on ``_N_BOOT`` paths simulated from each row's fit,
+    each observed through the row's own sample mask."""
+    noise = _draw(rngs, (s.v.shape[1] - 1, _N_BOOT))
+    reps = _Rows(_simulate_matching(theta, s.v[:, 0], dt, noise).T,
+                 np.repeat(s.m, _N_BOOT, axis=0))
+    a, c, d = (np.repeat(theta[i], _N_BOOT) for i in (0, 3, 4))
+    b = _fit_b_relaxation(reps, dt, a, c, d)
+    beta = _diffusion_pipeline(reps, dt, a, b,
+                               [g for g in rngs for _ in range(_N_BOOT)],
+                               _N_BOOT_INNER)[0]
+    return beta.reshape(-1, _N_BOOT).mean(axis=1)
+
+
+def _identify_rows(s, dt, seed):
+    """Identify every (non-constant) row of ``s``; one FitReport per row.
+
+    Alternates the drift and diffusion fits so each step conditions on the
+    other's latest estimate, then applies the bootstrap rescaling of beta.
+    """
+    rngs = [np.random.default_rng(seed) for _ in range(len(s.lo))]
+    a, b, phi_raw = _initial_drift(s, dt)
+    beta, c, d, *_ = _fit_diffusion_mle(s, dt, a, b)
+    a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b, rngs, iters=3)
+    beta, c, d, nll_diff, converged, nit, repairs = _diffusion_pipeline(
+        s, dt, a, b, rngs, _N_MATCH)
+    a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b, rngs, iters=2)
+    beta = _reprofile_beta(s, dt, a, b, c, d)
+
+    boot = a >= _BOOT_MIN_A / dt
+    if boot.any():
+        theta = _make_params(a[boot], b[boot], beta[boot], c[boot], d[boot],
+                             dt)
+        mean_boot = _bootstrap_mean_beta(
+            s.take(boot), dt, theta, [rngs[i] for i in np.flatnonzero(boot)])
+        beta[boot] = np.clip(beta[boot] * beta[boot]
+                             / np.maximum(mean_boot, 1e-9), BETA_MIN, BETA_MAX)
+
+    theta = _make_params(a, b, beta, c, d, dt)
+    nll = _gauss_nll(s, dt, *theta)
+    reports = []
+    for i in range(len(a)):
+        flags = [f for f, hit in zip(_REPAIR_FLAGS, repairs[i]) if hit]
+        if boot[i]:
+            flags.append("bootstrap-rescaled")
+        reports.append(FitReport(
+            params=SdeParams(*theta[:, i].tolist()),
+            diffusion_objective=float(nll_diff[i]),
+            drift_objective=float(nll[i]), iterations=int(nit[i]),
+            converged=bool(converged[i]), flags=tuple(flags)))
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def estimate_diffusion(samples: HourSamples, seed: int = DEFAULT_SEED):
-    """Fit the diffusion triple (c, d, beta) of one hour of samples.
+def identify_hours(values, valid, h: float = 30.0,
+                   seed: int = DEFAULT_SEED) -> list[FitReport]:
+    """Identify all five parameters of each hour in the rows of ``values``.
 
-    Returns ``(c, d, beta, diag)`` where ``diag`` carries the objective
-    value, iteration count, convergence flag, and any branch flags.
+    ``values`` is (H, T), one hour of samples every ``h`` seconds per row;
+    ``valid`` (H, T) marks the samples to use.  Each row needs 20 valid
+    samples, two of them consecutive.  Every hour is fit with its own
+    stream seeded by ``seed``, so row i's report equals that of
+    ``identify_hour`` on row i alone.  A constant row is flagged
+    non-volatile and degenerate.
     """
-    v = samples.values
-    dt = samples.dt
-    lo, hi = float(v.min()), float(v.max())
-    if hi - lo <= _SPAN_EPS:
-        diag = dict(objective=0.0, iterations=0, converged=True,
-                    flags=("non-volatile",))
-        return lo - DEGENERATE_DELTA, hi + DEGENERATE_DELTA, 0.0, diag
-    rng = np.random.default_rng(seed)
-    a, b, _ = _initial_drift(v, dt)
-    beta, c, d, nll, converged, nit, flags = _diffusion_pipeline(
-        v, dt, a, b, rng)
-    diag = dict(objective=nll, iterations=nit, converged=converged,
-                flags=tuple(flags))
-    return c, d, beta, diag
-
-
-def estimate_drift(samples: HourSamples, c: float, d: float, beta: float,
-                   seed: int = DEFAULT_SEED):
-    """Fit the drift pair (a, b) with the diffusion triple held fixed.
-
-    Returns ``(a, b, diag)``.  A zero diffusion falls back to least squares
-    on the deterministic relaxation curve (the stochastic matching is
-    undefined without noise); a constant series is flagged degenerate.
-    """
-    v = samples.values
-    dt = samples.dt
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    if float(v.max() - v.min()) <= _SPAN_EPS:
-        diag = dict(objective=0.0, iterations=0, converged=True,
-                    flags=("degenerate",))
-        return A_MIN, float(v.mean()), diag
-    if beta <= BETA_MIN:
-        a, b, sse = _fit_drift_deterministic(v, dt, c, d)
-        diag = dict(objective=sse, iterations=1, converged=True,
-                    flags=("deterministic-relaxation",))
-        return a, b, diag
-    rng = np.random.default_rng(seed)
-    a0, b0, phi_raw = _initial_drift(v, dt)
-    a, b = _fit_a_indirect(v, dt, beta, c, d, phi_raw, a0, b0, rng, iters=3)
-    obj = _gauss_nll(v, dt, a, b, beta, c, d)
-    diag = dict(objective=obj, iterations=3, converged=True, flags=())
-    return a, b, diag
-
-
-def _fit_drift_deterministic(v, dt, c, d):
-    """Least-squares (a, b) on the noiseless relaxation curve."""
-
-    def sse_of(a):
-        b = _fit_b_relaxation(v, dt, a, c, d)
-        t = np.arange(v.size)
-        g = np.power(1.0 - min(a * dt, 0.999), t)
-        return float(np.sum((v - (b + (v[0] - b) * g)) ** 2))
-
-    res = minimize_scalar(sse_of, bounds=(A_MIN, A_MAX), method="bounded",
-                          options=dict(xatol=1e-8))
-    a = float(res.x)
-    b = _fit_b_relaxation(v, dt, a, c, d)
-    return a, b, float(res.fun)
+    values = np.asarray(values, dtype=float)
+    valid = np.asarray(valid, dtype=bool)
+    _check_rows(values, valid)
+    s = _Rows(values, valid)
+    reports: list[FitReport | None] = [None] * len(s.lo)
+    flat = s.hi - s.lo <= _SPAN_EPS
+    for i in np.flatnonzero(flat):
+        v = s.v[i][s.m[i]]
+        params = project_params(A_MIN, float(v.mean()), BETA_MIN,
+                                float(v.min()) - DEGENERATE_DELTA,
+                                float(v.max()) + DEGENERATE_DELTA)
+        reports[i] = FitReport(params=params, diffusion_objective=0.0,
+                               drift_objective=0.0, iterations=0,
+                               converged=True,
+                               flags=("non-volatile", "degenerate"))
+    live = np.flatnonzero(~flat)
+    if live.size:
+        fits = _identify_rows(s.take(live), h / TIME_UNIT_SECONDS, seed)
+        for i, rep in zip(live, fits):
+            reports[i] = rep
+    return reports
 
 
 def identify_hour(samples: HourSamples, seed: int = DEFAULT_SEED) -> FitReport:
-    """Identify all five parameters of one hour of samples.
-
-    Alternates the drift and diffusion fits so each step conditions on the
-    other's latest estimate, then applies the bootstrap rescaling of beta.
-    """
-    v = samples.values
-    dt = samples.dt
-    lo, hi = float(v.min()), float(v.max())
-    flags: list[str] = []
-
-    if hi - lo <= _SPAN_EPS:
-        params = project_params(A_MIN, float(v.mean()), BETA_MIN,
-                                lo - DEGENERATE_DELTA, hi + DEGENERATE_DELTA)
-        return FitReport(params=params, diffusion_objective=0.0,
-                         drift_objective=0.0, iterations=0, converged=True,
-                         flags=("non-volatile", "degenerate"))
-
-    rng = np.random.default_rng(seed)
-    a, b, phi_raw = _initial_drift(v, dt)
-    beta, c, d, *_ = _fit_diffusion_mle(v, dt, a, b)
-    a, b = _fit_a_indirect(v, dt, beta, c, d, phi_raw, a, b, rng, iters=3)
-    beta, c, d, nll_diff, converged, nit, dflags = _diffusion_pipeline(
-        v, dt, a, b, rng)
-    flags.extend(dflags)
-    a, b = _fit_a_indirect(v, dt, beta, c, d, phi_raw, a, b, rng, iters=2)
-    beta = _reprofile_beta(v, dt, a, b, c, d)
-
-    if a >= _BOOT_MIN_A / dt:
-        theta = _make_params(a, b, beta, c, d, dt)
-        sim = _simulate_matching(theta, v[0], dt, v.size - 1, rng, _N_BOOT)
-        boot = []
-        for j in range(_N_BOOT):
-            w = sim[:, j]
-            bw = _fit_b_relaxation(w, dt, theta.a, theta.c, theta.d)
-            beta_w, *_ = _diffusion_pipeline(w, dt, theta.a, bw, rng,
-                                             n_paths=_N_BOOT_INNER)
-            boot.append(beta_w)
-        beta = min(max(beta * beta / max(float(np.mean(boot)), 1e-9),
-                       BETA_MIN), BETA_MAX)
-        flags.append("bootstrap-rescaled")
-
-    params = _make_params(a, b, beta, c, d, dt)
-    nll = _gauss_nll(v, dt, params.a, params.b, params.beta,
-                     params.c, params.d)
-    return FitReport(params=params, diffusion_objective=nll_diff,
-                     drift_objective=nll, iterations=nit,
-                     converged=converged, flags=tuple(flags))
+    """Identify all five parameters of one hour of samples."""
+    return identify_hours(samples.values[None], samples.valid[None],
+                          samples.h, seed)[0]
 
 
 def identify_day(values, mask=None, step_seconds: float = 30.0,
@@ -441,8 +599,10 @@ def identify_day(values, mask=None, step_seconds: float = 30.0,
     ``values`` is the normalized day series; ``mask`` marks valid samples
     (all valid when omitted).  The day is split into ``m`` equal hourly
     windows (inferred from the step when omitted); a window with more than
-    half of its samples masked is invalid and receives the average of its
-    nearest valid neighbours' parameters, flagged ``"interpolated"``.
+    half of its samples masked (or fewer than 20 valid, or no two
+    consecutive) is invalid and receives the average of its nearest valid
+    neighbours' parameters, flagged ``"interpolated"``.  The valid windows
+    are identified together by ``identify_hours``, gaps included.
 
     Returns ``(DayParams, reports)``.  Raises AllHoursInvalidError when
     every window is invalid.
@@ -459,21 +619,23 @@ def identify_day(values, mask=None, step_seconds: float = 30.0,
     if m < 1 or values.size < m:
         raise ValueError("day too short for the requested hour grid")
     edges = np.linspace(0, values.size, m + 1).astype(int)
+    sizes = np.diff(edges)
 
-    reports: list[FitReport | None] = []
-    for i in range(m):
-        w = slice(edges[i], edges[i + 1])
-        vm, vv = mask[w], values[w]
-        n_valid = int(vm.sum())
-        if n_valid <= 0.5 * vv.size or n_valid < 20:
-            reports.append(None)
-            continue
-        hour = HourSamples(vv[vm], h=step_seconds)
-        reports.append(identify_hour(hour, seed=seed))
-    if all(r is None for r in reports):
+    # hours side by side, a shorter window padded with masked samples
+    cols = edges[:-1, None] + np.arange(sizes.max())
+    inside = cols < edges[1:, None]
+    cols = np.minimum(cols, values.size - 1)
+    hours = np.where(inside, values[cols], 0.0)
+    valid = inside & mask[cols]
+    ok = (valid.sum(axis=1) > 0.5 * sizes) & _usable(valid)
+    if not ok.any():
         raise AllHoursInvalidError(
             "no hour of the day has enough valid samples")
 
+    reports: list[FitReport | None] = [None] * m
+    fits = identify_hours(hours[ok], valid[ok], step_seconds, seed)
+    for i, rep in zip(np.flatnonzero(ok), fits):
+        reports[i] = rep
     reports = _fill_invalid_hours(reports)
     day = DayParams(hours=tuple(r.params for r in reports))
     return day, reports

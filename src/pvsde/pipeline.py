@@ -23,7 +23,7 @@ import numpy as np
 
 from .ensemble import (WeatherDay, load_ensemble, predict_params_batch,
                        save_ensemble, train_ensemble)
-from .estimation import identify_day
+from .estimation import AllHoursInvalidError, identify_day
 from .metrics import EvalInput, evaluate, kl_divergence, nd as nd_metric
 from .sde import DayParams, SimulationFan, make_fan, project_params
 from .solar import SiteConfig
@@ -294,7 +294,7 @@ def cmd_identify(cfg: RunConfig, pv_path: str, out_path: str) -> dict:
                                         step_seconds=cfg.step_seconds,
                                         m=cfg.m,
                                         seed=_day_seed(cfg.seed, i))
-        except ValueError:
+        except AllHoursInvalidError:
             rejected.append(date)
             continue
         days[date] = day_params_to_obj(day, [r.flags for r in reports])
@@ -407,18 +407,22 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     dates = sorted(set(pv) & set(weather))
     train_dates, test_dates = split_days(dates, cfg.split, cfg.seed)
 
-    # identify the training days
+    # identify the training days; a day with no valid hour is not trained on
     id_days = {}
     id_flags = {}
     for i, date in enumerate(dates):
         if date not in train_dates:
             continue
         values, mask = pv[date]
-        day, reports = identify_day(values, mask,
-                                    step_seconds=cfg.step_seconds, m=cfg.m,
-                                    seed=_day_seed(cfg.seed, i))
+        try:
+            day, reports = identify_day(values, mask,
+                                        step_seconds=cfg.step_seconds,
+                                        m=cfg.m, seed=_day_seed(cfg.seed, i))
+        except AllHoursInvalidError:
+            continue
         id_days[date] = day
         id_flags[date] = [r.flags for r in reports]
+    train_dates = [d for d in train_dates if d in id_days]
     write_params_json(os.path.join(out_dir, "params_identified.json"),
                       {d: day_params_to_obj(id_days[d], id_flags[d])
                        for d in train_dates},

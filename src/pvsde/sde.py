@@ -12,8 +12,9 @@ seconds and convert.
 One kernel, ``euler_paths``, steps the discrete Euler chain for a bundle
 of paths under per-hour or per-path parameters and a given noise source.
 It has three callers: the data generator (``synth.synth_generate``, every
-synthetic day one path), the estimator's matching simulations (through
-``simulate_hour``) and the forecast fans (``make_fan``).
+synthetic day one path), the estimator's matching simulations (every
+hour's paths in one call, with per-path parameters) and the forecast fans
+(``make_fan``).
 """
 
 from __future__ import annotations

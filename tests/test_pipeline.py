@@ -206,6 +206,28 @@ class TestCommands:
         assert flags == {d: [h["flags"] for h in ident[d]] for d in e2e}
         assert any(fl for day in flags.values() for fl in day)
 
+    def test_e2e_skips_training_days_with_no_valid_hour(self, tmp_path):
+        from pvsde.pipeline import cmd_e2e
+        cfg = RunConfig(n_days=20, m=3, start_hour=9, n_members=3,
+                        hidden_size=10, n_paths=50, seed=4, split=0.75,
+                        dump_paths=10)
+        ds = str(tmp_path / "ds")
+        cmd_synth(cfg, ds)
+        pv_path = os.path.join(ds, "pv.csv")
+        pv = ingest_pv(pv_path)
+        dates = sorted(pv)
+        train, _ = split_days(dates, cfg.split, cfg.seed)
+        dead = set(train[:2])
+        write_pv_csv(pv_path, dates, [pv[d][0] for d in dates],
+                     [pv[d][1] & (d not in dead) for d in dates])
+        res = cmd_identify(cfg, pv_path, str(tmp_path / "params.json"))
+        assert set(res["rejected"]) == dead
+        summary = cmd_e2e(cfg, ds, str(tmp_path / "run"))
+        assert summary["n_train"] == len(train) - 2
+        e2e = read_params_json(
+            str(tmp_path / "run" / "params_identified.json"))["days"]
+        assert set(e2e) == set(train) - dead
+
     def test_e2e_rerun_is_byte_identical(self, tmp_path):
         cfg = RunConfig(n_days=14, m=3, start_hour=9, n_members=3,
                         hidden_size=10, n_paths=50, seed=4, split=0.75,

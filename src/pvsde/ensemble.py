@@ -11,11 +11,11 @@ all its members and targets.  A prediction discards the largest and
 smallest 20% of the member outputs per parameter, averages the rest and
 projects the result onto the valid parameter set.
 
-The hidden layers come from one draw of a stream seeded by the master seed
-alone, kept apart from the bootstrap stream, so a saved model holds only
-the output weights and regenerates the hidden layers on load.  With
-``hour_local`` an hour's members see only that hour's p features,
-otherwise the full-day feature vector.
+An hour's members see only that hour's p features, the hour-major slice
+of the day's feature vector.  The hidden layers come from one draw of a
+stream seeded by the master seed alone, kept apart from the bootstrap
+stream, so a saved model holds only the output weights and regenerates the
+hidden layers on load.
 """
 
 from __future__ import annotations
@@ -78,17 +78,15 @@ class EnsembleModel:
     scaler_mean: np.ndarray         # (input_dim,)
     scaler_std: np.ndarray          # (input_dim,)
     feature_names: tuple[str, ...] = ()
-    trim_fraction: float = TRIM_FRACTION
-    hour_local: bool = False        # an hour sees only its own features
     train_rmse: dict = field(default_factory=dict)
     input_weights: np.ndarray = field(init=False, repr=False)  # (m,M,K,p)
     biases: np.ndarray = field(init=False, repr=False)         # (m, M, K)
 
     def __post_init__(self):
         m, M, K, _ = self.output_weights.shape
-        if self.hour_local and self.input_dim % m:
-            raise ValueError("hour-local features must split evenly by hour")
-        p = self.input_dim // m if self.hour_local else self.input_dim
+        if self.input_dim % m:
+            raise ValueError("the features must split evenly by hour")
+        p = self.input_dim // m
         rng = _streams(self.master_seed)[0]
         self.input_weights = rng.standard_normal((m, M, K, p))
         self.biases = rng.standard_normal((m, M, K))
@@ -112,15 +110,13 @@ class EnsembleModel:
     def _hour_inputs(self, X, hour: int):
         """Standardized feature columns (N, p) feeding one hour."""
         p = self.input_weights.shape[-1]
-        cols = (slice(hour * p, (hour + 1) * p) if self.hour_local
-                else slice(None))
+        cols = slice(hour * p, (hour + 1) * p)
         return (X[:, cols] - self.scaler_mean[cols]) / self.scaler_std[cols]
 
     def _hour_outputs(self, Z, hour: int):
         """Trimmed mean over members of the raw parameters (N, 5)."""
         H = hidden_layer(Z, self.input_weights[hour], self.biases[hour])
-        return trimmed_mean(H @ self.output_weights[hour],
-                            self.trim_fraction)
+        return trimmed_mean(H @ self.output_weights[hour])
 
 
 def bootstrap_resample(data: TrainSet, rng) -> TrainSet:
@@ -133,14 +129,13 @@ def bootstrap_resample(data: TrainSet, rng) -> TrainSet:
 
 def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
                    n_members: int = DEFAULT_MEMBERS, master_seed: int = 0,
-                   flags=None, ridge: float = DEFAULT_RIDGE,
-                   hour_local: bool = False) -> EnsembleModel:
+                   flags=None, ridge: float = DEFAULT_RIDGE
+                   ) -> EnsembleModel:
     """Train every hour's members from (WeatherDay, DayParams) pairs.
 
     ``flags`` optionally maps each pair to a per-hour boolean mask marking
     unreliable hours; flagged hours are excluded from that hour's training
-    days.  With ``hour_local`` each hour regresses on that hour's feature
-    slice only, instead of the full-day vector.
+    days.  Each hour regresses on its own slice of the features.
     """
     pairs = list(pairs)
     if len(pairs) < MIN_SLOT_PAIRS:
@@ -158,8 +153,7 @@ def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
         output_weights=np.zeros((m, n_members, hidden_size,
                                  len(PARAM_NAMES))),
         master_seed=master_seed, scaler_mean=mean, scaler_std=std,
-        feature_names=tuple(pairs[0][0].feature_names),
-        hour_local=hour_local)
+        feature_names=tuple(pairs[0][0].feature_names))
     boot_rng = _streams(master_seed)[1]
     for hour in range(m):
         keep = trusted[:, hour]
@@ -214,8 +208,6 @@ def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
                     hidden_size=model.hidden_size,
                     n_members=model.n_members,
                     master_seed=model.master_seed,
-                    trim_fraction=model.trim_fraction,
-                    hour_local=model.hour_local,
                     input_dim=model.input_dim,
                     feature_names=list(model.feature_names),
                     scaler_mean=model.scaler_mean.tolist(),
@@ -234,6 +226,12 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
         man = json.load(f)
     if man.get("format_version") != _FORMAT_VERSION:
         raise ValueError("unsupported ensemble format version")
+    # the weights' shape shows neither the input layout nor the trim
+    # fraction older manifests carry; other values would predict garbage
+    if (man.get("hour_local", True) is not True
+            or man.get("trim_fraction", TRIM_FRACTION) != TRIM_FRACTION):
+        raise ValueError("model was trained with full-day inputs or another "
+                         "trim fraction; retrain it")
     p = man["input_dim"]
     mean = np.array(man["scaler_mean"], dtype=float)
     std = np.array(man["scaler_std"], dtype=float)
@@ -247,8 +245,6 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
     return EnsembleModel(output_weights=V, master_seed=man["master_seed"],
                          scaler_mean=mean, scaler_std=std,
                          feature_names=tuple(man["feature_names"]),
-                         trim_fraction=man["trim_fraction"],
-                         hour_local=man["hour_local"],
                          train_rmse=man["train_rmse"])
 
 

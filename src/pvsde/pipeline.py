@@ -8,7 +8,9 @@ re-ingestible by the command that consumes it.  The workflow operates on
 the discrete 30-second Euler transition end to end — the data generator,
 the estimator's internal matching simulations, and the forecast fans all
 step the same chain — so identified parameters mean the same thing at
-every stage.
+every stage.  The weather-to-parameter mapping is hour-local: each hour's
+parameters are predicted from that hour's weather report alone.
+``cmd_e2e`` chains the stage helpers the commands share, in memory.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .ensemble import (WeatherDay, load_ensemble, predict_params_batch,
-                       save_ensemble, train_ensemble)
+from .ensemble import (load_ensemble, predict_params_batch, save_ensemble,
+                       train_ensemble)
 from .estimation import AllHoursInvalidError, identify_day
 from .metrics import EvalInput, evaluate, kl_divergence, nd as nd_metric
 from .sde import DayParams, SimulationFan, make_fan, project_params
-from .solar import SiteConfig
 from .synth import SyntheticSpec, synth_generate
 from .weather import HourGrid, impute_days, ingest_weather, write_weather_csv
 
@@ -38,18 +39,10 @@ PARAMS_SCHEMA_VERSION = 1
 UNTRUSTED_FLAGS = frozenset({"interpolated", "degenerate", "non-volatile"})
 
 
-def _untrusted(flags) -> bool:
-    return bool(UNTRUSTED_FLAGS & set(flags))
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Flat run configuration; defaults follow the reference experiment."""
 
-    latitude: float = 22.13
-    longitude: float = 113.54
-    utc_offset: float = 8.0
-    rated_kw: float = 2.9
     m: int = 12
     start_hour: int = 7
     hidden_size: int = 100
@@ -59,34 +52,33 @@ class RunConfig:
     n_paths: int = 1000
     step_seconds: float = 30.0
     n_days: int = 400
-    noise_level: float = 0.0
     ridge: float = 2.0
-    hour_local: bool = True
     dump_paths: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must be in (0, 1)")
-        if self.dump_paths < 1:
-            # a fan file with no sample paths cannot be evaluated
-            raise ValueError("dump_paths must be >= 1")
+        # a size below one would fail only deep inside a command, e.g. a
+        # fan file with no sample paths cannot be evaluated
+        for name in ("m", "hidden_size", "n_members", "n_paths", "n_days",
+                     "dump_paths"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.step_seconds > 0:
+            raise ValueError("step_seconds must be > 0")
 
     @property
     def grid(self) -> HourGrid:
         return HourGrid(start_hour=self.start_hour, m=self.m)
-
-    @property
-    def site(self) -> SiteConfig:
-        return SiteConfig(latitude=self.latitude, longitude=self.longitude,
-                          utc_offset=self.utc_offset,
-                          rated_power=self.rated_kw)
 
 
 def load_config(path: str | None, overrides=None) -> RunConfig:
     """Read a flat ``key = value`` config file; later overrides win."""
     values = {}
     if path is not None:
-        types = {f.name: f.type for f in fields(RunConfig)}
+        # every field is an int or a float (annotations are strings here)
+        types = {f.name: int if f.type == "int" else float
+                 for f in fields(RunConfig)}
         with open(path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -98,22 +90,14 @@ def load_config(path: str | None, overrides=None) -> RunConfig:
                 key, raw = key.strip(), raw.strip()
                 if key not in types:
                     raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-                values[key] = _parse_value(raw, types[key])
+                try:
+                    values[key] = types[key](raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
     cfg = RunConfig(**values)
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
-
-
-def _parse_value(raw: str, type_name):
-    t = type_name if isinstance(type_name, str) else type_name.__name__
-    if t == "bool":
-        return raw.lower() in ("1", "true", "yes", "on")
-    if t == "int":
-        return int(raw)
-    if t == "float":
-        return float(raw)
-    return raw
 
 
 def _atomic_text(path: str, text: str) -> None:
@@ -260,6 +244,89 @@ def _load_weather_days(path: str, cfg: RunConfig, medians=None):
 
 
 # ---------------------------------------------------------------------------
+# stages: each has one implementation, shared by its command and cmd_e2e
+
+
+def _identify_days(cfg: RunConfig, pv: dict, dates, keep):
+    """Parameter objects ``{date: obj}`` of the days of ``dates`` in
+    ``keep``, day i seeded by its index in ``dates``, and the dates that
+    had no valid hour."""
+    days, rejected = {}, []
+    for i, date in enumerate(dates):
+        if date not in keep:
+            continue
+        values, mask = pv[date]
+        try:
+            day, reports = identify_day(values, mask,
+                                        step_seconds=cfg.step_seconds,
+                                        m=cfg.m, seed=_day_seed(cfg.seed, i))
+        except AllHoursInvalidError:
+            rejected.append(date)
+            continue
+        days[date] = day_params_to_obj(day, [r.flags for r in reports])
+    return days, rejected
+
+
+def _train(cfg: RunConfig, weather: dict, days: dict, medians, out_dir: str):
+    """Train the ensemble on the parameter objects ``{date: obj}`` of the
+    days with weather and save it with the weather medians under
+    ``out_dir``; returns the model and the number of days trained on."""
+    pairs, flags = [], []
+    for date, obj in sorted(days.items()):
+        if date not in weather:
+            continue
+        day, day_flags = obj_to_day_params(obj)
+        pairs.append((weather[date], day))
+        flags.append([bool(UNTRUSTED_FLAGS & set(fl)) for fl in day_flags])
+    model = train_ensemble(pairs, hidden_size=cfg.hidden_size,
+                           n_members=cfg.n_members, master_seed=cfg.seed,
+                           flags=flags, ridge=cfg.ridge)
+    save_ensemble(model, out_dir)
+    _atomic_text(os.path.join(out_dir, "impute.json"),
+                 json.dumps(dict(medians=list(map(float, medians))),
+                            sort_keys=True))
+    return model, len(pairs)
+
+
+def _predict(cfg: RunConfig, model, weather: dict, dates, out_path: str):
+    """Predict and write the parameters of ``dates``; returns them."""
+    preds = predict_params_batch(model, [weather[d] for d in dates])
+    write_params_json(out_path, {d: day_params_to_obj(p)
+                                 for d, p in zip(dates, preds)},
+                      cfg.step_seconds, cfg.m)
+    return preds
+
+
+def _initial_state(day: DayParams, values=None, mask=None) -> float:
+    """A fan's start: the day's first valid PV sample, else the mid-point
+    of the first hour's bounds."""
+    if mask is not None and mask.any():
+        return float(values[np.argmax(mask)])
+    first = day.hours[0]
+    return 0.5 * (first.c + first.d)
+
+
+def _scorable(values, mask) -> bool:
+    """Whether the metrics are defined on a day's actual series: the
+    autocorrelation needs two consecutive valid samples, the normalized
+    errors and the rho-risk a nonzero valid sample."""
+    return bool((mask[1:] & mask[:-1]).any()
+                and np.abs(values[mask]).sum() > 0)
+
+
+def _climatology(pv: dict, dates):
+    """Per-step median and pool of the valid PV samples of ``dates``; a
+    step no day observed takes the median interpolated between its
+    neighbours."""
+    values = np.stack([pv[d][0] for d in dates])
+    valid = np.stack([pv[d][1] for d in dates])
+    seen = valid.any(axis=0)
+    steps = np.arange(values.shape[1])
+    median = np.nanmedian(np.where(valid, values, np.nan)[:, seen], axis=0)
+    return np.interp(steps, steps[seen], median), values[valid]
+
+
+# ---------------------------------------------------------------------------
 # commands
 
 
@@ -267,8 +334,7 @@ def cmd_synth(cfg: RunConfig, out_dir: str) -> dict:
     """Generate a synthetic dataset directory."""
     os.makedirs(out_dir, exist_ok=True)
     spec = SyntheticSpec(n_days=cfg.n_days, grid=cfg.grid,
-                         step_seconds=cfg.step_seconds,
-                         noise_level=cfg.noise_level)
+                         step_seconds=cfg.step_seconds)
     dates, weather, pv, params = synth_generate(
         spec, np.random.default_rng(cfg.seed))
     write_weather_csv(os.path.join(out_dir, "weather.csv") + ".tmp",
@@ -286,18 +352,8 @@ def cmd_synth(cfg: RunConfig, out_dir: str) -> dict:
 def cmd_identify(cfg: RunConfig, pv_path: str, out_path: str) -> dict:
     """Identify per-hour parameters for every day of a PV table."""
     pv = ingest_pv(pv_path)
-    days, rejected = {}, []
-    for i, date in enumerate(sorted(pv)):
-        values, mask = pv[date]
-        try:
-            day, reports = identify_day(values, mask,
-                                        step_seconds=cfg.step_seconds,
-                                        m=cfg.m,
-                                        seed=_day_seed(cfg.seed, i))
-        except AllHoursInvalidError:
-            rejected.append(date)
-            continue
-        days[date] = day_params_to_obj(day, [r.flags for r in reports])
+    dates = sorted(pv)
+    days, rejected = _identify_days(cfg, pv, dates, set(dates))
     write_params_json(out_path, days, cfg.step_seconds, cfg.m)
     return dict(identified=len(days), rejected=rejected, out=out_path)
 
@@ -307,23 +363,9 @@ def cmd_train(cfg: RunConfig, weather_path: str, params_path: str,
     """Train the weather-to-parameter ensemble from identified days."""
     t0 = time.time()
     weather, medians, dropped = _load_weather_days(weather_path, cfg)
-    doc = read_params_json(params_path)
-    pairs, flags = [], []
-    for date, obj in sorted(doc["days"].items()):
-        if date not in weather:
-            continue
-        day, day_flags = obj_to_day_params(obj)
-        pairs.append((weather[date], day))
-        flags.append([_untrusted(fl) for fl in day_flags])
-    model = train_ensemble(pairs, hidden_size=cfg.hidden_size,
-                           n_members=cfg.n_members, master_seed=cfg.seed,
-                           flags=flags, ridge=cfg.ridge,
-                           hour_local=cfg.hour_local)
-    save_ensemble(model, out_dir)
-    _atomic_text(os.path.join(out_dir, "impute.json"),
-                 json.dumps(dict(medians=list(map(float, medians))),
-                            sort_keys=True))
-    return dict(days=len(pairs), dropped=dropped,
+    _, n_days = _train(cfg, weather, read_params_json(params_path)["days"],
+                       medians, out_dir)
+    return dict(days=n_days, dropped=dropped,
                 seconds=round(time.time() - t0, 2), out=out_dir)
 
 
@@ -334,13 +376,8 @@ def cmd_predict(cfg: RunConfig, model_dir: str, weather_path: str,
     with open(os.path.join(model_dir, "impute.json")) as f:
         medians = np.array(json.load(f)["medians"])
     weather, _, dropped = _load_weather_days(weather_path, cfg, medians)
-    dates = sorted(weather)
-    preds = predict_params_batch(model, [weather[d] for d in dates])
-    days = {}
-    for date, day in zip(dates, preds):
-        days[date] = day_params_to_obj(day, [() for _ in day.hours])
-    write_params_json(out_path, days, cfg.step_seconds, cfg.m)
-    return dict(predicted=len(days), dropped=dropped, out=out_path)
+    preds = _predict(cfg, model, weather, sorted(weather), out_path)
+    return dict(predicted=len(preds), dropped=dropped, out=out_path)
 
 
 def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
@@ -356,12 +393,7 @@ def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
     written = []
     for i, (date, obj) in enumerate(sorted(doc["days"].items())):
         day, _ = obj_to_day_params(obj)
-        first = day.hours[0]
-        p0 = 0.5 * (first.c + first.d)
-        if date in pv:
-            values, mask = pv[date]
-            if mask.any():
-                p0 = float(values[np.argmax(mask)])
+        p0 = _initial_state(day, *pv.get(date, ()))
         fan = _fan_for_day(day, p0, cfg, seed=_day_seed(cfg.seed, i) + 1)
         out = os.path.join(out_dir, f"fan_{date}.csv")
         write_fan_csv(out, fan, cfg.dump_paths)
@@ -371,19 +403,23 @@ def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
 
 def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
                  out_path: str) -> dict:
-    """Score every day with both a fan file and actual PV."""
+    """Score every day with both a fan file and actual PV; days whose
+    actual series the metrics are undefined on are listed as skipped."""
     pv = ingest_pv(pv_path)
-    rows = {}
+    rows, skipped = {}, []
     for date in sorted(pv):
         fan_path = os.path.join(fan_dir, f"fan_{date}.csv")
         if not os.path.exists(fan_path):
             continue
-        fan = read_fan_csv(fan_path, cfg.step_seconds)
         values, mask = pv[date]
+        if not _scorable(values, mask):
+            skipped.append(date)
+            continue
+        fan = read_fan_csv(fan_path, cfg.step_seconds)
         rep = evaluate(EvalInput(fan=fan, actual=values, mask=mask))
         rows[date] = rep.__dict__
     _atomic_text(out_path, json.dumps(rows, sort_keys=True, indent=1))
-    return dict(evaluated=len(rows), out=out_path)
+    return dict(evaluated=len(rows), skipped=skipped, out=out_path)
 
 
 def split_days(dates, split: float, seed: int):
@@ -398,7 +434,12 @@ def split_days(dates, split: float, seed: int):
 
 def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     """Full chain on a dataset directory: identify, train, predict,
-    simulate, evaluate, and compare against a climatology baseline."""
+    simulate, evaluate, and compare against a climatology baseline.
+
+    A training day with no valid hour is not trained on; a held-out day
+    whose actual series cannot be scored is listed as skipped and left out
+    of ``n_test`` and the means.
+    """
     t_start = time.time()
     os.makedirs(out_dir, exist_ok=True)
     pv = ingest_pv(os.path.join(dataset_dir, "pv.csv"))
@@ -407,65 +448,33 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     dates = sorted(set(pv) & set(weather))
     train_dates, test_dates = split_days(dates, cfg.split, cfg.seed)
 
-    # identify the training days; a day with no valid hour is not trained on
-    id_days = {}
-    id_flags = {}
-    for i, date in enumerate(dates):
-        if date not in train_dates:
-            continue
-        values, mask = pv[date]
-        try:
-            day, reports = identify_day(values, mask,
-                                        step_seconds=cfg.step_seconds,
-                                        m=cfg.m, seed=_day_seed(cfg.seed, i))
-        except AllHoursInvalidError:
-            continue
-        id_days[date] = day
-        id_flags[date] = [r.flags for r in reports]
-    train_dates = [d for d in train_dates if d in id_days]
+    identified, _ = _identify_days(cfg, pv, dates, set(train_dates))
     write_params_json(os.path.join(out_dir, "params_identified.json"),
-                      {d: day_params_to_obj(id_days[d], id_flags[d])
-                       for d in train_dates},
-                      cfg.step_seconds, cfg.m)
-
-    # train the mapping
-    model = train_ensemble([(weather[d], id_days[d]) for d in train_dates],
-                           hidden_size=cfg.hidden_size,
-                           n_members=cfg.n_members, master_seed=cfg.seed,
-                           flags=[[_untrusted(fl) for fl in id_flags[d]]
-                                  for d in train_dates],
-                           ridge=cfg.ridge, hour_local=cfg.hour_local)
-    save_ensemble(model, os.path.join(out_dir, "model"))
-    _atomic_text(os.path.join(out_dir, "model", "impute.json"),
-                 json.dumps(dict(medians=list(map(float, medians))),
-                            sort_keys=True))
-
-    # predict test days
-    preds = predict_params_batch(model, [weather[d] for d in test_dates])
-    write_params_json(os.path.join(out_dir, "params_predicted.json"),
-                      {d: day_params_to_obj(p)
-                       for d, p in zip(test_dates, preds)},
-                      cfg.step_seconds, cfg.m)
-
-    # climatology baseline from the training days
-    train_pv = np.stack([pv[d][0] for d in train_dates])
-    clim_median = np.median(train_pv, axis=0)
-    clim_pool = train_pv.ravel()
+                      identified, cfg.step_seconds, cfg.m)
+    model, n_train = _train(cfg, weather, identified, medians,
+                            os.path.join(out_dir, "model"))
+    preds = _predict(cfg, model, weather, test_dates,
+                     os.path.join(out_dir, "params_predicted.json"))
+    clim_median, clim_pool = _climatology(pv, sorted(identified))
 
     # simulate and evaluate each test day
-    reports = {}
+    reports, skipped = {}, []
     beats_nd = beats_kl = 0
     for k, date in enumerate(test_dates):
         values, mask = pv[date]
-        p0 = float(values[np.argmax(mask)])
-        fan = _fan_for_day(preds[k], p0, cfg,
-                           seed=_day_seed(cfg.seed, 70000 + k))
+        if not _scorable(values, mask):
+            skipped.append(date)
+            continue
+        fan = _fan_for_day(preds[k], _initial_state(preds[k], values, mask),
+                           cfg, seed=_day_seed(cfg.seed, 70000 + k))
         rep = evaluate(EvalInput(fan=fan, actual=values, mask=mask))
         reports[date] = rep
         if rep.nd < nd_metric(clim_median, values, mask):
             beats_nd += 1
         if rep.kl < kl_divergence(values[mask], clim_pool):
             beats_kl += 1
+    if not reports:
+        raise ValueError("no held-out day can be scored")
 
     # slot accuracy against the dataset's generating parameters, if known
     slot_rmse = None
@@ -482,12 +491,12 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
 
     # summary artifacts
     header = ("date,picp90,kl,risk50,risk90,nd,nrmse,acf_mismatch\n")
-    lines = [f"{d},{reports[d].to_csv_row()}" for d in test_dates]
+    lines = [f"{d},{rep.to_csv_row()}" for d, rep in reports.items()]
     _atomic_text(os.path.join(out_dir, "metrics.csv"),
                  header + "\n".join(lines) + "\n")
-    n_test = len(test_dates)
+    n_test = len(reports)
     summary = dict(
-        n_days=len(dates), n_train=len(train_dates), n_test=n_test,
+        n_days=len(dates), n_train=n_train, n_test=n_test,
         picp90_mean=float(np.mean([r.picp90 for r in reports.values()])),
         nd_mean=float(np.mean([r.nd for r in reports.values()])),
         kl_mean=float(np.mean([r.kl for r in reports.values()])),
@@ -503,4 +512,5 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
                  json.dumps(summary, sort_keys=True, indent=1))
     # wall-clock time is reported but kept out of the on-disk artifact so
     # seeded re-runs reproduce the output directory byte for byte
-    return dict(summary, seconds=round(time.time() - t_start, 2))
+    return dict(summary, skipped=skipped,
+                seconds=round(time.time() - t_start, 2))

@@ -32,7 +32,6 @@ class SyntheticSpec:
     n_days: int = 400
     grid: HourGrid = HourGrid()
     step_seconds: float = 30.0
-    noise_level: float = 0.0    # sd of multiplicative parameter jitter
 
 
 def _sig(z):
@@ -87,14 +86,6 @@ def _day_weather(rng, grid: HourGrid):
     return rows
 
 
-def _jitter(theta: SdeParams, noise_level: float, rng) -> SdeParams:
-    if noise_level <= 0:
-        return theta
-    f = np.exp(rng.normal(0.0, noise_level, size=5))
-    return project_params(theta.a * f[0], theta.b * f[1], theta.beta * f[2],
-                          theta.c * f[3], theta.d * f[4])
-
-
 def synth_generate(spec: SyntheticSpec, rng):
     """Generate ``(weather_rows, pv_days, true_params)`` for n_days.
 
@@ -111,9 +102,8 @@ def synth_generate(spec: SyntheticSpec, rng):
     noise = np.empty((m * n_hour, spec.n_days))
     for j in range(spec.n_days):
         rows = _day_weather(rng, spec.grid)
-        thetas = [_jitter(true_param_map(row["humidity"], row["cloud"],
-                                         row["irradiance"]),
-                          spec.noise_level, rng)
+        thetas = [true_param_map(row["humidity"], row["cloud"],
+                                 row["irradiance"])
                   for row in rows]
         day = DayParams(hours=tuple(thetas))
         params[:, :, j] = day.as_matrix().T

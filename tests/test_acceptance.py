@@ -281,7 +281,7 @@ def test_criterion_9_regime_ordering(capsys):
             pairs.append((WeatherDay(f"{name}{j}", _hour_features(w)),
                           DayParams((th,))))
     model = train_ensemble(pairs, hidden_size=60, n_members=30,
-                           master_seed=0, ridge=2.0, hour_local=True)
+                           master_seed=0, ridge=2.0)
     clear, cloudy = predict_params_batch(
         model, [WeatherDay("clear", _hour_features(REGIME_WEATHER["clear"])),
                 WeatherDay("cloudy",

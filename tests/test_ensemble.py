@@ -133,7 +133,7 @@ class TestTraining:
     def test_hour_local_uses_own_hours_features(self):
         pairs = _make_pairs(n_days=48)
         model = train_ensemble(pairs, hidden_size=20, n_members=10,
-                               master_seed=5, hour_local=True)
+                               master_seed=5)
         day = _make_pairs(n_days=1, seed=77)[0][0]
         base, = predict_params_batch(model, [day])
         # perturbing hour 1's features must not move hour 0's prediction
@@ -171,16 +171,28 @@ class TestPersistence:
             assert a == b, name
 
     def test_hour_local_round_trip(self, tmp_path):
+        # manifests of this format written before the input layout and the
+        # trim fraction became fixed carry them as keys
         pairs = _make_pairs(n_days=16)
         model = train_ensemble(pairs, hidden_size=10, n_members=5,
-                               master_seed=8, hour_local=True)
-        save_ensemble(model, str(tmp_path / "model"))
-        clone = load_ensemble(str(tmp_path / "model"))
-        assert clone.hour_local
+                               master_seed=8)
+        root = tmp_path / "model"
+        save_ensemble(model, str(root))
+        man = json.loads((root / "manifest.json").read_text())
+        assert "hour_local" not in man and "trim_fraction" not in man
+        man.update(hour_local=True, trim_fraction=0.2)
+        (root / "manifest.json").write_text(json.dumps(man))
+        clone = load_ensemble(str(root))
         day = pairs[5][0]
         np.testing.assert_array_equal(
             predict_params_batch(model, [day])[0].as_matrix(),
             predict_params_batch(clone, [day])[0].as_matrix())
+        # a full-day model or another trim fraction would load with the
+        # same weight shape and predict garbage
+        for bad in (dict(hour_local=False), dict(trim_fraction=0.1)):
+            (root / "manifest.json").write_text(json.dumps({**man, **bad}))
+            with pytest.raises(ValueError, match="retrain"):
+                load_ensemble(str(root))
 
     def test_model_dir_must_match_its_manifest(self, tmp_path):
         pairs = _make_pairs(n_days=16)

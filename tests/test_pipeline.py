@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 from pvsde.cli import main as cli_main
-from pvsde.pipeline import (RunConfig, cmd_identify, cmd_synth, ingest_pv,
-                            load_config, obj_to_day_params, read_fan_csv,
-                            read_params_json, split_days, write_fan_csv,
-                            write_pv_csv)
+from pvsde.pipeline import (RunConfig, cmd_e2e, cmd_evaluate, cmd_identify,
+                            cmd_predict, cmd_simulate, cmd_synth, cmd_train,
+                            ingest_pv, load_config, obj_to_day_params,
+                            read_fan_csv, read_params_json, split_days,
+                            write_fan_csv, write_pv_csv)
 from pvsde.sde import DayParams, SdeParams, make_fan
 from pvsde.synth import SyntheticSpec, synth_generate, true_param_map
 from pvsde.weather import HourGrid
 
 SMALL = RunConfig(n_days=6, m=3, start_hour=9, n_members=3, hidden_size=10,
                   n_paths=50, seed=1)
+E2E = RunConfig(n_days=20, m=3, start_hour=9, n_members=3, hidden_size=10,
+                n_paths=50, seed=4, split=0.75, dump_paths=10)
 
 
 class TestSynth:
@@ -59,10 +62,10 @@ class TestConfig:
 
     def test_file_and_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("n_days = 17\nhour_local = false  # comment\n\n"
+        p.write_text("n_days = 17\nn_members = 7  # comment\n\n"
                      "# full-line comment\nridge = 0.5\n")
         cfg = load_config(str(p), dict(seed=9))
-        assert cfg.n_days == 17 and cfg.hour_local is False
+        assert cfg.n_days == 17 and cfg.n_members == 7
         assert cfg.ridge == 0.5 and cfg.seed == 9
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -74,6 +77,19 @@ class TestConfig:
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(split=1.5)
+
+    @pytest.mark.parametrize("key,bad", [
+        ("n_paths", 0), ("n_members", 0), ("hidden_size", 0), ("m", 0),
+        ("n_days", 0), ("step_seconds", 0.0), ("step_seconds", -30.0)])
+    def test_sizes_that_fail_inside_a_command_rejected(self, key, bad):
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{key: bad})
+
+    def test_malformed_number_names_file_and_line(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("m = 4\nn_days = 1O\n")
+        with pytest.raises(ValueError, match=rf"^{p}:2: invalid literal"):
+            load_config(str(p))
 
     def test_dump_paths_below_one_rejected(self, tmp_path, capsys):
         # fan files with no sample paths cannot be read back for evaluation
@@ -227,6 +243,75 @@ class TestCommands:
         e2e = read_params_json(
             str(tmp_path / "run" / "params_identified.json"))["days"]
         assert set(e2e) == set(train) - dead
+
+    def test_e2e_equals_the_stage_chain(self, tmp_path):
+        ds, run = str(tmp_path / "ds"), tmp_path / "run"
+        cmd_synth(E2E, ds)
+        cmd_e2e(E2E, ds, str(run))
+        train, test = split_days(ingest_pv(os.path.join(ds, "pv.csv")),
+                                 E2E.split, E2E.seed)
+        cmd_identify(E2E, os.path.join(ds, "pv.csv"),
+                     str(tmp_path / "params.json"))
+        ident = read_params_json(str(tmp_path / "params.json"))
+        e2e_ident = read_params_json(str(run / "params_identified.json"))
+        assert e2e_ident == dict(ident, days={d: ident["days"][d]
+                                              for d in train})
+        weather = os.path.join(ds, "weather.csv")
+        cmd_train(E2E, weather, str(run / "params_identified.json"),
+                  str(tmp_path / "model"))
+        for name in ("impute.json", "manifest.json", "output_weights.npy"):
+            assert ((tmp_path / "model" / name).read_bytes()
+                    == (run / "model" / name).read_bytes()), name
+        cmd_predict(E2E, str(tmp_path / "model"), weather,
+                    str(tmp_path / "pred.json"))
+        pred = read_params_json(str(tmp_path / "pred.json"))
+        assert read_params_json(str(run / "params_predicted.json")) == dict(
+            pred, days={d: pred["days"][d] for d in test})
+
+    def test_unscorable_held_out_days_are_skipped(self, tmp_path):
+        # no valid sample, no two consecutive valid samples, a stuck
+        # sensor reading zero: the metrics are undefined on these days
+        ds, run = str(tmp_path / "ds"), tmp_path / "run"
+        cmd_synth(E2E, ds)
+        pv_path = os.path.join(ds, "pv.csv")
+        pv = ingest_pv(pv_path)
+        dates = sorted(pv)
+        _, test = split_days(dates, E2E.split, E2E.seed)
+        dead, sparse, stuck = test[:3]
+        for d in (dead, sparse):
+            values, mask = pv[d]
+            mask = mask & (d != dead) & (np.arange(mask.size) % 2 == 0)
+            pv[d] = (values, mask)
+        pv[stuck] = (np.zeros_like(pv[stuck][0]), pv[stuck][1])
+        write_pv_csv(pv_path, dates, [pv[d][0] for d in dates],
+                     [pv[d][1] for d in dates])
+        res = cmd_e2e(E2E, ds, str(run))
+        assert res["skipped"] == [dead, sparse, stuck]
+        assert res["n_test"] == len(test) - 3
+        scored = [line.split(",")[0] for line
+                  in (run / "metrics.csv").read_text().splitlines()[1:]]
+        assert scored == test[3:]
+        cmd_simulate(E2E, str(run / "params_predicted.json"),
+                     str(tmp_path / "fans"), pv_path)
+        res = cmd_evaluate(E2E, str(tmp_path / "fans"), pv_path,
+                           str(tmp_path / "eval.json"))
+        assert res["skipped"] == [dead, sparse, stuck]
+        rows = json.loads((tmp_path / "eval.json").read_text())
+        assert sorted(rows) == test[3:]
+
+    def test_climatology_uses_valid_samples_only(self):
+        from pvsde.pipeline import _climatology
+        values = np.array([[0.2, 0.0, 0.5, 0.6],
+                           [0.4, 0.3, 0.0, 0.8],
+                           [0.0, 0.5, 0.0, 0.7]])
+        valid = np.array([[1, 0, 0, 1],
+                          [1, 1, 0, 1],
+                          [0, 1, 0, 1]], dtype=bool)
+        pv = {f"d{i}": (values[i], valid[i]) for i in range(3)}
+        median, pool = _climatology(pv, ["d0", "d1", "d2"])
+        # step 2 was never observed: the median between steps 1 and 3
+        np.testing.assert_allclose(median, [0.3, 0.4, 0.55, 0.7])
+        np.testing.assert_array_equal(pool, values[valid])
 
     def test_e2e_rerun_is_byte_identical(self, tmp_path):
         cfg = RunConfig(n_days=14, m=3, start_hour=9, n_members=3,

@@ -196,23 +196,43 @@ def write_fan_csv(path: str, fan: SimulationFan, n_dump: int) -> None:
 
 
 def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
+    """Read a fan file written by ``write_fan_csv``, each row parsed into a
+    float64 row.  A malformed cell, a quantile row of the wrong width or a
+    ``P`` row whose length is not the quantile block's row count is
+    reported as ``path:line``."""
     quantiles, paths = [], []
     with open(path) as f:
         header = f.readline().strip().split(",")
         levels = [int(name[1:]) / 100.0 for name in header[2:]]
-        for line in f:
+        for line_no, line in enumerate(f, start=2):
             cells = line.rstrip("\n").split(",")
-            if cells[0] == "P":
-                paths.append([float(v) for v in cells[1:]])
+            is_path = cells[0] == "P"
+            try:
+                row = np.array(cells[is_path:], dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if is_path:
+                if row.size != len(quantiles):
+                    raise ValueError(
+                        f"{path}:{line_no}: P row has {row.size} values, "
+                        f"the quantile block {len(quantiles)} rows")
+                paths.append(row)
+            elif paths:
+                raise ValueError(
+                    f"{path}:{line_no}: quantile row after the P rows")
+            elif row.size != len(header):
+                raise ValueError(f"{path}:{line_no}: quantile row has "
+                                 f"{row.size} cells, the header "
+                                 f"{len(header)}")
             else:
-                quantiles.append([float(v) for v in cells[1:]])
-    q = np.array(quantiles)
+                quantiles.append(row)
     if not paths:
         raise ValueError(f"{path}: fan file carries no sample paths")
+    q = np.array(quantiles)
     return SimulationFan(paths=np.array(paths),
                          step_seconds=step_seconds,
                          quantile_levels=tuple(levels),
-                         quantiles=q[:, 1:].T, mean=q[:, 0])
+                         quantiles=q[:, 2:].T, mean=q[:, 1])
 
 
 def _fan_for_day(day: DayParams, p0: float, cfg: RunConfig, seed: int):

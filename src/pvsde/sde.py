@@ -210,7 +210,13 @@ class SimulationFan:
 
     def to_csv(self, path_or_buf, n_dump: int):
         """Write `step,mean,q05,q25,q50,q75,q95` rows, then the first
-        ``n_dump`` raw paths as `P,v0,v1,...` rows."""
+        ``n_dump`` raw paths as `P,v0,v1,...` rows.
+
+        Every number is written as ``%.17g``, which round-trips any finite
+        double, so ``pipeline.read_fan_csv`` reads back bit-identical
+        paths, mean and quantiles.  Rows are written one at a time, so the
+        file text is never held in memory whole.
+        """
         close = False
         if isinstance(path_or_buf, (str, bytes)):
             f = open(path_or_buf, "w")
@@ -220,12 +226,12 @@ class SimulationFan:
         try:
             names = ["q%02d" % round(100 * lv) for lv in self.quantile_levels]
             f.write("step,mean," + ",".join(names) + "\n")
-            for i in range(self.n_steps):
-                row = [str(i), repr(float(self.mean[i]))]
-                row += [repr(float(q[i])) for q in self.quantiles]
-                f.write(",".join(row) + "\n")
-            for p in self.paths[:n_dump]:
-                f.write("P," + ",".join(repr(float(v)) for v in p) + "\n")
+            row = "%d" + ",%.17g" * (1 + len(names)) + "\n"
+            block = np.column_stack([self.mean, self.quantiles.T]).tolist()
+            f.writelines(row % (i, *r) for i, r in enumerate(block))
+            row = "P" + ",%.17g" * self.n_steps + "\n"
+            f.writelines(row % tuple(p.tolist())
+                         for p in self.paths[:n_dump])
         finally:
             if close:
                 f.close()
@@ -258,10 +264,31 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     paths = euler_paths(day.as_matrix().T, np.full(n_paths, float(p0)), dt,
                         n_hour, subs, noise).T
     levels = tuple(quantile_levels)
-    qs = np.quantile(paths, levels, axis=0)
     return SimulationFan(paths=paths, step_seconds=float(step_seconds),
-                         quantile_levels=levels, quantiles=qs,
+                         quantile_levels=levels,
+                         quantiles=_sorted_quantiles(paths, levels),
                          mean=paths.mean(axis=0))
+
+
+def _sorted_quantiles(paths, levels) -> np.ndarray:
+    """(n_levels, n_steps) quantiles of finite (n_paths, n_steps) paths
+    from one sort along the path axis.
+
+    Bit-identical to ``np.quantile``'s default ``linear`` method: the same
+    virtual index ``(n - 1) * q``, the same neighbours and numpy's
+    two-sided interpolation (``b - diff * (1 - t)`` when ``t >= 0.5``).
+    Only a tie between -0.0 and 0.0 may pick the other zero.
+    """
+    s = np.sort(paths, axis=0)
+    n = s.shape[0]
+    v = (n - 1) * np.asarray(levels, dtype=float)
+    lo = np.floor(v)
+    hi = lo + 1
+    lo[v >= n - 1] = hi[v >= n - 1] = -1
+    t = (v - lo)[:, None]
+    a, b = s[lo.astype(np.intp)], s[hi.astype(np.intp)]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 def stationary_beta_shapes(theta: SdeParams):

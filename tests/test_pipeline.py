@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvsde.cli import main as cli_main
 from pvsde.pipeline import (RunConfig, cmd_e2e, cmd_evaluate, cmd_identify,
@@ -12,7 +14,7 @@ from pvsde.pipeline import (RunConfig, cmd_e2e, cmd_evaluate, cmd_identify,
                             ingest_pv, load_config, obj_to_day_params,
                             read_fan_csv, read_params_json, split_days,
                             write_fan_csv, write_pv_csv)
-from pvsde.sde import DayParams, SdeParams, make_fan
+from pvsde.sde import DayParams, SdeParams, SimulationFan, make_fan
 from pvsde.synth import SyntheticSpec, synth_generate, true_param_map
 from pvsde.weather import HourGrid
 
@@ -164,6 +166,79 @@ class TestFanCsv:
         np.testing.assert_array_equal(got.paths, fan.paths)
         np.testing.assert_array_equal(got.quantiles, fan.quantiles)
         assert got.quantile_levels == fan.quantile_levels
+
+
+# doubles whose shortest repr is short, long, subnormal, signed or huge
+EDGE_FLOATS = (5e-324, -5e-324, -0.0, 0.0, 1 / 3, 0.1, 1e308, -1e308,
+               2.2250738585072014e-308, 0.30000000000000004)
+
+
+def _fan_file(tmp_path, n_paths=4, n_steps=6):
+    day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
+    fan = make_fan(day, 0.5, n_paths=n_paths, seed=1, substeps=1)
+    fan = SimulationFan(paths=fan.paths[:, :n_steps], step_seconds=30.0,
+                        quantile_levels=fan.quantile_levels,
+                        quantiles=fan.quantiles[:, :n_steps],
+                        mean=fan.mean[:n_steps])
+    path = tmp_path / "fan.csv"
+    write_fan_csv(str(path), fan, n_dump=n_paths)
+    return path, path.read_text().splitlines()
+
+
+class TestFanCsvErrors:
+    def test_malformed_cell_names_file_and_line(self, tmp_path):
+        path, lines = _fan_file(tmp_path)
+        cells = lines[3].split(",")
+        cells[2] = "oops"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:4: .*oops"):
+            read_fan_csv(str(path), 30.0)
+
+    def test_path_row_of_wrong_length_names_file_and_line(self, tmp_path):
+        path, lines = _fan_file(tmp_path)
+        lines[-2] = lines[-2].rsplit(",", 1)[0]    # one value short
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:{len(lines) - 1}: P "
+                                             "row has 5 values"):
+            read_fan_csv(str(path), 30.0)
+
+    def test_quantile_block_of_wrong_length_names_file_and_line(
+            self, tmp_path):
+        path, lines = _fan_file(tmp_path)
+        del lines[6]                               # the last quantile row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:7: P row has 6 "
+                                             "values, the quantile block 5"):
+            read_fan_csv(str(path), 30.0)
+
+    def test_quantile_row_after_paths_rejected(self, tmp_path):
+        path, lines = _fan_file(tmp_path)
+        path.write_text("\n".join(lines + lines[1:2]) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:{len(lines) + 1}: "):
+            read_fan_csv(str(path), 30.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fan_file_round_trip_is_bit_exact(tmp_path_factory, data):
+    n_paths = data.draw(st.integers(1, 4))
+    n_steps = data.draw(st.integers(1, 8))
+    cell = st.one_of(st.sampled_from(EDGE_FLOATS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    grid = st.lists(cell, min_size=n_steps * (n_paths + 6),
+                    max_size=n_steps * (n_paths + 6))
+    values = np.array(data.draw(grid)).reshape(n_paths + 6, n_steps)
+    fan = SimulationFan(paths=values[:n_paths], step_seconds=30.0,
+                        quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95),
+                        quantiles=values[n_paths:-1], mean=values[-1])
+    path = str(tmp_path_factory.mktemp("fan") / "fan.csv")
+    write_fan_csv(path, fan, n_dump=n_paths)
+    got = read_fan_csv(path, 30.0)
+    assert got.paths.tobytes() == fan.paths.tobytes()
+    assert got.quantiles.tobytes() == fan.quantiles.tobytes()
+    assert got.mean.tobytes() == fan.mean.tobytes()
+    assert got.quantile_levels == fan.quantile_levels
 
 
 class TestCommands:

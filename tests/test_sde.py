@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from pvsde.sde import (DayParams, SdeParams, SimulationFan, StabilityError,
-                       euler_paths, make_fan, project_params, simulate_hour,
+                       _sorted_quantiles, euler_paths, make_fan, project_params, simulate_hour,
                        stationary_beta_shapes, stationary_density,
                        stationary_sample)
 
@@ -233,6 +233,23 @@ class TestFan:
     def test_seeded_reproducibility(self):
         a, b = self._fan(seed=9), self._fan(seed=9)
         np.testing.assert_array_equal(a.paths, b.paths)
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 999, 1000])
+    def test_quantiles_equal_numpy_quantile(self, n_paths):
+        fan = self._fan(n_paths=n_paths)
+        expected = np.quantile(fan.paths, fan.quantile_levels, axis=0)
+        assert fan.quantiles.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 1000])
+    def test_one_sort_quantiles_with_ties_and_end_levels(self, n):
+        # few distinct values make ties; levels 0 and 1 hit the first and
+        # last rows
+        rng = np.random.default_rng(n)
+        paths = rng.integers(-20, 20, size=(n, 30)) / 10
+        levels = (0.0, 0.01, 1 / 3, 0.5, 0.75, 0.999, 1.0)
+        expected = np.quantile(paths, levels, axis=0)
+        assert (_sorted_quantiles(paths, levels).tobytes()
+                == expected.tobytes())
 
     def test_quantile_lookup(self):
         fan = self._fan()

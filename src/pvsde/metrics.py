@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .sde import SimulationFan
 
@@ -139,11 +140,12 @@ def _masked_pair(p, a, mask):
 def _acf(x, n_lags: int) -> np.ndarray:
     """Empirical autocorrelation at lags 1..n_lags (rows of a 2-D input
     are treated as independent series).  FFT-based; lag-k covariance is
-    averaged over the n - k available products."""
+    averaged over the n - k available products.  ``n + n_lags`` points
+    keep the circular products of lags up to n_lags free of wrap-around."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
     n = X.shape[1]
     xc = X - X.mean(axis=1, keepdims=True)
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    nfft = next_fast_len(n + n_lags, real=True)
     f = np.fft.rfft(xc, n=nfft, axis=1)
     sums = np.fft.irfft(f * np.conj(f), n=nfft, axis=1)[:, :n_lags + 1]
     var = sums[:, 0] / n

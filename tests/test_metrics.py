@@ -29,6 +29,18 @@ def _sde_input(seed=0, n_paths=400, actual_seed=1):
     return EvalInput(fan=fan, actual=actual)
 
 
+def _actual_paths(n=500, seed=1):
+    """Many actual days of the fan's process, from their own seed."""
+    return make_fan(DayParams(hours=(CLOUDY,)), 0.5, n_paths=n, seed=seed,
+                    substeps=1).paths
+
+
+def _mean_mismatch(fan, actuals, window_seconds=300.0):
+    return np.mean([autocorr_mismatch(EvalInput(fan=fan, actual=a),
+                                      window_seconds=window_seconds)
+                    for a in actuals])
+
+
 class TestPointMetrics:
     def test_nd_hand_value(self):
         p = np.array([1.0, 2.0, 3.0])
@@ -149,32 +161,43 @@ class TestAcf:
         got = _acf(x, 5)
         np.testing.assert_allclose(got, phi ** np.arange(1, 6), atol=0.02)
 
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    def test_matches_direct_loop_at_every_lag(self, n):
+        # lag n - 1 is where a too-short FFT would wrap around
+        x = np.random.default_rng(n).normal(size=n)
+        xc = x - x.mean()
+        var = np.mean(xc ** 2)
+        expected = np.array([np.sum(xc[:-k] * xc[k:]) / (n - k) / var
+                             for k in range(1, n)])
+        np.testing.assert_allclose(_acf(x, n - 1), expected, atol=1e-12)
+
     def test_mismatch_small_for_matched_process(self):
-        # compare over a short lag window where the single-path ACF
-        # estimate still carries signal
-        # a single 120-step hour gives a noisy empirical ACF, so the
-        # matched-process mismatch is bounded rather than near zero
-        inp = _sde_input(n_paths=500)
-        assert autocorr_mismatch(inp, window_seconds=300.0) < 0.8
+        # one 120-step hour gives a noisy empirical ACF, so a single day's
+        # mismatch swings widely even against a matched fan; its mean over
+        # many actual days of the same process is stable and bounded
+        fan = _sde_input(n_paths=500).fan
+        assert _mean_mismatch(fan, _actual_paths()) < 0.8
 
     def test_mismatch_large_for_white_noise_fan(self):
         rng = np.random.default_rng(6)
-        paths = rng.uniform(0.2, 0.8, size=(200, 120))
-        fan = _fan_from_paths(paths)
-        actual = _sde_input().actual
-        inp = EvalInput(fan=fan, actual=actual)
-        matched = autocorr_mismatch(_sde_input(n_paths=200),
-                                    window_seconds=300.0)
-        assert autocorr_mismatch(inp, window_seconds=300.0) > matched
+        white = _fan_from_paths(rng.uniform(0.2, 0.8, size=(200, 120)))
+        matched = _sde_input(n_paths=200).fan
+        actuals = _actual_paths()
+        assert (_mean_mismatch(white, actuals)
+                > _mean_mismatch(matched, actuals))
 
     def test_uses_longest_unmasked_run(self):
         inp0 = _sde_input()
         mask = np.ones(120, dtype=bool)
         mask[10] = False  # splits into runs of 10 and 109
         inp = EvalInput(fan=inp0.fan, actual=inp0.actual, mask=mask)
-        ref = EvalInput(fan=inp0.fan, actual=inp0.actual)
-        # both use >100-lag windows; values differ but stay finite
-        assert np.isfinite(autocorr_mismatch(inp))
+        fan = inp0.fan
+        tail = SimulationFan(paths=fan.paths[:, 11:], step_seconds=30.0,
+                             quantile_levels=fan.quantile_levels,
+                             quantiles=fan.quantiles[:, 11:],
+                             mean=fan.mean[11:])
+        ref = EvalInput(fan=tail, actual=inp0.actual[11:])
+        assert autocorr_mismatch(inp) == autocorr_mismatch(ref)
 
 
 class TestEvaluate:

@@ -244,22 +244,21 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
              quantile_levels=DEFAULT_QUANTILE_LEVELS, substeps=None):
     """Simulate n_paths day trajectories and cache empirical quantiles.
 
-    Each path draws from an independent stream derived from (seed, path
-    index), so the result is reproducible regardless of scheduling.
+    All noise is one (Euler substeps, n_paths) block drawn from a single
+    stream: the first child of ``SeedSequence(seed)``, which differs from
+    every ``default_rng(k)`` stream of an integer k (the estimator's day
+    seeds among them).  The fan is reproducible under ``seed``, but a
+    path's noise depends on ``n_paths``.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_hour = int(round(3600.0 / step_seconds))
     dt = step_seconds / TIME_UNIT_SECONDS
 
-    # Per-path noise from spawned child streams, consumed hour by hour.
-    children = np.random.SeedSequence(seed).spawn(n_paths)
     subs = [substeps if substeps is not None else _auto_substeps(t.a, dt)
             for t in day.hours]
-    total_draws = n_hour * sum(subs)
-    noise = np.empty((total_draws, n_paths))
-    for j, ss in enumerate(children):
-        noise[:, j] = np.random.default_rng(ss).standard_normal(total_draws)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    noise = rng.standard_normal((n_hour * sum(subs), n_paths))
 
     paths = euler_paths(day.as_matrix().T, np.full(n_paths, float(p0)), dt,
                         n_hour, subs, noise).T

@@ -2,7 +2,7 @@
 prediction, simulation, and evaluation.
 
 All commands are deterministic under a master seed: day-level estimation
-seeds, ensemble member streams, and simulation path streams all derive
+seeds, ensemble member streams, and each fan's noise stream all derive
 from it.  Every artifact is written atomically (temp file + rename) and is
 re-ingestible by the command that consumes it.  The workflow operates on
 the discrete 30-second Euler transition end to end — the data generator,
@@ -197,13 +197,16 @@ def write_fan_csv(path: str, fan: SimulationFan, n_dump: int) -> None:
 
 def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
     """Read a fan file written by ``write_fan_csv``, each row parsed into a
-    float64 row.  A malformed cell, a quantile row of the wrong width or a
-    ``P`` row whose length is not the quantile block's row count is
-    reported as ``path:line``."""
+    float64 row.  A malformed header or cell, a quantile row of the wrong
+    width or a ``P`` row whose length is not the quantile block's row count
+    is reported as ``path:line``."""
     quantiles, paths = [], []
     with open(path) as f:
         header = f.readline().strip().split(",")
-        levels = [int(name[1:]) / 100.0 for name in header[2:]]
+        try:
+            levels = [int(name[1:]) / 100.0 for name in header[2:]]
+        except ValueError:
+            raise ValueError(f"{path}:1: malformed fan header") from None
         for line_no, line in enumerate(f, start=2):
             cells = line.rstrip("\n").split(",")
             is_path = cells[0] == "P"

@@ -283,7 +283,8 @@ def _sorted_quantiles(paths, levels) -> np.ndarray:
     v = (n - 1) * np.asarray(levels, dtype=float)
     lo = np.floor(v)
     hi = lo + 1
-    lo[v >= n - 1] = hi[v >= n - 1] = -1
+    top = v >= n - 1
+    lo[top] = hi[top] = -1
     t = (v - lo)[:, None]
     a, b = s[lo.astype(np.intp)], s[hi.astype(np.intp)]
     diff = b - a

@@ -35,9 +35,10 @@ def _actual_paths(n=500, seed=1):
                     substeps=1).paths
 
 
-def _mean_mismatch(fan, actuals, window_seconds=300.0):
+def _mean_mismatch(fan, actuals):
+    """Mean 5-minute-window ACF mismatch of a fan over actual days."""
     return np.mean([autocorr_mismatch(EvalInput(fan=fan, actual=a),
-                                      window_seconds=window_seconds)
+                                      window_seconds=300.0)
                     for a in actuals])
 
 
@@ -138,15 +139,16 @@ class TestKl:
 
 class TestAcf:
     def test_matches_direct_loop(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=300)
-        got = _acf(x, 20)
-        xc = x - x.mean()
-        var = np.mean(xc ** 2)
-        expected = np.array([
-            np.sum(xc[:-k] * xc[k:]) / (x.size - k) / var
-            for k in range(1, 21)])
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        # lag n - 1 is where a too-short FFT would wrap around
+        for n, n_lags in [(300, 20), (2, 1), (7, 6), (300, 299)]:
+            x = np.random.default_rng(4).normal(size=n)
+            got = _acf(x, n_lags)
+            xc = x - x.mean()
+            var = np.mean(xc ** 2)
+            expected = np.array([
+                np.sum(xc[:-k] * xc[k:]) / (x.size - k) / var
+                for k in range(1, n_lags + 1)])
+            np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_ar1_oracle(self):
         # AR(1) with coefficient phi has ACF(k) ~= phi^k
@@ -160,16 +162,6 @@ class TestAcf:
             x[i] = phi * x[i - 1] + e[i]
         got = _acf(x, 5)
         np.testing.assert_allclose(got, phi ** np.arange(1, 6), atol=0.02)
-
-    @pytest.mark.parametrize("n", [2, 7, 300])
-    def test_matches_direct_loop_at_every_lag(self, n):
-        # lag n - 1 is where a too-short FFT would wrap around
-        x = np.random.default_rng(n).normal(size=n)
-        xc = x - x.mean()
-        var = np.mean(xc ** 2)
-        expected = np.array([np.sum(xc[:-k] * xc[k:]) / (n - k) / var
-                             for k in range(1, n)])
-        np.testing.assert_allclose(_acf(x, n - 1), expected, atol=1e-12)
 
     def test_mismatch_small_for_matched_process(self):
         # one 120-step hour gives a noisy empirical ACF, so a single day's

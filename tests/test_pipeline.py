@@ -195,6 +195,13 @@ class TestFanCsvErrors:
         with pytest.raises(ValueError, match=f"{path}:4: .*oops"):
             read_fan_csv(str(path), 30.0)
 
+    def test_malformed_header_names_file_and_line(self, tmp_path):
+        path, lines = _fan_file(tmp_path)
+        lines[0] = lines[0].replace("q50", "median")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:1: "):
+            read_fan_csv(str(path), 30.0)
+
     def test_path_row_of_wrong_length_names_file_and_line(self, tmp_path):
         path, lines = _fan_file(tmp_path)
         lines[-2] = lines[-2].rsplit(",", 1)[0]    # one value short

@@ -29,16 +29,17 @@ Every stage runs once for a batch of hours, in lockstep: one batched
 Nelder–Mead minimizes the profiled likelihood of all hours (and later of
 all their bootstrap replicas), and each matching step simulates the paths
 of every hour in one ``euler_paths`` call on the full hour grid, its
-statistics taken over the observed sample and pair masks.  Each hour keeps
-its own random stream and draws from it in the order a lone hour would, so
-an hour's estimate does not depend on the batch it is fit in.  Day-level
+statistics taken over the observed sample and pair masks.  Each matching
+stage draws its noise from its own stream, ``default_rng([seed, stage])``,
+one block per matching iteration, and every hour of a batch uses the same
+block (bootstrap replica j of every hour uses column j), so an hour's
+estimate does not depend on the batch it is fit in.  Day-level
 identification batches the valid hours, repairs masked hours from their
 neighbours, and reports flags.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -72,6 +73,10 @@ _STICKY_COUNT = 3           # exact repeats at an extreme that pin the bound
 _B_MARGIN = 0.02            # keep b this fraction of (d − c) inside the bounds
 _DAMP = 0.9                 # step damping for the indirect-inference updates
 DEFAULT_SEED = 1729
+
+# matching stages: stage k of an hour seeded s draws from default_rng([s, k])
+(_STAGE_A_FIRST, _STAGE_A_SECOND, _STAGE_VAR_HIGH, _STAGE_VAR_LOW,
+ _STAGE_BOOT, _STAGE_BOOT_VAR_HIGH, _STAGE_BOOT_VAR_LOW) = range(7)
 
 # Small-sample calibration of the lag-1 regression slope, tabulated by
 # simulation on 120-transition series: PHI is the true one-step
@@ -371,32 +376,20 @@ def _make_params(a, b, beta, c, d, dt):
                                         for x in (a, b, beta, c, d)))]).T
 
 
-def _simulate_matching(theta, p0, dt, noise):
+def _simulate_matching(theta, p0, dt, block):
     """Simulate paths on the sample grid, conditioned on each row's
-    observed start; the paths of row i are a block of ``noise``'s columns.
-    Returns (T, paths) states, the start included."""
-    n_paths = noise.shape[1] // theta.shape[1]
+    observed start; every row's paths are driven by the columns of the
+    (steps, paths) noise ``block``.  Returns (T, rows * paths) states, the
+    start included, row i's paths in columns ``i * paths`` onwards."""
+    n_paths = block.shape[1]
     q0 = np.repeat(np.minimum(np.maximum(p0, theta[3] + 1e-9),
                               theta[4] - 1e-9), n_paths)
     S = euler_paths(np.repeat(theta, n_paths, axis=1)[None], q0, dt,
-                    noise.shape[0], [1], noise)
+                    block.shape[0], [1], np.tile(block, theta.shape[1]))
     return np.vstack([q0[None, :], S])
 
 
-def _draw(rngs, shape):
-    """One block of standard normals per row, rows side by side."""
-    return np.concatenate([g.standard_normal(shape) for g in rngs], axis=-1)
-
-
-def _fork(g, shape):
-    """A copy of stream ``g`` to draw ``shape`` normals from later, with
-    ``g`` itself moved past them now."""
-    h = copy.deepcopy(g)
-    g.standard_normal(shape)
-    return h
-
-
-def _fit_a_indirect(s, dt, beta, c, d, phi_obs, a, b, rngs, iters):
+def _fit_a_indirect(s, dt, beta, c, d, phi_obs, a, b, rng, iters):
     """Refine a by matching the simulated lag-1 slope to the observed one.
 
     The update uses the local slope of the calibration curve as the
@@ -405,8 +398,8 @@ def _fit_a_indirect(s, dt, beta, c, d, phi_obs, a, b, rngs, iters):
     pm = np.repeat(s.pm.T, _N_MATCH, axis=1)
     for _ in range(iters):
         theta = _make_params(a, b, beta, c, d, dt)
-        P = _simulate_matching(theta, s.v[:, 0], dt,
-                               _draw(rngs, (s.v.shape[1] - 1, _N_MATCH)))
+        P = _simulate_matching(theta, s.v[:, 0], dt, rng.standard_normal(
+            (s.v.shape[1] - 1, _N_MATCH)))
         cov, vx = _lag1(P[:-1], P[1:], pm, 0)
         slopes = np.where(vx > 1e-14, cov / np.maximum(vx, 1e-14), 1.0)
         phi_sim = slopes.reshape(-1, _N_MATCH).mean(axis=1)
@@ -421,7 +414,7 @@ def _fit_a_indirect(s, dt, beta, c, d, phi_obs, a, b, rngs, iters):
     return a, b
 
 
-def _match_variance(s, dt, a, b, beta, c, d, side, rngs, n_paths):
+def _match_variance(s, dt, a, b, beta, c, d, side, rng, n_paths):
     """Re-fit a runaway boundary by matching the simulated path variance.
 
     When the likelihood is nearly flat in the far boundary the fitted offset
@@ -433,8 +426,8 @@ def _match_variance(s, dt, a, b, beta, c, d, side, rngs, n_paths):
     for _ in range(_N_VAR_ITERS):
         theta = _make_params(a, b, beta, c, d, dt)
         ta, tb, tbeta, tc, td = theta
-        P = _simulate_matching(theta, s.v[:, 0], dt,
-                               _draw(rngs, (s.v.shape[1] - 1, n_paths)))
+        P = _simulate_matching(theta, s.v[:, 0], dt, rng.standard_normal(
+            (s.v.shape[1] - 1, n_paths)))
         var_sim = _masked_var(P, m, 0).reshape(-1, n_paths).mean(axis=1)
         if side == "d":
             slope = np.maximum(tbeta * (tb - tc) / (2.0 * ta + tbeta), 1e-9)
@@ -450,13 +443,12 @@ def _match_variance(s, dt, a, b, beta, c, d, side, rngs, n_paths):
     return beta, c, d
 
 
-def _diffusion_pipeline(s, dt, a, b, rngs, n_paths):
+def _diffusion_pipeline(s, dt, a, b, seed, n_paths, stages):
     """Full diffusion fit: profiled likelihood plus boundary repairs.
 
-    ``rngs`` holds each row's stream (rows may share one).  Before any
-    matching runs, each row forks its stream for every side it matches,
-    high side first, which is the order a lone row draws in.  Returns the
-    fit and a (B, 4) mask of the repairs in ``_REPAIR_FLAGS``.
+    The runaway high and low boundaries are matched on the streams of the
+    two ``stages``.  Returns the fit and a (B, 4) mask of the repairs in
+    ``_REPAIR_FLAGS``.
     """
     beta, c, d, nll, converged, nit = _fit_diffusion_mle(s, dt, a, b)
     pin_lo = (((s.v <= s.lo[:, None] + 1e-9) & s.m).sum(axis=1)
@@ -467,18 +459,12 @@ def _diffusion_pipeline(s, dt, a, b, rngs, n_paths):
     d = np.where(pin_hi, s.hi + 1e-4 * s.span, d)
     run_hi = ~pin_hi & (d - s.hi > _RUNAWAY_FRAC * s.span)
     run_lo = ~pin_lo & (s.lo - c > _RUNAWAY_FRAC * s.span)
-    shape = (_N_VAR_ITERS, s.v.shape[1] - 1, n_paths)
-    forks = {"d": [], "c": []}
-    for g, hi_, lo_ in zip(rngs, run_hi, run_lo):
-        if hi_:
-            forks["d"].append(_fork(g, shape))
-        if lo_:
-            forks["c"].append(_fork(g, shape))
-    for side, run in (("d", run_hi), ("c", run_lo)):
+    for side, run, stage in (("d", run_hi, stages[0]),
+                             ("c", run_lo, stages[1])):
         if run.any():
             beta[run], c[run], d[run] = _match_variance(
                 s.take(run), dt, a[run], b[run], beta[run], c[run], d[run],
-                side, forks[side], n_paths)
+                side, np.random.default_rng([seed, stage]), n_paths)
     beta = _reprofile_beta(s, dt, a, b, c, d)
     repairs = np.stack([pin_lo, pin_hi, run_hi, run_lo], axis=1)
     return beta, c, d, nll, converged, nit, repairs
@@ -495,17 +481,17 @@ def _initial_drift(s, dt):
     return a, b, phi_raw
 
 
-def _bootstrap_mean_beta(s, dt, theta, rngs):
+def _bootstrap_mean_beta(s, dt, theta, seed):
     """Mean beta re-fit on ``_N_BOOT`` paths simulated from each row's fit,
     each observed through the row's own sample mask."""
-    noise = _draw(rngs, (s.v.shape[1] - 1, _N_BOOT))
-    reps = _Rows(_simulate_matching(theta, s.v[:, 0], dt, noise).T,
+    block = np.random.default_rng([seed, _STAGE_BOOT]).standard_normal(
+        (s.v.shape[1] - 1, _N_BOOT))
+    reps = _Rows(_simulate_matching(theta, s.v[:, 0], dt, block).T,
                  np.repeat(s.m, _N_BOOT, axis=0))
     a, c, d = (np.repeat(theta[i], _N_BOOT) for i in (0, 3, 4))
     b = _fit_b_relaxation(reps, dt, a, c, d)
-    beta = _diffusion_pipeline(reps, dt, a, b,
-                               [g for g in rngs for _ in range(_N_BOOT)],
-                               _N_BOOT_INNER)[0]
+    beta = _diffusion_pipeline(reps, dt, a, b, seed, _N_BOOT_INNER,
+                               (_STAGE_BOOT_VAR_HIGH, _STAGE_BOOT_VAR_LOW))[0]
     return beta.reshape(-1, _N_BOOT).mean(axis=1)
 
 
@@ -515,21 +501,23 @@ def _identify_rows(s, dt, seed):
     Alternates the drift and diffusion fits so each step conditions on the
     other's latest estimate, then applies the bootstrap rescaling of beta.
     """
-    rngs = [np.random.default_rng(seed) for _ in range(len(s.lo))]
     a, b, phi_raw = _initial_drift(s, dt)
     beta, c, d, *_ = _fit_diffusion_mle(s, dt, a, b)
-    a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b, rngs, iters=3)
+    a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b,
+                           np.random.default_rng([seed, _STAGE_A_FIRST]),
+                           iters=3)
     beta, c, d, nll_diff, converged, nit, repairs = _diffusion_pipeline(
-        s, dt, a, b, rngs, _N_MATCH)
-    a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b, rngs, iters=2)
+        s, dt, a, b, seed, _N_MATCH, (_STAGE_VAR_HIGH, _STAGE_VAR_LOW))
+    a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b,
+                           np.random.default_rng([seed, _STAGE_A_SECOND]),
+                           iters=2)
     beta = _reprofile_beta(s, dt, a, b, c, d)
 
     boot = a >= _BOOT_MIN_A / dt
     if boot.any():
         theta = _make_params(a[boot], b[boot], beta[boot], c[boot], d[boot],
                              dt)
-        mean_boot = _bootstrap_mean_beta(
-            s.take(boot), dt, theta, [rngs[i] for i in np.flatnonzero(boot)])
+        mean_boot = _bootstrap_mean_beta(s.take(boot), dt, theta, seed)
         beta[boot] = np.clip(beta[boot] * beta[boot]
                              / np.maximum(mean_boot, 1e-9), BETA_MIN, BETA_MAX)
 
@@ -558,8 +546,8 @@ def identify_hours(values, valid, h: float = 30.0,
 
     ``values`` is (H, T), one hour of samples every ``h`` seconds per row;
     ``valid`` (H, T) marks the samples to use.  Each row needs 20 valid
-    samples, two of them consecutive.  Every hour is fit with its own
-    stream seeded by ``seed``, so row i's report equals that of
+    samples, two of them consecutive.  Every hour draws the same noise
+    from the streams of ``seed``, so row i's report equals that of
     ``identify_hour`` on row i alone.  A constant row is flagged
     non-volatile and degenerate.
     """

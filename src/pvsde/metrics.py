@@ -8,7 +8,6 @@ lag window.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +56,6 @@ class MetricReport:
     nd: float
     nrmse: float
     acf_mismatch: float
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-    def to_csv_row(self) -> str:
-        keys = ("picp90", "kl", "risk50", "risk90", "nd", "nrmse",
-                "acf_mismatch")
-        return ",".join(repr(float(getattr(self, k))) for k in keys)
 
 
 def picp(inp: EvalInput, level: float = 0.90) -> float:

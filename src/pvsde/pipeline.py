@@ -1,16 +1,18 @@
 """Batch workflow: dataset generation, identification, mapping training,
 prediction, simulation, and evaluation.
 
-All commands are deterministic under a master seed: day-level estimation
-seeds, ensemble member streams, and each fan's noise stream all derive
-from it.  Every artifact is written atomically (temp file + rename) and is
+All commands are deterministic under a master seed: a day's estimation
+and fan seeds are functions of (master seed, stage, date label) alone, so
+a day's parameters and fan do not depend on the other days of its input
+file, and the ensemble's member streams derive from the master seed.
+Every artifact is written atomically (temp file + rename) and is
 re-ingestible by the command that consumes it.  The workflow operates on
 the discrete 30-second Euler transition end to end — the data generator,
 the estimator's internal matching simulations, and the forecast fans all
 step the same chain — so identified parameters mean the same thing at
 every stage.  The weather-to-parameter mapping is hour-local: each hour's
 parameters are predicted from that hour's weather report alone.
-``cmd_e2e`` chains the stage helpers the commands share, in memory.
+``cmd_e2e`` runs every stage through the helpers its command uses.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -29,7 +32,8 @@ from .estimation import AllHoursInvalidError, identify_day
 from .metrics import EvalInput, evaluate, kl_divergence, nd as nd_metric
 from .sde import DayParams, SimulationFan, make_fan, project_params
 from .synth import SyntheticSpec, synth_generate
-from .weather import HourGrid, impute_days, ingest_weather, write_weather_csv
+from .weather import (CSV_COLUMNS, HourGrid, impute_days, ingest_weather,
+                      write_weather_csv)
 
 EVAL_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9, 0.95)
 PARAMS_SCHEMA_VERSION = 1
@@ -37,6 +41,9 @@ PARAMS_SCHEMA_VERSION = 1
 # hours whose parameters were not genuinely fitted from data are kept for
 # simulation but excluded from mapping training
 UNTRUSTED_FLAGS = frozenset({"interpolated", "degenerate", "non-volatile"})
+
+# stage tags of the per-day random streams
+_IDENTIFY, _FAN = 1, 2
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,11 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not self.step_seconds > 0:
             raise ValueError("step_seconds must be > 0")
+        if not 0 <= self.start_hour <= 24 - self.m:     # inside one day
+            raise ValueError(f"start_hour must be in [0, 24 - m] (m = "
+                             f"{self.m}), got {self.start_hour}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def grid(self) -> HourGrid:
@@ -100,15 +112,22 @@ def load_config(path: str | None, overrides=None) -> RunConfig:
     return cfg
 
 
-def _atomic_text(path: str, text: str) -> None:
+@contextmanager
+def _atomic(path: str, newline=None):
+    """A text file written as ``path + ".tmp"`` and renamed onto ``path``
+    once the block completes, so no reader sees a partial file."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
+    with open(tmp, "w", newline=newline) as f:
+        yield f
     os.replace(tmp, path)
 
 
-def _day_seed(master: int, index: int) -> int:
-    return master * 100003 + index
+def _day_seed(master: int, stage: int, date: str) -> int:
+    """The seed of a day's ``stage`` stream, a function of the master seed,
+    the stage and the date label alone.  The label is hashed as text, not
+    parsed: synthetic labels such as 2018-02-30 are not calendar dates."""
+    return int(np.random.SeedSequence([master, stage, *date.encode()])
+               .generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +154,8 @@ def write_params_json(path: str, days: dict, step_seconds: float, m: int):
     doc = dict(schema_version=PARAMS_SCHEMA_VERSION,
                step_seconds=step_seconds, m=m,
                days={date: obj for date, obj in sorted(days.items())})
-    _atomic_text(path, json.dumps(doc, sort_keys=True, indent=1))
+    with _atomic(path) as f:
+        f.write(json.dumps(doc, sort_keys=True, indent=1))
 
 
 def read_params_json(path: str):
@@ -151,7 +171,7 @@ def read_params_json(path: str):
 
 
 def write_pv_csv(path: str, dates, pv_days, masks=None) -> None:
-    with open(path + ".tmp", "w", newline="") as f:
+    with _atomic(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(["date", "step", "power", "valid"])
         for j, date in enumerate(dates):
@@ -159,40 +179,54 @@ def write_pv_csv(path: str, dates, pv_days, masks=None) -> None:
                     else np.ones(len(pv_days[j]), dtype=bool))
             for i, (v, ok) in enumerate(zip(pv_days[j], mask)):
                 w.writerow([date, i, repr(float(v)), int(ok)])
-    os.replace(path + ".tmp", path)
 
 
 def ingest_pv(path: str):
-    """Read the per-day normalized PV table -> {date: (values, mask)}."""
-    per_day: dict[str, list] = {}
+    """Read the per-day normalized PV table -> {date: (values, mask)}.
+
+    Each sample sits at its ``step`` index.  Every day is as long as the
+    largest step in the file plus one; a step a day lacks is masked (value
+    0).  A malformed row or a repeated (date, step) is reported as
+    ``path:line``.
+    """
+    per_day: dict[str, dict] = {}
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        need = {"date", "step", "power", "valid"}
-        if not need <= set(reader.fieldnames or ()):
+        reader = csv.reader(f)
+        header = next(reader, [])
+        need = ("date", "step", "power", "valid")
+        if not set(need) <= set(header):
             raise ValueError(f"PV CSV must have columns {sorted(need)}")
-        for line_no, row in enumerate(reader, start=2):
+        cols = [header.index(name) for name in need]
+        for row in filter(None, reader):            # blank lines skipped
             try:
-                per_day.setdefault(row["date"], []).append(
-                    (int(row["step"]), float(row["power"]),
-                     bool(int(row["valid"]))))
-            except (TypeError, ValueError):
-                raise ValueError(f"line {line_no}: malformed PV row") from None
+                date, step, power, valid = [row[i] for i in cols]
+                step = int(step)
+                sample = (float(power), bool(int(valid)))
+            except (IndexError, ValueError):
+                step = -1
+            if step < 0:
+                raise ValueError(f"{path}:{reader.line_num}: malformed PV row")
+            day = per_day.setdefault(date, {})
+            if step in day:
+                raise ValueError(f"{path}:{reader.line_num}: repeated step "
+                                 f"{step} of {date}")
+            day[step] = sample
+    n_steps = 1 + max((max(day) for day in per_day.values()), default=-1)
     out = {}
-    for date, rows in per_day.items():
-        rows.sort()
-        out[date] = (np.array([r[1] for r in rows]),
-                     np.array([r[2] for r in rows], dtype=bool))
+    for date, day in per_day.items():
+        values, mask = np.zeros(n_steps), np.zeros(n_steps, dtype=bool)
+        values[list(day)], mask[list(day)] = zip(*day.values())
+        out[date] = (values, mask)
     return out
 
 
 # ---------------------------------------------------------------------------
-# fan CSV (quantile block + optional raw path block)
+# fan CSV (quantile block + path block)
 
 
-def write_fan_csv(path: str, fan: SimulationFan, n_dump: int) -> None:
-    with open(path + ".tmp", "w") as f:
-        fan.to_csv(f, n_dump)
-    os.replace(path + ".tmp", path)
+def write_fan_csv(path: str, fan: SimulationFan) -> None:
+    with _atomic(path) as f:
+        fan.to_csv(f)
 
 
 def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
@@ -238,10 +272,16 @@ def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
                          quantiles=q[:, 2:].T, mean=q[:, 1])
 
 
-def _fan_for_day(day: DayParams, p0: float, cfg: RunConfig, seed: int):
-    return make_fan(day, p0, step_seconds=cfg.step_seconds,
-                    n_paths=cfg.n_paths, seed=seed,
-                    quantile_levels=EVAL_QUANTILE_LEVELS, substeps=1)
+def _day_fan(cfg: RunConfig, date: str, day: DayParams, p0: float):
+    """A day's fan as its file carries it: quantiles and mean over all
+    ``n_paths`` paths, and the first ``dump_paths`` paths copied
+    C-contiguous (a strided slice of the paths can score differently in
+    the last bit from the read-back fan)."""
+    fan = make_fan(day, p0, step_seconds=cfg.step_seconds,
+                   n_paths=cfg.n_paths, seed=_day_seed(cfg.seed, _FAN, date),
+                   quantile_levels=EVAL_QUANTILE_LEVELS, substeps=1)
+    return replace(fan, paths=np.ascontiguousarray(
+        fan.paths[:cfg.dump_paths]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +292,7 @@ def _weather_csv_rows(dates, weather_days):
     for date, rows in zip(dates, weather_days):
         for r in rows:
             yield dict(timestamp=f"{date}T{r['hour']:02d}:00",
-                       temperature=r["temperature"], humidity=r["humidity"],
-                       pressure=r["pressure"],
-                       precipitation=r["precipitation"],
-                       wind_speed=r["wind_speed"],
-                       wind_direction=r["wind_direction"],
-                       cloud=r["cloud"], irradiance=r["irradiance"])
+                       **{k: r[k] for k in CSV_COLUMNS[1:]})
 
 
 def _load_weather_days(path: str, cfg: RunConfig, medians=None):
@@ -270,19 +305,16 @@ def _load_weather_days(path: str, cfg: RunConfig, medians=None):
 # stages: each has one implementation, shared by its command and cmd_e2e
 
 
-def _identify_days(cfg: RunConfig, pv: dict, dates, keep):
-    """Parameter objects ``{date: obj}`` of the days of ``dates`` in
-    ``keep``, day i seeded by its index in ``dates``, and the dates that
-    had no valid hour."""
+def _identify_days(cfg: RunConfig, pv: dict, dates):
+    """Parameter objects ``{date: obj}`` of ``dates``, each day seeded by
+    its date, and the dates that had no valid hour."""
     days, rejected = {}, []
-    for i, date in enumerate(dates):
-        if date not in keep:
-            continue
+    for date in dates:
         values, mask = pv[date]
         try:
-            day, reports = identify_day(values, mask,
-                                        step_seconds=cfg.step_seconds,
-                                        m=cfg.m, seed=_day_seed(cfg.seed, i))
+            day, reports = identify_day(
+                values, mask, step_seconds=cfg.step_seconds, m=cfg.m,
+                seed=_day_seed(cfg.seed, _IDENTIFY, date))
         except AllHoursInvalidError:
             rejected.append(date)
             continue
@@ -305,9 +337,9 @@ def _train(cfg: RunConfig, weather: dict, days: dict, medians, out_dir: str):
                            n_members=cfg.n_members, master_seed=cfg.seed,
                            flags=flags, ridge=cfg.ridge)
     save_ensemble(model, out_dir)
-    _atomic_text(os.path.join(out_dir, "impute.json"),
-                 json.dumps(dict(medians=list(map(float, medians))),
-                            sort_keys=True))
+    with _atomic(os.path.join(out_dir, "impute.json")) as f:
+        f.write(json.dumps(dict(medians=list(map(float, medians))),
+                           sort_keys=True))
     return model, len(pairs)
 
 
@@ -337,6 +369,25 @@ def _scorable(values, mask) -> bool:
                 and np.abs(values[mask]).sum() > 0)
 
 
+def _evaluate_days(pv: dict, dates, fan_of, out_path: str):
+    """Score each of ``dates`` against its actual PV with the fan
+    ``fan_of(date)`` and write the reports to ``out_path`` (eval.json).
+    Returns the reports and the dates skipped because the metrics are
+    undefined on their actual series; a skipped day's fan is not built."""
+    reports, skipped = {}, []
+    for date in dates:
+        values, mask = pv[date]
+        if not _scorable(values, mask):
+            skipped.append(date)
+            continue
+        reports[date] = evaluate(EvalInput(fan=fan_of(date), actual=values,
+                                           mask=mask))
+    with _atomic(out_path) as f:
+        f.write(json.dumps({d: r.__dict__ for d, r in reports.items()},
+                           sort_keys=True, indent=1))
+    return reports, skipped
+
+
 def _climatology(pv: dict, dates):
     """Per-step median and pool of the valid PV samples of ``dates``; a
     step no day observed takes the median interpolated between its
@@ -360,10 +411,8 @@ def cmd_synth(cfg: RunConfig, out_dir: str) -> dict:
                          step_seconds=cfg.step_seconds)
     dates, weather, pv, params = synth_generate(
         spec, np.random.default_rng(cfg.seed))
-    write_weather_csv(os.path.join(out_dir, "weather.csv") + ".tmp",
-                      _weather_csv_rows(dates, weather))
-    os.replace(os.path.join(out_dir, "weather.csv") + ".tmp",
-               os.path.join(out_dir, "weather.csv"))
+    with _atomic(os.path.join(out_dir, "weather.csv"), newline="") as f:
+        write_weather_csv(f, _weather_csv_rows(dates, weather))
     write_pv_csv(os.path.join(out_dir, "pv.csv"), dates, pv)
     write_params_json(os.path.join(out_dir, "true_params.json"),
                       {date: day_params_to_obj(day)
@@ -375,8 +424,7 @@ def cmd_synth(cfg: RunConfig, out_dir: str) -> dict:
 def cmd_identify(cfg: RunConfig, pv_path: str, out_path: str) -> dict:
     """Identify per-hour parameters for every day of a PV table."""
     pv = ingest_pv(pv_path)
-    dates = sorted(pv)
-    days, rejected = _identify_days(cfg, pv, dates, set(dates))
+    days, rejected = _identify_days(cfg, pv, sorted(pv))
     write_params_json(out_path, days, cfg.step_seconds, cfg.m)
     return dict(identified=len(days), rejected=rejected, out=out_path)
 
@@ -411,17 +459,13 @@ def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
     is supplied, otherwise the midpoint of the first hour's bounds.
     """
     os.makedirs(out_dir, exist_ok=True)
-    doc = read_params_json(params_path)
+    days = read_params_json(params_path)["days"]
     pv = ingest_pv(pv_path) if pv_path else {}
-    written = []
-    for i, (date, obj) in enumerate(sorted(doc["days"].items())):
+    for date, obj in sorted(days.items()):
         day, _ = obj_to_day_params(obj)
-        p0 = _initial_state(day, *pv.get(date, ()))
-        fan = _fan_for_day(day, p0, cfg, seed=_day_seed(cfg.seed, i) + 1)
-        out = os.path.join(out_dir, f"fan_{date}.csv")
-        write_fan_csv(out, fan, cfg.dump_paths)
-        written.append(out)
-    return dict(days=len(written), out=out_dir)
+        fan = _day_fan(cfg, date, day, _initial_state(day, *pv.get(date, ())))
+        write_fan_csv(os.path.join(out_dir, f"fan_{date}.csv"), fan)
+    return dict(days=len(days), out=out_dir)
 
 
 def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
@@ -429,20 +473,11 @@ def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
     """Score every day with both a fan file and actual PV; days whose
     actual series the metrics are undefined on are listed as skipped."""
     pv = ingest_pv(pv_path)
-    rows, skipped = {}, []
-    for date in sorted(pv):
-        fan_path = os.path.join(fan_dir, f"fan_{date}.csv")
-        if not os.path.exists(fan_path):
-            continue
-        values, mask = pv[date]
-        if not _scorable(values, mask):
-            skipped.append(date)
-            continue
-        fan = read_fan_csv(fan_path, cfg.step_seconds)
-        rep = evaluate(EvalInput(fan=fan, actual=values, mask=mask))
-        rows[date] = rep.__dict__
-    _atomic_text(out_path, json.dumps(rows, sort_keys=True, indent=1))
-    return dict(evaluated=len(rows), skipped=skipped, out=out_path)
+    fans = {d: os.path.join(fan_dir, f"fan_{d}.csv") for d in sorted(pv)}
+    reports, skipped = _evaluate_days(
+        pv, [d for d, fan in fans.items() if os.path.exists(fan)],
+        lambda d: read_fan_csv(fans[d], cfg.step_seconds), out_path)
+    return dict(evaluated=len(reports), skipped=skipped, out=out_path)
 
 
 def split_days(dates, split: float, seed: int):
@@ -459,9 +494,11 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     """Full chain on a dataset directory: identify, train, predict,
     simulate, evaluate, and compare against a climatology baseline.
 
-    A training day with no valid hour is not trained on; a held-out day
-    whose actual series cannot be scored is listed as skipped and left out
-    of ``n_test`` and the means.
+    Every artifact equals its stage command's; the held-out fans are
+    scored in memory into the ``eval.json`` that ``cmd_simulate`` +
+    ``cmd_evaluate`` write.  A training day with no valid hour is not
+    trained on; a held-out day whose actual series cannot be scored is
+    listed as skipped and left out of ``n_test`` and the means.
     """
     t_start = time.time()
     os.makedirs(out_dir, exist_ok=True)
@@ -471,7 +508,7 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     dates = sorted(set(pv) & set(weather))
     train_dates, test_dates = split_days(dates, cfg.split, cfg.seed)
 
-    identified, _ = _identify_days(cfg, pv, dates, set(train_dates))
+    identified, _ = _identify_days(cfg, pv, train_dates)
     write_params_json(os.path.join(out_dir, "params_identified.json"),
                       identified, cfg.step_seconds, cfg.m)
     model, n_train = _train(cfg, weather, identified, medians,
@@ -480,24 +517,18 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
                      os.path.join(out_dir, "params_predicted.json"))
     clim_median, clim_pool = _climatology(pv, sorted(identified))
 
-    # simulate and evaluate each test day
-    reports, skipped = {}, []
-    beats_nd = beats_kl = 0
-    for k, date in enumerate(test_dates):
-        values, mask = pv[date]
-        if not _scorable(values, mask):
-            skipped.append(date)
-            continue
-        fan = _fan_for_day(preds[k], _initial_state(preds[k], values, mask),
-                           cfg, seed=_day_seed(cfg.seed, 70000 + k))
-        rep = evaluate(EvalInput(fan=fan, actual=values, mask=mask))
-        reports[date] = rep
-        if rep.nd < nd_metric(clim_median, values, mask):
-            beats_nd += 1
-        if rep.kl < kl_divergence(values[mask], clim_pool):
-            beats_kl += 1
+    pred_of = dict(zip(test_dates, preds))
+    reports, skipped = _evaluate_days(
+        pv, test_dates,
+        lambda d: _day_fan(cfg, d, pred_of[d],
+                           _initial_state(pred_of[d], *pv[d])),
+        os.path.join(out_dir, "eval.json"))
     if not reports:
         raise ValueError("no held-out day can be scored")
+    beats_nd = sum(rep.nd < nd_metric(clim_median, *pv[d])
+                   for d, rep in reports.items())
+    beats_kl = sum(rep.kl < kl_divergence(pv[d][0][pv[d][1]], clim_pool)
+                   for d, rep in reports.items())
 
     # slot accuracy against the dataset's generating parameters, if known
     slot_rmse = None
@@ -512,27 +543,19 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
                         / np.abs(T[:, i, :]).mean())
             for i, name in enumerate(("a", "b", "beta", "c", "d"))}
 
-    # summary artifacts
-    header = ("date,picp90,kl,risk50,risk90,nd,nrmse,acf_mismatch\n")
-    lines = [f"{d},{rep.to_csv_row()}" for d, rep in reports.items()]
-    _atomic_text(os.path.join(out_dir, "metrics.csv"),
-                 header + "\n".join(lines) + "\n")
     n_test = len(reports)
     summary = dict(
         n_days=len(dates), n_train=n_train, n_test=n_test,
-        picp90_mean=float(np.mean([r.picp90 for r in reports.values()])),
-        nd_mean=float(np.mean([r.nd for r in reports.values()])),
-        kl_mean=float(np.mean([r.kl for r in reports.values()])),
-        nrmse_mean=float(np.mean([r.nrmse for r in reports.values()])),
-        acf_mismatch_mean=float(np.mean([r.acf_mismatch
-                                         for r in reports.values()])),
+        **{f"{k}_mean": float(np.mean([getattr(r, k)
+                                       for r in reports.values()]))
+           for k in ("picp90", "nd", "kl", "nrmse", "acf_mismatch")},
         beats_climatology_nd=beats_nd / n_test,
         beats_climatology_kl=beats_kl / n_test,
         slot_rmse=slot_rmse,
         train_rmse_mean=float(np.mean(list(model.train_rmse.values()))),
     )
-    _atomic_text(os.path.join(out_dir, "summary.json"),
-                 json.dumps(summary, sort_keys=True, indent=1))
+    with _atomic(os.path.join(out_dir, "summary.json")) as f:
+        f.write(json.dumps(summary, sort_keys=True, indent=1))
     # wall-clock time is reported but kept out of the on-disk artifact so
     # seeded re-runs reproduce the output directory byte for byte
     return dict(summary, skipped=skipped,

@@ -189,7 +189,12 @@ def simulate_hour(theta: SdeParams, p0, step_seconds=30.0, n_steps=120,
 
 @dataclass(frozen=True)
 class SimulationFan:
-    """Monte-Carlo path bundle with cached per-step quantiles."""
+    """Monte-Carlo path bundle with cached per-step quantiles.
+
+    The quantiles and mean may summarize more paths than ``paths`` holds:
+    a forecast fan keeps the first ``dump_paths`` of its ``n_paths`` paths,
+    as its file does.
+    """
 
     paths: np.ndarray              # (n_paths, n_steps)
     step_seconds: float
@@ -208,33 +213,22 @@ class SimulationFan:
         raise KeyError(f"quantile level {level} not cached "
                        f"(have {self.quantile_levels})")
 
-    def to_csv(self, path_or_buf, n_dump: int):
-        """Write `step,mean,q05,q25,q50,q75,q95` rows, then the first
-        ``n_dump`` raw paths as `P,v0,v1,...` rows.
+    def to_csv(self, f):
+        """Write `step,mean,q05,q25,q50,q75,q95` rows, then every path as
+        a `P,v0,v1,...` row, to the text file ``f``.
 
         Every number is written as ``%.17g``, which round-trips any finite
         double, so ``pipeline.read_fan_csv`` reads back bit-identical
         paths, mean and quantiles.  Rows are written one at a time, so the
         file text is never held in memory whole.
         """
-        close = False
-        if isinstance(path_or_buf, (str, bytes)):
-            f = open(path_or_buf, "w")
-            close = True
-        else:
-            f = path_or_buf
-        try:
-            names = ["q%02d" % round(100 * lv) for lv in self.quantile_levels]
-            f.write("step,mean," + ",".join(names) + "\n")
-            row = "%d" + ",%.17g" * (1 + len(names)) + "\n"
-            block = np.column_stack([self.mean, self.quantiles.T]).tolist()
-            f.writelines(row % (i, *r) for i, r in enumerate(block))
-            row = "P" + ",%.17g" * self.n_steps + "\n"
-            f.writelines(row % tuple(p.tolist())
-                         for p in self.paths[:n_dump])
-        finally:
-            if close:
-                f.close()
+        names = ["q%02d" % round(100 * lv) for lv in self.quantile_levels]
+        f.write("step,mean," + ",".join(names) + "\n")
+        row = "%d" + ",%.17g" * (1 + len(names)) + "\n"
+        block = np.column_stack([self.mean, self.quantiles.T]).tolist()
+        f.writelines(row % (i, *r) for i, r in enumerate(block))
+        row = "P" + ",%.17g" * self.n_steps + "\n"
+        f.writelines(row % tuple(p.tolist()) for p in self.paths)
 
 
 DEFAULT_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)

@@ -111,9 +111,11 @@ def ingest_weather(path: str, grid: HourGrid = HourGrid()):
                 f"line 1: missing columns {sorted(missing)}")
         for line, row in enumerate(reader, start=2):
             ts = (row.get("timestamp") or "").strip()
-            if len(ts) < 13 or ts[10] not in "T ":
+            date, hour = ts[:10], ts[11:13]
+            if (len(ts) < 13 or ts[10] not in "T " or not hour.isdecimal()
+                    or int(hour) > 23):
                 raise WeatherFormatError(f"line {line}: bad timestamp {ts!r}")
-            date, hour = ts[:10], int(ts[11:13])
+            hour = int(hour)
             vals = {k: _float_field(row, k, line)
                     for k in ("temperature", "humidity", "pressure",
                               "precipitation", "wind_speed", "cloud",
@@ -160,13 +162,10 @@ def impute_days(raw_days, medians=None):
     return days, medians
 
 
-def write_weather_csv(path: str, rows) -> None:
-    """Inverse of ingest_weather for generated datasets.
-
-    ``rows`` yields dicts keyed by CSV_COLUMNS.
-    """
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(CSV_COLUMNS))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+def write_weather_csv(f, rows) -> None:
+    """Inverse of ingest_weather for generated datasets: write ``rows``,
+    dicts keyed by CSV_COLUMNS, to the text file ``f`` (opened with
+    ``newline=""``)."""
+    writer = csv.DictWriter(f, fieldnames=list(CSV_COLUMNS))
+    writer.writeheader()
+    writer.writerows(rows)

@@ -204,13 +204,6 @@ class TestEvaluate:
         assert rep.risk50 == pytest.approx(rep.nd, abs=1e-12)
         assert rep.picp90 == picp(inp, 0.90)
 
-    def test_csv_row_matches_json(self):
-        import json
-        rep = evaluate(_sde_input())
-        row = [float(x) for x in rep.to_csv_row().split(",")]
-        doc = json.loads(rep.to_json())
-        assert row[0] == doc["picp90"] and row[4] == doc["nd"]
-
     def test_requires_some_valid_samples(self):
         inp0 = _sde_input()
         with pytest.raises(ValueError):

@@ -2,6 +2,9 @@
 
 import json
 import os
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +85,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,bad", [
         ("n_paths", 0), ("n_members", 0), ("hidden_size", 0), ("m", 0),
-        ("n_days", 0), ("step_seconds", 0.0), ("step_seconds", -30.0)])
+        ("n_days", 0), ("step_seconds", 0.0), ("step_seconds", -30.0),
+        ("start_hour", -1), ("start_hour", 13), ("seed", -1)])
     def test_sizes_that_fail_inside_a_command_rejected(self, key, bad):
         with pytest.raises(ValueError, match=key):
             RunConfig(**{key: bad})
@@ -137,8 +141,36 @@ class TestPvCsv:
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "pv.csv"
-        path.write_text("date,step,power,valid\n2018-01-01,0,oops,1\n")
-        with pytest.raises(ValueError, match="line 2"):
+        for row in ("2018-01-01,0,oops,1", "2018-01-01,0,0.5",
+                    "2018-01-01,-1,0.5,1"):
+            path.write_text(f"date,step,power,valid\n\n{row}\n")
+            with pytest.raises(ValueError,
+                               match=f"^{path}:3: malformed PV row"):
+                ingest_pv(str(path))
+
+    def test_sample_sits_at_its_step(self, tmp_path):
+        # a step missing from one day is masked, not filled by the next
+        # sample; every day is as long as the file's largest step + 1
+        path = tmp_path / "pv.csv"
+        path.write_text("date,step,power,valid\n"
+                        "2018-01-01,0,0.1,1\n2018-01-01,1,0.2,1\n"
+                        "2018-01-01,2,0.3,1\n2018-01-01,4,0.5,1\n"
+                        "2018-01-02,1,0.7,0\n2018-01-02,0,0.6,1\n")
+        got = ingest_pv(str(path))
+        np.testing.assert_array_equal(got["2018-01-01"][0],
+                                      [0.1, 0.2, 0.3, 0.0, 0.5])
+        np.testing.assert_array_equal(got["2018-01-01"][1],
+                                      [True, True, True, False, True])
+        np.testing.assert_array_equal(got["2018-01-02"][0],
+                                      [0.6, 0.7, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(got["2018-01-02"][1],
+                                      [True, False, False, False, False])
+
+    def test_repeated_step_rejected(self, tmp_path):
+        path = tmp_path / "pv.csv"
+        path.write_text("date,step,power,valid\n2018-01-01,0,0.1,1\n"
+                        "2018-01-01,1,0.2,1\n2018-01-01,1,0.2,1\n")
+        with pytest.raises(ValueError, match=f"^{path}:4: repeated step 1"):
             ingest_pv(str(path))
 
 
@@ -148,7 +180,7 @@ class TestFanCsv:
         fan = make_fan(day, 0.5, n_paths=40, seed=2, substeps=1,
                        quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.9, 0.95))
         path = str(tmp_path / "fan.csv")
-        write_fan_csv(path, fan, n_dump=10)
+        write_fan_csv(path, replace(fan, paths=fan.paths[:10]))
         got = read_fan_csv(path, 30.0)
         assert got.paths.shape == (10, 120)
         np.testing.assert_array_equal(got.paths, fan.paths[:10])
@@ -161,7 +193,8 @@ class TestFanCsv:
         day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
         fan = make_fan(day, 0.5, n_paths=20, seed=3, substeps=1)
         path = str(tmp_path / "fan.csv")
-        fan.to_csv(path, 20)
+        with open(path, "w") as f:
+            fan.to_csv(f)
         got = read_fan_csv(path, 30.0)
         np.testing.assert_array_equal(got.paths, fan.paths)
         np.testing.assert_array_equal(got.quantiles, fan.quantiles)
@@ -181,7 +214,7 @@ def _fan_file(tmp_path, n_paths=4, n_steps=6):
                         quantiles=fan.quantiles[:, :n_steps],
                         mean=fan.mean[:n_steps])
     path = tmp_path / "fan.csv"
-    write_fan_csv(str(path), fan, n_dump=n_paths)
+    write_fan_csv(str(path), fan)
     return path, path.read_text().splitlines()
 
 
@@ -240,7 +273,7 @@ def test_fan_file_round_trip_is_bit_exact(tmp_path_factory, data):
                         quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95),
                         quantiles=values[n_paths:-1], mean=values[-1])
     path = str(tmp_path_factory.mktemp("fan") / "fan.csv")
-    write_fan_csv(path, fan, n_dump=n_paths)
+    write_fan_csv(path, fan)
     got = read_fan_csv(path, 30.0)
     assert got.paths.tobytes() == fan.paths.tobytes()
     assert got.quantiles.tobytes() == fan.quantiles.tobytes()
@@ -276,7 +309,7 @@ class TestCommands:
             (tmp_path / "run" / "summary.json").read_text())
         assert summary["n_train"] + summary["n_test"] == 14
         assert 0.0 <= summary["picp90_mean"] <= 1.0
-        assert (tmp_path / "run" / "metrics.csv").exists()
+        assert (tmp_path / "run" / "eval.json").exists()
         assert (tmp_path / "run" / "model" / "manifest.json").exists()
         capsys.readouterr()
         # failures produce machine-readable JSON on stderr, nonzero exit
@@ -349,6 +382,35 @@ class TestCommands:
         pred = read_params_json(str(tmp_path / "pred.json"))
         assert read_params_json(str(run / "params_predicted.json")) == dict(
             pred, days={d: pred["days"][d] for d in test})
+        pv = os.path.join(ds, "pv.csv")
+        cmd_simulate(E2E, str(run / "params_predicted.json"),
+                     str(tmp_path / "fans"), pv)
+        cmd_evaluate(E2E, str(tmp_path / "fans"), pv,
+                     str(tmp_path / "eval.json"))
+        assert ((tmp_path / "eval.json").read_bytes()
+                == (run / "eval.json").read_bytes())
+
+    def test_a_day_does_not_depend_on_its_neighbours(self, tmp_path):
+        # a day's identified parameters and its fan are the same whether
+        # the input files hold it alone or among other days
+        ds = tmp_path / "ds"
+        cmd_synth(SMALL, str(ds))
+        pv = ingest_pv(str(ds / "pv.csv"))
+        date = sorted(pv)[2]
+        write_pv_csv(str(tmp_path / "alone.csv"), [date], [pv[date][0]],
+                     [pv[date][1]])
+        for tag, pv_path in (("all", ds / "pv.csv"),
+                             ("alone", tmp_path / "alone.csv")):
+            cmd_identify(SMALL, str(pv_path), str(tmp_path / f"{tag}.json"))
+            cmd_simulate(SMALL, str(tmp_path / f"{tag}.json"),
+                         str(tmp_path / f"fans_{tag}"), str(pv_path))
+        entries = [json.dumps(read_params_json(
+            str(tmp_path / f"{tag}.json"))["days"][date])
+            for tag in ("all", "alone")]
+        assert entries[0] == entries[1]
+        fans = [(tmp_path / f"fans_{tag}" / f"fan_{date}.csv").read_bytes()
+                for tag in ("all", "alone")]
+        assert fans[0] == fans[1]
 
     def test_unscorable_held_out_days_are_skipped(self, tmp_path):
         # no valid sample, no two consecutive valid samples, a stuck
@@ -370,9 +432,8 @@ class TestCommands:
         res = cmd_e2e(E2E, ds, str(run))
         assert res["skipped"] == [dead, sparse, stuck]
         assert res["n_test"] == len(test) - 3
-        scored = [line.split(",")[0] for line
-                  in (run / "metrics.csv").read_text().splitlines()[1:]]
-        assert scored == test[3:]
+        scored = json.loads((run / "eval.json").read_text())
+        assert sorted(scored) == test[3:]
         cmd_simulate(E2E, str(run / "params_predicted.json"),
                      str(tmp_path / "fans"), pv_path)
         res = cmd_evaluate(E2E, str(tmp_path / "fans"), pv_path,
@@ -409,3 +470,23 @@ class TestCommands:
                 p1 = os.path.join(root, name)
                 p2 = p1.replace(str(tmp_path / "r1"), str(tmp_path / "r2"))
                 assert open(p1, "rb").read() == open(p2, "rb").read(), p1
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # every `pvsde ...` line of the README's command-line block, in order,
+    # on a small config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line.split("#", 1)[0] for line in readme.splitlines()
+             if line.startswith("pvsde ")]
+    assert [shlex.split(line)[1] for line in lines] == [
+        "synth", "identify", "train", "predict", "simulate", "evaluate",
+        "e2e"]
+    (tmp_path / "run.cfg").write_text(
+        "n_days = 14\nm = 3\nstart_hour = 9\nn_members = 3\n"
+        "hidden_size = 10\nn_paths = 40\ndump_paths = 10\nsplit = 0.75\n")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = ["--config", "run.cfg"] + shlex.split(line)[1:]
+        assert cli_main(argv) == 0, (line, capsys.readouterr().err)
+    rows = json.loads((tmp_path / "eval.json").read_text())
+    assert len(rows) == 14

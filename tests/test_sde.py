@@ -256,7 +256,7 @@ class TestFan:
     def test_csv_round_trip_of_quantiles(self):
         fan = self._fan(n_paths=50)
         buf = io.StringIO()
-        fan.to_csv(buf, n_dump=50)
+        fan.to_csv(buf)
         lines = buf.getvalue().splitlines()
         header = lines[0].split(",")
         assert header[:2] == ["step", "mean"]

@@ -110,13 +110,22 @@ class TestIngest:
         with pytest.raises(WeatherFormatError, match="timestamp"):
             ingest_weather(path, GRID)
 
+    @pytest.mark.parametrize("ts", ["2018-01-05Tab:00", "2018-01-05T31:00",
+                                    "2018-01-05T24:00"])
+    def test_timestamp_hour_outside_the_day_rejected(self, tmp_path, ts):
+        path = _write(tmp_path, f"{ts},1,2,3,4,5,E,6,7\n")
+        with pytest.raises(WeatherFormatError,
+                           match=f"line 2: bad timestamp '{ts}'"):
+            ingest_weather(path, GRID)
+
     def test_round_trip_through_writer(self, tmp_path):
         rows = [dict(timestamp=f"2018-01-05T{h:02d}:00", temperature=24.1,
                      humidity=57, pressure=1004.4, precipitation=0,
                      wind_speed=11.3, wind_direction="E", cloud=6,
                      irradiance=2.27) for h in range(7, 10)]
         path = str(tmp_path / "w.csv")
-        write_weather_csv(path, rows)
+        with open(path, "w", newline="") as f:
+            write_weather_csv(f, rows)
         days, dropped = ingest_weather(path, GRID)
         assert len(days) == 1 and dropped == []
 

@@ -6,8 +6,9 @@ and fan seeds are functions of (master seed, stage, date label) alone, so
 a day's parameters and fan do not depend on the other days of its input
 file, and the ensemble's member streams derive from the master seed.
 Every artifact is written atomically (temp file + rename) and is
-re-ingestible by the command that consumes it.  The workflow operates on
-the discrete 30-second Euler transition end to end — the data generator,
+re-ingestible by the command that consumes it; a fan is a quantile CSV
+and its paths as ``.npy``.  The workflow operates on the discrete 30-second
+Euler transition end to end — the data generator,
 the estimator's internal matching simulations, and the forecast fans all
 step the same chain — so identified parameters mean the same thing at
 every stage.  The weather-to-parameter mapping is hour-local: each hour's
@@ -113,11 +114,11 @@ def load_config(path: str | None, overrides=None) -> RunConfig:
 
 
 @contextmanager
-def _atomic(path: str, newline=None):
-    """A text file written as ``path + ".tmp"`` and renamed onto ``path``
-    once the block completes, so no reader sees a partial file."""
+def _atomic(path: str, mode="w", newline=None):
+    """A file opened in ``mode`` as ``path + ".tmp"`` and renamed onto
+    ``path`` once the block completes, so no reader sees a partial file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline=newline) as f:
+    with open(tmp, mode, newline=newline) as f:
         yield f
     os.replace(tmp, path)
 
@@ -221,20 +222,28 @@ def ingest_pv(path: str):
 
 
 # ---------------------------------------------------------------------------
-# fan CSV (quantile block + path block)
+# fan files: a CSV quantile block and the dumped paths as .npy next to it
 
 
 def write_fan_csv(path: str, fan: SimulationFan) -> None:
+    """Write the paths as little-endian float64 ``.npy`` next to ``path``,
+    then ``path``: one ``step,mean,q05,...`` row per step, in ``%.17g``
+    (which round-trips any finite double).  A fan whose CSV exists is whole."""
+    with _atomic(os.path.splitext(path)[0] + ".npy", "wb") as f:
+        np.save(f, np.ascontiguousarray(fan.paths, dtype="<f8"))
+    names = ["q%02d" % round(100 * lv) for lv in fan.quantile_levels]
+    row = "%d" + ",%.17g" * (1 + len(names)) + "\n"
+    block = np.column_stack([fan.mean, fan.quantiles.T]).tolist()
     with _atomic(path) as f:
-        fan.to_csv(f)
+        f.write("step,mean," + ",".join(names) + "\n")
+        f.writelines(row % (i, *r) for i, r in enumerate(block))
 
 
 def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
-    """Read a fan file written by ``write_fan_csv``, each row parsed into a
-    float64 row.  A malformed header or cell, a quantile row of the wrong
-    width or a ``P`` row whose length is not the quantile block's row count
-    is reported as ``path:line``."""
-    quantiles, paths = [], []
+    """Read the fan ``write_fan_csv`` wrote to ``path``.  A malformed CSV
+    header, cell or row is reported as ``path:line``; paths that are not a
+    float64 (n >= 1, CSV rows) array, or are pickled, name the ``.npy``."""
+    quantiles = []
     with open(path) as f:
         header = f.readline().strip().split(",")
         try:
@@ -242,32 +251,27 @@ def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
         except ValueError:
             raise ValueError(f"{path}:1: malformed fan header") from None
         for line_no, line in enumerate(f, start=2):
-            cells = line.rstrip("\n").split(",")
-            is_path = cells[0] == "P"
             try:
-                row = np.array(cells[is_path:], dtype=np.float64)
+                row = np.array(line.rstrip().split(","), dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
-            if is_path:
-                if row.size != len(quantiles):
-                    raise ValueError(
-                        f"{path}:{line_no}: P row has {row.size} values, "
-                        f"the quantile block {len(quantiles)} rows")
-                paths.append(row)
-            elif paths:
-                raise ValueError(
-                    f"{path}:{line_no}: quantile row after the P rows")
-            elif row.size != len(header):
+            if row.size != len(header):
                 raise ValueError(f"{path}:{line_no}: quantile row has "
                                  f"{row.size} cells, the header "
                                  f"{len(header)}")
-            else:
-                quantiles.append(row)
-    if not paths:
-        raise ValueError(f"{path}: fan file carries no sample paths")
-    q = np.array(quantiles)
-    return SimulationFan(paths=np.array(paths),
-                         step_seconds=step_seconds,
+            quantiles.append(row)
+    npy = os.path.splitext(path)[0] + ".npy"
+    try:
+        paths = np.load(npy, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValueError(f"{npy}: unreadable fan paths ({exc})") from None
+    if (paths.dtype != np.float64 or paths.ndim != 2 or len(paths) < 1
+            or paths.shape[1] != len(quantiles)):
+        raise ValueError(f"{npy}: fan paths are {paths.dtype} of shape "
+                         f"{paths.shape}, need float64 (n >= 1, "
+                         f"{len(quantiles)}) for the quantile block's rows")
+    q = np.array(quantiles).reshape(-1, len(header))
+    return SimulationFan(paths=paths, step_seconds=step_seconds,
                          quantile_levels=tuple(levels),
                          quantiles=q[:, 2:].T, mean=q[:, 1])
 
@@ -297,6 +301,9 @@ def _weather_csv_rows(dates, weather_days):
 
 def _load_weather_days(path: str, cfg: RunConfig, medians=None):
     raw_days, dropped = ingest_weather(path, cfg.grid)
+    if not raw_days:
+        raise ValueError(f"{path}: no usable weather day ({len(dropped)} "
+                         f"dropped for missing fields)")
     days, medians = impute_days(raw_days, medians)
     return {d.date: d for d in days}, medians, dropped
 

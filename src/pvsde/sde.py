@@ -14,7 +14,8 @@ of paths under per-hour or per-path parameters and a given noise source.
 It has three callers: the data generator (``synth.synth_generate``, every
 synthetic day one path), the estimator's matching simulations (every
 hour's paths in one call, with per-path parameters) and the forecast fans
-(``make_fan``).
+(``make_fan``).  A fan's on-disk form, a quantile CSV with its paths in a
+``.npy`` next to it, is written and read by ``pipeline`` alone.
 """
 
 from __future__ import annotations
@@ -193,7 +194,8 @@ class SimulationFan:
 
     The quantiles and mean may summarize more paths than ``paths`` holds:
     a forecast fan keeps the first ``dump_paths`` of its ``n_paths`` paths,
-    as its file does.
+    as its files do: ``pipeline.write_fan_csv`` puts ``mean`` and
+    ``quantiles`` in ``fan_<date>.csv`` and ``paths`` in ``fan_<date>.npy``.
     """
 
     paths: np.ndarray              # (n_paths, n_steps)
@@ -212,23 +214,6 @@ class SimulationFan:
                 return q
         raise KeyError(f"quantile level {level} not cached "
                        f"(have {self.quantile_levels})")
-
-    def to_csv(self, f):
-        """Write `step,mean,q05,q25,q50,q75,q95` rows, then every path as
-        a `P,v0,v1,...` row, to the text file ``f``.
-
-        Every number is written as ``%.17g``, which round-trips any finite
-        double, so ``pipeline.read_fan_csv`` reads back bit-identical
-        paths, mean and quantiles.  Rows are written one at a time, so the
-        file text is never held in memory whole.
-        """
-        names = ["q%02d" % round(100 * lv) for lv in self.quantile_levels]
-        f.write("step,mean," + ",".join(names) + "\n")
-        row = "%d" + ",%.17g" * (1 + len(names)) + "\n"
-        block = np.column_stack([self.mean, self.quantiles.T]).tolist()
-        f.writelines(row % (i, *r) for i, r in enumerate(block))
-        row = "P" + ",%.17g" * self.n_steps + "\n"
-        f.writelines(row % tuple(p.tolist()) for p in self.paths)
 
 
 DEFAULT_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)

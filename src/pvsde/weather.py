@@ -101,6 +101,8 @@ def ingest_weather(path: str, grid: HourGrid = HourGrid()):
     Returns ``(days, dropped)``: ``days`` is a list of ``(date, features)``
     with features of shape (m * 9,) possibly containing NaN for missing
     fields; ``dropped`` lists dates discarded for exceeding 20% missing.
+    A malformed row or a repeated (date, hour) raises
+    ``WeatherFormatError`` with its line.
     """
     per_day: dict[str, dict[int, np.ndarray]] = {}
     with open(path, newline="") as f:
@@ -123,7 +125,11 @@ def ingest_weather(path: str, grid: HourGrid = HourGrid()):
             _validate(vals, line)
             wd_raw = (row.get("wind_direction") or "").strip()
             angle = wind_to_angle(wd_raw, line) if wd_raw else math.nan
-            per_day.setdefault(date, {})[hour] = encode_hour(
+            day = per_day.setdefault(date, {})
+            if hour in day:
+                raise WeatherFormatError(
+                    f"line {line}: repeated hour {hour:02d} of {date}")
+            day[hour] = encode_hour(
                 vals["temperature"], vals["humidity"], vals["pressure"],
                 vals["precipitation"], vals["wind_speed"], angle,
                 vals["cloud"], vals["irradiance"])

@@ -188,18 +188,6 @@ class TestFanCsv:
         np.testing.assert_array_equal(got.mean, fan.mean)
         assert got.quantile_levels == fan.quantile_levels
 
-    def test_to_csv_reads_back(self, tmp_path):
-        # the fan's own writer and the pipeline's reader share one format
-        day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
-        fan = make_fan(day, 0.5, n_paths=20, seed=3, substeps=1)
-        path = str(tmp_path / "fan.csv")
-        with open(path, "w") as f:
-            fan.to_csv(f)
-        got = read_fan_csv(path, 30.0)
-        np.testing.assert_array_equal(got.paths, fan.paths)
-        np.testing.assert_array_equal(got.quantiles, fan.quantiles)
-        assert got.quantile_levels == fan.quantile_levels
-
 
 # doubles whose shortest repr is short, long, subnormal, signed or huge
 EDGE_FLOATS = (5e-324, -5e-324, -0.0, 0.0, 1 / 3, 0.1, 1e308, -1e308,
@@ -235,27 +223,57 @@ class TestFanCsvErrors:
         with pytest.raises(ValueError, match=f"{path}:1: "):
             read_fan_csv(str(path), 30.0)
 
-    def test_path_row_of_wrong_length_names_file_and_line(self, tmp_path):
+    def test_fan_is_a_quantile_csv_and_a_float64_npy(self, tmp_path):
         path, lines = _fan_file(tmp_path)
-        lines[-2] = lines[-2].rsplit(",", 1)[0]    # one value short
+        assert len(lines) == 1 + 6
+        assert [line.split(",")[0] for line in lines[1:]] == list(
+            map(str, range(6)))
+        paths = np.load(tmp_path / "fan.npy", allow_pickle=False)
+        assert paths.dtype == np.dtype("<f8") and paths.shape == (4, 6)
+        assert paths.flags.c_contiguous
+
+    def test_path_row_of_the_old_layout_names_file_and_line(self, tmp_path):
+        # a fan file from before the .npy layout carries P rows
+        path, lines = _fan_file(tmp_path)
+        lines.append("P" + ",0.5" * 6)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"{path}:{len(lines) - 1}: P "
-                                             "row has 5 values"):
+        with pytest.raises(ValueError, match=f"^{path}:{len(lines)}: .*'P'"):
             read_fan_csv(str(path), 30.0)
 
-    def test_quantile_block_of_wrong_length_names_file_and_line(
-            self, tmp_path):
+    def test_quantile_block_of_wrong_length_names_the_npy(self, tmp_path):
         path, lines = _fan_file(tmp_path)
-        del lines[6]                               # the last quantile row
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"{path}:7: P row has 6 "
-                                             "values, the quantile block 5"):
+        path.write_text("\n".join(lines[:-1]) + "\n")  # last row gone
+        npy = tmp_path / "fan.npy"
+        with pytest.raises(ValueError, match=f"^{npy}: .*\\(4, 6\\), need "
+                                             "float64 \\(n >= 1, 5\\)"):
             read_fan_csv(str(path), 30.0)
 
-    def test_quantile_row_after_paths_rejected(self, tmp_path):
-        path, lines = _fan_file(tmp_path)
-        path.write_text("\n".join(lines + lines[1:2]) + "\n")
-        with pytest.raises(ValueError, match=f"{path}:{len(lines) + 1}: "):
+    @pytest.mark.parametrize("paths", [
+        np.full((4, 6), 0.5, dtype=np.float32),
+        np.full(6, 0.5),                            # 1-D
+        np.empty((0, 6)),                           # no path
+    ], ids=["float32", "1-D", "empty"])
+    def test_paths_of_wrong_shape_or_dtype_name_the_npy(self, tmp_path,
+                                                        paths):
+        path, _ = _fan_file(tmp_path)
+        npy = tmp_path / "fan.npy"
+        np.save(npy, paths)
+        with pytest.raises(ValueError, match=f"^{npy}: fan paths are "):
+            read_fan_csv(str(path), 30.0)
+
+    def test_missing_paths_name_the_npy(self, tmp_path):
+        path, _ = _fan_file(tmp_path)
+        npy = tmp_path / "fan.npy"
+        npy.unlink()
+        with pytest.raises(ValueError, match=f"^{npy}: unreadable"):
+            read_fan_csv(str(path), 30.0)
+
+    def test_pickled_paths_are_refused(self, tmp_path):
+        path, _ = _fan_file(tmp_path)
+        npy = tmp_path / "fan.npy"
+        np.save(npy, np.array([[0.5] * 6] * 4, dtype=object),
+                allow_pickle=True)
+        with pytest.raises(ValueError, match=f"^{npy}: unreadable.*pickle"):
             read_fan_csv(str(path), 30.0)
 
 
@@ -294,6 +312,35 @@ class TestCommands:
         assert len(doc["days"]) == 6
         day, flags = obj_to_day_params(next(iter(doc["days"].values())))
         assert day.m == 3
+
+    def test_simulate_writes_one_csv_and_one_npy_per_day(self, tmp_path):
+        # the .npy and the CSV are each renamed into place: no .tmp is left
+        ds, fans = tmp_path / "ds", tmp_path / "fans"
+        cmd_synth(SMALL, str(ds))
+        res = cmd_simulate(SMALL, str(ds / "true_params.json"), str(fans),
+                           str(ds / "pv.csv"))
+        dates = read_params_json(str(ds / "true_params.json"))["days"]
+        assert res["days"] == len(dates) == 6
+        assert sorted(os.listdir(fans)) == sorted(
+            f"fan_{d}.{ext}" for d in dates for ext in ("csv", "npy"))
+
+    def test_weather_with_no_usable_day_names_the_file(self, tmp_path):
+        ds = tmp_path / "ds"
+        cmd_synth(E2E, str(ds))
+        cmd_train(E2E, str(ds / "weather.csv"),
+                  str(ds / "true_params.json"), str(tmp_path / "model"))
+        path = tmp_path / "weather.csv"
+        header = (ds / "weather.csv").read_text().splitlines()[0]
+        one_hour = "2018-01-05T09:00,24,57,1004,0,11,E,6,2.3"   # 2 of 3 gone
+        for body, n_dropped in (("", 0), (one_hour, 1)):
+            path.write_text(header + "\n" + body)
+            match = f"^{path}: no usable weather day \\({n_dropped} dropped"
+            with pytest.raises(ValueError, match=match):
+                cmd_train(E2E, str(path), str(ds / "true_params.json"),
+                          str(tmp_path / "model2"))
+            with pytest.raises(ValueError, match=match):
+                cmd_predict(E2E, str(tmp_path / "model"), str(path),
+                            str(tmp_path / "pred.json"))
 
     def test_cli_chain_and_error_json(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -408,9 +455,10 @@ class TestCommands:
             str(tmp_path / f"{tag}.json"))["days"][date])
             for tag in ("all", "alone")]
         assert entries[0] == entries[1]
-        fans = [(tmp_path / f"fans_{tag}" / f"fan_{date}.csv").read_bytes()
-                for tag in ("all", "alone")]
-        assert fans[0] == fans[1]
+        for ext in ("csv", "npy"):
+            fans = [(tmp_path / f"fans_{tag}" / f"fan_{date}.{ext}")
+                    .read_bytes() for tag in ("all", "alone")]
+            assert fans[0] == fans[1], ext
 
     def test_unscorable_held_out_days_are_skipped(self, tmp_path):
         # no valid sample, no two consecutive valid samples, a stuck

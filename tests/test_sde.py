@@ -1,11 +1,10 @@
 """Tests for the bounded mean-reverting diffusion and its simulator."""
 
-import io
-
 import numpy as np
 import pytest
 from scipy import stats
 
+from pvsde.pipeline import write_fan_csv
 from pvsde.sde import (DayParams, SdeParams, SimulationFan, StabilityError,
                        _sorted_quantiles, euler_paths, make_fan, project_params, simulate_hour,
                        stationary_beta_shapes, stationary_density,
@@ -253,15 +252,13 @@ class TestFan:
         with pytest.raises(KeyError):
             fan.quantile(0.33)
 
-    def test_csv_round_trip_of_quantiles(self):
+    def test_csv_round_trip_of_quantiles(self, tmp_path):
         fan = self._fan(n_paths=50)
-        buf = io.StringIO()
-        fan.to_csv(buf)
-        lines = buf.getvalue().splitlines()
+        write_fan_csv(str(tmp_path / "fan.csv"), fan)
+        lines = (tmp_path / "fan.csv").read_text().splitlines()
         header = lines[0].split(",")
-        assert header[:2] == ["step", "mean"]
-        assert len(lines) == 1 + fan.n_steps + 50
-        assert lines[-1].split(",")[0] == "P"
+        assert header == ["step", "mean", "q05", "q25", "q50", "q75", "q95"]
+        assert len(lines) == 1 + fan.n_steps       # no path rows
         row = lines[1].split(",")
         assert float(row[1]) == fan.mean[0]
         assert float(row[2]) == fan.quantiles[0][0]

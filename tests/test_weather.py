@@ -84,6 +84,14 @@ class TestIngest:
         days, dropped = ingest_weather(_write(tmp_path, body), GRID)
         assert days == [] and dropped == ["2018-01-05"]
 
+    def test_repeated_hour_rejected_with_line(self, tmp_path):
+        body = _full_day("2018-01-01")
+        again = body.splitlines()[0].replace("24.1", "30.0")
+        path = _write(tmp_path, body + again + "\n")
+        with pytest.raises(WeatherFormatError,
+                           match="^line 5: repeated hour 07 of 2018-01-01$"):
+            ingest_weather(path, GRID)
+
     def test_bad_okta_rejected_with_line(self, tmp_path):
         path = _write(tmp_path, _full_day("2018-01-05", cloud=10))
         with pytest.raises(WeatherFormatError, match="line 2.*okta"):

@@ -12,17 +12,18 @@ smallest 20% of the member outputs per parameter, averages the rest and
 projects the result onto the valid parameter set.
 
 An hour's members see only that hour's p features, the hour-major slice
-of the day's feature vector.  The hidden layers come from one draw of a
-stream seeded by the master seed alone, kept apart from the bootstrap
-stream, so a saved model holds only the output weights and regenerates the
-hidden layers on load.
+of the day's feature vector.  Training draws the hidden layers once, from a
+stream seeded by the master seed alone and kept apart from the bootstrap
+stream.  A saved model stores all three arrays, so loading one draws no
+random numbers and does not depend on numpy keeping a generator's stream
+stable across versions.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,8 @@ DEFAULT_HIDDEN = 100
 DEFAULT_MEMBERS = 200
 TRIM_FRACTION = 0.20
 MIN_SLOT_PAIRS = 10
-_FORMAT_VERSION = 2
-_WEIGHTS_FILE = "output_weights.npy"
+_FORMAT_VERSION = 3
+_ARRAY_FILES = ("hidden_weights", "hidden_biases", "output_weights")
 
 
 class TrainingError(RuntimeError):
@@ -69,27 +70,18 @@ def _streams(master_seed: int):
 class EnsembleModel:
     """Per-hour stacks of M multi-output ELMs and the shared feature scaler.
 
-    The hidden layers are not arguments: they are drawn from
-    ``master_seed`` on construction.
+    ``master_seed`` is the seed the hidden layers and bootstrap resamples
+    were drawn from; the model itself uses only the arrays.
     """
 
-    output_weights: np.ndarray      # (m, M, K, 5)
+    hidden_weights: np.ndarray = field(repr=False)   # (m, M, K, p)
+    hidden_biases: np.ndarray = field(repr=False)    # (m, M, K)
+    output_weights: np.ndarray = field(repr=False)   # (m, M, K, 5)
     master_seed: int
-    scaler_mean: np.ndarray         # (input_dim,)
-    scaler_std: np.ndarray          # (input_dim,)
+    scaler_mean: np.ndarray         # (m * p,)
+    scaler_std: np.ndarray          # (m * p,)
     feature_names: tuple[str, ...] = ()
     train_rmse: dict = field(default_factory=dict)
-    input_weights: np.ndarray = field(init=False, repr=False)  # (m,M,K,p)
-    biases: np.ndarray = field(init=False, repr=False)         # (m, M, K)
-
-    def __post_init__(self):
-        m, M, K, _ = self.output_weights.shape
-        if self.input_dim % m:
-            raise ValueError("the features must split evenly by hour")
-        p = self.input_dim // m
-        rng = _streams(self.master_seed)[0]
-        self.input_weights = rng.standard_normal((m, M, K, p))
-        self.biases = rng.standard_normal((m, M, K))
 
     @property
     def m(self) -> int:
@@ -109,13 +101,14 @@ class EnsembleModel:
 
     def _hour_inputs(self, X, hour: int):
         """Standardized feature columns (N, p) feeding one hour."""
-        p = self.input_weights.shape[-1]
+        p = self.hidden_weights.shape[-1]
         cols = slice(hour * p, (hour + 1) * p)
         return (X[:, cols] - self.scaler_mean[cols]) / self.scaler_std[cols]
 
     def _hour_outputs(self, Z, hour: int):
         """Trimmed mean over members of the raw parameters (N, 5)."""
-        H = hidden_layer(Z, self.input_weights[hour], self.biases[hour])
+        H = hidden_layer(Z, self.hidden_weights[hour],
+                         self.hidden_biases[hour])
         return trimmed_mean(H @ self.output_weights[hour])
 
 
@@ -145,16 +138,21 @@ def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
         raise ValueError("hidden_size and n_members must be >= 1")
     m = pairs[0][1].m
     X_all = np.stack([w.features for w, _ in pairs])
+    if X_all.shape[1] % m:
+        raise ValueError("the features must split evenly by hour")
     mean, std = fit_scaler(X_all)
     targets = np.stack([dp.as_matrix() for _, dp in pairs])   # (N, 5, m)
     trusted = (np.ones((len(pairs), m), dtype=bool) if flags is None
                else ~np.asarray(flags, dtype=bool))
+    hidden_rng, boot_rng = _streams(master_seed)
+    shape = (m, n_members, hidden_size)
     model = EnsembleModel(
-        output_weights=np.zeros((m, n_members, hidden_size,
-                                 len(PARAM_NAMES))),
+        hidden_weights=hidden_rng.standard_normal(
+            shape + (X_all.shape[1] // m,)),
+        hidden_biases=hidden_rng.standard_normal(shape),
+        output_weights=np.zeros(shape + (len(PARAM_NAMES),)),
         master_seed=master_seed, scaler_mean=mean, scaler_std=std,
         feature_names=tuple(pairs[0][0].feature_names))
-    boot_rng = _streams(master_seed)[1]
     for hour in range(m):
         keep = trusted[:, hour]
         if int(keep.sum()) < MIN_SLOT_PAIRS:
@@ -165,7 +163,8 @@ def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
                         targets=targets[keep, :, hour])
         boots = [bootstrap_resample(data, boot_rng) for _ in range(n_members)]
         H = hidden_layer(np.stack([bt.inputs for bt in boots]),
-                         model.input_weights[hour], model.biases[hour])
+                         model.hidden_weights[hour],
+                         model.hidden_biases[hour])
         model.output_weights[hour] = solve_output_weights(
             H, np.stack([bt.targets for bt in boots]), ridge)
         err = model._hour_outputs(data.inputs, hour) - data.targets
@@ -198,12 +197,17 @@ def predict_params_batch(model: EnsembleModel, days, log=None):
 
 
 # ---------------------------------------------------------------------------
-# persistence: manifest.json + the output weights as one .npy file; the
-# hidden layers are regenerated from the master seed.
+# persistence: the three arrays as <name>.npy files, then manifest.json.
 
 
 def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
+    """Write the arrays first and the manifest last, so a model directory
+    whose manifest is new is complete."""
     os.makedirs(out_dir, exist_ok=True)
+    for name in _ARRAY_FILES:
+        with _atomic(os.path.join(out_dir, name + ".npy")) as f:
+            np.save(f, np.ascontiguousarray(getattr(model, name),
+                                            dtype="<f8"))
     manifest = dict(format_version=_FORMAT_VERSION, m=model.m,
                     hidden_size=model.hidden_size,
                     n_members=model.n_members,
@@ -214,42 +218,47 @@ def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
                     scaler_std=model.scaler_std.tolist(),
                     train_rmse=model.train_rmse,
                     param_names=list(PARAM_NAMES))
-    _atomic_write(os.path.join(out_dir, "manifest.json"),
-                  json.dumps(manifest, sort_keys=True, indent=1).encode())
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(model.output_weights, dtype="<f8"))
-    _atomic_write(os.path.join(out_dir, _WEIGHTS_FILE), buf.getvalue())
+    with _atomic(os.path.join(out_dir, "manifest.json")) as f:
+        f.write(json.dumps(manifest, sort_keys=True, indent=1).encode())
 
 
 def load_ensemble(model_dir: str) -> EnsembleModel:
     with open(os.path.join(model_dir, "manifest.json")) as f:
         man = json.load(f)
     if man.get("format_version") != _FORMAT_VERSION:
-        raise ValueError("unsupported ensemble format version")
-    # the weights' shape shows neither the input layout nor the trim
-    # fraction older manifests carry; other values would predict garbage
-    if (man.get("hour_local", True) is not True
-            or man.get("trim_fraction", TRIM_FRACTION) != TRIM_FRACTION):
-        raise ValueError("model was trained with full-day inputs or another "
-                         "trim fraction; retrain it")
-    p = man["input_dim"]
+        raise ValueError("unsupported ensemble format version; retrain")
+    m, n_in = man["m"], man["input_dim"]
     mean = np.array(man["scaler_mean"], dtype=float)
     std = np.array(man["scaler_std"], dtype=float)
-    if mean.shape != (p,) or std.shape != (p,):
-        raise ValueError("manifest scaler length does not match input_dim")
-    V = np.load(os.path.join(model_dir, _WEIGHTS_FILE), allow_pickle=False)
-    want = (man["m"], man["n_members"], man["hidden_size"], len(PARAM_NAMES))
-    if V.shape != want or V.dtype != np.float64:
-        raise ValueError(f"{_WEIGHTS_FILE} holds {V.dtype} {V.shape}, "
-                         f"the manifest says float64 {want}")
-    return EnsembleModel(output_weights=V, master_seed=man["master_seed"],
+    if mean.shape != (n_in,) or std.shape != (n_in,) or n_in % m:
+        raise ValueError("manifest scaler length does not match input_dim "
+                         "or does not split evenly by hour")
+    members = (m, man["n_members"], man["hidden_size"])
+    shapes = (members + (n_in // m,), members, members + (len(PARAM_NAMES),))
+    arrays = {name: _load_array(os.path.join(model_dir, name + ".npy"), want)
+              for name, want in zip(_ARRAY_FILES, shapes)}
+    return EnsembleModel(**arrays, master_seed=man["master_seed"],
                          scaler_mean=mean, scaler_std=std,
                          feature_names=tuple(man["feature_names"]),
                          train_rmse=man["train_rmse"])
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _load_array(path: str, want: tuple) -> np.ndarray:
+    try:
+        a = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: unreadable model array ({exc})") from None
+    if a.shape != want or a.dtype != np.float64:
+        raise ValueError(f"{path} holds {a.dtype} {a.shape}, "
+                         f"the manifest says float64 {want}")
+    return a
+
+
+@contextmanager
+def _atomic(path: str):
+    """``path + ".tmp"`` opened for binary writing and renamed onto
+    ``path`` once the block completes, so no reader sees a partial file."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        f.write(data)
+        yield f
     os.replace(tmp, path)

@@ -343,10 +343,11 @@ def _train(cfg: RunConfig, weather: dict, days: dict, medians, out_dir: str):
     model = train_ensemble(pairs, hidden_size=cfg.hidden_size,
                            n_members=cfg.n_members, master_seed=cfg.seed,
                            flags=flags, ridge=cfg.ridge)
-    save_ensemble(model, out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     with _atomic(os.path.join(out_dir, "impute.json")) as f:
         f.write(json.dumps(dict(medians=list(map(float, medians))),
                            sort_keys=True))
+    save_ensemble(model, out_dir)   # manifest.json last: the model is whole
     return model, len(pairs)
 
 

@@ -14,8 +14,12 @@ of paths under per-hour or per-path parameters and a given noise source.
 It has three callers: the data generator (``synth.synth_generate``, every
 synthetic day one path), the estimator's matching simulations (every
 hour's paths in one call, with per-path parameters) and the forecast fans
-(``make_fan``).  A fan's on-disk form, a quantile CSV with its paths in a
-``.npy`` next to it, is written and read by ``pipeline`` alone.
+(``make_fan``).  It steps in place: every substep writes into two scratch
+buffers allocated once per call and into the state itself, and evaluates
+the step's products in one fixed order, so each caller's output is the
+same to the bit as the allocating form of the step.  A fan's on-disk
+form, a quantile CSV with its paths in a ``.npy`` next to it, is written
+and read by ``pipeline`` alone.
 """
 
 from __future__ import annotations
@@ -147,6 +151,7 @@ def euler_paths(params, p0, dt_units, n_steps, substeps, noise):
     params = np.asarray(params, dtype=float)
     p = np.array(p0, dtype=float, ndmin=1)
     out = np.empty((params.shape[0] * n_steps, p.size))
+    drift, diff = np.empty((2, p.size))       # scratch of every substep
     # per-hour rows as Python floats: numpy scalars slow every step ~15%
     rows = params.tolist() if params.ndim == 2 else params
     k = 0
@@ -158,12 +163,31 @@ def euler_paths(params, p0, dt_units, n_steps, substeps, noise):
                 f"a*dt = {np.max(a) * h:.3f} > {_MAX_A_DT}; "
                 "reduce the step or increase substeps")
         sq = np.sqrt(h)
+        scaled = h != 1.0     # x * 1.0 is x; fans and matching run at h = 1
         p = _clamp_interior(p, c, d)
         for row in range(i * n_steps, (i + 1) * n_steps):
             for _ in range(sub):
-                s2 = beta * np.maximum(0.0, p - c) * np.maximum(0.0, d - p)
-                p = p + a * (b - p) * h + np.sqrt(s2) * sq * noise[k]
-                np.clip(p, c, d, out=p)
+                # p + (a (b - p)) h + (sqrt(beta (p - c) (d - p)) sqrt(h)) z
+                # in this order: drift ends as p plus the drift term, and p
+                # holds d - p until the sum overwrites it.  The hour-start
+                # clamp and every substep's clip keep p in [c, d], so p - c
+                # and d - p are >= +0 and need no floor at zero.
+                np.subtract(b, p, out=drift)
+                np.multiply(drift, a, out=drift)
+                if scaled:
+                    np.multiply(drift, h, out=drift)
+                np.add(drift, p, out=drift)
+                np.subtract(p, c, out=diff)
+                np.multiply(diff, beta, out=diff)
+                np.subtract(d, p, out=p)
+                np.multiply(diff, p, out=diff)
+                np.sqrt(diff, out=diff)
+                if scaled:
+                    np.multiply(diff, sq, out=diff)
+                np.multiply(diff, noise[k], out=diff)
+                np.add(drift, diff, out=p)
+                np.maximum(p, c, out=p)
+                np.minimum(p, d, out=p)
                 k += 1
             out[row] = p
     return out

@@ -1,6 +1,7 @@
 """Tests for the bagged weather-to-parameter ensemble."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -171,28 +172,24 @@ class TestPersistence:
             assert a == b, name
 
     def test_hour_local_round_trip(self, tmp_path):
-        # manifests of this format written before the input layout and the
-        # trim fraction became fixed carry them as keys
+        # a format-2 directory (output weights only, the manifest carrying
+        # hour_local and trim_fraction) regenerated its hidden layers on
+        # load; it is refused rather than read
         pairs = _make_pairs(n_days=16)
         model = train_ensemble(pairs, hidden_size=10, n_members=5,
                                master_seed=8)
         root = tmp_path / "model"
         save_ensemble(model, str(root))
         man = json.loads((root / "manifest.json").read_text())
+        assert man["format_version"] == 3
         assert "hour_local" not in man and "trim_fraction" not in man
-        man.update(hour_local=True, trim_fraction=0.2)
+        (root / "hidden_weights.npy").unlink()
+        (root / "hidden_biases.npy").unlink()
+        man.update(format_version=2, hour_local=True, trim_fraction=0.2)
         (root / "manifest.json").write_text(json.dumps(man))
-        clone = load_ensemble(str(root))
-        day = pairs[5][0]
-        np.testing.assert_array_equal(
-            predict_params_batch(model, [day])[0].as_matrix(),
-            predict_params_batch(clone, [day])[0].as_matrix())
-        # a full-day model or another trim fraction would load with the
-        # same weight shape and predict garbage
-        for bad in (dict(hour_local=False), dict(trim_fraction=0.1)):
-            (root / "manifest.json").write_text(json.dumps({**man, **bad}))
-            with pytest.raises(ValueError, match="retrain"):
-                load_ensemble(str(root))
+        with pytest.raises(ValueError, match="unsupported ensemble format "
+                                             "version; retrain"):
+            load_ensemble(str(root))
 
     def test_model_dir_must_match_its_manifest(self, tmp_path):
         pairs = _make_pairs(n_days=16)
@@ -201,7 +198,8 @@ class TestPersistence:
         root = tmp_path / "model"
         save_ensemble(model, str(root))
         assert sorted(p.name for p in root.iterdir()) == [
-            "manifest.json", "output_weights.npy"]
+            "hidden_biases.npy", "hidden_weights.npy", "manifest.json",
+            "output_weights.npy"]
         # a weights file of another shape than the manifest declares
         np.save(root / "output_weights.npy", model.output_weights[:, :4])
         with pytest.raises(ValueError, match="manifest"):
@@ -212,3 +210,58 @@ class TestPersistence:
         (root / "manifest.json").write_text(json.dumps(man))
         with pytest.raises(ValueError, match="format version"):
             load_ensemble(str(root))
+
+    @pytest.mark.parametrize("name", ["hidden_weights", "hidden_biases"])
+    def test_bad_hidden_array_names_its_file(self, tmp_path, name):
+        pairs = _make_pairs(n_days=16)
+        model = train_ensemble(pairs, hidden_size=10, n_members=5,
+                               master_seed=10)
+        root = tmp_path / "model"
+        save_ensemble(model, str(root))
+        good = getattr(model, name)
+        path = root / f"{name}.npy"
+        for bad in (good[:, :4], good.astype(np.float32)):
+            np.save(path, bad)
+            with pytest.raises(ValueError, match=f"{name}.npy holds"):
+                load_ensemble(str(root))
+        np.save(path, np.array([{"w": 1}], dtype=object), allow_pickle=True)
+        with pytest.raises(ValueError,
+                           match=f"{name}.npy: unreadable model array"):
+            load_ensemble(str(root))
+        path.unlink()
+        with pytest.raises(ValueError, match=f"{name}.npy: unreadable"):
+            load_ensemble(str(root))
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        pairs = _make_pairs(n_days=16)
+        model = train_ensemble(pairs, hidden_size=10, n_members=5,
+                               master_seed=11)
+        save_ensemble(model, str(tmp_path / "model"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_ensemble drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        clone = load_ensemble(str(tmp_path / "model"))
+        monkeypatch.undo()
+        for name in ("hidden_weights", "hidden_biases", "output_weights"):
+            np.testing.assert_array_equal(getattr(clone, name),
+                                          getattr(model, name))
+
+    def test_manifest_is_written_last(self, tmp_path, monkeypatch):
+        model = train_ensemble(_make_pairs(n_days=16), hidden_size=10,
+                               n_members=5, master_seed=12)
+        placed = []
+        replace = os.replace
+
+        def record(src, dst):
+            placed.append(os.path.basename(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", record)
+        save_ensemble(model, str(tmp_path / "model"))
+        assert placed[-1] == "manifest.json"
+        assert sorted(placed[:-1]) == ["hidden_biases.npy",
+                                       "hidden_weights.npy",
+                                       "output_weights.npy"]
+        assert not list((tmp_path / "model").glob("*.tmp"))

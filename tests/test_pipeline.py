@@ -421,7 +421,10 @@ class TestCommands:
         weather = os.path.join(ds, "weather.csv")
         cmd_train(E2E, weather, str(run / "params_identified.json"),
                   str(tmp_path / "model"))
-        for name in ("impute.json", "manifest.json", "output_weights.npy"):
+        names = sorted(p.name for p in (run / "model").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "model").iterdir())
+        assert "hidden_weights.npy" in names and "impute.json" in names
+        for name in names:
             assert ((tmp_path / "model" / name).read_bytes()
                     == (run / "model" / name).read_bytes()), name
         cmd_predict(E2E, str(tmp_path / "model"), weather,

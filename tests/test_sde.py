@@ -1,5 +1,7 @@
 """Tests for the bounded mean-reverting diffusion and its simulator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,6 +11,7 @@ from pvsde.sde import (DayParams, SdeParams, SimulationFan, StabilityError,
                        _sorted_quantiles, euler_paths, make_fan, project_params, simulate_hour,
                        stationary_beta_shapes, stationary_density,
                        stationary_sample)
+from pvsde.synth import SyntheticSpec, synth_generate
 
 CLEAR = SdeParams(a=0.3298, b=0.8333, beta=0.0348, c=0.6895, d=0.8477)
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
@@ -97,6 +100,58 @@ class TestEulerPaths:
             single = euler_paths(per_path[:, :, j], p0[j], 1.0, 40, [2, 1],
                                  noise[:, j:j + 1])
             np.testing.assert_array_equal(paths[:, j], single[:, 0])
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for x in arrays:
+        h.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenKernel:
+    """The kernel's output bytes, pinned by digests of the allocating
+    step ``p + a (b - p) h + sqrt(beta (p - c) (d - p)) sqrt(h) z``.
+
+    Any reordering of the step's products changes some of these bytes.
+    The first case steps at h = 0.75 and 0.375, where scaling by h is
+    inexact; the per-path case and the fan's one-substep hours run at
+    h = 1, as the estimator's matching and the forecast fans do.
+    """
+
+    def test_hourly_params_mixed_substeps(self):
+        rng = np.random.default_rng(41)
+        hours = np.stack([CLEAR.as_array(), CLOUDY.as_array(),
+                          CLEAR.as_array()])
+        paths = euler_paths(hours, np.linspace(0.2, 0.95, 64), 0.75, 40,
+                            [1, 2, 1], rng.standard_normal((160, 64)))
+        assert _sha256(paths) == ("c3ca79593cb7bda83a781b2a8f5f2851"
+                                  "b40f1e72917be07e3f0593767b906ce3")
+
+    def test_per_path_params(self):
+        rng = np.random.default_rng(41)
+        rng.standard_normal((160, 64))
+        n = 96
+        lo, hi = rng.uniform(0.05, 0.4, n), rng.uniform(0.6, 1.0, n)
+        per_path = np.stack([rng.uniform(0.05, 0.45, n), rng.uniform(lo, hi),
+                             rng.uniform(0.0, 0.3, n), lo, hi])[None]
+        paths = euler_paths(per_path, rng.uniform(lo, hi), 1.0, 120, [1],
+                            rng.standard_normal((120, n)))
+        assert _sha256(paths) == ("c6f7db6454a0af3491a6c1e8a0f1d8a9"
+                                  "f72409d48f736a8e758d7ad8541ee74a")
+
+    def test_fan(self):
+        # auto substeps: 2 on the CLEAR hours (h = 0.5), 1 on CLOUDY
+        fan = make_fan(DayParams(hours=(CLEAR, CLOUDY, CLEAR)), 0.75,
+                       n_paths=300, seed=13)
+        assert _sha256(fan.paths, fan.quantiles, fan.mean) == (
+            "34dac1f1178909a5703ca863ef0aeedf6cd679097276d667112a1d78356aa58a")
+
+    def test_synth_week(self):
+        _, _, pv, _ = synth_generate(SyntheticSpec(n_days=7),
+                                     np.random.default_rng(17))
+        assert _sha256(*pv) == ("f378800ec3d365380022b4e90ada36f2"
+                                "f85dbd1835f56710e7bc6436240b312f")
 
 
 class TestSimulateHour:

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elm import (DEFAULT_RIDGE, TrainSet, fit_scaler, hidden_layer,
-                  solve_output_weights)
+from .elm import DEFAULT_RIDGE, fit_scaler, hidden_layer, solve_output_weights
 from .sde import DayParams, project_params
 
 PARAM_NAMES = ("a", "b", "beta", "c", "d")
@@ -112,14 +111,6 @@ class EnsembleModel:
         return trimmed_mean(H @ self.output_weights[hour])
 
 
-def bootstrap_resample(data: TrainSet, rng) -> TrainSet:
-    """Uniform with-replacement resample of the same size."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    idx = rng.integers(0, data.n, size=data.n)
-    return TrainSet(inputs=data.inputs[idx], targets=data.targets[idx])
-
-
 def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
                    n_members: int = DEFAULT_MEMBERS, master_seed: int = 0,
                    flags=None, ridge: float = DEFAULT_RIDGE
@@ -159,15 +150,14 @@ def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
             raise TrainingError(
                 f"hour={hour}: only {int(keep.sum())} valid days "
                 f"(need {MIN_SLOT_PAIRS})")
-        data = TrainSet(inputs=model._hour_inputs(X_all[keep], hour),
-                        targets=targets[keep, :, hour])
-        boots = [bootstrap_resample(data, boot_rng) for _ in range(n_members)]
-        H = hidden_layer(np.stack([bt.inputs for bt in boots]),
-                         model.hidden_weights[hour],
+        Z = model._hour_inputs(X_all[keep], hour)
+        T = targets[keep, :, hour]
+        # one with-replacement resample of the n days per member (row)
+        idx = boot_rng.integers(0, len(Z), size=(n_members, len(Z)))
+        H = hidden_layer(Z[idx], model.hidden_weights[hour],
                          model.hidden_biases[hour])
-        model.output_weights[hour] = solve_output_weights(
-            H, np.stack([bt.targets for bt in boots]), ridge)
-        err = model._hour_outputs(data.inputs, hour) - data.targets
+        model.output_weights[hour] = solve_output_weights(H, T[idx], ridge)
+        err = model._hour_outputs(Z, hour) - T
         for pi, pname in enumerate(PARAM_NAMES):
             model.train_rmse[f"h{hour}_{pname}"] = float(
                 np.sqrt(np.mean(err[:, pi] ** 2)))

@@ -13,10 +13,12 @@ and time is counted from an hour's first valid sample.  The pieces are:
   samples sticking to an extreme pin the bound just outside it, and a
   boundary that the likelihood pushes far away (the objective is nearly
   flat in the far bound) is re-fit by matching the simulated path variance;
-* reversion rate a: the raw lag-1 regression slope is mapped through a
-  simulation-tabulated small-sample calibration curve, then refined by
-  indirect inference — simulate short paths from the current estimate and
-  adjust a until the simulated slope statistic matches the observed one;
+* reversion rate a: the raw lag-1 regression slope is debiased by
+  inverting Kendall's (1954) small-sample bias of the AR(1) slope,
+  E[phi_hat] = phi − (1 + 3·phi)/N, at the hour's own valid-pair count N,
+  then refined by indirect inference — simulate short paths from the
+  current estimate and adjust a until the simulated slope statistic
+  matches the observed one;
 * mean level b: generalized least squares on the relaxation curve
   ``b + (v0 − b)(1 − a·dt)^t`` over the valid samples at their true time
   indices, which stays accurate when the hour is a transient rather than a
@@ -52,6 +54,7 @@ from .sde import (TIME_UNIT_SECONDS, DayParams, SdeParams, euler_paths,
                   project_params)
 
 A_MIN = 1e-4
+A_CAP_UNITS = 0.45         # keeps a·dt safely inside the Euler stability bound
 BETA_MIN = 1e-6
 BETA_MAX = 1.0
 SIGMA2_FLOOR = 1e-12
@@ -66,7 +69,6 @@ _N_MATCH = 64               # simulated paths per indirect-inference step
 _N_VAR_ITERS = 5            # variance-matching steps per runaway boundary
 _N_BOOT = 16                # bootstrap replicas for the beta rescaling
 _N_BOOT_INNER = 24          # simulated paths inside each bootstrap replica
-_A_CAP_UNITS = 0.45         # keeps a·dt safely inside the Euler stability bound
 _BOOT_MIN_A = 0.1           # below this rate the bootstrap rescaling is skipped
 _RUNAWAY_FRAC = 0.3         # boundary offset (in spans) that triggers variance matching
 _STICKY_COUNT = 3           # exact repeats at an extreme that pin the bound
@@ -77,20 +79,6 @@ DEFAULT_SEED = 1729
 # matching stages: stage k of an hour seeded s draws from default_rng([s, k])
 (_STAGE_A_FIRST, _STAGE_A_SECOND, _STAGE_VAR_HIGH, _STAGE_VAR_LOW,
  _STAGE_BOOT, _STAGE_BOOT_VAR_HIGH, _STAGE_BOOT_VAR_LOW) = range(7)
-
-# Small-sample calibration of the lag-1 regression slope, tabulated by
-# simulation on 120-transition series: PHI is the true one-step
-# autoregressive coefficient, EPHI the mean of the raw slope estimate.
-_PHI_GRID = np.array([
-    0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85,
-    0.905, 0.915, 0.925, 0.935, 0.945, 0.955, 0.965, 0.975, 0.985, 0.995,
-])
-_EPHI_GRID = np.array([
-    0.04012, 0.13775, 0.23622, 0.33323, 0.42985, 0.52812, 0.62514,
-    0.72205, 0.81974, 0.87212, 0.88102, 0.89046, 0.90036, 0.90919,
-    0.91850, 0.92723, 0.93606, 0.94443, 0.95250,
-])
-_CAL_N = 120                # transition count the table was built at
 
 # flags of the diffusion repairs, in the order they are reported
 _REPAIR_FLAGS = ("boundary-pinned-low", "boundary-pinned-high",
@@ -148,8 +136,6 @@ class HourSamples:
 @dataclass
 class FitReport:
     params: SdeParams
-    diffusion_objective: float
-    drift_objective: float
     iterations: int
     converged: bool
     flags: tuple[str, ...] = ()
@@ -203,20 +189,16 @@ def _masked_var(P, mask, axis):
     return _msum(dev * dev, mask, axis) / n
 
 
-def _invert_phi(phi_raw, n_trans):
-    """Map raw lag-1 slopes to debiased coefficients.
+def _pair_count(s):
+    """Valid transition pairs N of each row, at least 4 so that Kendall's
+    inversion below stays finite and increasing."""
+    return np.maximum(s.pm.sum(axis=1), 4)
 
-    Uses the tabulated calibration directly at its native series length and
-    rescales the tabulated bias by 1/N for other lengths (the leading bias
-    term of the slope estimator decays like 1/N).
-    """
-    phi = np.interp(phi_raw, _EPHI_GRID, _PHI_GRID)
-    far = np.abs(n_trans - _CAL_N) > 2
-    scale = _CAL_N / np.maximum(n_trans, 2)
-    for _ in range(2):
-        bias = (np.interp(phi, _PHI_GRID, _EPHI_GRID) - phi) * scale
-        phi = np.where(far, np.clip(phi_raw - bias, -0.99, 0.9995), phi)
-    return phi
+
+def _debias_phi(phi_raw, n):
+    """Invert Kendall's bias E[phi_hat] = phi − (1 + 3 phi)/N of the lag-1
+    regression slope over N pairs; d E[phi_hat]/d phi = 1 − 3/N."""
+    return np.clip((n * phi_raw + 1.0) / (n - 3.0), -0.99, 0.9995)
 
 
 def _e2(s, dt, a, b):
@@ -228,14 +210,6 @@ def _profiled_beta(e2, W, pm, dt):
     """Closed-form beta that minimizes the Gaussian pseudo-likelihood."""
     beta = _msum(e2, pm, 1) / np.maximum(_msum(W, pm, 1) * dt, 1e-14)
     return np.clip(beta, BETA_MIN, BETA_MAX)
-
-
-def _gauss_nll(s, dt, a, b, beta, c, d):
-    """Gaussian pseudo negative log-likelihood of the one-step transitions."""
-    X = s.X
-    V = np.maximum(beta[:, None] * dt * (X - c[:, None]) * (d[:, None] - X),
-                   SIGMA2_FLOOR)
-    return 0.5 * _msum(np.log(V) + _e2(s, dt, a, b) / V, s.pm, 1)
 
 
 def _reprofile_beta(s, dt, a, b, c, d):
@@ -341,10 +315,10 @@ def _fit_diffusion_mle(s, dt, a, b):
     z0 = np.full((len(a), 2), math.log(0.05))
     z, _, nit, converged = _nelder_mead_batch(
         lambda z, rows: nll_parts(z, rows)[0], z0)
-    nll, beta, c, d = nll_parts(z, np.arange(len(a)))
+    _, beta, c, d = nll_parts(z, np.arange(len(a)))
     c = np.maximum(c, s.lo - 3.0 * s.span)
     d = np.minimum(d, s.hi + 3.0 * s.span)
-    return beta, c, d, nll, converged, nit
+    return beta, c, d, converged, nit
 
 
 def _clamp_b(b, c, d):
@@ -368,7 +342,7 @@ def _fit_b_relaxation(s, dt, a, c, d):
 def _make_params(a, b, beta, c, d, dt):
     """Project each row onto valid parameters, keeping a inside the
     Euler-stable box; (5, B) rows a, b, beta, c, d."""
-    cap = _A_CAP_UNITS / dt
+    cap = A_CAP_UNITS / dt
     return np.array([
         project_params(min(max(ai, A_MIN), cap), _clamp_b(bi, ci, di),
                        be, ci, di).as_array()
@@ -392,10 +366,11 @@ def _simulate_matching(theta, p0, dt, block):
 def _fit_a_indirect(s, dt, beta, c, d, phi_obs, a, b, rng, iters):
     """Refine a by matching the simulated lag-1 slope to the observed one.
 
-    The update uses the local slope of the calibration curve as the
+    The update uses the slope 1 − 3/N of Kendall's bias curve as the
     Jacobian of the simulated statistic with respect to the coefficient.
     """
     pm = np.repeat(s.pm.T, _N_MATCH, axis=1)
+    slope = 1.0 - 3.0 / _pair_count(s)
     for _ in range(iters):
         theta = _make_params(a, b, beta, c, d, dt)
         P = _simulate_matching(theta, s.v[:, 0], dt, rng.standard_normal(
@@ -403,13 +378,8 @@ def _fit_a_indirect(s, dt, beta, c, d, phi_obs, a, b, rng, iters):
         cov, vx = _lag1(P[:-1], P[1:], pm, 0)
         slopes = np.where(vx > 1e-14, cov / np.maximum(vx, 1e-14), 1.0)
         phi_sim = slopes.reshape(-1, _N_MATCH).mean(axis=1)
-        phi0 = 1.0 - theta[0] * dt
-        hi_ = np.minimum(phi0 + 0.02, 0.999)
-        lo_ = np.maximum(phi0 - 0.02, 0.01)
-        slope = (np.interp(hi_, _PHI_GRID, _EPHI_GRID)
-                 - np.interp(lo_, _PHI_GRID, _EPHI_GRID)) / (hi_ - lo_)
-        phi_new = phi0 + _DAMP * (phi_obs - phi_sim) / slope
-        a = np.clip((1.0 - phi_new) / dt, A_MIN, _A_CAP_UNITS / dt)
+        phi_new = 1.0 - theta[0] * dt + _DAMP * (phi_obs - phi_sim) / slope
+        a = np.clip((1.0 - phi_new) / dt, A_MIN, A_CAP_UNITS / dt)
         b = _fit_b_relaxation(s, dt, a, c, d)
     return a, b
 
@@ -450,7 +420,7 @@ def _diffusion_pipeline(s, dt, a, b, seed, n_paths, stages):
     two ``stages``.  Returns the fit and a (B, 4) mask of the repairs in
     ``_REPAIR_FLAGS``.
     """
-    beta, c, d, nll, converged, nit = _fit_diffusion_mle(s, dt, a, b)
+    beta, c, d, converged, nit = _fit_diffusion_mle(s, dt, a, b)
     pin_lo = (((s.v <= s.lo[:, None] + 1e-9) & s.m).sum(axis=1)
               >= _STICKY_COUNT)
     pin_hi = (((s.v >= s.hi[:, None] - 1e-9) & s.m).sum(axis=1)
@@ -467,15 +437,15 @@ def _diffusion_pipeline(s, dt, a, b, seed, n_paths, stages):
                 side, np.random.default_rng([seed, stage]), n_paths)
     beta = _reprofile_beta(s, dt, a, b, c, d)
     repairs = np.stack([pin_lo, pin_hi, run_hi, run_lo], axis=1)
-    return beta, c, d, nll, converged, nit, repairs
+    return beta, c, d, converged, nit, repairs
 
 
 def _initial_drift(s, dt):
     """Moment-matching starting point for (a, b) before any refinement."""
     cov, vx = _lag1(s.X, s.Y, s.pm, 1)
     phi_raw = cov / np.maximum(vx, 1e-14)
-    phi = _invert_phi(phi_raw, s.pm.sum(axis=1))
-    a = np.clip((1.0 - phi) / dt, A_MIN, _A_CAP_UNITS / dt)
+    phi = _debias_phi(phi_raw, _pair_count(s))
+    a = np.clip((1.0 - phi) / dt, A_MIN, A_CAP_UNITS / dt)
     b = _fit_b_relaxation(s, dt, a, s.lo - 0.05 * s.span,
                           s.hi + 0.05 * s.span)
     return a, b, phi_raw
@@ -506,7 +476,7 @@ def _identify_rows(s, dt, seed):
     a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b,
                            np.random.default_rng([seed, _STAGE_A_FIRST]),
                            iters=3)
-    beta, c, d, nll_diff, converged, nit, repairs = _diffusion_pipeline(
+    beta, c, d, converged, nit, repairs = _diffusion_pipeline(
         s, dt, a, b, seed, _N_MATCH, (_STAGE_VAR_HIGH, _STAGE_VAR_LOW))
     a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b,
                            np.random.default_rng([seed, _STAGE_A_SECOND]),
@@ -522,16 +492,13 @@ def _identify_rows(s, dt, seed):
                              / np.maximum(mean_boot, 1e-9), BETA_MIN, BETA_MAX)
 
     theta = _make_params(a, b, beta, c, d, dt)
-    nll = _gauss_nll(s, dt, *theta)
     reports = []
     for i in range(len(a)):
         flags = [f for f, hit in zip(_REPAIR_FLAGS, repairs[i]) if hit]
         if boot[i]:
             flags.append("bootstrap-rescaled")
         reports.append(FitReport(
-            params=SdeParams(*theta[:, i].tolist()),
-            diffusion_objective=float(nll_diff[i]),
-            drift_objective=float(nll[i]), iterations=int(nit[i]),
+            params=SdeParams(*theta[:, i].tolist()), iterations=int(nit[i]),
             converged=bool(converged[i]), flags=tuple(flags)))
     return reports
 
@@ -562,9 +529,7 @@ def identify_hours(values, valid, h: float = 30.0,
         params = project_params(A_MIN, float(v.mean()), BETA_MIN,
                                 float(v.min()) - DEGENERATE_DELTA,
                                 float(v.max()) + DEGENERATE_DELTA)
-        reports[i] = FitReport(params=params, diffusion_objective=0.0,
-                               drift_objective=0.0, iterations=0,
-                               converged=True,
+        reports[i] = FitReport(params=params, iterations=0, converged=True,
                                flags=("non-volatile", "degenerate"))
     live = np.flatnonzero(~flat)
     if live.size:
@@ -644,7 +609,6 @@ def _fill_invalid_hours(reports):
         mean = [float(np.mean([getattr(p, f) for p in ps]))
                 for f in ("a", "b", "beta", "c", "d")]
         params = project_params(*mean)
-        filled[i] = FitReport(params=params, diffusion_objective=math.nan,
-                              drift_objective=math.nan, iterations=0,
-                              converged=False, flags=("interpolated",))
+        filled[i] = FitReport(params=params, iterations=0, converged=False,
+                              flags=("interpolated",))
     return filled

@@ -29,9 +29,10 @@ import numpy as np
 
 from .ensemble import (load_ensemble, predict_params_batch, save_ensemble,
                        train_ensemble)
-from .estimation import AllHoursInvalidError, identify_day
+from .estimation import A_CAP_UNITS, AllHoursInvalidError, identify_day
 from .metrics import EvalInput, evaluate, kl_divergence, nd as nd_metric
-from .sde import DayParams, SimulationFan, make_fan, project_params
+from .sde import (TIME_UNIT_SECONDS, DayParams, SimulationFan, make_fan,
+                  project_params)
 from .synth import SyntheticSpec, synth_generate
 from .weather import (CSV_COLUMNS, HourGrid, impute_days, ingest_weather,
                       write_weather_csv)
@@ -280,7 +281,13 @@ def _day_fan(cfg: RunConfig, date: str, day: DayParams, p0: float):
     """A day's fan as its file carries it: quantiles and mean over all
     ``n_paths`` paths, and the first ``dump_paths`` paths copied
     C-contiguous (a strided slice of the paths can score differently in
-    the last bit from the read-back fan)."""
+    the last bit from the read-back fan).
+
+    A fan takes one Euler step per sample, so each hour's a is capped
+    where the estimator caps its fits (a·dt at most ``A_CAP_UNITS``); a
+    predicted or hand-written a may exceed the Euler stability bound."""
+    cap = A_CAP_UNITS / (cfg.step_seconds / TIME_UNIT_SECONDS)
+    day = DayParams(tuple(replace(h, a=min(h.a, cap)) for h in day.hours))
     fan = make_fan(day, p0, step_seconds=cfg.step_seconds,
                    n_paths=cfg.n_paths, seed=_day_seed(cfg.seed, _FAN, date),
                    quantile_levels=EVAL_QUANTILE_LEVELS, substeps=1)

@@ -306,13 +306,6 @@ def stationary_beta_shapes(theta: SdeParams):
     return alpha, bshape
 
 
-def stationary_density(theta: SdeParams, p):
-    """Analytic stationary density: Beta(alpha, bshape) rescaled to [c, d]."""
-    alpha, bshape = stationary_beta_shapes(theta)
-    return stats.beta.pdf(np.asarray(p, dtype=float), alpha, bshape,
-                          loc=theta.c, scale=theta.d - theta.c)
-
-
 def stationary_sample(theta: SdeParams, size, rng):
     """Draw from the analytic stationary law (testing/initialization aid)."""
     alpha, bshape = stationary_beta_shapes(theta)

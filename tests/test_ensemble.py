@@ -1,15 +1,15 @@
 """Tests for the bagged weather-to-parameter ensemble."""
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from pvsde.ensemble import (TrainingError, WeatherDay, bootstrap_resample,
-                            load_ensemble, predict_params_batch,
-                            save_ensemble, train_ensemble, trimmed_mean)
-from pvsde.elm import TrainSet
+from pvsde.ensemble import (TrainingError, WeatherDay, load_ensemble,
+                            predict_params_batch, save_ensemble,
+                            train_ensemble, trimmed_mean)
 from pvsde.sde import DayParams, SdeParams
 
 
@@ -56,25 +56,6 @@ class TestTrimmedMean:
         assert trimmed_mean(np.array([3.0])) == 3.0
         v = np.array([1.0, 2.0, 4.0])
         assert trimmed_mean(v) == pytest.approx(v.mean())
-
-
-class TestBootstrap:
-    def test_resample_shape_and_membership(self):
-        rng = np.random.default_rng(4)
-        data = TrainSet(inputs=np.arange(20.0).reshape(10, 2),
-                        targets=np.arange(10.0))
-        boot = bootstrap_resample(data, rng)
-        assert boot.inputs.shape == (10, 2)
-        assert set(boot.targets) <= set(data.targets)
-
-    def test_expected_distinct_fraction(self):
-        # with replacement, a large resample keeps ~63.2% distinct rows
-        rng = np.random.default_rng(5)
-        n = 5000
-        data = TrainSet(inputs=np.zeros((n, 1)), targets=np.arange(float(n)))
-        boot = bootstrap_resample(data, rng)
-        frac = np.unique(boot.targets).size / n
-        assert frac == pytest.approx(1.0 - np.exp(-1.0), abs=0.02)
 
 
 class TestTraining:
@@ -130,6 +111,18 @@ class TestTraining:
         np.testing.assert_array_equal(
             predict_params_batch(m1, [day])[0].as_matrix(),
             predict_params_batch(m2, [day])[0].as_matrix())
+
+    def test_golden_output_weights(self):
+        # digest of a model trained when every member drew its own
+        # resample, one size-n call per member: the (members, n) index
+        # array draws the same stream, at n = 24 and, with a flagged
+        # day, n = 23
+        flags = [[False, k == 5] for k in range(24)]
+        model = train_ensemble(_make_pairs(n_days=24), hidden_size=10,
+                               n_members=7, master_seed=3, flags=flags)
+        w = np.ascontiguousarray(model.output_weights, dtype="<f8")
+        assert hashlib.sha256(w.tobytes()).hexdigest() == (
+            "bf2be5ff98e86a8a13d41052ec649662ffa60334db8ff792829731c794b49f75")
 
     def test_hour_local_uses_own_hours_features(self):
         pairs = _make_pairs(n_days=48)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from pvsde.estimation import (AllHoursInvalidError, HourSamples,
-                              _nelder_mead_batch, identify_day,
+from pvsde.estimation import (AllHoursInvalidError, HourSamples, _debias_phi,
+                              _lag1, _nelder_mead_batch, identify_day,
                               identify_hour, identify_hours)
 from pvsde.sde import SdeParams, project_params, simulate_hour
 from pvsde.synth import SyntheticSpec, synth_generate
@@ -137,6 +137,24 @@ class TestIdentifyHour:
         assert rep.params.c < 0.4 < rep.params.d
 
 
+
+class TestKendallDebias:
+    @pytest.mark.parametrize("n", [76, 120])     # 76: a four-block gapped hour
+    @pytest.mark.parametrize("phi", [0.3, 0.65, 0.8])
+    def test_debiased_mean_slope_matches_phi(self, phi, n):
+        # 20,000 stationary Gaussian AR(1) series of n transition pairs
+        rng = np.random.default_rng([n, round(100 * phi)])
+        x = np.empty((20_000, n + 1))
+        x[:, 0] = rng.standard_normal(20_000) / np.sqrt(1.0 - phi * phi)
+        noise = rng.standard_normal((n, 20_000))
+        for t in range(n):
+            x[:, t + 1] = phi * x[:, t] + noise[t]
+        cov, vx = _lag1(x[:, :-1], x[:, 1:], np.ones((20_000, n), bool), 1)
+        raw = np.mean(cov / vx)
+        assert abs(raw - phi) > 0.01             # the bias is real
+        assert _debias_phi(raw, n) == pytest.approx(phi, abs=0.005)
+
+
 def _nm_problems(kinds, shifts):
     """Batch objective: shifted quadratic (0), Rosenbrock (1) or a linear
     slope with no minimum (2), which runs Nelder–Mead out of iterations."""
@@ -204,18 +222,18 @@ class TestIdentifyHours:
 # n_days=1), default_rng(3)), with one noise stream per matching stage;
 # identify_hour on each hour alone gives the same values
 _GOLDEN_DAY = np.array([
-    (0.20240039938954846, 0.79929313231196, 0.10310057790033697, 0.6762788399165953, 0.9245802066643636),
-    (0.20691506616334954, 0.799224298697027, 0.1278307722776415, 0.6757531730365565, 0.9189361379395434),
-    (0.2208294654759777, 0.8233787739018558, 0.040682309327408475, 0.5616109952491916, 0.9441191883079701),
-    (0.22583248609026774, 0.8399195622860783, 0.06649268518711098, 0.6869704716509728, 0.9501004589372799),
-    (0.30760881726938605, 0.8192459981527507, 0.09121280037005157, 0.6511142825053373, 0.9337846373708755),
-    (0.42990787143948384, 0.8124534774876379, 0.03336152873564686, 0.6072288702182708, 0.968966516055193),
-    (0.2641610931195082, 0.8148252133999252, 0.11131189205005113, 0.685443824732998, 0.938720075621181),
-    (0.27219998567690196, 0.8157562988802365, 0.07041435155031717, 0.5903709569821337, 0.9354269483533826),
-    (0.27833003342219187, 0.8123669960191973, 0.14539016827006188, 0.6799996456895249, 0.9143040369451138),
-    (0.21985813556131362, 0.8130120441878187, 0.05529730424473402, 0.6408627608783946, 0.9293836225913599),
-    (0.2656821164988563, 0.8221680806183648, 0.07180313050046785, 0.6750986732918745, 0.9374622485051438),
-    (0.21763523395791462, 0.7615269080615527, 0.08256489352663736, 0.599413749403921, 0.9002921307469125),
+    (0.2023895691797919, 0.7992931847205629, 0.10310302314108774, 0.6762786768166229, 0.9245786112954241),
+    (0.20690380273595077, 0.7992242984971651, 0.12783272222102066, 0.6757532195278594, 0.9189354204452072),
+    (0.22080913711248407, 0.8233789529435402, 0.04067345385045114, 0.5615755190813992, 0.944117774395555),
+    (0.22582306172079214, 0.8399196967945539, 0.06649629052987399, 0.6869746659051434, 0.9500990737023344),
+    (0.3076717120119201, 0.8192460828375911, 0.09121472987712687, 0.6511209211216574, 0.9337846373708755),
+    (0.42991982283889485, 0.8124535573975978, 0.03336124958656291, 0.6072288702182708, 0.968966516055193),
+    (0.2642069350771016, 0.814824855052728, 0.11130686385745212, 0.6854431040710236, 0.9387207449806922),
+    (0.2722703764914638, 0.8157565620916473, 0.07039553350757727, 0.5903439979843406, 0.9354283569659642),
+    (0.27838923569634055, 0.81236728375044, 0.14539224742898088, 0.680003474609117, 0.9143034236431894),
+    (0.21984271561739066, 0.8130121228406786, 0.055295809722883144, 0.6408612198895833, 0.9293844967250368),
+    (0.2657301786808408, 0.8221679976227477, 0.07179648055804824, 0.6750926245175507, 0.9374636114090927),
+    (0.21762195086835834, 0.7615270718702087, 0.08256526656668203, 0.5994130306635025, 0.9002918351536909),
 ])
 
 

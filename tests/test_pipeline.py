@@ -324,6 +324,28 @@ class TestCommands:
         assert sorted(os.listdir(fans)) == sorted(
             f"fan_{d}.{ext}" for d in dates for ext in ("csv", "npy"))
 
+    def test_fast_reversion_is_capped_not_rejected(self, tmp_path):
+        # a = 0.6 steps a·dt = 0.6 past the Euler bound of 0.5; the fan
+        # runs at the estimator's cap a = 0.45 instead of raising
+        ds = tmp_path / "ds"
+        cmd_synth(SMALL, str(ds))
+        doc = read_params_json(str(ds / "true_params.json"))
+        for a in (0.6, 0.45):
+            for hours in doc["days"].values():
+                for hour in hours:
+                    hour["a"] = a
+            (tmp_path / f"a{a}.json").write_text(json.dumps(doc))
+            cmd_simulate(SMALL, str(tmp_path / f"a{a}.json"),
+                         str(tmp_path / f"fans{a}"), str(ds / "pv.csv"))
+        for date in doc["days"]:
+            fast, capped = (read_fan_csv(str(tmp_path / f"fans{a}"
+                                             / f"fan_{date}.csv"), 30.0)
+                            for a in (0.6, 0.45))
+            assert np.isfinite(fast.paths).all()
+            assert np.isfinite(fast.quantiles).all()
+            assert fast.paths.tobytes() == capped.paths.tobytes()
+            assert fast.quantiles.tobytes() == capped.quantiles.tobytes()
+
     def test_weather_with_no_usable_day_names_the_file(self, tmp_path):
         ds = tmp_path / "ds"
         cmd_synth(E2E, str(ds))

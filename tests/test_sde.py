@@ -9,8 +9,7 @@ from scipy import stats
 from pvsde.pipeline import write_fan_csv
 from pvsde.sde import (DayParams, SdeParams, SimulationFan, StabilityError,
                        _sorted_quantiles, euler_paths, make_fan, project_params, simulate_hour,
-                       stationary_beta_shapes, stationary_density,
-                       stationary_sample)
+                       stationary_beta_shapes, stationary_sample)
 from pvsde.synth import SyntheticSpec, synth_generate
 
 CLEAR = SdeParams(a=0.3298, b=0.8333, beta=0.0348, c=0.6895, d=0.8477)
@@ -207,11 +206,6 @@ class TestStationaryLaw:
             2 * CLOUDY.a * (CLOUDY.b - CLOUDY.c) / (CLOUDY.beta * span))
         assert beta_ == pytest.approx(
             2 * CLOUDY.a * (CLOUDY.d - CLOUDY.b) / (CLOUDY.beta * span))
-
-    def test_density_integrates_to_one(self):
-        p = np.linspace(CLOUDY.c + 1e-9, CLOUDY.d - 1e-9, 20001)
-        total = np.trapezoid(stationary_density(CLOUDY, p), p)
-        assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_stationary_sample_matches_density(self):
         rng = np.random.default_rng(11)

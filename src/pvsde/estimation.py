@@ -65,6 +65,10 @@ _MIN_SAMPLES = 20            # valid samples an hour needs to be identified
 _NM_MAXITER = 150           # Nelder–Mead stopping tests
 _NM_XATOL = 1e-4
 _NM_FATOL = 1e-6
+# scipy's coefficients rho = 1, chi = 2, psi = sigma = 0.5: the reflection
+# is 2·xbar − worst, a shrink halves, and the expansion, outside and inside
+# contraction are p·xbar − q·worst with these rows (p, q)
+_NM_STEPS = np.array([[3.0, 2.0], [1.5, 0.5], [0.5, -0.5]])
 _N_MATCH = 64               # simulated paths per indirect-inference step
 _N_VAR_ITERS = 5            # variance-matching steps per runaway boundary
 _N_BOOT = 16                # bootstrap replicas for the beta rescaling
@@ -136,7 +140,6 @@ class HourSamples:
 @dataclass
 class FitReport:
     params: SdeParams
-    iterations: int
     converged: bool
     flags: tuple[str, ...] = ()
 
@@ -206,15 +209,17 @@ def _e2(s, dt, a, b):
     return (s.Y - (s.X + a[:, None] * dt * (b[:, None] - s.X))) ** 2
 
 
-def _profiled_beta(e2, W, pm, dt):
-    """Closed-form beta that minimizes the Gaussian pseudo-likelihood."""
-    beta = _msum(e2, pm, 1) / np.maximum(_msum(W, pm, 1) * dt, 1e-14)
-    return np.clip(beta, BETA_MIN, BETA_MAX)
+def _profiled_beta(e2_sum, w_sum, dt):
+    """Closed-form beta that minimizes the Gaussian pseudo-likelihood, from
+    each row's masked sums of e² and of the variance shape W."""
+    beta = e2_sum / np.maximum(w_sum * dt, 1e-14)
+    return np.minimum(np.maximum(beta, BETA_MIN), BETA_MAX)
 
 
 def _reprofile_beta(s, dt, a, b, c, d):
     W = np.maximum((s.X - c[:, None]) * (d[:, None] - s.X), SIGMA2_FLOOR)
-    return _profiled_beta(_e2(s, dt, a, b), W, s.pm, dt)
+    return _profiled_beta(_msum(_e2(s, dt, a, b), s.pm, 1),
+                          _msum(W, s.pm, 1), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -228,63 +233,62 @@ def _nelder_mead_batch(f, z0):
     maxiter=150, xatol=1e-4, fatol=1e-6))`` step for step on every problem:
     the same initial simplex, coefficients, stopping tests and iteration
     count (with only ``maxiter`` set, scipy sets no evaluation limit).
-    ``f(z, rows)`` evaluates problems ``rows`` at the points ``z`` (k, N).
-    A problem leaves the active set once it has converged or run out of
-    iterations.  Returns the best vertices (B, N), the best values, the
-    iteration counts and the convergence flags.
+    ``f(z, rows)`` evaluates problems ``rows`` at the points ``z`` (k, N),
+    never more than B rows at once.  Only the active problems' simplices
+    are iterated; a problem leaves them, and its result is stored, once it
+    has converged or run out of iterations.  Returns the best vertices
+    (B, N), the best values, the iteration counts and the convergence
+    flags.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     B, N = z0.shape
-    sim = np.repeat(np.asarray(z0, dtype=float)[:, None, :], N + 1, axis=1)
+    s = np.repeat(np.asarray(z0, dtype=float)[:, None, :], N + 1, axis=1)
     for k in range(N):
-        sim[:, k + 1, k] = np.where(z0[:, k] != 0, (1 + 0.05) * z0[:, k],
-                                    0.00025)
-    fsim = np.stack([f(sim[:, k], np.arange(B)) for k in range(N + 1)], 1)
-    nit = np.ones(B, dtype=int)
+        s[:, k + 1, k] = np.where(z0[:, k] != 0, (1 + 0.05) * z0[:, k],
+                                  0.00025)
     act = np.arange(B)
-    while act.size:
-        order = np.argsort(fsim[act], axis=1)
-        s = np.take_along_axis(sim[act], order[:, :, None], axis=1)
-        fs = np.take_along_axis(fsim[act], order, axis=1)
-        sim[act], fsim[act] = s, fs
-        done = (nit[act] >= _NM_MAXITER) | (
+    fs = np.stack([f(s[:, k], act) for k in range(N + 1)], 1)
+    x, fun, nit = np.empty((B, N)), np.empty(B), np.empty(B, dtype=int)
+    r = act[:, None]
+    it = 1                      # every active problem is at this iteration
+    while True:
+        order = fs.argsort(axis=1)
+        s, fs = s[r, order], fs[r, order]
+        done = (it >= _NM_MAXITER) | (
             (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL)
             & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= _NM_FATOL))
-        act, s, fs = act[~done], s[~done], fs[~done]
-        if not act.size:
-            break
+        if done.any():
+            rows = act[done]
+            x[rows], fun[rows], nit[rows] = s[done, 0], fs[done].min(1), it
+            if done.all():
+                return x, fun, nit, nit < _NM_MAXITER
+            act, s, fs = act[~done], s[~done], fs[~done]
+            r = r[:act.size]
         xbar = np.add.reduce(s[:, :-1], 1) / N
         worst, fworst = s[:, -1], fs[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
+        xr = 2 * xbar - worst
         fxr = f(xr, act)
         expand = fxr < fs[:, 0]
-        contract = ~expand & ~(fxr < fs[:, -2])     # NaN contracts too
+        contract = ~(expand | (fxr < fs[:, -2]))     # NaN contracts too
         outside = contract & (fxr < fworst)
         inside = contract & ~outside
-        x2 = np.where(expand[:, None],
-                      (1 + rho * chi) * xbar - rho * chi * worst,
-                      np.where(outside[:, None],
-                               (1 + psi * rho) * xbar - psi * rho * worst,
-                               (1 - psi) * xbar + psi * worst))
-        f2 = np.full(act.size, np.nan)
-        two = expand | contract
-        if two.any():
-            f2[two] = f(x2[two], act[two])
-        take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
-                 | (inside & (f2 < fworst)))
+        pq = _NM_STEPS[2 - 2 * expand - outside]
+        x2 = pq[:, :1] * xbar - pq[:, 1:] * worst
+        # every row, which costs less than gathering the rows that need x2;
+        # a NaN f2 (no second point) is never taken
+        f2 = f(x2, act)
+        f2[~(expand | contract)] = np.nan
+        take2 = np.where(outside, f2 <= fxr,
+                         f2 < np.where(inside, fworst, fxr))
         shrink = contract & ~take2
-        keep = ~shrink
-        s[keep, -1] = np.where(take2[:, None], x2, xr)[keep]
-        fs[keep, -1] = np.where(take2, f2, fxr)[keep]
-        if shrink.any():
-            sh = s[shrink]
-            sh[:, 1:] = sh[:, :1] + sigma * (sh[:, 1:] - sh[:, :1])
+        sh = s[shrink]                  # a copy, taken before the new vertex
+        s[:, -1] = np.where(take2[:, None], x2, xr)
+        fs[:, -1] = np.where(take2, f2, fxr)
+        if len(sh):
+            sh[:, 1:] = sh[:, :1] + 0.5 * (sh[:, 1:] - sh[:, :1])
             s[shrink] = sh
-            fs[shrink, 1:] = f(sh[:, 1:].reshape(-1, N),
-                               np.repeat(act[shrink], N)).reshape(-1, N)
-        sim[act], fsim[act] = s, fs
-        nit[act] += 1
-    return sim[:, 0], fsim.min(axis=1), nit, nit < _NM_MAXITER
+            for k in range(1, N + 1):
+                fs[shrink, k] = f(sh[:, k], act[shrink])
+        it += 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,29 +300,48 @@ def _fit_diffusion_mle(s, dt, a, b):
 
     The optimization runs over z = log of the two boundary offsets in units
     of the sample span, which keeps the fit exactly equivariant under affine
-    rescaling of the samples.
+    rescaling of the samples.  The objective works in (B, T) buffers made
+    once per fit; masking multiplies by the pair mask as floats, which sums
+    the same finite values as ``_msum``.
     """
     e2 = _e2(s, dt, a, b)
+    cols = (s.X, s.pm.astype(float), e2)
+    # c = lo + (−span)·off_c and d = hi + span·off_d, exactly as lo − span·off_c
+    per_row = (np.stack([s.lo, s.hi], 1), np.stack([-s.span, s.span], 1),
+               _msum(e2, s.pm, 1)[:, None])
+    bufs = np.empty((5,) + e2.shape)
+    held = [None, None]         # the index array last gathered, its rows
 
     def nll_parts(z, rows):
         # math.exp: np.exp differs from it in the last bit on some inputs
         off = np.fromiter(map(math.exp, z.ravel().tolist()), float,
                           z.size).reshape(z.shape)
-        c = s.lo[rows] - s.span[rows] * off[:, 0]
-        d = s.hi[rows] + s.span[rows] * off[:, 1]
-        X, pm, e2r = s.X[rows], s.pm[rows], e2[rows]
-        W = np.maximum((X - c[:, None]) * (d[:, None] - X), SIGMA2_FLOOR)
-        beta = _profiled_beta(e2r, W, pm, dt)
-        V = np.maximum(beta[:, None] * dt * W, SIGMA2_FLOOR)
-        return 0.5 * _msum(np.log(V) + e2r / V, pm, 1), beta, c, d
+        X, P, E, W, T = bufs[:, :len(rows)]
+        # the Nelder–Mead passes one index array until a problem retires
+        if rows is not held[0]:
+            for src, dst in zip(cols, (X, P, E)):
+                src.take(rows, 0, out=dst, mode="clip")
+            held[:] = rows, [r[rows] for r in per_row]
+        bounds, scale, e2_sum = held[1]
+        cd = bounds + scale * off
+        c, d = cd[:, :1], cd[:, 1:]
+        np.multiply(np.subtract(X, c, out=W), np.subtract(d, X, out=T), out=W)
+        np.maximum(W, SIGMA2_FLOOR, out=W)
+        beta = _profiled_beta(
+            e2_sum, np.add.reduce(np.multiply(W, P, out=T), 1, keepdims=True),
+            dt)
+        V = np.maximum(np.multiply(beta * dt, W, out=W), SIGMA2_FLOOR, out=W)
+        terms = np.add(np.log(V, out=T), np.divide(E, V, out=W), out=T)
+        return (0.5 * np.add.reduce(np.multiply(terms, P, out=T), 1),
+                beta[:, 0], c[:, 0], d[:, 0])
 
     z0 = np.full((len(a), 2), math.log(0.05))
-    z, _, nit, converged = _nelder_mead_batch(
+    z, _, _, converged = _nelder_mead_batch(
         lambda z, rows: nll_parts(z, rows)[0], z0)
     _, beta, c, d = nll_parts(z, np.arange(len(a)))
     c = np.maximum(c, s.lo - 3.0 * s.span)
     d = np.minimum(d, s.hi + 3.0 * s.span)
-    return beta, c, d, converged, nit
+    return beta, c, d, converged
 
 
 def _clamp_b(b, c, d):
@@ -420,7 +443,7 @@ def _diffusion_pipeline(s, dt, a, b, seed, n_paths, stages):
     two ``stages``.  Returns the fit and a (B, 4) mask of the repairs in
     ``_REPAIR_FLAGS``.
     """
-    beta, c, d, converged, nit = _fit_diffusion_mle(s, dt, a, b)
+    beta, c, d, converged = _fit_diffusion_mle(s, dt, a, b)
     pin_lo = (((s.v <= s.lo[:, None] + 1e-9) & s.m).sum(axis=1)
               >= _STICKY_COUNT)
     pin_hi = (((s.v >= s.hi[:, None] - 1e-9) & s.m).sum(axis=1)
@@ -437,7 +460,7 @@ def _diffusion_pipeline(s, dt, a, b, seed, n_paths, stages):
                 side, np.random.default_rng([seed, stage]), n_paths)
     beta = _reprofile_beta(s, dt, a, b, c, d)
     repairs = np.stack([pin_lo, pin_hi, run_hi, run_lo], axis=1)
-    return beta, c, d, converged, nit, repairs
+    return beta, c, d, converged, repairs
 
 
 def _initial_drift(s, dt):
@@ -476,7 +499,7 @@ def _identify_rows(s, dt, seed):
     a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b,
                            np.random.default_rng([seed, _STAGE_A_FIRST]),
                            iters=3)
-    beta, c, d, converged, nit, repairs = _diffusion_pipeline(
+    beta, c, d, converged, repairs = _diffusion_pipeline(
         s, dt, a, b, seed, _N_MATCH, (_STAGE_VAR_HIGH, _STAGE_VAR_LOW))
     a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b,
                            np.random.default_rng([seed, _STAGE_A_SECOND]),
@@ -498,7 +521,7 @@ def _identify_rows(s, dt, seed):
         if boot[i]:
             flags.append("bootstrap-rescaled")
         reports.append(FitReport(
-            params=SdeParams(*theta[:, i].tolist()), iterations=int(nit[i]),
+            params=SdeParams(*theta[:, i].tolist()),
             converged=bool(converged[i]), flags=tuple(flags)))
     return reports
 
@@ -529,7 +552,7 @@ def identify_hours(values, valid, h: float = 30.0,
         params = project_params(A_MIN, float(v.mean()), BETA_MIN,
                                 float(v.min()) - DEGENERATE_DELTA,
                                 float(v.max()) + DEGENERATE_DELTA)
-        reports[i] = FitReport(params=params, iterations=0, converged=True,
+        reports[i] = FitReport(params=params, converged=True,
                                flags=("non-volatile", "degenerate"))
     live = np.flatnonzero(~flat)
     if live.size:
@@ -609,6 +632,6 @@ def _fill_invalid_hours(reports):
         mean = [float(np.mean([getattr(p, f) for p in ps]))
                 for f in ("a", "b", "beta", "c", "d")]
         params = project_params(*mean)
-        filled[i] = FitReport(params=params, iterations=0, converged=False,
+        filled[i] = FitReport(params=params, converged=False,
                               flags=("interpolated",))
     return filled

@@ -1,5 +1,7 @@
 """Tests for hourly parameter identification."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from pvsde.estimation import (AllHoursInvalidError, HourSamples, _debias_phi,
-                              _lag1, _nelder_mead_batch, identify_day,
+                              _fit_diffusion_mle, _initial_drift, _lag1,
+                              _nelder_mead_batch, _Rows, identify_day,
                               identify_hour, identify_hours)
 from pvsde.sde import SdeParams, project_params, simulate_hour
 from pvsde.synth import SyntheticSpec, synth_generate
@@ -175,7 +178,7 @@ class TestNelderMeadBatch:
     @given(st.lists(st.tuples(st.integers(0, 1),
                               st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
                               st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-                    min_size=1, max_size=6))
+                    min_size=1, max_size=40))
     def test_matches_scipy_per_problem(self, problems):
         problems = problems + [(2, 0.0, 0.0, -1.0, 0.5)]   # hits maxiter
         kinds = [p[0] for p in problems]
@@ -191,6 +194,18 @@ class TestNelderMeadBatch:
             assert success[i] == ref.success
         assert not success[-1] and nit[-1] == 150
 
+
+
+class TestFitDiffusionSpeed:
+    # pytest-benchmark timing of the profiled-likelihood fit on gappy rows:
+    # 12 rows are one day's hours, 192 rows their bootstrap replicas
+    @pytest.mark.parametrize("rows", [12, 192])
+    def test_fit_diffusion_mle(self, benchmark, rows):
+        paths = _simulate_hours(CLOUDY, rows, seed=rows)
+        s = _Rows(paths.T, _block_mask(paths.shape[0], rows, seed=rows + 1).T)
+        a, b, _ = _initial_drift(s, 1.0)
+        beta, c, d = benchmark(_fit_diffusion_mle, s, 1.0, a, b)[:3]
+        assert (c < s.lo).all() and (s.hi < d).all() and (beta > 0).all()
 
 class TestIdentifyHours:
     def test_row_result_does_not_depend_on_its_batch(self):
@@ -237,6 +252,11 @@ _GOLDEN_DAY = np.array([
 ])
 
 
+# sha256 of day.as_matrix().tobytes() in test_gappy_day_bits (numpy 2.4.6):
+# a change to the estimator's arithmetic must keep every output bit
+_GAPPY_DAY_SHA256 = (
+    "6533f3abb64cabbfda2949b4aa73be6aca85be281d3e270483d394280308f38f")
+
 class TestIdentifyDay:
     def _day_series(self, seed=9):
         rng = np.random.default_rng(seed)
@@ -257,6 +277,23 @@ class TestIdentifyDay:
         flags = [("bootstrap-rescaled",)] * 12
         flags[2] = ("variance-matched-low", "bootstrap-rescaled")
         flags[4] = ("boundary-pinned-high", "bootstrap-rescaled")
+        assert [r.flags for r in reports] == flags
+
+    def test_gappy_day_bits(self):
+        # four masked blocks per hour; all 12 hours bootstrap (192 replica
+        # rows) and four are variance-matched, so the digest pins the
+        # masked likelihood, both boundary repairs and the bootstrap fit
+        _, _, pv, _ = synth_generate(SyntheticSpec(n_days=1),
+                                     np.random.default_rng(8))
+        mask = _block_mask(120, 12, seed=13)
+        day, reports = identify_day(pv[0], mask.T.ravel(), seed=11)
+        digest = hashlib.sha256(day.as_matrix().tobytes()).hexdigest()
+        assert digest == _GAPPY_DAY_SHA256
+        flags = [("bootstrap-rescaled",)] * 12
+        flags[8] = ("variance-matched-low", "bootstrap-rescaled")
+        flags[9] = ("boundary-pinned-high", "bootstrap-rescaled")
+        flags[10] = flags[11] = ("variance-matched-high",
+                                 "bootstrap-rescaled")
         assert [r.flags for r in reports] == flags
 
     def test_unmasked_day_equals_per_hour_reports(self):

@@ -2,7 +2,8 @@
 
 The hidden layer applies a random frozen affine map followed by a sigmoid;
 only the linear output weights are trained, by (optionally ridge-damped)
-least squares via a singular value decomposition.  Features are
+least squares: one linear solve of the ridge normal equations on the
+smaller of the two Gram matrices per network.  Features are
 standardized before the random projection so standard-normal weights do
 not saturate the sigmoids on raw physical units.
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 DEFAULT_RIDGE = 1e-8
-_SV_CUTOFF = 1e-10          # singular values below cutoff * s_max are dropped
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,26 @@ def solve_output_weights(H, Y, ridge: float = DEFAULT_RIDGE):
     """Ridge least-squares output weights V (..., K, T) with H V ~ Y, for
     hidden activations H (..., N, K) and targets Y (..., N, T).
 
-    Singular values below 1e-10 of each network's largest are treated as
-    zero, so ridge = 0 gives the minimum-norm pseudoinverse solution.
+    Solves the normal equations on the smaller Gram matrix (Huang et al.
+    2012, IEEE Trans. SMC-B 42:513): the dual form Hᵀ (H Hᵀ + ridge I)⁻¹ Y
+    when N <= K, else the primal form (Hᵀ H + ridge I)⁻¹ Hᵀ Y.  At N = K
+    the dual is the accurate one on a bootstrap resample: Hᵀ annihilates
+    the null directions of repeated rows exactly, which the primal Gram
+    only damps by the ridge.  With ridge = 0 a Gram singular to working
+    precision (condition number >= 1/eps), such as the dual Gram of
+    repeated rows, raises ``ValueError``.
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    U, s, Vt = np.linalg.svd(H, full_matrices=False)
-    keep = s > _SV_CUTOFF * s[..., :1]
-    gain = np.divide(s, s * s + ridge, out=np.zeros_like(s), where=keep)
-    return (np.swapaxes(Vt, -1, -2)
-            @ (gain[..., None] * (np.swapaxes(U, -1, -2) @ Y)))
+    Ht = np.swapaxes(H, -1, -2)
+    dual = H.shape[-2] <= H.shape[-1]
+    G = H @ Ht if dual else Ht @ H
+    G += ridge * np.eye(G.shape[-1])
+    if ridge == 0 and (np.linalg.cond(G) >= 1 / np.finfo(float).eps).any():
+        raise ValueError("ridge = 0 leaves the Gram matrix singular to "
+                         "working precision; use ridge > 0")
+    return (Ht @ np.linalg.solve(G, Y) if dual
+            else np.linalg.solve(G, Ht @ Y))
 
 
 def _hidden(model: ElmModel, X):

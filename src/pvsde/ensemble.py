@@ -6,10 +6,11 @@ an hour is trained on its own bootstrap resample of that hour's trusted
 training days, and one hidden layer per member serves all five parameters
 (a, b, beta, c, d) as a multi-output ELM.  The ensemble is therefore three
 arrays: hidden weights (m, M, K, p), hidden biases (m, M, K) and output
-weights (m, M, K, 5), and each hour trains with one batched SVD solve over
-all its members and targets.  A prediction discards the largest and
-smallest 20% of the member outputs per parameter, averages the rest and
-projects the result onto the valid parameter set.
+weights (m, M, K, 5), and each hour trains with one batched linear solve
+of the ridge normal equations over all its members and targets.  A
+prediction discards the largest and smallest 20% of the member outputs per
+parameter, averages the rest and projects the result onto the valid
+parameter set.
 
 An hour's members see only that hour's p features, the hour-major slice
 of the day's feature vector.  Training draws the hidden layers once, from a
@@ -152,12 +153,15 @@ def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
                 f"(need {MIN_SLOT_PAIRS})")
         Z = model._hour_inputs(X_all[keep], hour)
         T = targets[keep, :, hour]
+        # every member's hidden layer on the n distinct days (M, n, K)
+        H = hidden_layer(Z, model.hidden_weights[hour],
+                         model.hidden_biases[hour])
         # one with-replacement resample of the n days per member (row)
         idx = boot_rng.integers(0, len(Z), size=(n_members, len(Z)))
-        H = hidden_layer(Z[idx], model.hidden_weights[hour],
-                         model.hidden_biases[hour])
-        model.output_weights[hour] = solve_output_weights(H, T[idx], ridge)
-        err = model._hour_outputs(Z, hour) - T
+        V = solve_output_weights(np.take_along_axis(H, idx[..., None], 1),
+                                 T[idx], ridge)
+        model.output_weights[hour] = V
+        err = trimmed_mean(H @ V) - T
         for pi, pname in enumerate(PARAM_NAMES):
             model.train_rmse[f"h{hour}_{pname}"] = float(
                 np.sqrt(np.mean(err[:, pi] ** 2)))

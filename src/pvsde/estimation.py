@@ -364,13 +364,23 @@ def _fit_b_relaxation(s, dt, a, c, d):
 
 def _make_params(a, b, beta, c, d, dt):
     """Project each row onto valid parameters, keeping a inside the
-    Euler-stable box; (5, B) rows a, b, beta, c, d."""
-    cap = A_CAP_UNITS / dt
-    return np.array([
-        project_params(min(max(ai, A_MIN), cap), _clamp_b(bi, ci, di),
-                       be, ci, di).as_array()
-        for ai, bi, be, ci, di in zip(*(np.asarray(x).tolist()
-                                        for x in (a, b, beta, c, d)))]).T
+    Euler-stable box; (5, B) rows a, b, beta, c, d.  Element-wise, this is
+    ``project_params`` (default bounds) to the bit."""
+    a = np.minimum(np.maximum(a, A_MIN), A_CAP_UNITS / dt)
+    b = _clamp_b(b, c, d)
+    swap = d < c
+    c, d = np.where(swap, d, c), np.where(swap, c, d)
+    narrow = d - c < 0.01
+    mid = 0.5 * (c + d)
+    c = np.where(narrow, mid - 0.01 / 2, c)
+    d = np.where(narrow, mid + 0.01 / 2, d)
+    theta = np.stack([np.minimum(a, 2.0),
+                      np.where(b < c, c, np.where(b > d, d, b)),
+                      np.where(beta < 0.0, 0.0,
+                               np.where(beta > 1.0, 1.0, beta)), c, d])
+    if not np.isfinite(theta).all():
+        raise ValueError("non-finite SDE parameter")
+    return theta
 
 
 def _simulate_matching(theta, p0, dt, block):

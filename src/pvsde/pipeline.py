@@ -24,6 +24,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from operator import methodcaller
 
 import numpy as np
 
@@ -80,6 +81,8 @@ class RunConfig:
                              f"{self.m}), got {self.start_hour}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if not self.ridge >= 0:
+            raise ValueError("ridge must be >= 0")
 
     @property
     def grid(self) -> HourGrid:
@@ -173,14 +176,16 @@ def read_params_json(path: str):
 
 
 def write_pv_csv(path: str, dates, pv_days, masks=None) -> None:
+    """Write ``date,step,power,valid`` rows, CRLF-terminated, each power as
+    ``repr`` of its float (which round-trips it) and valid as 0 or 1."""
     with _atomic(path, newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["date", "step", "power", "valid"])
+        f.write("date,step,power,valid\r\n")
         for j, date in enumerate(dates):
-            mask = (masks[j] if masks is not None
-                    else np.ones(len(pv_days[j]), dtype=bool))
-            for i, (v, ok) in enumerate(zip(pv_days[j], mask)):
-                w.writerow([date, i, repr(float(v)), int(ok)])
+            values = np.asarray(pv_days[j], dtype=float).tolist()
+            mask = (np.ones(len(values), dtype=bool) if masks is None
+                    else np.asarray(masks[j], dtype=bool)).tolist()
+            f.writelines(f"{date},{i},{v!r},{ok:d}\r\n"
+                         for i, (v, ok) in enumerate(zip(values, mask)))
 
 
 def ingest_pv(path: str):
@@ -190,36 +195,96 @@ def ingest_pv(path: str):
     largest step in the file plus one; a step a day lacks is masked (value
     0).  A malformed row or a repeated (date, step) is reported as
     ``path:line``.
+
+    Rows are parsed column by column (``_pv_columns``).  A table with
+    quotes or with rows of other lengths than the header, and one that
+    fails a check, is read again row by row (``_pv_rows``), which names the
+    first bad line.  Both parse every cell with ``int`` or ``float``.
     """
-    per_day: dict[str, dict] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        need = ("date", "step", "power", "valid")
+    need = ("date", "step", "power", "valid")
+    with open(path) as f:               # \r\n and \r are read as \n
+        header = next(csv.reader([f.readline()]), [])
         if not set(need) <= set(header):
             raise ValueError(f"PV CSV must have columns {sorted(need)}")
         cols = [header.index(name) for name in need]
+        index = {}
+        try:
+            day, step, power, valid = _pv_columns(f, cols, len(header),
+                                                  index)
+            if len(step) and step.min() < 0:
+                raise ValueError("negative step")
+        except (ValueError, OverflowError):
+            index = {}
+            dates, step, power, valid = _pv_rows(path, cols)
+            day = _day_codes(dates, index)
+    n_steps = int(step.max()) + 1 if len(step) else 0
+    if len(step) and np.bincount(day * n_steps + step).max() > 1:
+        _pv_rows(path, cols)                # raises at the repeated step
+    values = np.zeros((len(index), n_steps))
+    mask = np.zeros((len(index), n_steps), dtype=bool)
+    values[day, step], mask[day, step] = power, valid
+    return {date: (values[k], mask[k]) for date, k in index.items()}
+
+
+def _day_codes(dates, index: dict):
+    """Each date's number in ``index``, which numbers new dates in order of
+    first appearance."""
+    for date in dict.fromkeys(dates):
+        index.setdefault(date, len(index))
+    return np.fromiter(map(index.__getitem__, dates), np.intp, len(dates))
+
+
+def _pv_columns(f, cols, width: int, index: dict):
+    """(day code, step, power, valid) arrays of the rows left in ``f``,
+    about a megabyte of lines at a time.  Raises ``ValueError`` on quotes,
+    on a row that has not ``width`` cells and on a cell that does not
+    parse; blank lines are skipped."""
+    parts = [[np.zeros(0, t)] for t in (np.intp, np.int64, float, bool)]
+    while chunk := f.readlines(1 << 20):
+        block = "".join(chunk)
+        body = [line for line in block.split("\n") if line]
+        if '"' in block or set(map(methodcaller("count", ","), body)) - {
+                width - 1}:
+            raise ValueError("quoted or ragged rows")
+        if not body:
+            continue
+        cells = ",".join(body).split(",")
+        dates, step, power, valid = (cells[i::width] for i in cols)
+        n = len(body)
+        for part, column in zip(parts, (
+                _day_codes(dates, index),
+                np.fromiter(map(int, step), np.int64, n),
+                np.fromiter(map(float, power), float, n),
+                np.fromiter(map(int, valid), np.int64, n) != 0)):
+            part.append(column)
+    return [np.concatenate(part) for part in parts]
+
+
+def _pv_rows(path: str, cols):
+    """The (date, step, power, valid) columns of a PV table read row by row
+    through ``csv.reader``; a malformed row or a repeated (date, step)
+    raises with its ``path:line``."""
+    seen, out = set(), ([], [], [], [])
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader, [])
         for row in filter(None, reader):            # blank lines skipped
             try:
                 date, step, power, valid = [row[i] for i in cols]
-                step = int(step)
-                sample = (float(power), bool(int(valid)))
+                parsed = (date, int(step), float(power), int(valid) != 0)
             except (IndexError, ValueError):
-                step = -1
-            if step < 0:
+                parsed = (None, -1)
+            if not 0 <= parsed[1] < 2 ** 63:            # int64 steps
                 raise ValueError(f"{path}:{reader.line_num}: malformed PV row")
-            day = per_day.setdefault(date, {})
-            if step in day:
+            if parsed[:2] in seen:
                 raise ValueError(f"{path}:{reader.line_num}: repeated step "
-                                 f"{step} of {date}")
-            day[step] = sample
-    n_steps = 1 + max((max(day) for day in per_day.values()), default=-1)
-    out = {}
-    for date, day in per_day.items():
-        values, mask = np.zeros(n_steps), np.zeros(n_steps, dtype=bool)
-        values[list(day)], mask[list(day)] = zip(*day.values())
-        out[date] = (values, mask)
-    return out
+                                 f"{parsed[1]} of {date}")
+            seen.add(parsed[:2])
+            for column, cell in zip(out, parsed):
+                column.append(cell)
+    dates, step, power, valid = out
+    return (dates, np.array(step, dtype=np.int64), np.array(power),
+            np.array(valid, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,24 @@ test module imports numpy, which reads these variables once, at import.
 
 import os
 
+import pytest
+
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+@pytest.fixture
+def svd_ridge_solve():
+    """Ridge least squares V (..., K, T) of H (..., N, K) V ~ Y through the
+    SVD of H, gain s / (s² + ridge) per singular value: the reference the
+    normal-equation solve in ``elm.solve_output_weights`` is checked
+    against."""
+    import numpy as np
+
+    def solve(H, Y, ridge):
+        U, s, Vt = np.linalg.svd(H, full_matrices=False)
+        gain = s / (s * s + ridge)
+        return (np.swapaxes(Vt, -1, -2)
+                @ (gain[..., None] * (np.swapaxes(U, -1, -2) @ Y)))
+    return solve

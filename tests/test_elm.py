@@ -54,6 +54,32 @@ class TestTraining:
         assert V.shape == (6, 100, 5)
         assert np.max(np.abs(H @ V - Y)) <= 1e-6
 
+    @pytest.mark.parametrize("ridge", [2.0, 1e-8])
+    @pytest.mark.parametrize("n,k", [(20, 40), (40, 40), (60, 20)])
+    def test_matches_svd_reference(self, svd_ridge_solve, n, k, ridge):
+        # dual form below and at N = K, primal above, on 6 members' own
+        # bootstrap resamples (repeated rows) of n days with 9 features
+        rng = np.random.default_rng(n + k)
+        H = hidden_layer(rng.normal(size=(n, 9)), rng.normal(size=(6, k, 9)),
+                         rng.normal(size=(6, k)))
+        idx = rng.integers(0, n, size=(6, n))
+        Hb = np.take_along_axis(H, idx[..., None], 1)
+        Y = rng.normal(size=(n, 5))[idx]
+        want = svd_ridge_solve(Hb, Y, ridge)
+        np.testing.assert_allclose(solve_output_weights(Hb, Y, ridge), want,
+                                   rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+    def test_singular_gram_at_zero_ridge_names_ridge(self):
+        # a repeated row makes the 20 x 20 dual Gram singular
+        rng = np.random.default_rng(15)
+        H = hidden_layer(rng.normal(size=(20, 3)), rng.normal(size=(40, 3)),
+                         rng.normal(size=40))
+        H[7] = H[3]
+        with pytest.raises(ValueError, match="ridge"):
+            solve_output_weights(H, rng.normal(size=(20, 5)), ridge=0.0)
+        assert np.isfinite(solve_output_weights(H, np.ones((20, 5)),
+                                                ridge=1e-8)).all()
+
     def test_single_hidden_unit_closed_form(self):
         # K = 1: prediction is w * sigmoid(g(x)); the optimal w has the
         # explicit least-squares form <h, y> / <h, h>

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from pvsde.elm import hidden_layer
 from pvsde.ensemble import (TrainingError, WeatherDay, load_ensemble,
                             predict_params_batch, save_ensemble,
                             train_ensemble, trimmed_mean)
@@ -112,17 +113,38 @@ class TestTraining:
             predict_params_batch(m1, [day])[0].as_matrix(),
             predict_params_batch(m2, [day])[0].as_matrix())
 
-    def test_golden_output_weights(self):
+    def test_golden_output_weights(self, svd_ridge_solve):
         # digest of a model trained when every member drew its own
         # resample, one size-n call per member: the (members, n) index
         # array draws the same stream, at n = 24 and, with a flagged
-        # day, n = 23
+        # day, n = 23.  The weights also equal an SVD solve of the
+        # members' resamples redrawn here from the bootstrap stream, so a
+        # change of the stream fails even where the digest is re-pinned.
         flags = [[False, k == 5] for k in range(24)]
-        model = train_ensemble(_make_pairs(n_days=24), hidden_size=10,
-                               n_members=7, master_seed=3, flags=flags)
+        pairs = _make_pairs(n_days=24)
+        model = train_ensemble(pairs, hidden_size=10, n_members=7,
+                               master_seed=3, flags=flags)
         w = np.ascontiguousarray(model.output_weights, dtype="<f8")
         assert hashlib.sha256(w.tobytes()).hexdigest() == (
-            "bf2be5ff98e86a8a13d41052ec649662ffa60334db8ff792829731c794b49f75")
+            "650685ee5a439abeb72c5506a284d1756e2636d645451f1a062557df227c62c0")
+        boot_rng = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[1])
+        X = np.stack([day.features for day, _ in pairs])
+        targets = np.stack([dp.as_matrix() for _, dp in pairs])
+        for hour, keep in enumerate((np.ones(24, bool), np.arange(24) != 5)):
+            Z = model._hour_inputs(X[keep], hour)
+            idx = boot_rng.integers(0, len(Z), size=(7, len(Z)))
+            H = hidden_layer(Z[idx], model.hidden_weights[hour],
+                             model.hidden_biases[hour])
+            want = svd_ridge_solve(H, targets[keep, :, hour][idx], 1e-8)
+            got = model.output_weights[hour]
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_zero_ridge_on_repeated_rows_raises(self):
+        # n = 16 days < K = 30: a resample's repeated days make every
+        # member's dual Gram singular, which ridge = 0 leaves undamped
+        with pytest.raises(ValueError, match="ridge"):
+            train_ensemble(_make_pairs(n_days=16), hidden_size=30,
+                           n_members=5, ridge=0.0)
 
     def test_hour_local_uses_own_hours_features(self):
         pairs = _make_pairs(n_days=48)

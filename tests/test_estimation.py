@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from pvsde.estimation import (AllHoursInvalidError, HourSamples, _debias_phi,
+from pvsde.estimation import (A_CAP_UNITS, A_MIN, AllHoursInvalidError,
+                              HourSamples, _clamp_b, _debias_phi,
                               _fit_diffusion_mle, _initial_drift, _lag1,
-                              _nelder_mead_batch, _Rows, identify_day,
+                              _make_params, _nelder_mead_batch, _Rows, identify_day,
                               identify_hour, identify_hours)
 from pvsde.sde import SdeParams, project_params, simulate_hour
 from pvsde.synth import SyntheticSpec, synth_generate
@@ -156,6 +157,25 @@ class TestKendallDebias:
         raw = np.mean(cov / vx)
         assert abs(raw - phi) > 0.01             # the bias is real
         assert _debias_phi(raw, n) == pytest.approx(phi, abs=0.005)
+
+
+class TestMakeParams:
+    @pytest.mark.parametrize("dt", [1.0, 0.1])    # cap below / above a = 2
+    def test_equals_project_params_per_row_to_the_bit(self, dt):
+        # swapped and narrow bounds, b outside them, a and beta outside
+        # their boxes, and signed zeros
+        rng = np.random.default_rng(17)
+        a, b, beta = rng.uniform(-1.0, 6.0, (3, 4000))
+        c, d = rng.uniform(-0.2, 1.2, (2, 4000))
+        d[::3] = c[::3] + rng.uniform(-0.02, 0.02, 1334)
+        beta[:4], c[:4], d[:4], b[:4] = -0.0, 0.0, -0.0, -0.0
+        want = np.array([project_params(min(max(ai, A_MIN), A_CAP_UNITS / dt),
+                                        _clamp_b(bi, ci, di), be, ci,
+                                        di).as_array()
+                         for ai, bi, be, ci, di in zip(
+                             *(x.tolist() for x in (a, b, beta, c, d)))]).T
+        got = _make_params(a, b, beta, c, d, dt)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def _nm_problems(kinds, shifts):

@@ -1,5 +1,6 @@
 """Tests for the dataset generator, batch pipeline, and CLI."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -86,7 +87,8 @@ class TestConfig:
     @pytest.mark.parametrize("key,bad", [
         ("n_paths", 0), ("n_members", 0), ("hidden_size", 0), ("m", 0),
         ("n_days", 0), ("step_seconds", 0.0), ("step_seconds", -30.0),
-        ("start_hour", -1), ("start_hour", 13), ("seed", -1)])
+        ("start_hour", -1), ("start_hour", 13), ("seed", -1),
+        ("ridge", -0.5)])
     def test_sizes_that_fail_inside_a_command_rejected(self, key, bad):
         with pytest.raises(ValueError, match=key):
             RunConfig(**{key: bad})
@@ -139,10 +141,39 @@ class TestPvCsv:
         np.testing.assert_array_equal(got["2018-01-01"][0], values)
         np.testing.assert_array_equal(got["2018-01-01"][1], mask)
 
+    def test_synth_table_bytes(self, tmp_path):
+        # digest of the table the csv.writer-based writer wrote
+        cmd_synth(RunConfig(seed=3, n_days=2, m=2), str(tmp_path))
+        data = (tmp_path / "pv.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "152e3fdf0be82aa09328b456124c4d91b5b7c72b4d56a323fd3dcdb9fa01c93e")
+
+    def test_quoted_and_ragged_tables_read_like_plain(self, tmp_path):
+        # the row-by-row reader takes quoted cells and rows longer than
+        # the header, with any line ending, as csv does
+        rows = ["2018-01-02,1,0.7,0", "2018-01-01,0,0.1,1",
+                "2018-01-02,0,0.6,1"]
+        variants = {
+            "plain": "\n".join(rows),
+            "quoted": "\r\n".join(f'"{r[:10]}"{r[10:]}' for r in rows),
+            "ragged": "\r".join(r + ",x" for r in rows)}
+        got = {}
+        for name, body in variants.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("date,step,power,valid\n" + body + "\n",
+                            newline="")
+            got[name] = ingest_pv(str(path))
+        assert list(got["plain"]) == ["2018-01-02", "2018-01-01"]
+        for name in ("quoted", "ragged"):
+            assert list(got[name]) == list(got["plain"])
+            for date, (values, mask) in got["plain"].items():
+                np.testing.assert_array_equal(got[name][date][0], values)
+                np.testing.assert_array_equal(got[name][date][1], mask)
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "pv.csv"
         for row in ("2018-01-01,0,oops,1", "2018-01-01,0,0.5",
-                    "2018-01-01,-1,0.5,1"):
+                    "2018-01-01,-1,0.5,1", f"2018-01-01,{2 ** 63},0.5,1"):
             path.write_text(f"date,step,power,valid\n\n{row}\n")
             with pytest.raises(ValueError,
                                match=f"^{path}:3: malformed PV row"):

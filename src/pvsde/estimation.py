@@ -46,12 +46,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# pvsdebench's tracer wraps ``estimation.minimize`` by name; the estimator
-# itself minimizes with ``_nelder_mead_batch``
-from scipy.optimize import minimize  # noqa: F401
 
 from .sde import (TIME_UNIT_SECONDS, DayParams, SdeParams, euler_paths,
                   project_params)
+
+
+def __getattr__(name):
+    """``minimize``, scipy's, imported on first access.  pvsdebench's tracer
+    wraps ``estimation.minimize`` by name; the estimator itself minimizes
+    with ``_nelder_mead_batch``, so no command loads ``scipy.optimize``."""
+    if name == "minimize":
+        from scipy.optimize import minimize
+        globals()[name] = minimize      # later reads bypass this hook
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 A_MIN = 1e-4
 A_CAP_UNITS = 0.45         # keeps a·dt safely inside the Euler stability bound

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .sde import SimulationFan
 
@@ -128,6 +127,21 @@ def _masked_pair(p, a, mask):
     return p, a
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (n >= 1): the FFT length
+    ``scipy.fft.next_fast_len(n, real=True)`` returns, without importing
+    ``scipy.fft``."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^k >= n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _acf(x, n_lags: int) -> np.ndarray:
     """Empirical autocorrelation at lags 1..n_lags (rows of a 2-D input
     are treated as independent series).  FFT-based; lag-k covariance is
@@ -136,7 +150,7 @@ def _acf(x, n_lags: int) -> np.ndarray:
     X = np.atleast_2d(np.asarray(x, dtype=float))
     n = X.shape[1]
     xc = X - X.mean(axis=1, keepdims=True)
-    nfft = next_fast_len(n + n_lags, real=True)
+    nfft = _fast_len(n + n_lags)
     f = np.fft.rfft(xc, n=nfft, axis=1)
     sums = np.fft.irfft(f * np.conj(f), n=nfft, axis=1)[:, :n_lags + 1]
     var = sums[:, 0] / n

@@ -19,11 +19,13 @@ parameters are predicted from that hour's weather report alone.
 from __future__ import annotations
 
 import csv
+import glob
 import json
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from itertools import compress
 from operator import methodcaller
 
 import numpy as np
@@ -188,18 +190,20 @@ def write_pv_csv(path: str, dates, pv_days, masks=None) -> None:
                          for i, (v, ok) in enumerate(zip(values, mask)))
 
 
-def ingest_pv(path: str):
+def ingest_pv(path: str, dates=None):
     """Read the per-day normalized PV table -> {date: (values, mask)}.
 
-    Each sample sits at its ``step`` index.  Every day is as long as the
-    largest step in the file plus one; a step a day lacks is masked (value
-    0).  A malformed row or a repeated (date, step) is reported as
-    ``path:line``.
+    ``dates``, a set of date labels, keeps the rows of those days only:
+    the rows of other days are dropped before their cells are converted,
+    so they are not checked.  Each sample sits at its ``step`` index.
+    Every day is as long as the largest step of the rows kept plus one; a
+    step a day lacks is masked (value 0).  A malformed row or a repeated
+    (date, step) is reported as ``path:line``.
 
     Rows are parsed column by column (``_pv_columns``).  A table with
     quotes or with rows of other lengths than the header, and one that
     fails a check, is read again row by row (``_pv_rows``), which names the
-    first bad line.  Both parse every cell with ``int`` or ``float``.
+    first bad line.  Both parse every kept cell with ``int`` or ``float``.
     """
     need = ("date", "step", "power", "valid")
     with open(path) as f:               # \r\n and \r are read as \n
@@ -210,16 +214,16 @@ def ingest_pv(path: str):
         index = {}
         try:
             day, step, power, valid = _pv_columns(f, cols, len(header),
-                                                  index)
+                                                  index, dates)
             if len(step) and step.min() < 0:
                 raise ValueError("negative step")
         except (ValueError, OverflowError):
             index = {}
-            dates, step, power, valid = _pv_rows(path, cols)
-            day = _day_codes(dates, index)
+            labels, step, power, valid = _pv_rows(path, cols, dates)
+            day = _day_codes(labels, index)
     n_steps = int(step.max()) + 1 if len(step) else 0
     if len(step) and np.bincount(day * n_steps + step).max() > 1:
-        _pv_rows(path, cols)                # raises at the repeated step
+        _pv_rows(path, cols, dates)         # raises at the repeated step
     values = np.zeros((len(index), n_steps))
     mask = np.zeros((len(index), n_steps), dtype=bool)
     values[day, step], mask[day, step] = power, valid
@@ -234,11 +238,12 @@ def _day_codes(dates, index: dict):
     return np.fromiter(map(index.__getitem__, dates), np.intp, len(dates))
 
 
-def _pv_columns(f, cols, width: int, index: dict):
-    """(day code, step, power, valid) arrays of the rows left in ``f``,
-    about a megabyte of lines at a time.  Raises ``ValueError`` on quotes,
-    on a row that has not ``width`` cells and on a cell that does not
-    parse; blank lines are skipped."""
+def _pv_columns(f, cols, width: int, index: dict, keep=None):
+    """(day code, step, power, valid) arrays of the rows left in ``f`` whose
+    date is in ``keep`` (every row when it is None), about a megabyte of
+    lines at a time.  Raises ``ValueError`` on quotes, on a row that has
+    not ``width`` cells and on a kept cell that does not parse; blank lines
+    are skipped."""
     parts = [[np.zeros(0, t)] for t in (np.intp, np.int64, float, bool)]
     while chunk := f.readlines(1 << 20):
         block = "".join(chunk)
@@ -249,8 +254,12 @@ def _pv_columns(f, cols, width: int, index: dict):
         if not body:
             continue
         cells = ",".join(body).split(",")
-        dates, step, power, valid = (cells[i::width] for i in cols)
-        n = len(body)
+        columns = [cells[i::width] for i in cols]
+        if keep is not None:
+            kept = [date in keep for date in columns[0]]
+            columns = [list(compress(c, kept)) for c in columns]
+        dates, step, power, valid = columns
+        n = len(dates)
         for part, column in zip(parts, (
                 _day_codes(dates, index),
                 np.fromiter(map(int, step), np.int64, n),
@@ -260,9 +269,10 @@ def _pv_columns(f, cols, width: int, index: dict):
     return [np.concatenate(part) for part in parts]
 
 
-def _pv_rows(path: str, cols):
+def _pv_rows(path: str, cols, keep=None):
     """The (date, step, power, valid) columns of a PV table read row by row
-    through ``csv.reader``; a malformed row or a repeated (date, step)
+    through ``csv.reader``, of the rows whose date is in ``keep`` (every
+    row when it is None); a malformed row or a repeated (date, step)
     raises with its ``path:line``."""
     seen, out = set(), ([], [], [], [])
     with open(path, newline="") as f:
@@ -271,6 +281,8 @@ def _pv_rows(path: str, cols):
         for row in filter(None, reader):            # blank lines skipped
             try:
                 date, step, power, valid = [row[i] for i in cols]
+                if keep is not None and date not in keep:
+                    continue
                 parsed = (date, int(step), float(power), int(valid) != 0)
             except (IndexError, ValueError):
                 parsed = (None, -1)
@@ -344,20 +356,19 @@ def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
 
 def _day_fan(cfg: RunConfig, date: str, day: DayParams, p0: float):
     """A day's fan as its file carries it: quantiles and mean over all
-    ``n_paths`` paths, and the first ``dump_paths`` paths copied
-    C-contiguous (a strided slice of the paths can score differently in
-    the last bit from the read-back fan).
+    ``n_paths`` paths, and the first ``dump_paths`` paths, C-contiguous as
+    ``make_fan`` keeps them (a strided slice of the paths can score
+    differently in the last bit from the read-back fan).
 
     A fan takes one Euler step per sample, so each hour's a is capped
     where the estimator caps its fits (a·dt at most ``A_CAP_UNITS``); a
     predicted or hand-written a may exceed the Euler stability bound."""
     cap = A_CAP_UNITS / (cfg.step_seconds / TIME_UNIT_SECONDS)
     day = DayParams(tuple(replace(h, a=min(h.a, cap)) for h in day.hours))
-    fan = make_fan(day, p0, step_seconds=cfg.step_seconds,
-                   n_paths=cfg.n_paths, seed=_day_seed(cfg.seed, _FAN, date),
-                   quantile_levels=EVAL_QUANTILE_LEVELS, substeps=1)
-    return replace(fan, paths=np.ascontiguousarray(
-        fan.paths[:cfg.dump_paths]))
+    return make_fan(day, p0, step_seconds=cfg.step_seconds,
+                    n_paths=cfg.n_paths, seed=_day_seed(cfg.seed, _FAN, date),
+                    quantile_levels=EVAL_QUANTILE_LEVELS, substeps=1,
+                    n_keep=cfg.dump_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +463,19 @@ def _scorable(values, mask) -> bool:
 def _evaluate_days(pv: dict, dates, fan_of, out_path: str):
     """Score each of ``dates`` against its actual PV with the fan
     ``fan_of(date)`` and write the reports to ``out_path`` (eval.json).
-    Returns the reports and the dates skipped because the metrics are
-    undefined on their actual series; a skipped day's fan is not built."""
+    Steps past the end of a day's PV record count as masked.  Returns the
+    reports and the dates skipped because the metrics are undefined on
+    their actual series; a skipped day's fan is not built."""
     reports, skipped = {}, []
     for date in dates:
         values, mask = pv[date]
         if not _scorable(values, mask):
             skipped.append(date)
             continue
-        reports[date] = evaluate(EvalInput(fan=fan_of(date), actual=values,
-                                           mask=mask))
+        fan = fan_of(date)
+        pad = (0, max(fan.n_steps - values.size, 0))
+        reports[date] = evaluate(EvalInput(fan=fan, actual=np.pad(values, pad),
+                                           mask=np.pad(mask, pad)))
     with _atomic(out_path) as f:
         f.write(json.dumps({d: r.__dict__ for d, r in reports.items()},
                            sort_keys=True, indent=1))
@@ -512,12 +526,12 @@ def cmd_identify(cfg: RunConfig, pv_path: str, out_path: str) -> dict:
 def cmd_train(cfg: RunConfig, weather_path: str, params_path: str,
               out_dir: str) -> dict:
     """Train the weather-to-parameter ensemble from identified days."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     weather, medians, dropped = _load_weather_days(weather_path, cfg)
     _, n_days = _train(cfg, weather, read_params_json(params_path)["days"],
                        medians, out_dir)
     return dict(days=n_days, dropped=dropped,
-                seconds=round(time.time() - t0, 2), out=out_dir)
+                seconds=round(time.perf_counter() - t0, 2), out=out_dir)
 
 
 def cmd_predict(cfg: RunConfig, model_dir: str, weather_path: str,
@@ -536,11 +550,12 @@ def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
     """Simulate a forecast fan per day of a parameter file.
 
     The initial state is the day's first valid PV sample when a PV table
-    is supplied, otherwise the midpoint of the first hour's bounds.
+    is supplied, otherwise the midpoint of the first hour's bounds.  Only
+    the PV rows of the parameter file's days are read.
     """
     os.makedirs(out_dir, exist_ok=True)
     days = read_params_json(params_path)["days"]
-    pv = ingest_pv(pv_path) if pv_path else {}
+    pv = ingest_pv(pv_path, set(days)) if pv_path else {}
     for date, obj in sorted(days.items()):
         day, _ = obj_to_day_params(obj)
         fan = _day_fan(cfg, date, day, _initial_state(day, *pv.get(date, ())))
@@ -551,12 +566,14 @@ def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
 def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
                  out_path: str) -> dict:
     """Score every day with both a fan file and actual PV; days whose
-    actual series the metrics are undefined on are listed as skipped."""
-    pv = ingest_pv(pv_path)
-    fans = {d: os.path.join(fan_dir, f"fan_{d}.csv") for d in sorted(pv)}
+    actual series the metrics are undefined on are listed as skipped.
+    Only the PV rows of the days with a fan file are read."""
+    fans = {os.path.basename(f)[4:-4]: f for f in glob.glob(
+        os.path.join(glob.escape(fan_dir), "fan_*.csv"))}
+    pv = ingest_pv(pv_path, set(fans))
     reports, skipped = _evaluate_days(
-        pv, [d for d, fan in fans.items() if os.path.exists(fan)],
-        lambda d: read_fan_csv(fans[d], cfg.step_seconds), out_path)
+        pv, sorted(pv), lambda d: read_fan_csv(fans[d], cfg.step_seconds),
+        out_path)
     return dict(evaluated=len(reports), skipped=skipped, out=out_path)
 
 
@@ -580,7 +597,7 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     trained on; a held-out day whose actual series cannot be scored is
     listed as skipped and left out of ``n_test`` and the means.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     pv = ingest_pv(os.path.join(dataset_dir, "pv.csv"))
     weather, medians, _ = _load_weather_days(
@@ -639,4 +656,4 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     # wall-clock time is reported but kept out of the on-disk artifact so
     # seeded re-runs reproduce the output directory byte for byte
     return dict(summary, skipped=skipped,
-                seconds=round(time.time() - t_start, 2))
+                seconds=round(time.perf_counter() - t_start, 2))

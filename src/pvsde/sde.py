@@ -17,7 +17,9 @@ hour's paths in one call, with per-path parameters) and the forecast fans
 (``make_fan``).  It steps in place: every substep writes into two scratch
 buffers allocated once per call and into the state itself, and evaluates
 the step's products in one fixed order, so each caller's output is the
-same to the bit as the allocating form of the step.  A fan's on-disk
+same to the bit as the allocating form of the step.  A fan draws its
+noise hour by hour, just before it steps that hour, into one buffer of
+states that it then sorts in place for its quantiles.  A fan's on-disk
 form, a quantile CSV with its paths in a ``.npy`` next to it, is written
 and read by ``pipeline`` alone.
 """
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 # One internal time unit in seconds.  Parameter magnitudes (a ~ 0.05-0.35)
 # correspond to this convention: 1/a is the autocorrelation time constant
@@ -244,14 +245,19 @@ DEFAULT_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
-             quantile_levels=DEFAULT_QUANTILE_LEVELS, substeps=None):
+             quantile_levels=DEFAULT_QUANTILE_LEVELS, substeps=None,
+             n_keep=None):
     """Simulate n_paths day trajectories and cache empirical quantiles.
 
-    All noise is one (Euler substeps, n_paths) block drawn from a single
-    stream: the first child of ``SeedSequence(seed)``, which differs from
-    every ``default_rng(k)`` stream of an integer k (the estimator's day
-    seeds among them).  The fan is reproducible under ``seed``, but a
-    path's noise depends on ``n_paths``.
+    The noise comes from a single stream: the first child of
+    ``SeedSequence(seed)``, which differs from every ``default_rng(k)``
+    stream of an integer k (the estimator's day seeds among them).  Each
+    hour's (Euler substeps, n_paths) block is drawn just before that hour
+    is stepped; the blocks are the consecutive rows of the one block a
+    single draw would give.  The fan is reproducible under ``seed``, but a
+    path's noise depends on ``n_paths``.  The quantiles and mean cover
+    every path; ``paths`` keeps the first ``n_keep`` of them (all when
+    ``n_keep`` is None).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -261,35 +267,40 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     subs = [substeps if substeps is not None else _auto_substeps(t.a, dt)
             for t in day.hours]
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    noise = rng.standard_normal((n_hour * sum(subs), n_paths))
-
-    paths = euler_paths(day.as_matrix().T, np.full(n_paths, float(p0)), dt,
-                        n_hour, subs, noise).T
+    states = np.empty((day.m * n_hour, n_paths))
+    p = np.full(n_paths, float(p0))
+    for i, (theta, sub) in enumerate(zip(day.as_matrix().T, subs)):
+        hour = states[i * n_hour:(i + 1) * n_hour]
+        hour[:] = euler_paths(theta[None], p, dt, n_hour, [sub],
+                              rng.standard_normal((n_hour * sub, n_paths)))
+        p = hour[-1]
+    mean = states.mean(axis=1)
+    paths = np.ascontiguousarray(states[:, :n_keep].T)
     levels = tuple(quantile_levels)
     return SimulationFan(paths=paths, step_seconds=float(step_seconds),
                          quantile_levels=levels,
-                         quantiles=_sorted_quantiles(paths, levels),
-                         mean=paths.mean(axis=0))
+                         quantiles=_sorted_quantiles(states.T, levels),
+                         mean=mean)
 
 
 def _sorted_quantiles(paths, levels) -> np.ndarray:
     """(n_levels, n_steps) quantiles of finite (n_paths, n_steps) paths
-    from one sort along the path axis.
+    from one sort along the path axis, done in place on ``paths``.
 
     Bit-identical to ``np.quantile``'s default ``linear`` method: the same
     virtual index ``(n - 1) * q``, the same neighbours and numpy's
     two-sided interpolation (``b - diff * (1 - t)`` when ``t >= 0.5``).
     Only a tie between -0.0 and 0.0 may pick the other zero.
     """
-    s = np.sort(paths, axis=0)
-    n = s.shape[0]
+    paths.sort(axis=0)
+    n = paths.shape[0]
     v = (n - 1) * np.asarray(levels, dtype=float)
     lo = np.floor(v)
     hi = lo + 1
     top = v >= n - 1
     lo[top] = hi[top] = -1
     t = (v - lo)[:, None]
-    a, b = s[lo.astype(np.intp)], s[hi.astype(np.intp)]
+    a, b = paths[lo.astype(np.intp)], paths[hi.astype(np.intp)]
     diff = b - a
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
@@ -308,6 +319,8 @@ def stationary_beta_shapes(theta: SdeParams):
 
 def stationary_sample(theta: SdeParams, size, rng):
     """Draw from the analytic stationary law (testing/initialization aid)."""
+    from scipy import stats     # no command path needs it: import on use
+
     alpha, bshape = stationary_beta_shapes(theta)
     u = rng.random(size)
     x = stats.beta.ppf(u, alpha, bshape)

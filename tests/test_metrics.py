@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pvsde.metrics import (EvalInput, UndefinedMetricError, _acf,
+from pvsde.metrics import (EvalInput, UndefinedMetricError, _acf, _fast_len,
                            autocorr_mismatch, evaluate, kl_divergence, nd,
                            nrmse, picp, rho_risk)
 from pvsde.sde import DayParams, SdeParams, SimulationFan, make_fan
@@ -162,6 +162,11 @@ class TestAcf:
             x[i] = phi * x[i - 1] + e[i]
         got = _acf(x, 5)
         np.testing.assert_allclose(got, phi ** np.arange(1, 6), atol=0.02)
+
+    def test_fft_length_equals_scipy(self):
+        from scipy.fft import next_fast_len
+        for n in range(1, 20001):
+            assert _fast_len(n) == next_fast_len(n, real=True), n
 
     def test_mismatch_small_for_matched_process(self):
         # one 120-step hour gives a noisy empirical ACF, so a single day's

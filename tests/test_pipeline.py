@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pvsde
 from pvsde.cli import main as cli_main
-from pvsde.pipeline import (RunConfig, cmd_e2e, cmd_evaluate, cmd_identify,
-                            cmd_predict, cmd_simulate, cmd_synth, cmd_train,
-                            ingest_pv, load_config, obj_to_day_params,
-                            read_fan_csv, read_params_json, split_days,
-                            write_fan_csv, write_pv_csv)
+from pvsde.pipeline import (RunConfig, _day_fan, cmd_e2e, cmd_evaluate,
+                            cmd_identify, cmd_predict, cmd_simulate,
+                            cmd_synth, cmd_train, ingest_pv, load_config,
+                            obj_to_day_params, read_fan_csv,
+                            read_params_json, split_days, write_fan_csv,
+                            write_params_json, write_pv_csv)
 from pvsde.sde import DayParams, SdeParams, SimulationFan, make_fan
 from pvsde.synth import SyntheticSpec, synth_generate, true_param_map
 from pvsde.weather import HourGrid
@@ -218,6 +222,30 @@ class TestFanCsv:
         np.testing.assert_array_equal(got.quantiles, fan.quantiles)
         np.testing.assert_array_equal(got.mean, fan.mean)
         assert got.quantile_levels == fan.quantile_levels
+
+
+# sha256 of a day fan's paths, quantiles and mean, with dump_paths below,
+# equal to and above n_paths = 300; fixed when make_fan drew its noise in
+# one block and _day_fan sliced and copied the paths it keeps
+DAY_FAN_SHA256 = {
+    7: "176cfc42d0df14e596791e40a561460c470ffab27587abadde766a32865239f2",
+    300: "b0a29afc5ecbee0159a4014251affe78756e3172b84a8048ca7f0164786ff06b",
+    500: "b0a29afc5ecbee0159a4014251affe78756e3172b84a8048ca7f0164786ff06b",
+}
+
+
+@pytest.mark.parametrize("dump_paths", sorted(DAY_FAN_SHA256))
+def test_day_fan_bits(dump_paths):
+    cfg = RunConfig(m=2, n_paths=300, dump_paths=dump_paths, seed=5)
+    day = DayParams(hours=(SdeParams(0.2, 0.6, 0.15, 0.1, 0.95),
+                           SdeParams(0.3, 0.4, 0.25, 0.05, 0.8)))
+    fan = _day_fan(cfg, "2018-03-04", day, 0.5)
+    assert fan.paths.shape == (min(dump_paths, 300), 240)
+    assert fan.paths.flags.c_contiguous
+    h = hashlib.sha256()
+    for x in (fan.paths, fan.quantiles, fan.mean):
+        h.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    assert h.hexdigest() == DAY_FAN_SHA256[dump_paths]
 
 
 # doubles whose shortest repr is short, long, subnormal, signed or huge
@@ -516,6 +544,52 @@ class TestCommands:
                     .read_bytes() for tag in ("all", "alone")]
             assert fans[0] == fans[1], ext
 
+    def test_simulate_and_evaluate_read_only_their_days(self, tmp_path):
+        # a day's fan and eval.json are the same whether pv.csv holds that
+        # day alone or among 32 others
+        cfg = replace(SMALL, n_days=33, m=2)
+        ds = tmp_path / "ds"
+        cmd_synth(cfg, str(ds))
+        pv = ingest_pv(str(ds / "pv.csv"))
+        date = sorted(pv)[17]
+        write_pv_csv(str(tmp_path / "alone.csv"), [date], [pv[date][0]],
+                     [pv[date][1]])
+        truth = read_params_json(str(ds / "true_params.json"))["days"]
+        write_params_json(str(tmp_path / "day.json"), {date: truth[date]},
+                          cfg.step_seconds, cfg.m)
+        out = {}
+        for tag, pv_path in (("all", ds / "pv.csv"),
+                             ("alone", tmp_path / "alone.csv")):
+            fans, scores = tmp_path / f"fans_{tag}", tmp_path / f"{tag}.json"
+            cmd_simulate(cfg, str(tmp_path / "day.json"), str(fans),
+                         str(pv_path))
+            res = cmd_evaluate(cfg, str(fans), str(pv_path), str(scores))
+            assert res["evaluated"] == 1
+            out[tag] = [p.read_bytes() for p in sorted(fans.iterdir())]
+            out[tag].append(scores.read_bytes())
+        assert len(out["all"]) == 3 and out["all"] == out["alone"]
+
+    def test_evaluate_masks_steps_past_the_end_of_a_pv_day(self, tmp_path):
+        # a day read alone is as long as its own last step: the fan's
+        # steps past it are scored as masked samples
+        ds, fans = tmp_path / "ds", tmp_path / "fans"
+        cmd_synth(SMALL, str(ds))
+        pv = ingest_pv(str(ds / "pv.csv"))
+        date = sorted(pv)[0]
+        values, mask = pv[date]
+        write_pv_csv(str(tmp_path / "short.csv"), [date], [values[:-5]],
+                     [mask[:-5]])
+        write_pv_csv(str(tmp_path / "masked.csv"), [date], [values],
+                     [mask & (np.arange(mask.size) < mask.size - 5)])
+        cmd_simulate(SMALL, str(ds / "true_params.json"), str(fans))
+        scores = []
+        for tag in ("short", "masked"):
+            cmd_evaluate(SMALL, str(fans), str(tmp_path / f"{tag}.csv"),
+                         str(tmp_path / f"{tag}.json"))
+            scores.append((tmp_path / f"{tag}.json").read_bytes())
+        assert scores[0] == scores[1]
+        assert date in json.loads(scores[0])
+
     def test_unscorable_held_out_days_are_skipped(self, tmp_path):
         # no valid sample, no two consecutive valid samples, a stuck
         # sensor reading zero: the metrics are undefined on these days
@@ -574,6 +648,21 @@ class TestCommands:
                 p1 = os.path.join(root, name)
                 p2 = p1.replace(str(tmp_path / "r1"), str(tmp_path / "r2"))
                 assert open(p1, "rb").read() == open(p2, "rb").read(), p1
+
+
+def test_cli_import_loads_no_unused_scipy_module():
+    # scipy.stats, .optimize and .fft serve no command; tests import them
+    # in-process, so a fresh interpreter is asked
+    src = os.path.dirname(os.path.dirname(pvsde.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, pvsde, pvsde.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[:2] in (['scipy', 'stats'], "
+            "['scipy', 'optimize'], ['scipy', 'fft'])))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):

@@ -294,6 +294,17 @@ class TestFan:
         expected = np.quantile(ties, levels, axis=0)
         assert _sorted_quantiles(ties, levels).tobytes() == expected.tobytes()
 
+    def test_kept_paths_leave_quantiles_and_mean_unchanged(self):
+        full = self._fan(n_paths=300)
+        day = DayParams(hours=(CLEAR, CLOUDY))
+        for k in (1, 299, 300, 301):
+            kept = make_fan(day, 0.75, n_paths=300, seed=5, substeps=1,
+                            n_keep=k)
+            assert kept.paths.flags.c_contiguous
+            assert kept.paths.tobytes() == full.paths[:k].tobytes()
+            assert kept.quantiles.tobytes() == full.quantiles.tobytes()
+            assert kept.mean.tobytes() == full.mean.tobytes()
+
     def test_quantile_lookup(self):
         fan = self._fan()
         np.testing.assert_array_equal(fan.quantile(0.5),

@@ -17,12 +17,17 @@ of the day's feature vector.  Training draws the hidden layers once, from a
 stream seeded by the master seed alone and kept apart from the bootstrap
 stream.  A saved model stores all three arrays, so loading one draws no
 random numbers and does not depend on numpy keeping a generator's stream
-stable across versions.
+stable across versions.  Loading checks the three ``.npy`` headers and
+reads no data: a prediction reads each hour's slices of the three arrays
+just before it uses them, about 2.4 MB per hour at the default sizes, so
+it never holds more than one hour of a model.  A model trained in memory
+is indexed by hour the same way.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -71,7 +76,9 @@ class EnsembleModel:
     """Per-hour stacks of M multi-output ELMs and the shared feature scaler.
 
     ``master_seed`` is the seed the hidden layers and bootstrap resamples
-    were drawn from; the model itself uses only the arrays.
+    were drawn from; the model itself uses only the arrays.  The arrays
+    are numpy arrays after training and ``_SavedArray``s after
+    ``load_ensemble``; either is read one hour at a time, as ``a[hour]``.
     """
 
     hidden_weights: np.ndarray = field(repr=False)   # (m, M, K, p)
@@ -179,7 +186,9 @@ def trimmed_mean(values, trim_fraction: float = TRIM_FRACTION):
 
 
 def predict_params_batch(model: EnsembleModel, days, log=None):
-    """Predict the projected DayParams of each WeatherDay."""
+    """Predict the projected DayParams of each WeatherDay, hour by hour:
+    an hour's model arrays are indexed (for a loaded model, read) just
+    before that hour is predicted."""
     X = np.stack([d.features for d in days])
     if X.shape[1] != model.input_dim:
         raise ValueError("feature length does not match the trained model")
@@ -217,6 +226,13 @@ def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
 
 
 def load_ensemble(model_dir: str) -> EnsembleModel:
+    """The model saved under ``model_dir``, its arrays left on disk.
+
+    Each ``.npy`` header is checked against the manifest here: shape,
+    float64, C order, no pickled objects and exactly the data the header
+    declares.  The data is read later, one hour's slice at a time, when a
+    prediction indexes the array by hour (``_SavedArray``), so the files
+    must stay as they are while the model is in use."""
     with open(os.path.join(model_dir, "manifest.json")) as f:
         man = json.load(f)
     if man.get("format_version") != _FORMAT_VERSION:
@@ -229,7 +245,7 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
                          "or does not split evenly by hour")
     members = (m, man["n_members"], man["hidden_size"])
     shapes = (members + (n_in // m,), members, members + (len(PARAM_NAMES),))
-    arrays = {name: _load_array(os.path.join(model_dir, name + ".npy"), want)
+    arrays = {name: _SavedArray(os.path.join(model_dir, name + ".npy"), want)
               for name, want in zip(_ARRAY_FILES, shapes)}
     return EnsembleModel(**arrays, master_seed=man["master_seed"],
                          scaler_mean=mean, scaler_std=std,
@@ -237,15 +253,53 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
                          train_rmse=man["train_rmse"])
 
 
-def _load_array(path: str, want: tuple) -> np.ndarray:
-    try:
-        a = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise ValueError(f"{path}: unreadable model array ({exc})") from None
-    if a.shape != want or a.dtype != np.float64:
-        raise ValueError(f"{path} holds {a.dtype} {a.shape}, "
-                         f"the manifest says float64 {want}")
-    return a
+class _SavedArray:
+    """A saved model array of shape ``want``, read from its ``.npy`` one
+    hour at a time: ``a[hour]`` reads that hour's slice with one
+    ``np.fromfile``, ``np.asarray(a)`` the whole array.  The header is
+    parsed and checked once, here; the data must be C-ordered float64 and
+    fill the file to its end."""
+
+    def __init__(self, path: str, want: tuple):
+        fmt = np.lib.format
+        try:
+            with open(path, "rb") as f:
+                read_header = (fmt.read_array_header_1_0
+                               if fmt.read_magic(f) == (1, 0)
+                               else fmt.read_array_header_2_0)
+                shape, fortran_order, dtype = read_header(f)
+                offset, size = f.tell(), os.fstat(f.fileno()).st_size
+        except (OSError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: unreadable model array ({exc})") from None
+        if dtype.hasobject:
+            raise ValueError(f"{path}: unreadable model array (pickled "
+                             "objects)")
+        if shape != want or dtype != np.float64:
+            raise ValueError(f"{path} holds {dtype} {shape}, "
+                             f"the manifest says float64 {want}")
+        if fortran_order:
+            raise ValueError(f"{path}: unreadable model array (Fortran "
+                             "order)")
+        if size - offset != 8 * math.prod(want):
+            raise ValueError(f"{path}: unreadable model array ({size - offset}"
+                             f" data bytes, the header declares "
+                             f"{8 * math.prod(want)})")
+        self.path, self.shape, self._offset = path, want, offset
+        self._hour_size = math.prod(want[1:])
+
+    def __getitem__(self, hour: int) -> np.ndarray:
+        if not 0 <= hour < self.shape[0]:
+            raise IndexError(f"hour {hour} of a {self.shape[0]}-hour model")
+        return np.fromfile(
+            self.path, dtype=np.float64, count=self._hour_size,
+            offset=self._offset + 8 * self._hour_size * hour,
+        ).reshape(self.shape[1:])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        a = np.fromfile(self.path, dtype=np.float64,
+                        count=math.prod(self.shape), offset=self._offset)
+        return np.asarray(a.reshape(self.shape), dtype=dtype)
 
 
 @contextmanager

@@ -18,6 +18,7 @@ KL_BINS = 50
 KL_EPS = 1e-9
 ACF_DENOM_FLOOR = 0.05
 DEFAULT_ACF_WINDOW_SECONDS = 3 * 3600.0
+_ELIDE_BYTES = 1 << 18      # numpy's NPY_MIN_ELIDE_BYTES
 
 
 class UndefinedMetricError(ValueError):
@@ -69,9 +70,13 @@ def picp(inp: EvalInput, level: float = 0.90) -> float:
 
 def kl_divergence(actual_samples, forecast_samples, n_bins: int = KL_BINS,
                   eps: float = KL_EPS) -> float:
-    """Discrete KL D(actual || forecast) on a shared equal-width histogram."""
-    a = np.asarray(actual_samples, dtype=float).ravel()
-    f = np.asarray(forecast_samples, dtype=float).ravel()
+    """Discrete KL D(actual || forecast) on a shared equal-width histogram.
+
+    The samples are flattened in memory order: counts and extremes do not
+    depend on the order, and a masked fan (``paths[:, mask]``, Fortran
+    order) is then not copied again."""
+    a = np.asarray(actual_samples, dtype=float).ravel(order="K")
+    f = np.asarray(forecast_samples, dtype=float).ravel(order="K")
     if a.size == 0 or f.size == 0:
         raise ValueError("both sample sets must be nonempty")
     lo = min(a.min(), f.min())
@@ -146,18 +151,31 @@ def _acf(x, n_lags: int) -> np.ndarray:
     """Empirical autocorrelation at lags 1..n_lags (rows of a 2-D input
     are treated as independent series).  FFT-based; lag-k covariance is
     averaged over the n - k available products.  ``n + n_lags`` points
-    keep the circular products of lags up to n_lags free of wrap-around."""
+    keep the circular products of lags up to n_lags free of wrap-around.
+
+    The rows are transformed in equal chunks, so the FFTs' memory does not
+    grow with the number of rows.  Each chunk's spectrum is at least
+    ``_ELIDE_BYTES`` unless all rows together are smaller: from that size
+    on numpy evaluates ``f * np.conj(f)`` in place as ``np.conj(f) * f``
+    (temporary elision), which differs in the last bit, so every chunk
+    takes the product one transform of all rows takes and each row's ACF
+    is the same to the bit."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
     n = X.shape[1]
-    xc = X - X.mean(axis=1, keepdims=True)
     nfft = _fast_len(n + n_lags)
-    f = np.fft.rfft(xc, n=nfft, axis=1)
-    sums = np.fft.irfft(f * np.conj(f), n=nfft, axis=1)[:, :n_lags + 1]
-    var = sums[:, 0] / n
     counts = n - np.arange(1, n_lags + 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        acf = (sums[:, 1:] / counts) / np.maximum(var, 1e-300)[:, None]
-    acf = np.where(var[:, None] > 0, acf, 0.0)
+    row_bytes = 16 * (nfft // 2 + 1)
+    min_rows = -(-_ELIDE_BYTES // row_bytes)
+    chunks = []
+    for rows in np.array_split(X, max(1, len(X) // min_rows)):
+        xc = rows - rows.mean(axis=1, keepdims=True)
+        f = np.fft.rfft(xc, n=nfft, axis=1)
+        sums = np.fft.irfft(f * np.conj(f), n=nfft, axis=1)[:, :n_lags + 1]
+        var = sums[:, 0] / n
+        with np.errstate(invalid="ignore", divide="ignore"):
+            acf = (sums[:, 1:] / counts) / np.maximum(var, 1e-300)[:, None]
+        chunks.append(np.where(var[:, None] > 0, acf, 0.0))
+    acf = np.concatenate(chunks)
     return acf[0] if np.ndim(x) == 1 else acf
 
 

@@ -25,7 +25,6 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from itertools import compress
 from operator import methodcaller
 
 import numpy as np
@@ -194,16 +193,17 @@ def ingest_pv(path: str, dates=None):
     """Read the per-day normalized PV table -> {date: (values, mask)}.
 
     ``dates``, a set of date labels, keeps the rows of those days only:
-    the rows of other days are dropped before their cells are converted,
-    so they are not checked.  Each sample sits at its ``step`` index.
-    Every day is as long as the largest step of the rows kept plus one; a
-    step a day lacks is masked (value 0).  A malformed row or a repeated
-    (date, step) is reported as ``path:line``.
+    the rows of other days are dropped once their date cell is read, so
+    nothing else of them is checked.  Each sample sits at its ``step``
+    index.  Every day is as long as the largest step of the rows kept plus
+    one; a step a day lacks is masked (value 0).  A malformed row or a
+    repeated (date, step) is reported as ``path:line``.
 
     Rows are parsed column by column (``_pv_columns``).  A table with
-    quotes or with rows of other lengths than the header, and one that
-    fails a check, is read again row by row (``_pv_rows``), which names the
-    first bad line.  Both parse every kept cell with ``int`` or ``float``.
+    quotes or with kept rows of other lengths than the header, and one
+    that fails a check, is read again row by row (``_pv_rows``), which
+    names the first bad line.  Both parse every kept cell with ``int`` or
+    ``float``.
     """
     need = ("date", "step", "power", "valid")
     with open(path) as f:               # \r\n and \r are read as \n
@@ -241,24 +241,29 @@ def _day_codes(dates, index: dict):
 def _pv_columns(f, cols, width: int, index: dict, keep=None):
     """(day code, step, power, valid) arrays of the rows left in ``f`` whose
     date is in ``keep`` (every row when it is None), about a megabyte of
-    lines at a time.  Raises ``ValueError`` on quotes, on a row that has
-    not ``width`` cells and on a kept cell that does not parse; blank lines
-    are skipped."""
+    lines at a time.  The lines of other days are dropped before they are
+    split into cells.  Raises ``ValueError`` on quotes, on a line too short
+    to have a date cell, on a kept row that has not ``width`` cells and on
+    a kept cell that does not parse; blank lines are skipped."""
     parts = [[np.zeros(0, t)] for t in (np.intp, np.int64, float, bool)]
+    at = cols[0]
     while chunk := f.readlines(1 << 20):
         block = "".join(chunk)
+        if '"' in block:
+            raise ValueError("quoted rows")
         body = [line for line in block.split("\n") if line]
-        if '"' in block or set(map(methodcaller("count", ","), body)) - {
-                width - 1}:
-            raise ValueError("quoted or ragged rows")
+        if keep is not None:
+            try:
+                body = [line for line in body
+                        if line.split(",", at + 1)[at] in keep]
+            except IndexError:
+                raise ValueError("a row without a date cell") from None
+        if set(map(methodcaller("count", ","), body)) - {width - 1}:
+            raise ValueError("ragged rows")
         if not body:
             continue
         cells = ",".join(body).split(",")
-        columns = [cells[i::width] for i in cols]
-        if keep is not None:
-            kept = [date in keep for date in columns[0]]
-            columns = [list(compress(c, kept)) for c in columns]
-        dates, step, power, valid = columns
+        dates, step, power, valid = [cells[i::width] for i in cols]
         n = len(dates)
         for part, column in zip(parts, (
                 _day_codes(dates, index),
@@ -280,9 +285,9 @@ def _pv_rows(path: str, cols, keep=None):
         next(reader, [])
         for row in filter(None, reader):            # blank lines skipped
             try:
-                date, step, power, valid = [row[i] for i in cols]
-                if keep is not None and date not in keep:
+                if keep is not None and row[cols[0]] not in keep:
                     continue
+                date, step, power, valid = [row[i] for i in cols]
                 parsed = (date, int(step), float(power), int(valid) != 0)
             except (IndexError, ValueError):
                 parsed = (None, -1)
@@ -320,35 +325,39 @@ def write_fan_csv(path: str, fan: SimulationFan) -> None:
 def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
     """Read the fan ``write_fan_csv`` wrote to ``path``.  A malformed CSV
     header, cell or row is reported as ``path:line``; paths that are not a
-    float64 (n >= 1, CSV rows) array, or are pickled, name the ``.npy``."""
-    quantiles = []
+    float64 (n >= 1, CSV rows) array, or are pickled, name the ``.npy``.
+    The quantile block is converted in one call; only a block that fails
+    is converted again row by row, to find the line to name."""
     with open(path) as f:
         header = f.readline().strip().split(",")
         try:
             levels = [int(name[1:]) / 100.0 for name in header[2:]]
         except ValueError:
             raise ValueError(f"{path}:1: malformed fan header") from None
-        for line_no, line in enumerate(f, start=2):
+        rows = [line.rstrip().split(",") for line in f]
+    try:
+        q = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    except ValueError:
+        for line_no, row in enumerate(rows, start=2):
             try:
-                row = np.array(line.rstrip().split(","), dtype=np.float64)
+                cells = np.array(row, dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
-            if row.size != len(header):
+            if cells.size != len(header):
                 raise ValueError(f"{path}:{line_no}: quantile row has "
-                                 f"{row.size} cells, the header "
-                                 f"{len(header)}")
-            quantiles.append(row)
+                                 f"{cells.size} cells, the header "
+                                 f"{len(header)}") from None
+        raise
     npy = os.path.splitext(path)[0] + ".npy"
     try:
         paths = np.load(npy, allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise ValueError(f"{npy}: unreadable fan paths ({exc})") from None
     if (paths.dtype != np.float64 or paths.ndim != 2 or len(paths) < 1
-            or paths.shape[1] != len(quantiles)):
+            or paths.shape[1] != len(q)):
         raise ValueError(f"{npy}: fan paths are {paths.dtype} of shape "
                          f"{paths.shape}, need float64 (n >= 1, "
-                         f"{len(quantiles)}) for the quantile block's rows")
-    q = np.array(quantiles).reshape(-1, len(header))
+                         f"{len(q)}) for the quantile block's rows")
     return SimulationFan(paths=paths, step_seconds=step_seconds,
                          quantile_levels=tuple(levels),
                          quantiles=q[:, 2:].T, mean=q[:, 1])

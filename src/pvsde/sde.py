@@ -17,11 +17,11 @@ hour's paths in one call, with per-path parameters) and the forecast fans
 (``make_fan``).  It steps in place: every substep writes into two scratch
 buffers allocated once per call and into the state itself, and evaluates
 the step's products in one fixed order, so each caller's output is the
-same to the bit as the allocating form of the step.  A fan draws its
-noise hour by hour, just before it steps that hour, into one buffer of
-states that it then sorts in place for its quantiles.  A fan's on-disk
-form, a quantile CSV with its paths in a ``.npy`` next to it, is written
-and read by ``pipeline`` alone.
+same to the bit as the allocating form of the step.  A fan steps one hour
+at a time, drawing that hour's noise just before, and reduces each hour's
+states to their mean, quantiles and kept paths before the next.  A fan's
+on-disk form, a quantile CSV with its paths in a ``.npy`` next to it, is
+written and read by ``pipeline`` alone.
 """
 
 from __future__ import annotations
@@ -221,6 +221,8 @@ class SimulationFan:
     a forecast fan keeps the first ``dump_paths`` of its ``n_paths`` paths,
     as its files do: ``pipeline.write_fan_csv`` puts ``mean`` and
     ``quantiles`` in ``fan_<date>.csv`` and ``paths`` in ``fan_<date>.npy``.
+    ``make_fan`` fills the three hour by hour, so the paths it does not
+    keep are never held for more than one hour.
     """
 
     paths: np.ndarray              # (n_paths, n_steps)
@@ -258,6 +260,11 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     path's noise depends on ``n_paths``.  The quantiles and mean cover
     every path; ``paths`` keeps the first ``n_keep`` of them (all when
     ``n_keep`` is None).
+
+    The fan is built hour by hour: each hour's (steps, n_paths) block of
+    states gives that hour's mean, its kept paths and, sorted in place, its
+    quantiles, and the next hour starts from its last row.  So a fan holds
+    one hour of states, never a whole day's (n_steps, n_paths).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -267,19 +274,24 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     subs = [substeps if substeps is not None else _auto_substeps(t.a, dt)
             for t in day.hours]
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    states = np.empty((day.m * n_hour, n_paths))
+    n_steps = day.m * n_hour
+    levels = tuple(quantile_levels)
+    n_keep = n_paths if n_keep is None else min(n_keep, n_paths)
+    paths = np.empty((n_keep, n_steps))
+    quantiles = np.empty((len(levels), n_steps))
+    mean = np.empty(n_steps)
     p = np.full(n_paths, float(p0))
     for i, (theta, sub) in enumerate(zip(day.as_matrix().T, subs)):
-        hour = states[i * n_hour:(i + 1) * n_hour]
-        hour[:] = euler_paths(theta[None], p, dt, n_hour, [sub],
-                              rng.standard_normal((n_hour * sub, n_paths)))
-        p = hour[-1]
-    mean = states.mean(axis=1)
-    paths = np.ascontiguousarray(states[:, :n_keep].T)
-    levels = tuple(quantile_levels)
+        rows = slice(i * n_hour, (i + 1) * n_hour)
+        hour = euler_paths(theta[None], p, dt, n_hour, [sub],
+                           rng.standard_normal((n_hour * sub, n_paths)))
+        p = hour[-1].copy()             # the sort below reorders each step
+        mean[rows] = hour.mean(axis=1)
+        paths[:, rows] = hour[:, :n_keep].T
+        quantiles[:, rows] = _sorted_quantiles(hour.T, levels)
+        del hour            # before the next hour's noise and states exist
     return SimulationFan(paths=paths, step_seconds=float(step_seconds),
-                         quantile_levels=levels,
-                         quantiles=_sorted_quantiles(states.T, levels),
+                         quantile_levels=levels, quantiles=quantiles,
                          mean=mean)
 
 

@@ -29,3 +29,19 @@ def svd_ridge_solve():
         return (np.swapaxes(Vt, -1, -2)
                 @ (gain[..., None] * (np.swapaxes(U, -1, -2) @ Y)))
     return solve
+
+
+@pytest.fixture
+def peak_bytes():
+    """The peak of the memory ``tracemalloc`` traces (numpy's array data
+    among it) while ``fn()`` runs."""
+    import tracemalloc
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

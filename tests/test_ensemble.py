@@ -247,6 +247,42 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{name}.npy: unreadable"):
             load_ensemble(str(root))
 
+    @pytest.mark.parametrize("fault", ["fortran", "truncated", "extra"])
+    def test_bad_array_data_names_its_file_at_load(self, tmp_path, fault):
+        # the data is read hour by hour after loading, so load must find
+        # a layout or a length that those reads would get wrong
+        model = train_ensemble(_make_pairs(n_days=16), hidden_size=10,
+                               n_members=5, master_seed=13)
+        root = tmp_path / "model"
+        save_ensemble(model, str(root))
+        path = root / "output_weights.npy"
+        data = path.read_bytes()
+        if fault == "fortran":
+            np.save(path, np.asfortranarray(model.output_weights))
+        else:
+            path.write_bytes(data[:-8] if fault == "truncated"
+                             else data + bytes(8))
+        with pytest.raises(ValueError, match="output_weights.npy: "
+                                             "unreadable model array"):
+            load_ensemble(str(root))
+
+    def test_prediction_holds_one_hour_of_the_model(self, tmp_path,
+                                                    peak_bytes):
+        pairs = _make_pairs(n_days=30, m=12)
+        model = train_ensemble(pairs, hidden_size=50, n_members=40,
+                               master_seed=14)
+        save_ensemble(model, str(tmp_path / "model"))
+        total = sum(getattr(model, name).nbytes for name in
+                    ("hidden_weights", "hidden_biases", "output_weights"))
+        days = [w for w, _ in pairs[:3]]
+        want = predict_params_batch(model, days)
+        got = []
+        peak = peak_bytes(lambda: got.extend(predict_params_batch(
+            load_ensemble(str(tmp_path / "model")), days)))
+        assert peak < total / 4, (peak, total)
+        for a, b in zip(got, want):
+            assert a.as_matrix().tobytes() == b.as_matrix().tobytes()
+
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         pairs = _make_pairs(n_days=16)
         model = train_ensemble(pairs, hidden_size=10, n_members=5,

@@ -201,6 +201,30 @@ class TestPvCsv:
         np.testing.assert_array_equal(got["2018-01-02"][1],
                                       [True, False, False, False, False])
 
+    @pytest.mark.parametrize("order", ["date,step,power,valid",
+                                       "step,power,date,valid"])
+    def test_one_day_of_a_table_reads_like_its_own_file(self, tmp_path,
+                                                        order):
+        rng = np.random.default_rng(4)
+        dates = [f"2018-01-{d:02d}" for d in range(1, 8)]
+        values = rng.uniform(0.0, 1.0, (len(dates), 50))
+        masks = rng.random((len(dates), 50)) > 0.2
+        write_pv_csv(str(tmp_path / "all.csv"), dates, values, masks)
+        write_pv_csv(str(tmp_path / "one.csv"), dates[3:4], values[3:4],
+                     masks[3:4])
+        cols = order.split(",")
+        for name in ("all.csv", "one.csv"):     # reorder the columns
+            rows = [r.split(",") for r in
+                    (tmp_path / name).read_text().splitlines()]
+            at = [rows[0].index(c) for c in cols]
+            (tmp_path / name).write_text("".join(
+                ",".join(r[i] for i in at) + "\n" for r in rows))
+        got = ingest_pv(str(tmp_path / "all.csv"), {dates[3]})
+        want = ingest_pv(str(tmp_path / "one.csv"))
+        assert list(got) == list(want) == [dates[3]]
+        for a, b in zip(got[dates[3]], want[dates[3]]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_repeated_step_rejected(self, tmp_path):
         path = tmp_path / "pv.csv"
         path.write_text("date,step,power,valid\n2018-01-01,0,0.1,1\n"

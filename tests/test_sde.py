@@ -305,6 +305,14 @@ class TestFan:
             assert kept.quantiles.tobytes() == full.quantiles.tobytes()
             assert kept.mean.tobytes() == full.mean.tobytes()
 
+    def test_fan_holds_one_hour_of_states(self, peak_bytes):
+        day = DayParams(hours=(CLEAR, CLOUDY) * 6)
+        n_paths = 500
+        peak = peak_bytes(lambda: make_fan(day, 0.75, n_paths=n_paths,
+                                           seed=5, substeps=1, n_keep=10))
+        day_of_states = 12 * 120 * n_paths * 8
+        assert peak < day_of_states / 2, (peak, day_of_states)
+
     def test_quantile_lookup(self):
         fan = self._fan()
         np.testing.assert_array_equal(fan.quantile(0.5),

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elm import DEFAULT_RIDGE, fit_scaler, hidden_layer, solve_output_weights
-from .sde import DayParams, project_params
+from .sde import DayParams, project_rows
 
 PARAM_NAMES = ("a", "b", "beta", "c", "d")
 DEFAULT_HIDDEN = 100
@@ -175,17 +175,17 @@ def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
     return model
 
 
-def trimmed_mean(values, trim_fraction: float = TRIM_FRACTION):
-    """Mean along the first axis after discarding floor(trim * n) values
-    from each end."""
+def trimmed_mean(values):
+    """Mean along the first axis after discarding floor(TRIM_FRACTION * n)
+    values from each end."""
     v = np.sort(np.asarray(values, dtype=float), axis=0)
     n = v.shape[0]
-    k = int(np.floor(trim_fraction * n))
+    k = int(np.floor(TRIM_FRACTION * n))
     kept = v[k:n - k] if n - 2 * k > 0 else v
     return kept.mean(axis=0)
 
 
-def predict_params_batch(model: EnsembleModel, days, log=None):
+def predict_params_batch(model: EnsembleModel, days):
     """Predict the projected DayParams of each WeatherDay, hour by hour:
     an hour's model arrays are indexed (for a loaded model, read) just
     before that hour is predicted."""
@@ -194,9 +194,8 @@ def predict_params_batch(model: EnsembleModel, days, log=None):
         raise ValueError("feature length does not match the trained model")
     raw = np.stack([model._hour_outputs(model._hour_inputs(X, hour), hour)
                     for hour in range(model.m)], axis=1)     # (N, m, 5)
-    return [DayParams(hours=tuple(project_params(*raw[j, h], log=log)
-                                  for h in range(model.m)))
-            for j in range(len(days))]
+    theta = project_rows(raw.transpose(2, 0, 1))                # (5, N, m)
+    return [DayParams.from_matrix(theta[:, j]) for j in range(len(days))]
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sde import (TIME_UNIT_SECONDS, DayParams, SdeParams, euler_paths,
-                  project_params)
+from .sde import (A_CAP_UNITS, A_MIN, BETA_MAX, TIME_UNIT_SECONDS,
+                  DayParams, SdeParams, euler_paths, project_params,
+                  project_rows)
 
 
 def __getattr__(name):
@@ -62,10 +63,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-A_MIN = 1e-4
-A_CAP_UNITS = 0.45         # keeps a·dt safely inside the Euler stability bound
 BETA_MIN = 1e-6
-BETA_MAX = 1.0
 SIGMA2_FLOOR = 1e-12
 DEGENERATE_DELTA = 0.01     # half-gap added around a constant series
 _SPAN_EPS = 1e-6            # below this sample range the series is constant
@@ -372,24 +370,12 @@ def _fit_b_relaxation(s, dt, a, c, d):
 
 
 def _make_params(a, b, beta, c, d, dt):
-    """Project each row onto valid parameters, keeping a inside the
-    Euler-stable box; (5, B) rows a, b, beta, c, d.  Element-wise, this is
-    ``project_params`` (default bounds) to the bit."""
-    a = np.minimum(np.maximum(a, A_MIN), A_CAP_UNITS / dt)
-    b = _clamp_b(b, c, d)
-    swap = d < c
-    c, d = np.where(swap, d, c), np.where(swap, c, d)
-    narrow = d - c < 0.01
-    mid = 0.5 * (c + d)
-    c = np.where(narrow, mid - 0.01 / 2, c)
-    d = np.where(narrow, mid + 0.01 / 2, d)
-    theta = np.stack([np.minimum(a, 2.0),
-                      np.where(b < c, c, np.where(b > d, d, b)),
-                      np.where(beta < 0.0, 0.0,
-                               np.where(beta > 1.0, 1.0, beta)), c, d])
-    if not np.isfinite(theta).all():
-        raise ValueError("non-finite SDE parameter")
-    return theta
+    """(5, B) rows a, b, beta, c, d of valid parameters: the estimator's
+    own steps, a at most ``A_CAP_UNITS / dt`` (its matching simulations
+    take one Euler step per sample) and b kept ``_B_MARGIN`` inside the
+    bounds, then ``sde.project_rows``."""
+    return project_rows([np.minimum(a, A_CAP_UNITS / dt), _clamp_b(b, c, d),
+                         beta, c, d])
 
 
 def _simulate_matching(theta, p0, dt, block):
@@ -592,15 +578,16 @@ def identify_day(values, mask=None, step_seconds: float = 30.0,
     """Identify per-hour parameters for a full day of samples.
 
     ``values`` is the normalized day series; ``mask`` marks valid samples
-    (all valid when omitted).  The day is split into ``m`` equal hourly
-    windows (inferred from the step when omitted); a window with more than
-    half of its samples masked (or fewer than 20 valid, or no two
+    (all valid when omitted).  The day is cut into ``m`` clock hours of
+    ``round(3600 / step_seconds)`` samples, a short day's tail masked
+    (``m`` defaults to the hours the day reaches into); a window with more
+    than half of its samples masked (or fewer than 20 valid, or no two
     consecutive) is invalid and receives the average of its nearest valid
     neighbours' parameters, flagged ``"interpolated"``.  The valid windows
     are identified together by ``identify_hours``, gaps included.
 
-    Returns ``(DayParams, reports)``.  Raises AllHoursInvalidError when
-    every window is invalid.
+    Returns ``(DayParams, reports)``.  Raises ValueError on a day longer
+    than ``m`` hours, AllHoursInvalidError when every window is invalid.
     """
     values = np.asarray(values, dtype=float)
     if mask is None:
@@ -610,19 +597,14 @@ def identify_day(values, mask=None, step_seconds: float = 30.0,
         raise ValueError("mask length must match values length")
     per_hour = max(int(round(3600.0 / step_seconds)), 1)
     if m is None:
-        m = values.size // per_hour
-    if m < 1 or values.size < m:
-        raise ValueError("day too short for the requested hour grid")
-    edges = np.linspace(0, values.size, m + 1).astype(int)
-    sizes = np.diff(edges)
-
-    # hours side by side, a shorter window padded with masked samples
-    cols = edges[:-1, None] + np.arange(sizes.max())
-    inside = cols < edges[1:, None]
-    cols = np.minimum(cols, values.size - 1)
-    hours = np.where(inside, values[cols], 0.0)
-    valid = inside & mask[cols]
-    ok = (valid.sum(axis=1) > 0.5 * sizes) & _usable(valid)
+        m = -(-values.size // per_hour)
+    tail = m * per_hour - values.size
+    if m < 1 or tail < 0:
+        raise ValueError(f"a day of {values.size} samples does not fit "
+                         f"{m} hours of {per_hour} ({m * per_hour})")
+    hours = np.pad(values, (0, tail)).reshape(m, per_hour)
+    valid = np.pad(mask, (0, tail)).reshape(m, per_hour)
+    ok = (valid.sum(axis=1) > 0.5 * per_hour) & _usable(valid)
     if not ok.any():
         raise AllHoursInvalidError(
             "no hour of the day has enough valid samples")
@@ -638,19 +620,13 @@ def identify_day(values, mask=None, step_seconds: float = 30.0,
 
 def _fill_invalid_hours(reports):
     """Replace invalid hours with the average of their valid neighbours."""
-    n = len(reports)
     valid = [i for i, r in enumerate(reports) if r is not None]
     filled = list(reports)
-    for i in range(n):
-        if filled[i] is not None:
-            continue
-        left = max((j for j in valid if j < i), default=None)
-        right = min((j for j in valid if j > i), default=None)
-        neighbours = [reports[j] for j in (left, right) if j is not None]
-        ps = [r.params for r in neighbours]
-        mean = [float(np.mean([getattr(p, f) for p in ps]))
-                for f in ("a", "b", "beta", "c", "d")]
-        params = project_params(*mean)
-        filled[i] = FitReport(params=params, converged=False,
+    for i in set(range(len(reports))) - set(valid):
+        near = (max((j for j in valid if j < i), default=None),
+                min((j for j in valid if j > i), default=None))
+        mean = np.mean([reports[j].params.as_array()
+                        for j in near if j is not None], axis=0)
+        filled[i] = FitReport(params=project_params(*mean), converged=False,
                               flags=("interpolated",))
     return filled

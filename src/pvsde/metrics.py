@@ -18,7 +18,7 @@ KL_BINS = 50
 KL_EPS = 1e-9
 ACF_DENOM_FLOOR = 0.05
 DEFAULT_ACF_WINDOW_SECONDS = 3 * 3600.0
-_ELIDE_BYTES = 1 << 18      # numpy's NPY_MIN_ELIDE_BYTES
+_ACF_CHUNK_ROWS = 16        # rows per FFT in ``_acf``
 
 
 class UndefinedMetricError(ValueError):
@@ -68,8 +68,7 @@ def picp(inp: EvalInput, level: float = 0.90) -> float:
     return float(np.mean((q_lo[m] <= a) & (a <= q_hi[m])))
 
 
-def kl_divergence(actual_samples, forecast_samples, n_bins: int = KL_BINS,
-                  eps: float = KL_EPS) -> float:
+def kl_divergence(actual_samples, forecast_samples) -> float:
     """Discrete KL D(actual || forecast) on a shared equal-width histogram.
 
     The samples are flattened in memory order: counts and extremes do not
@@ -83,9 +82,9 @@ def kl_divergence(actual_samples, forecast_samples, n_bins: int = KL_BINS,
     hi = max(a.max(), f.max())
     if hi <= lo:
         hi = lo + 1e-12
-    edges = np.linspace(lo, hi, n_bins + 1)
-    pa = np.histogram(a, bins=edges)[0] + eps
-    pf = np.histogram(f, bins=edges)[0] + eps
+    edges = np.linspace(lo, hi, KL_BINS + 1)
+    pa = np.histogram(a, bins=edges)[0] + KL_EPS
+    pf = np.histogram(f, bins=edges)[0] + KL_EPS
     pa = pa / pa.sum()
     pf = pf / pf.sum()
     return float(np.sum(pa * np.log(pa / pf)))
@@ -153,24 +152,21 @@ def _acf(x, n_lags: int) -> np.ndarray:
     averaged over the n - k available products.  ``n + n_lags`` points
     keep the circular products of lags up to n_lags free of wrap-around.
 
-    The rows are transformed in equal chunks, so the FFTs' memory does not
-    grow with the number of rows.  Each chunk's spectrum is at least
-    ``_ELIDE_BYTES`` unless all rows together are smaller: from that size
-    on numpy evaluates ``f * np.conj(f)`` in place as ``np.conj(f) * f``
-    (temporary elision), which differs in the last bit, so every chunk
-    takes the product one transform of all rows takes and each row's ACF
-    is the same to the bit."""
+    The rows are transformed ``_ACF_CHUNK_ROWS`` at a time, so the FFTs'
+    memory does not grow with the number of rows.  The power spectrum is
+    ``f.real ** 2 + f.imag ** 2``, real by construction, so each row's ACF
+    is the same to the bit whichever rows share its transform."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
     n = X.shape[1]
     nfft = _fast_len(n + n_lags)
     counts = n - np.arange(1, n_lags + 1)
-    row_bytes = 16 * (nfft // 2 + 1)
-    min_rows = -(-_ELIDE_BYTES // row_bytes)
     chunks = []
-    for rows in np.array_split(X, max(1, len(X) // min_rows)):
+    for i in range(0, len(X), _ACF_CHUNK_ROWS):
+        rows = X[i:i + _ACF_CHUNK_ROWS]
         xc = rows - rows.mean(axis=1, keepdims=True)
         f = np.fft.rfft(xc, n=nfft, axis=1)
-        sums = np.fft.irfft(f * np.conj(f), n=nfft, axis=1)[:, :n_lags + 1]
+        sums = np.fft.irfft(f.real ** 2 + f.imag ** 2, n=nfft,
+                            axis=1)[:, :n_lags + 1]
         var = sums[:, 0] / n
         with np.errstate(invalid="ignore", divide="ignore"):
             acf = (sums[:, 1:] / counts) / np.maximum(var, 1e-300)[:, None]
@@ -216,9 +212,11 @@ def evaluate(inp: EvalInput) -> MetricReport:
     """Full metric battery for one day."""
     median = inp.fan.quantile(0.5)
     m = inp.mask
+    # an all-valid fan is histogrammed in place, not copied
+    paths = inp.fan.paths if m.all() else inp.fan.paths[:, m]
     return MetricReport(
         picp90=picp(inp, 0.90),
-        kl=kl_divergence(inp.actual[m], inp.fan.paths[:, m]),
+        kl=kl_divergence(inp.actual[m], paths),
         risk50=rho_risk(inp, 0.5),
         risk90=rho_risk(inp, 0.9),
         nd=nd(median, inp.actual, m),

@@ -29,17 +29,16 @@ from operator import methodcaller
 
 import numpy as np
 
-from .ensemble import (load_ensemble, predict_params_batch, save_ensemble,
-                       train_ensemble)
-from .estimation import A_CAP_UNITS, AllHoursInvalidError, identify_day
+from .ensemble import (PARAM_NAMES, load_ensemble, predict_params_batch,
+                       save_ensemble, train_ensemble)
+from .estimation import AllHoursInvalidError, identify_day
 from .metrics import EvalInput, evaluate, kl_divergence, nd as nd_metric
-from .sde import (TIME_UNIT_SECONDS, DayParams, SimulationFan, make_fan,
-                  project_params)
+from .sde import (A_CAP_UNITS, TIME_UNIT_SECONDS, DayParams, SimulationFan,
+                  make_fan, project_rows)
 from .synth import SyntheticSpec, synth_generate
 from .weather import (CSV_COLUMNS, HourGrid, impute_days, ingest_weather,
                       write_weather_csv)
 
-EVAL_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9, 0.95)
 PARAMS_SCHEMA_VERSION = 1
 
 # hours whose parameters were not genuinely fitted from data are kept for
@@ -150,10 +149,9 @@ def day_params_to_obj(day: DayParams, flags=None):
 
 
 def obj_to_day_params(obj) -> tuple[DayParams, list]:
-    hours = [project_params(e["a"], e["b"], e["beta"], e["c"], e["d"])
-             for e in obj]
+    theta = project_rows([[e[k] for e in obj] for k in PARAM_NAMES])
     flags = [tuple(e.get("flags", ())) for e in obj]
-    return DayParams(hours=tuple(hours)), flags
+    return DayParams.from_matrix(theta), flags
 
 
 def write_params_json(path: str, days: dict, step_seconds: float, m: int):
@@ -369,15 +367,14 @@ def _day_fan(cfg: RunConfig, date: str, day: DayParams, p0: float):
     ``make_fan`` keeps them (a strided slice of the paths can score
     differently in the last bit from the read-back fan).
 
-    A fan takes one Euler step per sample, so each hour's a is capped
-    where the estimator caps its fits (a·dt at most ``A_CAP_UNITS``); a
-    predicted or hand-written a may exceed the Euler stability bound."""
+    A fan takes one Euler step per sample, so each hour's a is capped at
+    ``sde.A_CAP_UNITS`` (a·dt at most 0.45); a predicted or hand-written a
+    may exceed the Euler stability bound."""
     cap = A_CAP_UNITS / (cfg.step_seconds / TIME_UNIT_SECONDS)
     day = DayParams(tuple(replace(h, a=min(h.a, cap)) for h in day.hours))
     return make_fan(day, p0, step_seconds=cfg.step_seconds,
                     n_paths=cfg.n_paths, seed=_day_seed(cfg.seed, _FAN, date),
-                    quantile_levels=EVAL_QUANTILE_LEVELS, substeps=1,
-                    n_keep=cfg.dump_paths)
+                    substeps=1, n_keep=cfg.dump_paths)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ at a time, drawing that hour's noise just before, and reduces each hour's
 states to their mean, quantiles and kept paths before the next.  A fan's
 on-disk form, a quantile CSV with its paths in a ``.npy`` next to it, is
 written and read by ``pipeline`` alone.
+
+The module owns the parameter box: every fitted, predicted, generated or
+stored hour is projected by ``project_rows`` (``project_params`` for one
+hour) onto bounds that are constants here, as is ``A_CAP_UNITS``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,14 @@ import numpy as np
 # correspond to this convention: 1/a is the autocorrelation time constant
 # measured in 30-second units.
 TIME_UNIT_SECONDS = 30.0
+
+# The parameter box: a in [A_MIN, A_MAX], beta in [0, BETA_MAX], d - c at
+# least MIN_GAP.  A_CAP_UNITS caps a*dt of fits and fans taking one Euler
+# step per sample, safely inside the stability bound _MAX_A_DT.
+A_MIN, A_MAX, BETA_MAX, MIN_GAP = 1e-4, 2.0, 1.0, 0.01
+A_CAP_UNITS = 0.45
+_RULES = ("swapped_bounds", "widened_bounds", "clamped_b", "clamped_a",
+          "clamped_beta")
 
 # Relative inset used when a state must be pushed strictly inside [c, d].
 _BOUND_EPS = 1e-6
@@ -78,35 +90,40 @@ class SdeParams:
         return np.array([self.a, self.b, self.beta, self.c, self.d])
 
 
-def project_params(a, b, beta, c, d, *, min_gap=0.01, a_min=1e-4, a_max=2.0,
-                   beta_max=1.0, log=None):
-    """Project an arbitrary 5-vector onto the SdeParams validity region.
-
-    Rules: swap inverted bounds; widen |d - c| to ``min_gap`` symmetrically;
-    clamp b into [c, d], a into [a_min, a_max], beta into [0, beta_max].
-    Idempotent.  ``log`` (a list, optional) collects event labels.
-    """
-    events = []
-    if d < c:
-        c, d = d, c
-        events.append("swapped_bounds")
-    if d - c < min_gap:
-        mid = 0.5 * (c + d)
-        c, d = mid - min_gap / 2, mid + min_gap / 2
-        events.append("widened_bounds")
-    if not c <= b <= d:
-        b = min(max(b, c), d)
-        events.append("clamped_b")
-    if not a_min <= a <= a_max:
-        a = min(max(a, a_min), a_max)
-        events.append("clamped_a")
-    if not 0.0 <= beta <= beta_max:
-        beta = min(max(beta, 0.0), beta_max)
-        events.append("clamped_beta")
+def project_rows(theta, log=None) -> np.ndarray:
+    """Project (5, ...) rows a, b, beta, c, d onto the SdeParams validity
+    region: swap inverted bounds, widen d - c to ``MIN_GAP`` symmetrically,
+    clamp b into [c, d], a into [A_MIN, A_MAX] and beta into [0, BETA_MAX];
+    raise ValueError on a non-finite result.  Idempotent, but for an ulp of
+    a widened gap that rounds below MIN_GAP.  ``log`` (a list, optional)
+    collects the label of each rule that moved some column."""
+    a, b, beta, c, d = np.asarray(theta, dtype=float)
+    swap = d < c
+    c, d = np.where(swap, d, c), np.where(swap, c, d)
+    narrow = d - c < MIN_GAP
+    mid = 0.5 * (c + d)
+    c = np.where(narrow, mid - MIN_GAP / 2, c)
+    d = np.where(narrow, mid + MIN_GAP / 2, d)
     if log is not None:
-        log.extend(events)
-    return SdeParams(a=float(a), b=float(b), beta=float(beta),
-                     c=float(c), d=float(d))
+        moved = (swap, narrow, ~((c <= b) & (b <= d)),
+                 ~((A_MIN <= a) & (a <= A_MAX)),
+                 ~((0.0 <= beta) & (beta <= BETA_MAX)))
+        log.extend(label for label, hit in zip(_RULES, moved) if hit.any())
+    out = np.stack([_clip(a, A_MIN, A_MAX), _clip(b, c, d),
+                    _clip(beta, 0.0, BETA_MAX), c, d])
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite SDE parameter")
+    return out
+
+
+def _clip(x, lo, hi):
+    """x clamped into [lo, hi], keeping NaN and a signed zero inside."""
+    return np.where(x < lo, lo, np.where(x > hi, hi, x))
+
+
+def project_params(a, b, beta, c, d, *, log=None) -> SdeParams:
+    """``project_rows`` for one hour."""
+    return SdeParams(*project_rows([a, b, beta, c, d], log).tolist())
 
 
 @dataclass(frozen=True)
@@ -127,6 +144,11 @@ class DayParams:
     def as_matrix(self) -> np.ndarray:
         """(5, m) array with rows a, b, beta, c, d."""
         return np.stack([h.as_array() for h in self.hours], axis=1)
+
+    @classmethod
+    def from_matrix(cls, theta) -> DayParams:
+        """The hours of a valid (5, m) array, as ``as_matrix`` gives."""
+        return cls(tuple(SdeParams(*h) for h in np.asarray(theta).T.tolist()))
 
 
 def _clamp_interior(p, c, d):
@@ -243,7 +265,8 @@ class SimulationFan:
                        f"(have {self.quantile_levels})")
 
 
-DEFAULT_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+# every level the metrics read: the 90% band and the 0.5 and 0.9 risks
+DEFAULT_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9, 0.95)
 
 
 def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sde import (TIME_UNIT_SECONDS, DayParams, SdeParams, euler_paths,
-                  project_params)
+                  project_params, project_rows)
 from .weather import COMPASS_DEGREES, HourGrid
 
 IRRADIANCE_SCALE = 3.5      # MJ/m^2 roughly spanning the observed range
@@ -38,8 +38,8 @@ def _sig(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def true_param_map(humidity, cloud, irradiance) -> SdeParams:
-    """Ground-truth smooth map from one hour's weather to SDE parameters."""
+def _raw_params(humidity, cloud, irradiance):
+    """``true_param_map``'s a, b, beta, c, d before the projection."""
     uh = humidity / 100.0
     uc = cloud / 9.0
     ui = irradiance / IRRADIANCE_SCALE
@@ -50,7 +50,12 @@ def true_param_map(humidity, cloud, irradiance) -> SdeParams:
     # smooth proportional gaps keep 0 < c < b < d < 1 without clipping
     c = b * (0.88 - 0.45 * _sig(3.0 * (uc + uh) - 3.3))
     d = b + 1.4 * b * (1.0 - b) * (0.30 + 0.50 * _sig(1.5 - 3.0 * uh))
-    return project_params(a, b, beta, c, d)
+    return a, b, beta, c, d
+
+
+def true_param_map(humidity, cloud, irradiance) -> SdeParams:
+    """Ground-truth smooth map from one hour's weather to SDE parameters."""
+    return project_params(*_raw_params(humidity, cloud, irradiance))
 
 
 def _day_weather(rng, grid: HourGrid):
@@ -102,11 +107,11 @@ def synth_generate(spec: SyntheticSpec, rng):
     noise = np.empty((m * n_hour, spec.n_days))
     for j in range(spec.n_days):
         rows = _day_weather(rng, spec.grid)
-        thetas = [true_param_map(row["humidity"], row["cloud"],
-                                 row["irradiance"])
-                  for row in rows]
-        day = DayParams(hours=tuple(thetas))
-        params[:, :, j] = day.as_matrix().T
+        theta = project_rows(np.transpose(
+            [_raw_params(r["humidity"], r["cloud"], r["irradiance"])
+             for r in rows]))
+        params[:, :, j] = theta.T
+        day = DayParams.from_matrix(theta)
         noise[:, j] = rng.standard_normal(m * n_hour)
         weather_days.append(rows)
         params_days.append(day)

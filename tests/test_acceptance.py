@@ -18,9 +18,8 @@ from pvsde.ensemble import (WeatherDay, predict_params_batch, train_ensemble,
                             trimmed_mean)
 from pvsde.estimation import HourSamples, identify_hour
 from pvsde.metrics import EvalInput, kl_divergence, nd, picp, rho_risk
-from pvsde.pipeline import (EVAL_QUANTILE_LEVELS, RunConfig, cmd_e2e,
-                            cmd_evaluate, cmd_identify, cmd_predict,
-                            cmd_simulate, cmd_synth, cmd_train)
+from pvsde.pipeline import (RunConfig, cmd_e2e, cmd_evaluate, cmd_identify,
+                            cmd_predict, cmd_simulate, cmd_synth, cmd_train)
 from pvsde.sde import (DayParams, SdeParams, make_fan, simulate_hour,
                        stationary_beta_shapes, stationary_sample)
 from pvsde.synth import true_param_map
@@ -164,8 +163,7 @@ def test_criterion_6_metric_identities(capsys):
     """Risk/KL/PICP metrics satisfy their defining identities."""
     th = SdeParams(*REGIME_PARAMS["cloudy"])
     day = DayParams((th,))
-    fan = make_fan(day, 0.55, n_paths=4000, seed=11,
-                   quantile_levels=EVAL_QUANTILE_LEVELS, substeps=1)
+    fan = make_fan(day, 0.55, n_paths=4000, seed=11, substeps=1)
     actual = simulate_hour(th, np.array([0.55]), n_steps=fan.n_steps,
                            rng=np.random.default_rng(13), substeps=1)[:, 0]
     inp = EvalInput(fan, actual)

@@ -13,7 +13,7 @@ from pvsde.estimation import (A_CAP_UNITS, A_MIN, AllHoursInvalidError,
                               _fit_diffusion_mle, _initial_drift, _lag1,
                               _make_params, _nelder_mead_batch, _Rows, identify_day,
                               identify_hour, identify_hours)
-from pvsde.sde import SdeParams, project_params, simulate_hour
+from pvsde.sde import DayParams, SdeParams, project_params, simulate_hour
 from pvsde.synth import SyntheticSpec, synth_generate
 
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
@@ -244,9 +244,8 @@ class TestIdentifyHours:
         # in each of 30 hours keep the criterion-3 tolerances on the mean
         paths = _simulate_hours(CLOUDY, 30, seed=1)
         mask = _block_mask(paths.shape[0], 30, seed=101)
-        day, _ = identify_day(paths.T.ravel(), mask.T.ravel(),
-                              step_seconds=30.0, m=30, seed=7)
-        mean = day.as_matrix().mean(axis=1)
+        reps = identify_hours(paths.T, mask.T, seed=7)
+        mean = DayParams(tuple(r.params for r in reps)).as_matrix().mean(1)
         tol = dict(a=0.20, b=0.20, beta=0.15, c=0.15, d=0.15)
         for i, name in enumerate(("a", "b", "beta", "c", "d")):
             assert mean[i] == pytest.approx(CLOUDY.as_array()[i],
@@ -315,6 +314,18 @@ class TestIdentifyDay:
         flags[10] = flags[11] = ("variance-matched-high",
                                  "bootstrap-rescaled")
         assert [r.flags for r in reports] == flags
+
+    def test_short_day_keeps_clock_hours(self):
+        # a day cut at 1,400 samples keeps its first 11 hours on the clock
+        # grid; its last hour holds 80 samples, the rest masked
+        _, _, pv, _ = synth_generate(SyntheticSpec(n_days=1),
+                                     np.random.default_rng(3))
+        _, full = identify_day(pv[0], seed=11)
+        _, cut = identify_day(pv[0][:1400], seed=11)
+        assert len(cut) == 12
+        assert cut[:11] == full[:11]
+        with pytest.raises(ValueError, match="1440 samples.*11 hours"):
+            identify_day(pv[0], m=11)
 
     def test_unmasked_day_equals_per_hour_reports(self):
         values = self._day_series()

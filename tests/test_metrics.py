@@ -163,6 +163,13 @@ class TestAcf:
         got = _acf(x, 5)
         np.testing.assert_allclose(got, phi ** np.arange(1, 6), atol=0.02)
 
+    def test_row_does_not_depend_on_its_transform_mates(self):
+        # a fan's paths share transforms; each path's ACF is its ACF alone
+        x = np.cumsum(np.random.default_rng(8).normal(size=(200, 1440)), 1)
+        acf = _acf(x, 360)
+        for i in range(0, 200, 3):
+            assert acf[i].tobytes() == _acf(x[i], 360).tobytes(), i
+
     def test_fft_length_equals_scipy(self):
         from scipy.fft import next_fast_len
         for n in range(1, 20001):
@@ -202,6 +209,14 @@ class TestEvaluate:
         rep = evaluate(_sde_input())
         for v in rep.__dict__.values():
             assert np.isfinite(v)
+
+    def test_default_fan_evaluates(self):
+        # make_fan's default levels hold every level the metrics read
+        day = DayParams(hours=(CLOUDY,))
+        fan = make_fan(day, 0.5, n_paths=100, seed=0)
+        actual = make_fan(day, 0.5, n_paths=1, seed=1).paths[0]
+        rep = evaluate(EvalInput(fan=fan, actual=actual))
+        assert all(np.isfinite(v) for v in rep.__dict__.values())
 
     def test_report_identities(self):
         inp = _sde_input()

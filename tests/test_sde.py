@@ -4,11 +4,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pvsde.pipeline import write_fan_csv
-from pvsde.sde import (DayParams, SdeParams, SimulationFan, StabilityError,
-                       _sorted_quantiles, euler_paths, make_fan, project_params, simulate_hour,
+from pvsde.sde import (MIN_GAP, DayParams, SdeParams, SimulationFan,
+                       StabilityError, _sorted_quantiles, euler_paths,
+                       make_fan, project_params, project_rows, simulate_hour,
                        stationary_beta_shapes, stationary_sample)
 from pvsde.synth import SyntheticSpec, synth_generate
 
@@ -73,6 +76,44 @@ class TestProjection:
         assert log  # something was repaired
         th2 = project_params(*th.as_array())
         assert th2 == th
+
+
+def _value(lo, hi):
+    return st.one_of(st.sampled_from([0.0, -0.0]), st.floats(lo, hi))
+
+
+# a, b, beta, c, d, and an optional offset that puts d just beside c
+_HOUR = st.tuples(_value(-1.0, 5.0), _value(-0.5, 1.5), _value(-1.0, 3.0),
+                  _value(-0.5, 1.5), _value(-0.5, 1.5),
+                  st.one_of(st.none(), _value(-0.02, 0.02)))
+
+
+class TestProjectRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_HOUR, min_size=1, max_size=30))
+    def test_block_equals_hours_and_is_idempotent(self, hours):
+        raw = np.array([(a, b, beta, c, d if near is None else c + near)
+                        for a, b, beta, c, d, near in hours]).T
+        log = []
+        block = project_rows(raw, log)
+        labels = set()
+        for j, col in enumerate(raw.T.tolist()):
+            hour_log = []
+            one = project_params(*col, log=hour_log)     # builds SdeParams
+            assert one.as_array().tobytes() == block[:, j].tobytes()
+            labels.update(hour_log)
+        assert set(log) == labels and len(log) == len(labels)
+        # bit for bit, except that a widened gap may round to just below
+        # MIN_GAP and be widened again, its mid moving by an ulp
+        again = project_rows(block)
+        np.testing.assert_allclose(again, block, rtol=0, atol=1e-15)
+        kept = block[4] - block[3] >= MIN_GAP
+        assert again[:, kept].tobytes() == block[:, kept].tobytes()
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            project_rows(np.array([[0.2, np.nan], [0.5] * 2, [0.1] * 2,
+                                   [0.0] * 2, [1.0] * 2]))
 
 
 class TestEulerPaths:
@@ -142,7 +183,8 @@ class TestGoldenKernel:
     def test_fan(self):
         # auto substeps: 2 on the CLEAR hours (h = 0.5), 1 on CLOUDY
         fan = make_fan(DayParams(hours=(CLEAR, CLOUDY, CLEAR)), 0.75,
-                       n_paths=300, seed=13)
+                       n_paths=300, seed=13,
+                       quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95))
         assert _sha256(fan.paths, fan.quantiles, fan.mean) == (
             "34dac1f1178909a5703ca863ef0aeedf6cd679097276d667112a1d78356aa58a")
 
@@ -325,7 +367,8 @@ class TestFan:
         write_fan_csv(str(tmp_path / "fan.csv"), fan)
         lines = (tmp_path / "fan.csv").read_text().splitlines()
         header = lines[0].split(",")
-        assert header == ["step", "mean", "q05", "q25", "q50", "q75", "q95"]
+        assert header == ["step", "mean", "q05", "q25", "q50", "q75", "q90",
+                          "q95"]
         assert len(lines) == 1 + fan.n_steps       # no path rows
         row = lines[1].split(",")
         assert float(row[1]) == fan.mean[0]

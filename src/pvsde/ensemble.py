@@ -207,7 +207,7 @@ def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
     whose manifest is new is complete."""
     os.makedirs(out_dir, exist_ok=True)
     for name in _ARRAY_FILES:
-        with _atomic(os.path.join(out_dir, name + ".npy")) as f:
+        with _atomic(os.path.join(out_dir, name + ".npy"), "wb") as f:
             np.save(f, np.ascontiguousarray(getattr(model, name),
                                             dtype="<f8"))
     manifest = dict(format_version=_FORMAT_VERSION, m=model.m,
@@ -220,7 +220,7 @@ def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
                     scaler_std=model.scaler_std.tolist(),
                     train_rmse=model.train_rmse,
                     param_names=list(PARAM_NAMES))
-    with _atomic(os.path.join(out_dir, "manifest.json")) as f:
+    with _atomic(os.path.join(out_dir, "manifest.json"), "wb") as f:
         f.write(json.dumps(manifest, sort_keys=True, indent=1).encode())
 
 
@@ -302,10 +302,10 @@ class _SavedArray:
 
 
 @contextmanager
-def _atomic(path: str):
-    """``path + ".tmp"`` opened for binary writing and renamed onto
+def _atomic(path: str, mode="w", newline=None):
+    """A file opened in ``mode`` as ``path + ".tmp"`` and renamed onto
     ``path`` once the block completes, so no reader sees a partial file."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
+    with open(tmp, mode, newline=newline) as f:
         yield f
     os.replace(tmp, path)

@@ -23,21 +23,20 @@ and time is counted from an hour's first valid sample.  The pieces are:
   ``b + (v0 − b)(1 − a·dt)^t`` over the valid samples at their true time
   indices, which stays accurate when the hour is a transient rather than a
   stationary stretch;
-* a final parametric-bootstrap rescaling of beta removes the residual
-  multiplicative bias of the profiled estimate (applied only when the
-  process mixes fast enough for the bootstrap to be informative).
+* beta, last: every Euler step clips the state to [c, d], so the profiled
+  beta is re-fit to the closed-form second moment of a Gaussian censored
+  at the bounds (Tobin 1958) rather than of an uncensored one.
 
 Every stage runs once for a batch of hours, in lockstep: one batched
-Nelder–Mead minimizes the profiled likelihood of all hours (and later of
-all their bootstrap replicas), and each matching step simulates the paths
-of every hour in one ``euler_paths`` call on the full hour grid, its
-statistics taken over the observed sample and pair masks.  Each matching
-stage draws its noise from its own stream, ``default_rng([seed, stage])``,
-one block per matching iteration, and every hour of a batch uses the same
-block (bootstrap replica j of every hour uses column j), so an hour's
-estimate does not depend on the batch it is fit in.  Day-level
-identification batches the valid hours, repairs masked hours from their
-neighbours, and reports flags.
+Nelder–Mead minimizes the profiled likelihood of all hours, and each
+matching step simulates the paths of every hour in one ``euler_paths``
+call on the full hour grid, its statistics taken over the observed sample
+and pair masks.  Each matching stage draws its noise from its own stream,
+``default_rng([seed, stage])``, one block per matching iteration, and
+every hour of a batch uses the same block, so an hour's estimate does not
+depend on the batch it is fit in.  Day-level identification batches the
+valid hours, repairs masked hours from their neighbours, and reports
+flags.
 """
 
 from __future__ import annotations
@@ -78,9 +77,7 @@ _NM_FATOL = 1e-6
 _NM_STEPS = np.array([[3.0, 2.0], [1.5, 0.5], [0.5, -0.5]])
 _N_MATCH = 64               # simulated paths per indirect-inference step
 _N_VAR_ITERS = 5            # variance-matching steps per runaway boundary
-_N_BOOT = 16                # bootstrap replicas for the beta rescaling
-_N_BOOT_INNER = 24          # simulated paths inside each bootstrap replica
-_BOOT_MIN_A = 0.1           # below this rate the bootstrap rescaling is skipped
+_N_CENSOR_ITERS = 4         # fixed-point steps of the censored beta
 _RUNAWAY_FRAC = 0.3         # boundary offset (in spans) that triggers variance matching
 _STICKY_COUNT = 3           # exact repeats at an extreme that pin the bound
 _B_MARGIN = 0.02            # keep b this fraction of (d − c) inside the bounds
@@ -88,8 +85,7 @@ _DAMP = 0.9                 # step damping for the indirect-inference updates
 DEFAULT_SEED = 1729
 
 # matching stages: stage k of an hour seeded s draws from default_rng([s, k])
-(_STAGE_A_FIRST, _STAGE_A_SECOND, _STAGE_VAR_HIGH, _STAGE_VAR_LOW,
- _STAGE_BOOT, _STAGE_BOOT_VAR_HIGH, _STAGE_BOOT_VAR_LOW) = range(7)
+_STAGE_A_FIRST, _STAGE_A_SECOND, _STAGE_VAR_HIGH, _STAGE_VAR_LOW = range(4)
 
 # flags of the diffusion repairs, in the order they are reported
 _REPAIR_FLAGS = ("boundary-pinned-low", "boundary-pinned-high",
@@ -152,7 +148,7 @@ class FitReport:
 
 
 class _Rows:
-    """Hours (or bootstrap replicas) on a common sample grid, one per row.
+    """Hours on a common sample grid, one per row.
 
     Each row is shifted to start at its first valid sample; masked samples
     are zeroed and left out through the sample mask ``m`` and the
@@ -227,6 +223,42 @@ def _reprofile_beta(s, dt, a, b, c, d):
     W = np.maximum((s.X - c[:, None]) * (d[:, None] - s.X), SIGMA2_FLOOR)
     return _profiled_beta(_msum(_e2(s, dt, a, b), s.pm, 1),
                           _msum(W, s.pm, 1), dt)
+
+
+def _norm_cdf(x):
+    """Φ(x) = erfc(−x/√2)/2 elementwise, by ``math.erfc``: no scipy."""
+    u = (x * -math.sqrt(0.5)).ravel().tolist()
+    return 0.5 * np.fromiter(map(math.erfc, u), float, x.size).reshape(x.shape)
+
+
+def _censored_beta(s, dt, a, b, c, d):
+    """Beta of the Euler chain, whose steps are clipped to [c, d].
+
+    The one-step law is N(m, σ²), m = X + a·dt·(b − X) and σ² = beta·dt·W,
+    censored at c and d (Tobin 1958).  With α = (c − m)/σ, γ = (d − m)/σ:
+    E[e²] = σ²·[Φ(γ) − Φ(α) + αφ(α) − γφ(γ)] + (c − m)²Φ(α) + (d − m)²Φ(−γ).
+    From the profiled beta (Σe² = Σσ²), ``_N_CENSOR_ITERS`` steps
+    beta ← beta·Σe²/ΣE[e²] over the valid pairs match Σe² to E[e²]
+    instead.  σ² has the likelihood's floor, so α and γ are finite, and
+    far from a bound Φ(α) and αφ(α) underflow to their limits, 0.
+    """
+    m = s.X + a[:, None] * dt * (b[:, None] - s.X)
+    e2_sum = _msum((s.Y - m) ** 2, s.pm, 1)
+    W = np.maximum((s.X - c[:, None]) * (d[:, None] - s.X), SIGMA2_FLOOR)
+    beta = _profiled_beta(e2_sum, _msum(W, s.pm, 1), dt)
+    to_c, to_d = c[:, None] - m, d[:, None] - m
+    for _ in range(_N_CENSOR_ITERS):
+        var = np.maximum(beta[:, None] * dt * W, SIGMA2_FLOOR)
+        sd = np.sqrt(var)
+        al, ga = to_c / sd, to_d / sd
+        p_c, p_d = _norm_cdf(al), _norm_cdf(-ga)
+        tails = (al * np.exp(-0.5 * al * al)
+                 - ga * np.exp(-0.5 * ga * ga)) / math.sqrt(2.0 * math.pi)
+        e2_cens = (var * (1.0 - p_c - p_d + tails) + to_c * to_c * p_c
+                   + to_d * to_d * p_d)
+        beta = np.clip(beta * e2_sum / _msum(e2_cens, s.pm, 1),
+                       BETA_MIN, BETA_MAX)
+    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +444,7 @@ def _fit_a_indirect(s, dt, beta, c, d, phi_obs, a, b, rng, iters):
     return a, b
 
 
-def _match_variance(s, dt, a, b, beta, c, d, side, rng, n_paths):
+def _match_variance(s, dt, a, b, beta, c, d, side, rng):
     """Re-fit a runaway boundary by matching the simulated path variance.
 
     When the likelihood is nearly flat in the far boundary the fitted offset
@@ -420,13 +452,13 @@ def _match_variance(s, dt, a, b, beta, c, d, side, rng, n_paths):
     stationary slope, so a few damped matching steps pin it down.
     """
     var_obs = _masked_var(s.v, s.m, 1)
-    m = np.repeat(s.m.T, n_paths, axis=1)
+    m = np.repeat(s.m.T, _N_MATCH, axis=1)
     for _ in range(_N_VAR_ITERS):
         theta = _make_params(a, b, beta, c, d, dt)
         ta, tb, tbeta, tc, td = theta
         P = _simulate_matching(theta, s.v[:, 0], dt, rng.standard_normal(
-            (s.v.shape[1] - 1, n_paths)))
-        var_sim = _masked_var(P, m, 0).reshape(-1, n_paths).mean(axis=1)
+            (s.v.shape[1] - 1, _N_MATCH)))
+        var_sim = _masked_var(P, m, 0).reshape(-1, _N_MATCH).mean(axis=1)
         if side == "d":
             slope = np.maximum(tbeta * (tb - tc) / (2.0 * ta + tbeta), 1e-9)
             d = np.minimum(np.maximum(td + _DAMP * (var_obs - var_sim) / slope,
@@ -441,12 +473,12 @@ def _match_variance(s, dt, a, b, beta, c, d, side, rng, n_paths):
     return beta, c, d
 
 
-def _diffusion_pipeline(s, dt, a, b, seed, n_paths, stages):
+def _diffusion_pipeline(s, dt, a, b, seed):
     """Full diffusion fit: profiled likelihood plus boundary repairs.
 
-    The runaway high and low boundaries are matched on the streams of the
-    two ``stages``.  Returns the fit and a (B, 4) mask of the repairs in
-    ``_REPAIR_FLAGS``.
+    The runaway high and low boundaries are matched on the streams
+    ``_STAGE_VAR_HIGH`` and ``_STAGE_VAR_LOW``.  Returns the fit and a
+    (B, 4) mask of the repairs in ``_REPAIR_FLAGS``.
     """
     beta, c, d, converged = _fit_diffusion_mle(s, dt, a, b)
     pin_lo = (((s.v <= s.lo[:, None] + 1e-9) & s.m).sum(axis=1)
@@ -457,12 +489,12 @@ def _diffusion_pipeline(s, dt, a, b, seed, n_paths, stages):
     d = np.where(pin_hi, s.hi + 1e-4 * s.span, d)
     run_hi = ~pin_hi & (d - s.hi > _RUNAWAY_FRAC * s.span)
     run_lo = ~pin_lo & (s.lo - c > _RUNAWAY_FRAC * s.span)
-    for side, run, stage in (("d", run_hi, stages[0]),
-                             ("c", run_lo, stages[1])):
+    for side, run, stage in (("d", run_hi, _STAGE_VAR_HIGH),
+                             ("c", run_lo, _STAGE_VAR_LOW)):
         if run.any():
             beta[run], c[run], d[run] = _match_variance(
                 s.take(run), dt, a[run], b[run], beta[run], c[run], d[run],
-                side, np.random.default_rng([seed, stage]), n_paths)
+                side, np.random.default_rng([seed, stage]))
     beta = _reprofile_beta(s, dt, a, b, c, d)
     repairs = np.stack([pin_lo, pin_hi, run_hi, run_lo], axis=1)
     return beta, c, d, converged, repairs
@@ -479,56 +511,29 @@ def _initial_drift(s, dt):
     return a, b, phi_raw
 
 
-def _bootstrap_mean_beta(s, dt, theta, seed):
-    """Mean beta re-fit on ``_N_BOOT`` paths simulated from each row's fit,
-    each observed through the row's own sample mask."""
-    block = np.random.default_rng([seed, _STAGE_BOOT]).standard_normal(
-        (s.v.shape[1] - 1, _N_BOOT))
-    reps = _Rows(_simulate_matching(theta, s.v[:, 0], dt, block).T,
-                 np.repeat(s.m, _N_BOOT, axis=0))
-    a, c, d = (np.repeat(theta[i], _N_BOOT) for i in (0, 3, 4))
-    b = _fit_b_relaxation(reps, dt, a, c, d)
-    beta = _diffusion_pipeline(reps, dt, a, b, seed, _N_BOOT_INNER,
-                               (_STAGE_BOOT_VAR_HIGH, _STAGE_BOOT_VAR_LOW))[0]
-    return beta.reshape(-1, _N_BOOT).mean(axis=1)
-
-
 def _identify_rows(s, dt, seed):
     """Identify every (non-constant) row of ``s``; one FitReport per row.
 
     Alternates the drift and diffusion fits so each step conditions on the
-    other's latest estimate, then applies the bootstrap rescaling of beta.
+    other's latest estimate, then corrects beta for the censoring of the
+    Euler chain at the fitted bounds.
     """
     a, b, phi_raw = _initial_drift(s, dt)
     beta, c, d, *_ = _fit_diffusion_mle(s, dt, a, b)
     a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b,
                            np.random.default_rng([seed, _STAGE_A_FIRST]),
                            iters=3)
-    beta, c, d, converged, repairs = _diffusion_pipeline(
-        s, dt, a, b, seed, _N_MATCH, (_STAGE_VAR_HIGH, _STAGE_VAR_LOW))
+    beta, c, d, converged, repairs = _diffusion_pipeline(s, dt, a, b, seed)
     a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b,
                            np.random.default_rng([seed, _STAGE_A_SECOND]),
                            iters=2)
-    beta = _reprofile_beta(s, dt, a, b, c, d)
-
-    boot = a >= _BOOT_MIN_A / dt
-    if boot.any():
-        theta = _make_params(a[boot], b[boot], beta[boot], c[boot], d[boot],
-                             dt)
-        mean_boot = _bootstrap_mean_beta(s.take(boot), dt, theta, seed)
-        beta[boot] = np.clip(beta[boot] * beta[boot]
-                             / np.maximum(mean_boot, 1e-9), BETA_MIN, BETA_MAX)
-
+    beta = _censored_beta(s, dt, a, b, c, d)
     theta = _make_params(a, b, beta, c, d, dt)
-    reports = []
-    for i in range(len(a)):
-        flags = [f for f, hit in zip(_REPAIR_FLAGS, repairs[i]) if hit]
-        if boot[i]:
-            flags.append("bootstrap-rescaled")
-        reports.append(FitReport(
-            params=SdeParams(*theta[:, i].tolist()),
-            converged=bool(converged[i]), flags=tuple(flags)))
-    return reports
+    return [FitReport(params=SdeParams(*theta[:, i].tolist()),
+                      converged=bool(converged[i]),
+                      flags=tuple(f for f, hit in zip(_REPAIR_FLAGS, hits)
+                                  if hit))
+            for i, hits in enumerate(repairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +546,9 @@ def identify_hours(values, valid, h: float = 30.0,
 
     ``values`` is (H, T), one hour of samples every ``h`` seconds per row;
     ``valid`` (H, T) marks the samples to use.  Each row needs 20 valid
-    samples, two of them consecutive.  Every hour draws the same noise
+    samples, two of them consecutive.  Beta is that of the Euler chain
+    clipped at the fitted bounds (``_censored_beta``), which the
+    uncensored profile reads low.  Every hour draws the same noise
     from the streams of ``seed``, so row i's report equals that of
     ``identify_hour`` on row i alone.  A constant row is flagged
     non-volatile and degenerate.

@@ -23,14 +23,13 @@ import glob
 import json
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from operator import methodcaller
 
 import numpy as np
 
-from .ensemble import (PARAM_NAMES, load_ensemble, predict_params_batch,
-                       save_ensemble, train_ensemble)
+from .ensemble import (PARAM_NAMES, _atomic, load_ensemble,
+                       predict_params_batch, save_ensemble, train_ensemble)
 from .estimation import AllHoursInvalidError, identify_day
 from .metrics import EvalInput, evaluate, kl_divergence, nd as nd_metric
 from .sde import (A_CAP_UNITS, TIME_UNIT_SECONDS, DayParams, SimulationFan,
@@ -115,16 +114,6 @@ def load_config(path: str | None, overrides=None) -> RunConfig:
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
-
-
-@contextmanager
-def _atomic(path: str, mode="w", newline=None):
-    """A file opened in ``mode`` as ``path + ".tmp"`` and renamed onto
-    ``path`` once the block completes, so no reader sees a partial file."""
-    tmp = path + ".tmp"
-    with open(tmp, mode, newline=newline) as f:
-        yield f
-    os.replace(tmp, path)
 
 
 def _day_seed(master: int, stage: int, date: str) -> int:

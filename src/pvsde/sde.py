@@ -94,9 +94,10 @@ def project_rows(theta, log=None) -> np.ndarray:
     """Project (5, ...) rows a, b, beta, c, d onto the SdeParams validity
     region: swap inverted bounds, widen d - c to ``MIN_GAP`` symmetrically,
     clamp b into [c, d], a into [A_MIN, A_MAX] and beta into [0, BETA_MAX];
-    raise ValueError on a non-finite result.  Idempotent, but for an ulp of
-    a widened gap that rounds below MIN_GAP.  ``log`` (a list, optional)
-    collects the label of each rule that moved some column."""
+    raise ValueError on a non-finite result.  Idempotent to the bit: a
+    widened gap that rounds below MIN_GAP has d raised by an ulp.  ``log``
+    (a list, optional) collects the label of each rule that moved some
+    column."""
     a, b, beta, c, d = np.asarray(theta, dtype=float)
     swap = d < c
     c, d = np.where(swap, d, c), np.where(swap, c, d)
@@ -104,6 +105,7 @@ def project_rows(theta, log=None) -> np.ndarray:
     mid = 0.5 * (c + d)
     c = np.where(narrow, mid - MIN_GAP / 2, c)
     d = np.where(narrow, mid + MIN_GAP / 2, d)
+    d = np.where(d - c < MIN_GAP, np.nextafter(d, np.inf), d)
     if log is not None:
         moved = (swap, narrow, ~((c <= b) & (b <= d)),
                  ~((A_MIN <= a) & (a <= A_MAX)),

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from pvsde.estimation import (A_CAP_UNITS, A_MIN, AllHoursInvalidError,
-                              HourSamples, _clamp_b, _debias_phi,
-                              _fit_diffusion_mle, _initial_drift, _lag1,
-                              _make_params, _nelder_mead_batch, _Rows, identify_day,
+                              HourSamples, _censored_beta, _clamp_b,
+                              _debias_phi, _fit_diffusion_mle, _initial_drift,
+                              _lag1, _make_params, _nelder_mead_batch,
+                              _reprofile_beta, _Rows, identify_day,
                               identify_hour, identify_hours)
 from pvsde.sde import DayParams, SdeParams, project_params, simulate_hour
 from pvsde.synth import SyntheticSpec, synth_generate
@@ -218,7 +219,7 @@ class TestNelderMeadBatch:
 
 class TestFitDiffusionSpeed:
     # pytest-benchmark timing of the profiled-likelihood fit on gappy rows:
-    # 12 rows are one day's hours, 192 rows their bootstrap replicas
+    # 12 rows are one day's hours, 192 rows sixteen such days at once
     @pytest.mark.parametrize("rows", [12, 192])
     def test_fit_diffusion_mle(self, benchmark, rows):
         paths = _simulate_hours(CLOUDY, rows, seed=rows)
@@ -226,6 +227,30 @@ class TestFitDiffusionSpeed:
         a, b, _ = _initial_drift(s, 1.0)
         beta, c, d = benchmark(_fit_diffusion_mle, s, 1.0, a, b)[:3]
         assert (c < s.lo).all() and (s.hi < d).all() and (beta > 0).all()
+
+
+class TestCensoredBeta:
+    def _hours(self, n_steps):
+        paths = _simulate_hours(CLOUDY, 60, seed=1, n_steps=n_steps)
+        s = _Rows(paths.T, np.ones(paths.T.shape, dtype=bool))
+        return s, *(np.full(60, v) for v in CLOUDY.as_array())
+
+    def test_no_reachable_bound_keeps_the_profiled_beta(self):
+        s, a, b, _, _, _ = self._hours(120)
+        c, d = s.lo - 10.0, s.hi + 10.0
+        np.testing.assert_allclose(_censored_beta(s, 1.0, a, b, c, d),
+                                   _reprofile_beta(s, 1.0, a, b, c, d),
+                                   rtol=1e-12, atol=0)
+
+    def test_true_parameters_recover_beta(self):
+        # with the true a, b, c, d plugged in, the uncensored profile reads
+        # beta low by the mass the chain's clipping puts on the bounds
+        s, a, b, _, c, d = self._hours(480)
+        profiled = _reprofile_beta(s, 1.0, a, b, c, d).mean()
+        assert profiled <= 0.95 * CLOUDY.beta
+        assert _censored_beta(s, 1.0, a, b, c, d).mean() == pytest.approx(
+            CLOUDY.beta, rel=0.03)
+
 
 class TestIdentifyHours:
     def test_row_result_does_not_depend_on_its_batch(self):
@@ -254,27 +279,31 @@ class TestIdentifyHours:
 
 # identify_day(pv[0], seed=11) on day 0 of synth_generate(SyntheticSpec(
 # n_days=1), default_rng(3)), with one noise stream per matching stage;
-# identify_hour on each hour alone gives the same values
+# identify_hour on each hour alone gives the same values.  The censored
+# beta moved the beta column alone
 _GOLDEN_DAY = np.array([
-    (0.2023895691797919, 0.7992931847205629, 0.10310302314108774, 0.6762786768166229, 0.9245786112954241),
-    (0.20690380273595077, 0.7992242984971651, 0.12783272222102066, 0.6757532195278594, 0.9189354204452072),
-    (0.22080913711248407, 0.8233789529435402, 0.04067345385045114, 0.5615755190813992, 0.944117774395555),
-    (0.22582306172079214, 0.8399196967945539, 0.06649629052987399, 0.6869746659051434, 0.9500990737023344),
-    (0.3076717120119201, 0.8192460828375911, 0.09121472987712687, 0.6511209211216574, 0.9337846373708755),
-    (0.42991982283889485, 0.8124535573975978, 0.03336124958656291, 0.6072288702182708, 0.968966516055193),
-    (0.2642069350771016, 0.814824855052728, 0.11130686385745212, 0.6854431040710236, 0.9387207449806922),
-    (0.2722703764914638, 0.8157565620916473, 0.07039553350757727, 0.5903439979843406, 0.9354283569659642),
-    (0.27838923569634055, 0.81236728375044, 0.14539224742898088, 0.680003474609117, 0.9143034236431894),
-    (0.21984271561739066, 0.8130121228406786, 0.055295809722883144, 0.6408612198895833, 0.9293844967250368),
-    (0.2657301786808408, 0.8221679976227477, 0.07179648055804824, 0.6750926245175507, 0.9374636114090927),
-    (0.21762195086835834, 0.7615270718702087, 0.08256526656668203, 0.5994130306635025, 0.9002918351536909),
+    (0.2023895691797919, 0.7992931847205629, 0.11250176273553569, 0.6762786768166229, 0.9245786112954241),
+    (0.20690380273595077, 0.7992242984971651, 0.13711319313298698, 0.6757532195278594, 0.9189354204452072),
+    (0.22080913711248407, 0.8233789529435402, 0.05954840232499827, 0.5615755190813992, 0.944117774395555),
+    (0.22582306172079214, 0.8399196967945539, 0.07841025787272546, 0.6869746659051434, 0.9500990737023344),
+    (0.3076717120119201, 0.8192460828375911, 0.10353783985724972, 0.6511209211216574, 0.9337846373708755),
+    (0.42991982283889485, 0.8124535573975978, 0.046329293981028974, 0.6072288702182708, 0.968966516055193),
+    (0.2642069350771016, 0.814824855052728, 0.12207134177109272, 0.6854431040710236, 0.9387207449806922),
+    (0.2722703764914638, 0.8157565620916473, 0.08286887368442322, 0.5903439979843406, 0.9354283569659642),
+    (0.27838923569634055, 0.81236728375044, 0.15915727012232156, 0.680003474609117, 0.9143034236431894),
+    (0.21984271561739066, 0.8130121228406786, 0.06774793519271169, 0.6408612198895833, 0.9293844967250368),
+    (0.2657301786808408, 0.8221679976227477, 0.08296138430145811, 0.6750926245175507, 0.9374636114090927),
+    (0.21762195086835834, 0.7615270718702087, 0.09528732161673521, 0.5994130306635025, 0.9002918351536909),
 ])
 
 
-# sha256 of day.as_matrix().tobytes() in test_gappy_day_bits (numpy 2.4.6):
+# sha256 of day.as_matrix().tobytes() in test_gappy_day_bits (numpy 2.4.6),
+# and of its a, b, c, d rows alone, which the censored beta left unchanged:
 # a change to the estimator's arithmetic must keep every output bit
 _GAPPY_DAY_SHA256 = (
-    "6533f3abb64cabbfda2949b4aa73be6aca85be281d3e270483d394280308f38f")
+    "d134e79e2fffb757d30df36913c38592830cfe5884e1134b85b336ba9a7160a1")
+_GAPPY_ABCD_SHA256 = (
+    "df99035a969a7df6c3065f0e7092b5e00c1a3070c59304eb915b27b520a1c0c1")
 
 class TestIdentifyDay:
     def _day_series(self, seed=9):
@@ -293,26 +322,27 @@ class TestIdentifyDay:
         day, reports = identify_day(pv[0], seed=11)
         np.testing.assert_allclose(day.as_matrix().T, _GOLDEN_DAY,
                                    rtol=1e-9, atol=0)
-        flags = [("bootstrap-rescaled",)] * 12
-        flags[2] = ("variance-matched-low", "bootstrap-rescaled")
-        flags[4] = ("boundary-pinned-high", "bootstrap-rescaled")
+        flags = [()] * 12
+        flags[2] = ("variance-matched-low",)
+        flags[4] = ("boundary-pinned-high",)
         assert [r.flags for r in reports] == flags
 
     def test_gappy_day_bits(self):
-        # four masked blocks per hour; all 12 hours bootstrap (192 replica
-        # rows) and four are variance-matched, so the digest pins the
-        # masked likelihood, both boundary repairs and the bootstrap fit
+        # four masked blocks per hour; four hours are variance-matched, so
+        # the digest pins the masked likelihood, both boundary repairs and
+        # the censored beta
         _, _, pv, _ = synth_generate(SyntheticSpec(n_days=1),
                                      np.random.default_rng(8))
         mask = _block_mask(120, 12, seed=13)
         day, reports = identify_day(pv[0], mask.T.ravel(), seed=11)
-        digest = hashlib.sha256(day.as_matrix().tobytes()).hexdigest()
-        assert digest == _GAPPY_DAY_SHA256
-        flags = [("bootstrap-rescaled",)] * 12
-        flags[8] = ("variance-matched-low", "bootstrap-rescaled")
-        flags[9] = ("boundary-pinned-high", "bootstrap-rescaled")
-        flags[10] = flags[11] = ("variance-matched-high",
-                                 "bootstrap-rescaled")
+        theta = day.as_matrix()
+        assert hashlib.sha256(theta.tobytes()).hexdigest() == _GAPPY_DAY_SHA256
+        assert (hashlib.sha256(theta[[0, 1, 3, 4]].tobytes()).hexdigest()
+                == _GAPPY_ABCD_SHA256)
+        flags = [()] * 12
+        flags[8] = ("variance-matched-low",)
+        flags[9] = ("boundary-pinned-high",)
+        flags[10] = flags[11] = ("variance-matched-high",)
         assert [r.flags for r in reports] == flags
 
     def test_short_day_keeps_clock_hours(self):

@@ -675,14 +675,23 @@ class TestCommands:
 
 
 def test_cli_import_loads_no_unused_scipy_module():
-    # scipy.stats, .optimize and .fft serve no command; tests import them
-    # in-process, so a fresh interpreter is asked
+    # scipy.special, .stats, .optimize and .fft serve no command; tests
+    # import them in-process, so a fresh interpreter is asked, after it has
+    # identified hours whose paths sit on their bounds (the censored beta)
     src = os.path.dirname(os.path.dirname(pvsde.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, pvsde, pvsde.cli; print(sorted(m for m in "
-            "sys.modules if m.split('.')[:2] in (['scipy', 'stats'], "
-            "['scipy', 'optimize'], ['scipy', 'fft'])))")
+    code = ("import sys, numpy as np, pvsde, pvsde.cli\n"
+            "from pvsde.estimation import identify_hours\n"
+            "from pvsde.sde import SdeParams, simulate_hour\n"
+            "th = SdeParams(0.2095, 0.5496, 0.1946, 0.1263, 0.9930)\n"
+            "P = simulate_hour(th, [0.2, 0.5, 0.9], n_steps=120, substeps=1,"
+            " rng=np.random.default_rng(1)).T\n"
+            "assert ((P == th.c) | (P == th.d)).any(axis=1).all()\n"
+            "identify_hours(P, np.ones(P.shape, dtype=bool))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in ("
+            "['scipy', 'special'], ['scipy', 'stats'], ['scipy', 'optimize'],"
+            " ['scipy', 'fft'])))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

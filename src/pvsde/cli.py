@@ -69,25 +69,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command's operands, as its ``pipeline.cmd_*`` takes them after cfg
+_OPERANDS = dict(synth=("out",), identify=("pv", "out"),
+                 train=("weather", "params", "out"),
+                 predict=("model", "weather", "out"),
+                 simulate=("params", "out", "pv"),
+                 evaluate=("fans", "pv", "out"), e2e=("dataset", "out"))
+
+
 def run(argv=None):
     args = build_parser().parse_args(argv)
     overrides = {"seed": args.seed} if args.seed is not None else None
     cfg = pipeline.load_config(args.config, overrides)
-    if args.command == "synth":
-        return pipeline.cmd_synth(cfg, args.out)
-    if args.command == "identify":
-        return pipeline.cmd_identify(cfg, args.pv, args.out)
-    if args.command == "train":
-        return pipeline.cmd_train(cfg, args.weather, args.params, args.out)
-    if args.command == "predict":
-        return pipeline.cmd_predict(cfg, args.model, args.weather, args.out)
-    if args.command == "simulate":
-        return pipeline.cmd_simulate(cfg, args.params, args.out, args.pv)
-    if args.command == "evaluate":
-        return pipeline.cmd_evaluate(cfg, args.fans, args.pv, args.out)
-    if args.command == "e2e":
-        return pipeline.cmd_e2e(cfg, args.dataset, args.out)
-    raise AssertionError(f"unhandled command {args.command}")
+    operands = [getattr(args, k) for k in _OPERANDS[args.command]]
+    return getattr(pipeline, f"cmd_{args.command}")(cfg, *operands)
 
 
 def main(argv=None) -> int:

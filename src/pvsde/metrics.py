@@ -19,6 +19,7 @@ KL_EPS = 1e-9
 ACF_DENOM_FLOOR = 0.05
 DEFAULT_ACF_WINDOW_SECONDS = 3 * 3600.0
 _ACF_CHUNK_ROWS = 16        # rows per FFT in ``_acf``
+EVAL_LEVELS = (0.05, 0.5, 0.9, 0.95)    # the fan quantiles evaluate reads
 
 
 class UndefinedMetricError(ValueError):
@@ -195,17 +196,11 @@ def autocorr_mismatch(inp: EvalInput,
 
 
 def _longest_true_run(mask):
-    best, cur, best_start, cur_start = 0, 0, 0, 0
-    for i, v in enumerate(mask):
-        if v:
-            if cur == 0:
-                cur_start = i
-            cur += 1
-            if cur > best:
-                best, best_start = cur, cur_start
-        else:
-            cur = 0
-    return best_start, best_start + best
+    """(start, stop) of the first longest run of True in a boolean mask
+    that holds one."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    k = int(np.argmax(edges[1::2] - edges[::2]))
+    return int(edges[2 * k]), int(edges[2 * k + 1])
 
 
 def evaluate(inp: EvalInput) -> MetricReport:

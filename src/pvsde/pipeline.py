@@ -24,14 +24,15 @@ import json
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from operator import methodcaller
+from operator import itemgetter
 
 import numpy as np
 
 from .ensemble import (PARAM_NAMES, _atomic, load_ensemble,
                        predict_params_batch, save_ensemble, train_ensemble)
 from .estimation import AllHoursInvalidError, identify_day
-from .metrics import EvalInput, evaluate, kl_divergence, nd as nd_metric
+from .metrics import (EVAL_LEVELS, EvalInput, evaluate, kl_divergence,
+                      nd as nd_metric)
 from .sde import (A_CAP_UNITS, TIME_UNIT_SECONDS, DayParams, SimulationFan,
                   make_fan, project_rows)
 from .synth import SyntheticSpec, synth_generate
@@ -129,12 +130,9 @@ def _day_seed(master: int, stage: int, date: str) -> int:
 
 
 def day_params_to_obj(day: DayParams, flags=None):
-    out = []
-    for i, th in enumerate(day.hours):
-        entry = dict(a=th.a, b=th.b, beta=th.beta, c=th.c, d=th.d,
-                     flags=list(flags[i]) if flags is not None else [])
-        out.append(entry)
-    return out
+    return [dict(a=th.a, b=th.b, beta=th.beta, c=th.c, d=th.d,
+                 flags=list(flags[i]) if flags is not None else [])
+            for i, th in enumerate(day.hours)]
 
 
 def obj_to_day_params(obj) -> tuple[DayParams, list]:
@@ -186,31 +184,35 @@ def ingest_pv(path: str, dates=None):
     one; a step a day lacks is masked (value 0).  A malformed row or a
     repeated (date, step) is reported as ``path:line``.
 
-    Rows are parsed column by column (``_pv_columns``).  A table with
-    quotes or with kept rows of other lengths than the header, and one
-    that fails a check, is read again row by row (``_pv_rows``), which
-    names the first bad line.  Both parse every kept cell with ``int`` or
-    ``float``.
+    Lines are read about a megabyte at a time, split by ``_pv_cells`` (a
+    quoted cell may not span lines), and a chunk's rows become arrays
+    before the next is read.  Only a table that fails a check is read
+    again, to name its first bad line.
     """
     need = ("date", "step", "power", "valid")
     with open(path) as f:               # \r\n and \r are read as \n
         header = next(csv.reader([f.readline()]), [])
         if not set(need) <= set(header):
             raise ValueError(f"PV CSV must have columns {sorted(need)}")
-        cols = [header.index(name) for name in need]
-        index = {}
+        spec = ([header.index(name) for name in need], len(header), dates)
+        index, chunks = {}, []
         try:
-            day, step, power, valid = _pv_columns(f, cols, len(header),
-                                                  index, dates)
-            if len(step) and step.min() < 0:
-                raise ValueError("negative step")
-        except (ValueError, OverflowError):
-            index = {}
-            labels, step, power, valid = _pv_rows(path, cols, dates)
-            day = _day_codes(labels, index)
-    n_steps = int(step.max()) + 1 if len(step) else 0
-    if len(step) and np.bincount(day * n_steps + step).max() > 1:
-        _pv_rows(path, cols, dates)         # raises at the repeated step
+            while lines := f.readlines(1 << 20):
+                day, step, power, valid = _pv_cells(lines, *spec)
+                n = len(day)
+                chunks.append((_day_codes(day, index),
+                               np.fromiter(map(int, step), np.int64, n),
+                               np.fromiter(map(float, power), float, n),
+                               np.fromiter(map(int, valid), bool, n)))
+        except (IndexError, ValueError, OverflowError):
+            _pv_locate(path, *spec)
+    if not index:                   # no row kept
+        return {}
+    day, step, power, valid = map(np.concatenate, zip(*chunks))
+    del chunks                      # before the repeat check's arrays
+    n_steps = int(step.max()) + 1
+    if step.min() < 0 or np.bincount(day * n_steps + step).max() > 1:
+        _pv_locate(path, *spec)
     values = np.zeros((len(index), n_steps))
     mask = np.zeros((len(index), n_steps), dtype=bool)
     values[day, step], mask[day, step] = power, valid
@@ -225,70 +227,42 @@ def _day_codes(dates, index: dict):
     return np.fromiter(map(index.__getitem__, dates), np.intp, len(dates))
 
 
-def _pv_columns(f, cols, width: int, index: dict, keep=None):
-    """(day code, step, power, valid) arrays of the rows left in ``f`` whose
-    date is in ``keep`` (every row when it is None), about a megabyte of
-    lines at a time.  The lines of other days are dropped before they are
-    split into cells.  Raises ``ValueError`` on quotes, on a line too short
-    to have a date cell, on a kept row that has not ``width`` cells and on
-    a kept cell that does not parse; blank lines are skipped."""
-    parts = [[np.zeros(0, t)] for t in (np.intp, np.int64, float, bool)]
-    at = cols[0]
-    while chunk := f.readlines(1 << 20):
-        block = "".join(chunk)
-        if '"' in block:
-            raise ValueError("quoted rows")
-        body = [line for line in block.split("\n") if line]
-        if keep is not None:
-            try:
-                body = [line for line in body
-                        if line.split(",", at + 1)[at] in keep]
-            except IndexError:
-                raise ValueError("a row without a date cell") from None
-        if set(map(methodcaller("count", ","), body)) - {width - 1}:
-            raise ValueError("ragged rows")
-        if not body:
-            continue
-        cells = ",".join(body).split(",")
-        dates, step, power, valid = [cells[i::width] for i in cols]
-        n = len(dates)
-        for part, column in zip(parts, (
-                _day_codes(dates, index),
-                np.fromiter(map(int, step), np.int64, n),
-                np.fromiter(map(float, power), float, n),
-                np.fromiter(map(int, valid), np.int64, n) != 0)):
-            part.append(column)
-    return [np.concatenate(part) for part in parts]
+def _pv_cells(lines, cols, width: int, keep) -> list:
+    """Lists of the date, step, power and valid cells (at ``cols``) of the
+    rows of ``lines`` whose date is in ``keep``, or of every row.  A line is
+    split at its commas, by ``csv.reader`` if it holds a quote; blank lines
+    are skipped; a row without a cell at ``cols`` raises IndexError."""
+    get, cells = itemgetter(*cols), []
+    for line in filter(None, "".join(lines).split("\n")):
+        row = (next(csv.reader([line])) if '"' in line
+               else line.split(",", width))
+        if keep is None or row[cols[0]] in keep:
+            cells += get(row)
+    return [cells[k::4] for k in range(4)]
 
 
-def _pv_rows(path: str, cols, keep=None):
-    """The (date, step, power, valid) columns of a PV table read row by row
-    through ``csv.reader``, of the rows whose date is in ``keep`` (every
-    row when it is None); a malformed row or a repeated (date, step)
-    raises with its ``path:line``."""
-    seen, out = set(), ([], [], [], [])
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader, [])
-        for row in filter(None, reader):            # blank lines skipped
+def _pv_locate(path: str, cols, width: int, keep) -> None:
+    """Raise with the ``path:line`` of the first row ``ingest_pv`` rejects:
+    a kept row without the four cells, a cell that does not parse, a step
+    outside 0 <= step < 2**63 or a repeated (date, step)."""
+    seen = set()
+    with open(path) as f:
+        next(f)                                         # the header
+        for line_no, line in enumerate(f, start=2):
             try:
-                if keep is not None and row[cols[0]] not in keep:
+                date, step, power, valid = _pv_cells([line], cols, width, keep)
+                if not date:                    # blank or dropped
                     continue
-                date, step, power, valid = [row[i] for i in cols]
-                parsed = (date, int(step), float(power), int(valid) != 0)
+                key = (date[0], int(step[0]))
+                float(power[0]), int(valid[0])
             except (IndexError, ValueError):
-                parsed = (None, -1)
-            if not 0 <= parsed[1] < 2 ** 63:            # int64 steps
-                raise ValueError(f"{path}:{reader.line_num}: malformed PV row")
-            if parsed[:2] in seen:
-                raise ValueError(f"{path}:{reader.line_num}: repeated step "
-                                 f"{parsed[1]} of {date}")
-            seen.add(parsed[:2])
-            for column, cell in zip(out, parsed):
-                column.append(cell)
-    dates, step, power, valid = out
-    return (dates, np.array(step, dtype=np.int64), np.array(power),
-            np.array(valid, dtype=bool))
+                key = (None, -1)
+            if not 0 <= key[1] < 2 ** 63:               # int64 steps
+                raise ValueError(f"{path}:{line_no}: malformed PV row")
+            if key in seen:
+                raise ValueError(f"{path}:{line_no}: repeated step "
+                                 f"{key[1]} of {key[0]}")
+            seen.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +534,21 @@ def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
 
 def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
                  out_path: str) -> dict:
-    """Score every day with both a fan file and actual PV; days whose
-    actual series the metrics are undefined on are listed as skipped.
-    Only the PV rows of the days with a fan file are read."""
+    """Score every day with a fan file against its actual PV, reading only
+    those days' PV rows; days the metrics are undefined on are listed as
+    skipped, and a fan without a quantile level they read is refused."""
     fans = {os.path.basename(f)[4:-4]: f for f in glob.glob(
         os.path.join(glob.escape(fan_dir), "fan_*.csv"))}
+
+    def fan_of(date):
+        fan = read_fan_csv(fans[date], cfg.step_seconds)
+        if lacking := sorted(set(EVAL_LEVELS) - set(fan.quantile_levels)):
+            raise ValueError(f"{fans[date]}:1: fan lacks quantile levels "
+                             f"{lacking}, which evaluate reads")
+        return fan
+
     pv = ingest_pv(pv_path, set(fans))
-    reports, skipped = _evaluate_days(
-        pv, sorted(pv), lambda d: read_fan_csv(fans[d], cfg.step_seconds),
-        out_path)
+    reports, skipped = _evaluate_days(pv, sorted(pv), fan_of, out_path)
     return dict(evaluated=len(reports), skipped=skipped, out=out_path)
 
 

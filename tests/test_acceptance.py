@@ -56,6 +56,7 @@ def _announce(capsys, label, ok, detail):
     assert ok, f"{label}: {detail}"
 
 
+@pytest.mark.slow
 def test_criterion_1_stationary_law(capsys):
     """Long simulations reproduce the analytic Beta stationary law."""
     worst = {}
@@ -77,6 +78,7 @@ def test_criterion_1_stationary_law(capsys):
     _announce(capsys, "criterion 1 stationary law", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_2_autocorrelation(capsys):
     """Stationary clear-sky ACF decays as exp(-a * lag)."""
     th = SdeParams(*REGIME_PARAMS["clear"])
@@ -99,6 +101,7 @@ def test_criterion_2_autocorrelation(capsys):
     _announce(capsys, "criterion 2 autocorrelation", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_3_parameter_recovery(capsys):
     """Averaged per-hour estimates recover the generating parameters."""
     tol = dict(a=0.20, b=0.20, beta=0.15, c=0.15, d=0.15)
@@ -180,6 +183,7 @@ def test_criterion_6_metric_identities(capsys):
               f" PICP-90={coverage:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end_pipeline(capsys, tmp_path):
     """400 synthetic days through the full identify/train/forecast chain."""
     cfg = RunConfig()

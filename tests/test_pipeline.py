@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -30,6 +31,9 @@ SMALL = RunConfig(n_days=6, m=3, start_hour=9, n_members=3, hidden_size=10,
                   n_paths=50, seed=1)
 E2E = RunConfig(n_days=20, m=3, start_hour=9, n_members=3, hidden_size=10,
                 n_paths=50, seed=4, split=0.75, dump_paths=10)
+# a bad cell, a missing cell, a negative step and a step past int64
+MALFORMED_PV_ROWS = ("2018-01-01,0,oops,1", "2018-01-01,0,0.5",
+                     "2018-01-01,-1,0.5,1", f"2018-01-01,{2 ** 63},0.5,1")
 
 
 class TestSynth:
@@ -232,6 +236,50 @@ class TestPvCsv:
         with pytest.raises(ValueError, match=f"^{path}:4: repeated step 1"):
             ingest_pv(str(path))
 
+    @pytest.mark.parametrize("row", MALFORMED_PV_ROWS)
+    def test_malformed_row_is_checked_only_when_its_day_is_kept(
+            self, tmp_path, row):
+        # line 6, below blank lines and the rows of a day the filter drops
+        path = tmp_path / "pv.csv"
+        path.write_text("date,step,power,valid\n\n2018-01-02,0,0.1,1\n"
+                        f"2018-01-02,1,0.2,1\n\n{row}\n2018-01-01,1,0.3,1\n")
+        got = ingest_pv(str(path), {"2018-01-02"})
+        assert list(got) == ["2018-01-02"]
+        for dates in ({"2018-01-01"}, None):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6:"
+                                                 " malformed PV row$"):
+                ingest_pv(str(path), dates)
+
+    @pytest.mark.parametrize("row", MALFORMED_PV_ROWS)
+    def test_malformed_row_of_a_quoted_table_names_its_line(self, tmp_path,
+                                                           row):
+        lines = ["date,step,power,valid", "", "2018-01-02,0,0.1,1",
+                 "2018-01-02,1,0.2,1", "", row, "2018-01-01,1,0.3,1"]
+        quoted = [",".join(f'"{c}"' for c in line.split(",")) if line else ""
+                  for line in lines]
+        path = tmp_path / "pv.csv"
+        path.write_text("\r\n".join(quoted) + "\r\n", newline="")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6:"
+                                             " malformed PV row$"):
+            ingest_pv(str(path))
+
+    def test_repeated_step_past_the_first_megabyte_names_its_line(
+            self, tmp_path):
+        rng = np.random.default_rng(8)
+        dates = [f"2018-01-{d:02d}" for d in range(1, 31)]
+        path = tmp_path / "pv.csv"
+        write_pv_csv(str(path), dates, rng.uniform(0.0, 1.0, (30, 1440)))
+        lines = path.read_text().splitlines(keepends=True)
+        at = 1 + 25 * 1440                  # after the rows of 25 days
+        lines.insert(at, "2018-01-03,7,0.5,1\r\n")
+        path.write_text("".join(lines), newline="")
+        assert len("".join(lines[:at])) > 1 << 20
+        for keep in (None, {"2018-01-03"}):
+            with pytest.raises(ValueError, match=(
+                    f"^{re.escape(str(path))}:{at + 1}: repeated step 7 "
+                    "of 2018-01-03$")):
+                ingest_pv(str(path), keep)
+
 
 class TestFanCsv:
     def test_round_trip(self, tmp_path):
@@ -382,6 +430,54 @@ def test_fan_file_round_trip_is_bit_exact(tmp_path_factory, data):
     assert got.quantile_levels == fan.quantile_levels
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pv_table_variants_read_like_the_plain_table(tmp_path_factory,
+                                                     data):
+    # a table written by write_pv_csv, then rewritten with its columns
+    # reordered, cells quoted, another line ending, extra trailing cells
+    # and blank lines, reads bit for bit like the table it came from
+    dates = [d.isoformat() for d in data.draw(
+        st.lists(st.dates(), min_size=1, max_size=4, unique=True))]
+    n_steps = data.draw(st.integers(1, 6))
+    cell = st.one_of(st.sampled_from(EDGE_FLOATS),
+                     st.floats(allow_nan=False))
+    values = np.array(data.draw(st.lists(
+        cell, min_size=len(dates) * n_steps,
+        max_size=len(dates) * n_steps))).reshape(len(dates), n_steps)
+    masks = np.array(data.draw(st.lists(
+        st.booleans(), min_size=values.size,
+        max_size=values.size))).reshape(values.shape)
+    root = tmp_path_factory.mktemp("pv")
+    write_pv_csv(str(root / "plain.csv"), dates, values, masks)
+    order = data.draw(st.permutations(range(4)))
+    quote = data.draw(st.floats(0.0, 1.0))
+    eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    out = []
+    for i, line in enumerate((root / "plain.csv").read_text().splitlines()):
+        cells = [line.split(",")[k] for k in order]
+        if i:
+            cells += data.draw(st.lists(st.sampled_from(["x", "", '"y,z"']),
+                                        max_size=2))
+        out.append(",".join(c if '"' in c or data.draw(st.floats(0.0, 1.0))
+                            >= quote else f'"{c}"' for c in cells))
+        out += [""] * data.draw(st.integers(0, 1))
+    (root / "variant.csv").write_text(eol.join(out) + eol, newline="")
+    keep = set(data.draw(st.lists(st.sampled_from(dates))))
+    plain = ingest_pv(str(root / "plain.csv"))
+    assert list(plain) == dates
+    for j, date in enumerate(dates):
+        assert plain[date][0].tobytes() == values[j].tobytes()
+        assert plain[date][1].tobytes() == masks[j].tobytes()
+    for dates_kept in (None, keep):
+        want = ingest_pv(str(root / "plain.csv"), dates_kept)
+        got = ingest_pv(str(root / "variant.csv"), dates_kept)
+        assert list(got) == list(want)
+        for date in want:
+            for a, b in zip(got[date], want[date]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestCommands:
     def test_synth_then_identify(self, tmp_path):
         out = cmd_synth(SMALL, str(tmp_path / "ds"))
@@ -428,6 +524,21 @@ class TestCommands:
             assert np.isfinite(fast.quantiles).all()
             assert fast.paths.tobytes() == capped.paths.tobytes()
             assert fast.quantiles.tobytes() == capped.quantiles.tobytes()
+
+    def test_evaluate_refuses_a_fan_without_a_level_it_reads(self, tmp_path):
+        # evaluate reads q05, q50, q90 and q95; this fan has no q90
+        day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
+        fan = make_fan(day, 0.5, n_paths=40, seed=2, substeps=1,
+                       quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95))
+        path = tmp_path / "fans" / "fan_2018-01-01.csv"
+        path.parent.mkdir()
+        write_fan_csv(str(path), fan)
+        write_pv_csv(str(tmp_path / "pv.csv"), ["2018-01-01"],
+                     [np.linspace(0.2, 0.8, 120)])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "
+                                             ".*\\[0\\.9\\]"):
+            cmd_evaluate(RunConfig(), str(path.parent),
+                         str(tmp_path / "pv.csv"), str(tmp_path / "ev.json"))
 
     def test_weather_with_no_usable_day_names_the_file(self, tmp_path):
         ds = tmp_path / "ds"

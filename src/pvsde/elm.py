@@ -7,10 +7,10 @@ smaller of the two Gram matrices per network.  Features are
 standardized before the random projection so standard-normal weights do
 not saturate the sigmoids on raw physical units.
 
-``hidden_layer`` and ``solve_output_weights`` broadcast over leading axes,
-so a stack of networks (an ensemble's members) trains in one call, and a
-target matrix trains one output column per target on the same hidden layer
-(the multi-output ELM).
+``hidden_layer`` fills one buffer for a stack of networks sharing their
+inputs (an ensemble's members) and ``solve_output_weights`` broadcasts
+over leading axes, so the stack trains in one call; a target matrix trains
+one output column per target on one hidden layer (the multi-output ELM).
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class ElmModel:
         return self.input_weights.shape[1]
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-
-
 def elm_init(input_dim: int, hidden_size: int, rng) -> ElmModel:
     """Draw the frozen random hidden layer from the given stream."""
     if hidden_size < 1 or input_dim < 1:
@@ -93,9 +89,16 @@ def fit_scaler(X):
 
 
 def hidden_layer(Z, W, b):
-    """Sigmoid activations (..., N, K) of standardized inputs Z (..., N, p)
-    under frozen weights W (..., K, p) and biases b (..., K)."""
-    return _sigmoid(Z @ np.swapaxes(W, -1, -2) + b[..., None, :])
+    """Sigmoid activations (..., N, K) of the standardized inputs Z (N, p)
+    that the stack shares, under frozen weights W (..., K, p) and biases
+    b (..., K): the product Z Wᵀ, a BLAS call per network, plus b, then
+    1 / (1 + exp(-clip(z, ±500))) in place."""
+    A = Z @ np.swapaxes(W, -1, -2)
+    A += b[..., None, :]
+    np.clip(A, -500.0, 500.0, out=A)
+    np.exp(np.negative(A, out=A), out=A)
+    A += 1.0
+    return np.reciprocal(A, out=A)
 
 
 def solve_output_weights(H, Y, ridge: float = DEFAULT_RIDGE):

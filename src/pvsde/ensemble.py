@@ -165,7 +165,7 @@ def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
                          model.hidden_biases[hour])
         # one with-replacement resample of the n days per member (row)
         idx = boot_rng.integers(0, len(Z), size=(n_members, len(Z)))
-        V = solve_output_weights(np.take_along_axis(H, idx[..., None], 1),
+        V = solve_output_weights(H[np.arange(n_members)[:, None], idx],
                                  T[idx], ridge)
         model.output_weights[hour] = V
         err = trimmed_mean(H @ V) - T

@@ -88,6 +88,10 @@ class RunConfig:
     def grid(self) -> HourGrid:
         return HourGrid(start_hour=self.start_hour, m=self.m)
 
+    @property
+    def day_length(self) -> int:    # samples in a day of the grid
+        return self.m * max(int(round(3600.0 / self.step_seconds)), 1)
+
 
 def load_config(path: str | None, overrides=None) -> RunConfig:
     """Read a flat ``key = value`` config file; later overrides win."""
@@ -164,25 +168,27 @@ def read_params_json(path: str):
 def write_pv_csv(path: str, dates, pv_days, masks=None) -> None:
     """Write ``date,step,power,valid`` rows, CRLF-terminated, each power as
     ``repr`` of its float (which round-trips it) and valid as 0 or 1."""
+    steps = [f",{i}," for i in range(max(map(len, pv_days), default=0))]
     with _atomic(path, newline="") as f:
         f.write("date,step,power,valid\r\n")
         for j, date in enumerate(dates):
             values = np.asarray(pv_days[j], dtype=float).tolist()
-            mask = (np.ones(len(values), dtype=bool) if masks is None
-                    else np.asarray(masks[j], dtype=bool)).tolist()
-            f.writelines(f"{date},{i},{v!r},{ok:d}\r\n"
-                         for i, (v, ok) in enumerate(zip(values, mask)))
+            valid = ([1] * len(values) if masks is None else np.asarray(
+                masks[j], dtype=bool).astype(np.uint8).tolist())
+            f.write("".join([f"{date}{s}{v!r},{ok}\r\n"
+                             for s, v, ok in zip(steps, values, valid)]))
 
 
-def ingest_pv(path: str, dates=None):
+def ingest_pv(path: str, dates=None, day_length: int = 2 ** 63):
     """Read the per-day normalized PV table -> {date: (values, mask)}.
 
     ``dates``, a set of date labels, keeps the rows of those days only:
     the rows of other days are dropped once their date cell is read, so
     nothing else of them is checked.  Each sample sits at its ``step``
     index.  Every day is as long as the largest step of the rows kept plus
-    one; a step a day lacks is masked (value 0).  A malformed row or a
-    repeated (date, step) is reported as ``path:line``.
+    one; a step a day lacks is masked (value 0).  A malformed row, a step
+    at or past ``day_length`` or a repeated (date, step) is reported as
+    ``path:line``, before any day is sized.
 
     Lines are read about a megabyte at a time, split by ``_pv_cells`` (a
     quoted cell may not span lines), and a chunk's rows become arrays
@@ -205,14 +211,15 @@ def ingest_pv(path: str, dates=None):
                                np.fromiter(map(float, power), float, n),
                                np.fromiter(map(int, valid), bool, n)))
         except (IndexError, ValueError, OverflowError):
-            _pv_locate(path, *spec)
+            _pv_locate(path, *spec, day_length)
     if not index:                   # no row kept
         return {}
     day, step, power, valid = map(np.concatenate, zip(*chunks))
     del chunks                      # before the repeat check's arrays
     n_steps = int(step.max()) + 1
-    if step.min() < 0 or np.bincount(day * n_steps + step).max() > 1:
-        _pv_locate(path, *spec)
+    if (step.min() < 0 or n_steps > day_length
+            or np.bincount(day * n_steps + step).max() > 1):
+        _pv_locate(path, *spec, day_length)
     values = np.zeros((len(index), n_steps))
     mask = np.zeros((len(index), n_steps), dtype=bool)
     values[day, step], mask[day, step] = power, valid
@@ -241,10 +248,10 @@ def _pv_cells(lines, cols, width: int, keep) -> list:
     return [cells[k::4] for k in range(4)]
 
 
-def _pv_locate(path: str, cols, width: int, keep) -> None:
+def _pv_locate(path: str, cols, width: int, keep, day_length: int) -> None:
     """Raise with the ``path:line`` of the first row ``ingest_pv`` rejects:
     a kept row without the four cells, a cell that does not parse, a step
-    outside 0 <= step < 2**63 or a repeated (date, step)."""
+    outside 0 <= step < 2**63 or past the day, or a repeated (date, step)."""
     seen = set()
     with open(path) as f:
         next(f)                                         # the header
@@ -259,6 +266,9 @@ def _pv_locate(path: str, cols, width: int, keep) -> None:
                 key = (None, -1)
             if not 0 <= key[1] < 2 ** 63:               # int64 steps
                 raise ValueError(f"{path}:{line_no}: malformed PV row")
+            if key[1] >= day_length:
+                raise ValueError(f"{path}:{line_no}: step {key[1]} is past "
+                                 f"the day's {day_length} samples")
             if key in seen:
                 raise ValueError(f"{path}:{line_no}: repeated step "
                                  f"{key[1]} of {key[0]}")
@@ -486,7 +496,7 @@ def cmd_synth(cfg: RunConfig, out_dir: str) -> dict:
 
 def cmd_identify(cfg: RunConfig, pv_path: str, out_path: str) -> dict:
     """Identify per-hour parameters for every day of a PV table."""
-    pv = ingest_pv(pv_path)
+    pv = ingest_pv(pv_path, day_length=cfg.day_length)
     days, rejected = _identify_days(cfg, pv, sorted(pv))
     write_params_json(out_path, days, cfg.step_seconds, cfg.m)
     return dict(identified=len(days), rejected=rejected, out=out_path)
@@ -524,7 +534,7 @@ def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
     """
     os.makedirs(out_dir, exist_ok=True)
     days = read_params_json(params_path)["days"]
-    pv = ingest_pv(pv_path, set(days)) if pv_path else {}
+    pv = ingest_pv(pv_path, set(days), cfg.day_length) if pv_path else {}
     for date, obj in sorted(days.items()):
         day, _ = obj_to_day_params(obj)
         fan = _day_fan(cfg, date, day, _initial_state(day, *pv.get(date, ())))
@@ -547,7 +557,7 @@ def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
                              f"{lacking}, which evaluate reads")
         return fan
 
-    pv = ingest_pv(pv_path, set(fans))
+    pv = ingest_pv(pv_path, set(fans), cfg.day_length)
     reports, skipped = _evaluate_days(pv, sorted(pv), fan_of, out_path)
     return dict(evaluated=len(reports), skipped=skipped, out=out_path)
 
@@ -574,7 +584,7 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     """
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
-    pv = ingest_pv(os.path.join(dataset_dir, "pv.csv"))
+    pv = ingest_pv(os.path.join(dataset_dir, "pv.csv"), None, cfg.day_length)
     weather, medians, _ = _load_weather_days(
         os.path.join(dataset_dir, "weather.csv"), cfg)
     dates = sorted(set(pv) & set(weather))

@@ -70,17 +70,17 @@ def _day_weather(rng, grid: HourGrid):
     for i, hour in enumerate(grid.hours()):
         frac = (i + 0.5) / m
         bell = math.sin(math.pi * frac)           # midday irradiance bump
-        humidity = np.clip(35.0 + 58.0 * r + rng.normal(0.0, 4.0), 15.0, 100.0)
-        cloud = float(np.clip(round(9.0 * _sig(5.0 * (r - 0.4))
-                                    + rng.normal(0.0, 0.7)), 0, 9))
-        irradiance = float(np.clip(
-            3.3 * bell * (1.0 - 0.75 * r) + rng.normal(0.0, 0.08),
-            0.02, IRRADIANCE_SCALE))
+        humidity = min(max(35.0 + 58.0 * r + rng.normal(0.0, 4.0), 15.0),
+                       100.0)
+        cloud = float(min(max(round(9.0 * _sig(5.0 * (r - 0.4))
+                                    + rng.normal(0.0, 0.7)), 0), 9))
+        irradiance = min(max(3.3 * bell * (1.0 - 0.75 * r)
+                             + rng.normal(0.0, 0.08), 0.02), IRRADIANCE_SCALE)
         precip = float(max(rng.exponential(4.0) if r > 0.85 else 0.0, 0.0))
         rows.append(dict(
             hour=hour,
             temperature=round(temp0 + 4.0 * bell + rng.normal(0.0, 0.4), 2),
-            humidity=round(float(humidity), 1),
+            humidity=round(humidity, 1),
             pressure=round(press0 + rng.normal(0.0, 0.5), 1),
             precipitation=round(precip, 1),
             wind_speed=round(abs(wind0 + rng.normal(0.0, 1.0)), 3),

@@ -152,13 +152,19 @@ def impute_days(raw_days, medians=None):
     """Fill NaN features with medians and build WeatherDay objects.
 
     ``medians`` (per flattened feature position) defaults to the medians of
-    the given days, and is returned so a training-set fit can be reused on
-    test days.
+    the given days' valid values (0.0 where a position has none or the
+    median is not finite), and is returned so a training-set fit can be
+    reused on test days.
     """
     X = np.stack([f for _, f in raw_days])
     if medians is None:
+        # np.nanmedian without its numpy.ma import: the middle pair of the
+        # sorted column (NaN last), summed from +0.0 (so -0.0 ties vanish)
+        n = len(X) - np.isnan(X).sum(axis=0)
+        mid = np.take_along_axis(np.sort(X, axis=0),
+                                 np.stack([(n - 1) // 2, n // 2]), axis=0)
         with np.errstate(all="ignore"):
-            medians = np.nanmedian(X, axis=0)
+            medians = mid.sum(axis=0) / 2
         medians = np.where(np.isfinite(medians), medians, 0.0)
     X = np.where(np.isnan(X), medians, X)
     m = X.shape[1] // len(FEATURE_NAMES)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pvsde.elm import (TrainSet, elm_init, elm_predict, elm_train, fit_scaler,
                        hidden_layer, solve_output_weights, training_residual)
@@ -44,9 +46,9 @@ class TestTraining:
         got = elm_predict(mdl, data.inputs)
         assert np.max(np.abs(got - data.targets)) <= 1e-6
         # the same holds member by member for a stack of 6 networks with
-        # 5 targets each, solved in one call
+        # 5 targets each on shared inputs, solved in one call
         rng = np.random.default_rng(6)
-        Z = rng.normal(size=(6, 50, 4))
+        Z = rng.normal(size=(50, 4))
         Y = rng.normal(size=(6, 50, 5))
         H = hidden_layer(Z, rng.normal(size=(6, 100, 4)),
                          rng.normal(size=(6, 100)))
@@ -141,3 +143,22 @@ class TestTraining:
         singles = [elm_predict(mdl, x) for x in data.inputs[:3]]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 30), p=st.integers(1, 12),
+       m=st.one_of(st.none(), st.integers(1, 12)), k=st.integers(1, 40),
+       scale=st.sampled_from([1.0, 300.0]), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=23, p=9, m=200, k=100, scale=1.0, seed=0)
+def test_hidden_layer_is_the_sigmoid_formula_bit_for_bit(n, p, m, k, scale,
+                                                         seed):
+    # the in-place layer against the out-of-place formula, for one network
+    # (2-D W) and stacks (3-D W); scale 300 drives inputs past the clip
+    rng = np.random.default_rng(seed)
+    stack = () if m is None else (m,)
+    Z = scale * rng.normal(size=(n, p))
+    W, b = rng.normal(size=stack + (k, p)), rng.normal(size=stack + (k,))
+    want = 1.0 / (1.0 + np.exp(-np.clip(
+        Z @ np.swapaxes(W, -1, -2) + b[..., None, :], -500.0, 500.0)))
+    got = hidden_layer(Z, W, b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

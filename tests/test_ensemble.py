@@ -133,8 +133,9 @@ class TestTraining:
         for hour, keep in enumerate((np.ones(24, bool), np.arange(24) != 5)):
             Z = model._hour_inputs(X[keep], hour)
             idx = boot_rng.integers(0, len(Z), size=(7, len(Z)))
-            H = hidden_layer(Z[idx], model.hidden_weights[hour],
+            H = hidden_layer(Z, model.hidden_weights[hour],
                              model.hidden_biases[hour])
+            H = H[np.arange(7)[:, None], idx]
             want = svd_ridge_solve(H, targets[keep, :, hour][idx], 1e-8)
             got = model.output_weights[hour]
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -316,3 +317,22 @@ class TestPersistence:
                                        "hidden_weights.npy",
                                        "output_weights.npy"]
         assert not list((tmp_path / "model").glob("*.tmp"))
+
+
+class TestTrainSpeed:
+    # pytest-benchmark timing of training at the forecast benchmark's
+    # set-up size: 23 days, 12 hours of 9 features, 200 members, hidden 100
+    def test_train_ensemble(self, benchmark):
+        rng = np.random.default_rng(23)
+        names = tuple(f"h{i}_f{j}" for i in range(12) for j in range(9))
+        pairs = []
+        for k in range(23):
+            x = rng.uniform(0.0, 1.0, 12 * 9)
+            u = x[::9]
+            day = DayParams.from_matrix(np.stack([
+                0.1 + 0.2 * u, 0.3 + 0.4 * u, 0.05 + 0.1 * u,
+                np.full(12, 0.1), np.full(12, 0.9)]))
+            pairs.append((WeatherDay(date=f"d{k:03d}", features=x,
+                                     feature_names=names), day))
+        model = benchmark(train_ensemble, pairs, master_seed=1, ridge=2.0)
+        assert model.output_weights.shape == (12, 200, 100, 5)

@@ -68,6 +68,22 @@ class TestSynth:
                 th = true_param_map(h, c, 1.5)
                 assert th.c < th.b < th.d and 0 <= th.beta <= 1
 
+    def test_synth_dataset_bytes(self, tmp_path):
+        # digests of the np.clip-based generator's files: 40 days whose
+        # weather clamps humidity at 100, cloud at 0 and 9 oktas and
+        # irradiance at 0.02 (no hour reaches the other two bounds)
+        cmd_synth(RunConfig(seed=4, n_days=40), str(tmp_path))
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in ("pv.csv", "weather.csv",
+                                             "true_params.json")}
+        assert digests == {
+            "pv.csv": "4de12595b4516ec8f896701781e05b0f"
+                      "cf898c6e4a5a1f1f9a78499885cb668a",
+            "weather.csv": "5d31af7d723792e8b5d85ca19dae766b"
+                           "c8c25b26ddec7d340ca17b0a03e74484",
+            "true_params.json": "363e59cedb930499af54e1adf8679a0b"
+                                "485701ca2a7e106a44a3071eb9952d12"}
+
 
 class TestConfig:
     def test_defaults(self):
@@ -262,6 +278,25 @@ class TestPvCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6:"
                                              " malformed PV row$"):
             ingest_pv(str(path))
+
+    def test_step_past_the_day_names_its_line_before_sizing_a_day(
+            self, tmp_path, peak_bytes):
+        # a stray step must not size every day of the table
+        cfg = RunConfig(m=2)                        # 240-sample days
+        path = tmp_path / "pv.csv"
+        for step in (2_000_000, 2 * 10 ** 9):
+            path.write_text("date,step,power,valid\n2018-01-01,0,0.1,1\n"
+                            f"2018-01-01,1,0.2,1\n2018-01-01,{step},0.3,1\n"
+                            "2018-01-02,0,0.4,1\n")
+            match = (f"^{re.escape(str(path))}:4: step {step} is past the "
+                     "day's 240 samples$")
+            with pytest.raises(ValueError, match=match):
+                cmd_identify(cfg, str(path), str(tmp_path / "params.json"))
+
+            def read():
+                with pytest.raises(ValueError, match=match):
+                    ingest_pv(str(path), None, cfg.day_length)
+            assert peak_bytes(read) < 1 << 20
 
     def test_repeated_step_past_the_first_megabyte_names_its_line(
             self, tmp_path):
@@ -785,10 +820,11 @@ class TestCommands:
                 assert open(p1, "rb").read() == open(p2, "rb").read(), p1
 
 
-def test_cli_import_loads_no_unused_scipy_module():
-    # scipy.special, .stats, .optimize and .fft serve no command; tests
-    # import them in-process, so a fresh interpreter is asked, after it has
-    # identified hours whose paths sit on their bounds (the censored beta)
+def test_cli_import_loads_no_unused_scipy_module(tmp_path):
+    # scipy.special, .stats, .optimize and .fft serve no command, nor does
+    # numpy.ma; tests import them in-process, so a fresh interpreter is
+    # asked, after it has identified hours whose paths sit on their bounds
+    # (the censored beta) and trained a small model
     src = os.path.dirname(os.path.dirname(pvsde.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -800,11 +836,18 @@ def test_cli_import_loads_no_unused_scipy_module():
             " rng=np.random.default_rng(1)).T\n"
             "assert ((P == th.c) | (P == th.d)).any(axis=1).all()\n"
             "identify_hours(P, np.ones(P.shape, dtype=bool))\n"
+            "from pvsde.pipeline import RunConfig, cmd_synth, cmd_train\n"
+            "cfg = RunConfig(n_days=12, m=2, n_members=3, hidden_size=5)\n"
+            "d = sys.argv[1]\n"
+            "cmd_synth(cfg, d)\n"
+            "cmd_train(cfg, d + '/weather.csv', d + '/true_params.json',"
+            " d + '/model')\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in ("
             "['scipy', 'special'], ['scipy', 'stats'], ['scipy', 'optimize'],"
-            " ['scipy', 'fft'])))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+            " ['scipy', 'fft'], ['numpy', 'ma'])))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -1,7 +1,11 @@
 """Tests for weather CSV ingestion and feature encoding."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvsde.weather import (COMPASS_DEGREES, FEATURE_NAMES, HourGrid,
                            WeatherFormatError, encode_hour, impute_days,
@@ -154,3 +158,23 @@ class TestImpute:
         raw_test = [("t1", np.array([np.nan, np.nan]))]
         days, _ = impute_days(raw_test, medians)
         np.testing.assert_array_equal(days[0].features, medians)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 30), f=st.integers(1, 12),
+           nan_share=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_medians_are_nanmedians_bit_for_bit(self, n, f, nan_share,
+                                                 seed):
+        # odd and even valid counts, all-NaN columns and ties of -0.0 and
+        # 0.0 against np.nanmedian with its non-finite medians set to 0.0
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0.0, 10.0, (n, f))
+        tied = rng.random(f) < 0.3
+        X[:, tied] = np.round(X[:, tied] / 25.0)
+        X[rng.random((n, f)) < nan_share] = np.nan
+        X[:, rng.random(f) < 0.2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = np.nanmedian(X, axis=0)
+        want = np.where(np.isfinite(want), want, 0.0)
+        _, got = impute_days([(f"d{j}", row) for j, row in enumerate(X)])
+        assert got.tobytes() == want.tobytes()

@@ -13,8 +13,7 @@ from .sde import (DEFAULT_QUANTILE_LEVELS, DayParams,
                   stationary_sample)
 from .estimation import (AllHoursInvalidError, FitReport, HourSamples,
                          identify_day, identify_hour, identify_hours)
-from .elm import (ElmModel, TrainSet, elm_init, elm_predict, elm_train,
-                  fit_scaler, training_residual)
+from .elm import elm_train, fit_scaler
 from .ensemble import (EnsembleModel, TrainingError, WeatherDay,
                        load_ensemble, predict_params_batch, save_ensemble,
                        train_ensemble, trimmed_mean)
@@ -30,18 +29,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllHoursInvalidError", "DayParams", "DEFAULT_QUANTILE_LEVELS",
-    "DegenerateDistributionError", "ElmModel", "EnsembleModel",
-    "EvalInput", "FEATURE_NAMES", "FitReport", "HourGrid", "HourSamples",
-    "MetricReport", "RunConfig", "SdeParams", "SimulationFan",
-    "StabilityError", "SyntheticSpec", "TIME_UNIT_SECONDS", "TrainSet",
-    "TrainingError", "UndefinedMetricError", "WeatherDay",
-    "WeatherFormatError", "autocorr_mismatch", "elm_init", "elm_predict",
-    "elm_train", "euler_paths", "evaluate", "fit_scaler", "identify_day",
-    "identify_hour", "identify_hours", "impute_days", "ingest_weather",
-    "kl_divergence", "load_config", "load_ensemble", "make_fan", "nd",
-    "nrmse", "picp", "predict_params_batch", "project_params", "rho_risk",
-    "save_ensemble", "simulate_hour", "split_days",
-    "stationary_beta_shapes", "stationary_sample", "synth_generate",
-    "train_ensemble", "training_residual", "trimmed_mean",
-    "true_param_map", "write_weather_csv",
+    "DegenerateDistributionError", "EnsembleModel", "EvalInput",
+    "FEATURE_NAMES", "FitReport", "HourGrid", "HourSamples", "MetricReport",
+    "RunConfig", "SdeParams", "SimulationFan", "StabilityError",
+    "SyntheticSpec", "TIME_UNIT_SECONDS", "TrainingError",
+    "UndefinedMetricError", "WeatherDay", "WeatherFormatError",
+    "autocorr_mismatch", "elm_train", "euler_paths", "evaluate", "fit_scaler",
+    "identify_day", "identify_hour", "identify_hours", "impute_days",
+    "ingest_weather", "kl_divergence", "load_config", "load_ensemble",
+    "make_fan", "nd", "nrmse", "picp", "predict_params_batch",
+    "project_params", "rho_risk", "save_ensemble", "simulate_hour",
+    "split_days", "stationary_beta_shapes", "stationary_sample",
+    "synth_generate", "train_ensemble", "trimmed_mean", "true_param_map",
+    "write_weather_csv",
 ]

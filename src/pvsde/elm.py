@@ -1,82 +1,22 @@
-"""Single-hidden-layer extreme learning machine.
+"""Single-hidden-layer extreme learning machines, trained as a stack.
 
 The hidden layer applies a random frozen affine map followed by a sigmoid;
-only the linear output weights are trained, by (optionally ridge-damped)
-least squares: one linear solve of the ridge normal equations on the
-smaller of the two Gram matrices per network.  Features are
-standardized before the random projection so standard-normal weights do
-not saturate the sigmoids on raw physical units.
+only the linear output weights are trained, by ridge-damped least squares:
+one linear solve of the ridge normal equations on the smaller of the two
+Gram matrices per network.  Features are standardized (``fit_scaler``)
+before the random projection so standard-normal weights do not saturate
+the sigmoids on raw physical units.
 
-``hidden_layer`` fills one buffer for a stack of networks sharing their
-inputs (an ensemble's members) and ``solve_output_weights`` broadcasts
-over leading axes, so the stack trains in one call; a target matrix trains
-one output column per target on one hidden layer (the multi-output ELM).
+``elm_train`` is the one trainer: M networks share their standardized
+inputs (an ensemble's members), ``hidden_layer`` fills one buffer with
+every network's activations, and ``solve_output_weights`` solves each
+network on its own rows in one broadcast call.  A target matrix trains one
+output column per target on one hidden layer (the multi-output ELM).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
-
-DEFAULT_RIDGE = 1e-8
-
-
-@dataclass(frozen=True)
-class TrainSet:
-    """Paired regression inputs (N x input_dim) and targets, (N) or (N x T)."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        y = np.asarray(self.targets, dtype=float)
-        if y.ndim != 2:
-            y = y.ravel()
-        object.__setattr__(self, "inputs", X)
-        object.__setattr__(self, "targets", y)
-        if X.shape[0] != y.shape[0] or y.shape[0] < 1:
-            raise ValueError("inputs and targets must pair up, N >= 1")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise ValueError("training data must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.targets.shape[0]
-
-
-@dataclass(frozen=True)
-class ElmModel:
-    """Random-projection regressor; only output_weights change in training."""
-
-    input_weights: np.ndarray       # (K, input_dim), frozen at init
-    biases: np.ndarray              # (K,), frozen at init
-    output_weights: np.ndarray      # (K,) or (K, T), zero until trained
-    scaler_mean: np.ndarray         # (input_dim,)
-    scaler_std: np.ndarray          # (input_dim,), zero-variance -> 1
-
-    @property
-    def hidden_size(self) -> int:
-        return self.biases.size
-
-    @property
-    def input_dim(self) -> int:
-        return self.input_weights.shape[1]
-
-
-def elm_init(input_dim: int, hidden_size: int, rng) -> ElmModel:
-    """Draw the frozen random hidden layer from the given stream."""
-    if hidden_size < 1 or input_dim < 1:
-        raise ValueError("hidden_size and input_dim must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    W = rng.standard_normal((hidden_size, input_dim))
-    b = rng.standard_normal(hidden_size)
-    return ElmModel(input_weights=W, biases=b,
-                    output_weights=np.zeros(hidden_size),
-                    scaler_mean=np.zeros(input_dim),
-                    scaler_std=np.ones(input_dim))
 
 
 def fit_scaler(X):
@@ -101,7 +41,7 @@ def hidden_layer(Z, W, b):
     return np.reciprocal(A, out=A)
 
 
-def solve_output_weights(H, Y, ridge: float = DEFAULT_RIDGE):
+def solve_output_weights(H, Y, ridge: float):
     """Ridge least-squares output weights V (..., K, T) with H V ~ Y, for
     hidden activations H (..., N, K) and targets Y (..., N, T).
 
@@ -127,36 +67,16 @@ def solve_output_weights(H, Y, ridge: float = DEFAULT_RIDGE):
             else np.linalg.solve(G, Ht @ Y))
 
 
-def _hidden(model: ElmModel, X):
-    Z = (np.atleast_2d(X) - model.scaler_mean) / model.scaler_std
-    return hidden_layer(Z, model.input_weights, model.biases)
+def elm_train(Z, W, b, Y, rows, ridge: float):
+    """Train a stack of M networks on shared standardized inputs Z (N, p).
 
-
-def elm_train(model: ElmModel, data: TrainSet,
-              ridge: float = DEFAULT_RIDGE) -> ElmModel:
-    """Fit the standardization to ``data`` and solve the output weights by
-    ``solve_output_weights`` on the hidden layer."""
-    if data.inputs.shape[1] != model.input_dim:
-        raise ValueError("input dimension mismatch")
-    mean, std = fit_scaler(data.inputs)
-    model = replace(model, scaler_mean=mean, scaler_std=std)
-    V = solve_output_weights(_hidden(model, data.inputs),
-                             data.targets.reshape(data.n, -1), ridge)
-    return replace(model, output_weights=V.reshape(
-        (model.hidden_size,) + data.targets.shape[1:]))
-
-
-def elm_predict(model: ElmModel, x):
-    """Evaluate the trained network on one input vector (or a batch)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if np.atleast_2d(x).shape[1] != model.input_dim:
-        raise ValueError("input dimension mismatch")
-    out = _hidden(model, x) @ model.output_weights
-    return out[0] if single else out
-
-
-def training_residual(model: ElmModel, data: TrainSet) -> float:
-    """Max absolute training error of a trained model."""
-    return float(np.max(np.abs(elm_predict(model, data.inputs)
-                               - data.targets)))
+    W (M, K, p) and b (M, K) are the frozen hidden layers, Y (N, T) the
+    targets and ``rows`` (M, n) the input rows each network is solved on
+    (a bootstrap resample, or every row).  Returns every network's hidden
+    layer on all N inputs, H (M, N, K), and the output weights V (M, K, T)
+    of the ridge problem on each network's rows, so H @ V predicts the N
+    inputs."""
+    H = hidden_layer(Z, W, b)
+    V = solve_output_weights(H[np.arange(len(rows))[:, None], rows],
+                             Y[rows], ridge)
+    return H, V

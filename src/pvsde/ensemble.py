@@ -6,11 +6,11 @@ an hour is trained on its own bootstrap resample of that hour's trusted
 training days, and one hidden layer per member serves all five parameters
 (a, b, beta, c, d) as a multi-output ELM.  The ensemble is therefore three
 arrays: hidden weights (m, M, K, p), hidden biases (m, M, K) and output
-weights (m, M, K, 5), and each hour trains with one batched linear solve
-of the ridge normal equations over all its members and targets.  A
-prediction discards the largest and smallest 20% of the member outputs per
-parameter, averages the rest and projects the result onto the valid
-parameter set.
+weights (m, M, K, 5), and each hour trains with one ``elm.elm_train``
+call: one batched linear solve of the ridge normal equations over all its
+members and targets.  A prediction discards the largest and smallest 20%
+of the member outputs per parameter, averages the rest and projects the
+result onto the valid parameter set.
 
 An hour's members see only that hour's p features, the hour-major slice
 of the day's feature vector.  Training draws the hidden layers once, from a
@@ -34,12 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elm import DEFAULT_RIDGE, fit_scaler, hidden_layer, solve_output_weights
+from .elm import elm_train, fit_scaler, hidden_layer
 from .sde import DayParams, project_rows
 
 PARAM_NAMES = ("a", "b", "beta", "c", "d")
 DEFAULT_HIDDEN = 100
 DEFAULT_MEMBERS = 200
+DEFAULT_RIDGE = 2.0
 TRIM_FRACTION = 0.20
 MIN_SLOT_PAIRS = 10
 _FORMAT_VERSION = 3
@@ -160,13 +161,10 @@ def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
                 f"(need {MIN_SLOT_PAIRS})")
         Z = model._hour_inputs(X_all[keep], hour)
         T = targets[keep, :, hour]
-        # every member's hidden layer on the n distinct days (M, n, K)
-        H = hidden_layer(Z, model.hidden_weights[hour],
-                         model.hidden_biases[hour])
         # one with-replacement resample of the n days per member (row)
         idx = boot_rng.integers(0, len(Z), size=(n_members, len(Z)))
-        V = solve_output_weights(H[np.arange(n_members)[:, None], idx],
-                                 T[idx], ridge)
+        H, V = elm_train(Z, model.hidden_weights[hour],
+                         model.hidden_biases[hour], T, idx, ridge)
         model.output_weights[hour] = V
         err = trimmed_mean(H @ V) - T
         for pi, pname in enumerate(PARAM_NAMES):

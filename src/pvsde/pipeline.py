@@ -28,16 +28,16 @@ from operator import itemgetter
 
 import numpy as np
 
-from .ensemble import (PARAM_NAMES, _atomic, load_ensemble,
+from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, DEFAULT_RIDGE,
+                       PARAM_NAMES, _atomic, load_ensemble,
                        predict_params_batch, save_ensemble, train_ensemble)
 from .estimation import AllHoursInvalidError, identify_day
 from .metrics import (EVAL_LEVELS, EvalInput, evaluate, kl_divergence,
                       nd as nd_metric)
-from .sde import (A_CAP_UNITS, TIME_UNIT_SECONDS, DayParams, SimulationFan,
-                  make_fan, project_rows)
+from .sde import DayParams, SimulationFan, make_fan, project_rows
 from .synth import SyntheticSpec, synth_generate
 from .weather import (CSV_COLUMNS, HourGrid, impute_days, ingest_weather,
-                      write_weather_csv)
+                      nanmedian, write_weather_csv)
 
 PARAMS_SCHEMA_VERSION = 1
 
@@ -55,14 +55,14 @@ class RunConfig:
 
     m: int = 12
     start_hour: int = 7
-    hidden_size: int = 100
-    n_members: int = 200
+    hidden_size: int = DEFAULT_HIDDEN
+    n_members: int = DEFAULT_MEMBERS
     seed: int = 0
     split: float = 0.70
     n_paths: int = 1000
     step_seconds: float = 30.0
     n_days: int = 400
-    ridge: float = 2.0
+    ridge: float = DEFAULT_RIDGE
     dump_paths: int = 200
 
     def __post_init__(self):
@@ -159,6 +159,23 @@ def read_params_json(path: str):
     if doc.get("schema_version") != PARAMS_SCHEMA_VERSION:
         raise ValueError("unsupported parameter file schema")
     return doc
+
+
+def _params_days(cfg: RunConfig, path: str) -> dict:
+    """The days of the parameter file at ``path``, refused unless it was
+    written on the config's hour grid (``m`` and ``step_seconds``) and
+    every day holds ``m`` hours."""
+    doc = read_params_json(path)
+    grid = (doc.get("m"), doc.get("step_seconds"))
+    if grid != (cfg.m, cfg.step_seconds):
+        raise ValueError(f"{path}: written for m = {grid[0]}, step_seconds = "
+                         f"{grid[1]}; the config has m = {cfg.m}, "
+                         f"step_seconds = {cfg.step_seconds}")
+    for date, obj in sorted(doc["days"].items()):
+        if len(obj) != cfg.m:
+            raise ValueError(f"{path}: day {date} holds {len(obj)} hours, "
+                             f"m = {cfg.m}")
+    return doc["days"]
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +355,10 @@ def _day_fan(cfg: RunConfig, date: str, day: DayParams, p0: float):
     """A day's fan as its file carries it: quantiles and mean over all
     ``n_paths`` paths, and the first ``dump_paths`` paths, C-contiguous as
     ``make_fan`` keeps them (a strided slice of the paths can score
-    differently in the last bit from the read-back fan).
-
-    A fan takes one Euler step per sample, so each hour's a is capped at
-    ``sde.A_CAP_UNITS`` (a·dt at most 0.45); a predicted or hand-written a
-    may exceed the Euler stability bound."""
-    cap = A_CAP_UNITS / (cfg.step_seconds / TIME_UNIT_SECONDS)
-    day = DayParams(tuple(replace(h, a=min(h.a, cap)) for h in day.hours))
+    differently in the last bit from the read-back fan)."""
     return make_fan(day, p0, step_seconds=cfg.step_seconds,
                     n_paths=cfg.n_paths, seed=_day_seed(cfg.seed, _FAN, date),
-                    substeps=1, n_keep=cfg.dump_paths)
+                    n_keep=cfg.dump_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +480,7 @@ def _climatology(pv: dict, dates):
     valid = np.stack([pv[d][1] for d in dates])
     seen = valid.any(axis=0)
     steps = np.arange(values.shape[1])
-    median = np.nanmedian(np.where(valid, values, np.nan)[:, seen], axis=0)
+    median = nanmedian(np.where(valid, values, np.nan)[:, seen])
     return np.interp(steps, steps[seen], median), values[valid]
 
 
@@ -506,9 +517,9 @@ def cmd_train(cfg: RunConfig, weather_path: str, params_path: str,
               out_dir: str) -> dict:
     """Train the weather-to-parameter ensemble from identified days."""
     t0 = time.perf_counter()
+    days = _params_days(cfg, params_path)
     weather, medians, dropped = _load_weather_days(weather_path, cfg)
-    _, n_days = _train(cfg, weather, read_params_json(params_path)["days"],
-                       medians, out_dir)
+    _, n_days = _train(cfg, weather, days, medians, out_dir)
     return dict(days=n_days, dropped=dropped,
                 seconds=round(time.perf_counter() - t0, 2), out=out_dir)
 
@@ -532,8 +543,8 @@ def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
     is supplied, otherwise the midpoint of the first hour's bounds.  Only
     the PV rows of the parameter file's days are read.
     """
+    days = _params_days(cfg, params_path)
     os.makedirs(out_dir, exist_ok=True)
-    days = read_params_json(params_path)["days"]
     pv = ingest_pv(pv_path, set(days), cfg.day_length) if pv_path else {}
     for date, obj in sorted(days.items()):
         day, _ = obj_to_day_params(obj)

@@ -272,16 +272,19 @@ DEFAULT_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9, 0.95)
 
 
 def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
-             quantile_levels=DEFAULT_QUANTILE_LEVELS, substeps=None,
-             n_keep=None):
+             quantile_levels=DEFAULT_QUANTILE_LEVELS, n_keep=None):
     """Simulate n_paths day trajectories and cache empirical quantiles.
+
+    A fan takes one Euler step per sample, so each hour's a is capped at
+    ``A_CAP_UNITS / dt`` (a·dt at most 0.45): a predicted or hand-written
+    a may exceed the Euler stability bound.
 
     The noise comes from a single stream: the first child of
     ``SeedSequence(seed)``, which differs from every ``default_rng(k)``
     stream of an integer k (the estimator's day seeds among them).  Each
-    hour's (Euler substeps, n_paths) block is drawn just before that hour
-    is stepped; the blocks are the consecutive rows of the one block a
-    single draw would give.  The fan is reproducible under ``seed``, but a
+    hour's (steps, n_paths) block is drawn just before that hour is
+    stepped; the blocks are the consecutive rows of the one block a single
+    draw would give.  The fan is reproducible under ``seed``, but a
     path's noise depends on ``n_paths``.  The quantiles and mean cover
     every path; ``paths`` keeps the first ``n_keep`` of them (all when
     ``n_keep`` is None).
@@ -296,8 +299,8 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     n_hour = int(round(3600.0 / step_seconds))
     dt = step_seconds / TIME_UNIT_SECONDS
 
-    subs = [substeps if substeps is not None else _auto_substeps(t.a, dt)
-            for t in day.hours]
+    params = day.as_matrix()
+    params[0] = np.minimum(params[0], A_CAP_UNITS / dt)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     n_steps = day.m * n_hour
     levels = tuple(quantile_levels)
@@ -306,10 +309,10 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     quantiles = np.empty((len(levels), n_steps))
     mean = np.empty(n_steps)
     p = np.full(n_paths, float(p0))
-    for i, (theta, sub) in enumerate(zip(day.as_matrix().T, subs)):
+    for i, theta in enumerate(params.T):
         rows = slice(i * n_hour, (i + 1) * n_hour)
-        hour = euler_paths(theta[None], p, dt, n_hour, [sub],
-                           rng.standard_normal((n_hour * sub, n_paths)))
+        hour = euler_paths(theta[None], p, dt, n_hour, [1],
+                           rng.standard_normal((n_hour, n_paths)))
         p = hour[-1].copy()             # the sort below reorders each step
         mean[rows] = hour.mean(axis=1)
         paths[:, rows] = hour[:, :n_keep].T

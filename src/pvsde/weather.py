@@ -148,6 +148,19 @@ def ingest_weather(path: str, grid: HourGrid = HourGrid()):
     return days, dropped
 
 
+def nanmedian(X):
+    """Column medians of the non-NaN entries of X (N, k), NaN for a column
+    with none: ``np.nanmedian(X, axis=0)`` bit for bit below 600 rows,
+    without its ``numpy.ma`` import.  The middle pair of the sorted column
+    (NaN last) is summed from +0.0, as ``numpy.ma.median`` sums, so a tie of
+    -0.0 and 0.0 gives 0.0."""
+    n = len(X) - np.isnan(X).sum(axis=0)
+    mid = np.take_along_axis(np.sort(X, axis=0),
+                             np.stack([(n - 1) // 2, n // 2]), axis=0)
+    with np.errstate(all="ignore"):
+        return mid.sum(axis=0) / 2
+
+
 def impute_days(raw_days, medians=None):
     """Fill NaN features with medians and build WeatherDay objects.
 
@@ -158,13 +171,7 @@ def impute_days(raw_days, medians=None):
     """
     X = np.stack([f for _, f in raw_days])
     if medians is None:
-        # np.nanmedian without its numpy.ma import: the middle pair of the
-        # sorted column (NaN last), summed from +0.0 (so -0.0 ties vanish)
-        n = len(X) - np.isnan(X).sum(axis=0)
-        mid = np.take_along_axis(np.sort(X, axis=0),
-                                 np.stack([(n - 1) // 2, n // 2]), axis=0)
-        with np.errstate(all="ignore"):
-            medians = mid.sum(axis=0) / 2
+        medians = nanmedian(X)
         medians = np.where(np.isfinite(medians), medians, 0.0)
     X = np.where(np.isnan(X), medians, X)
     m = X.shape[1] // len(FEATURE_NAMES)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pvsde.elm import TrainSet, elm_init, elm_train, training_residual
+from pvsde.elm import elm_train, fit_scaler
 from pvsde.ensemble import (WeatherDay, predict_params_batch, train_ensemble,
                             trimmed_mean)
 from pvsde.estimation import HourSamples, identify_hour
@@ -140,10 +140,14 @@ def test_criterion_4_elm_interpolation(capsys):
     rng = np.random.default_rng(40)
     X = rng.normal(size=(50, 3))
     y = rng.normal(size=50)
-    data = TrainSet(X, y)
-    model = elm_train(elm_init(3, 100, np.random.default_rng(41)),
-                      data, ridge=0.0)
-    resid = training_residual(model, data)
+    # one network of the stack trainer the ensemble runs, on every row
+    layer = np.random.default_rng(41)
+    W = layer.standard_normal((1, 100, 3))
+    b = layer.standard_normal((1, 100))
+    mean, std = fit_scaler(X)
+    H, V = elm_train((X - mean) / std, W, b, y[:, None], np.arange(50)[None],
+                     ridge=0.0)
+    resid = float(np.max(np.abs(H[0] @ V[0, :, 0] - y)))
     ok = resid <= 1e-6
     _announce(capsys, "criterion 4 ELM interpolation", ok,
               f"max |Hv - y| = {resid:.2e}")
@@ -166,7 +170,7 @@ def test_criterion_6_metric_identities(capsys):
     """Risk/KL/PICP metrics satisfy their defining identities."""
     th = SdeParams(*REGIME_PARAMS["cloudy"])
     day = DayParams((th,))
-    fan = make_fan(day, 0.55, n_paths=4000, seed=11, substeps=1)
+    fan = make_fan(day, 0.55, n_paths=4000, seed=11)
     actual = simulate_hour(th, np.array([0.55]), n_steps=fan.n_steps,
                            rng=np.random.default_rng(13), substeps=1)[:, 0]
     inp = EvalInput(fan, actual)

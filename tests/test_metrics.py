@@ -23,16 +23,16 @@ def _fan_from_paths(paths, step_seconds=30.0):
 def _sde_input(seed=0, n_paths=400, actual_seed=1):
     day = DayParams(hours=(CLOUDY,))
     fan = make_fan(day, 0.5, n_paths=n_paths, seed=seed,
-                   quantile_levels=LEVELS, substeps=1)
+                   quantile_levels=LEVELS)
     actual = make_fan(day, 0.5, n_paths=1, seed=actual_seed,
-                      quantile_levels=LEVELS, substeps=1).paths[0]
+                      quantile_levels=LEVELS).paths[0]
     return EvalInput(fan=fan, actual=actual)
 
 
 def _actual_paths(n=500, seed=1):
     """Many actual days of the fan's process, from their own seed."""
-    return make_fan(DayParams(hours=(CLOUDY,)), 0.5, n_paths=n, seed=seed,
-                    substeps=1).paths
+    return make_fan(DayParams(hours=(CLOUDY,)), 0.5, n_paths=n,
+                    seed=seed).paths
 
 
 def _mean_mismatch(fan, actuals):

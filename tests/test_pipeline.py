@@ -319,7 +319,7 @@ class TestPvCsv:
 class TestFanCsv:
     def test_round_trip(self, tmp_path):
         day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
-        fan = make_fan(day, 0.5, n_paths=40, seed=2, substeps=1,
+        fan = make_fan(day, 0.5, n_paths=40, seed=2,
                        quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.9, 0.95))
         path = str(tmp_path / "fan.csv")
         write_fan_csv(path, replace(fan, paths=fan.paths[:10]))
@@ -362,7 +362,7 @@ EDGE_FLOATS = (5e-324, -5e-324, -0.0, 0.0, 1 / 3, 0.1, 1e308, -1e308,
 
 def _fan_file(tmp_path, n_paths=4, n_steps=6):
     day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
-    fan = make_fan(day, 0.5, n_paths=n_paths, seed=1, substeps=1)
+    fan = make_fan(day, 0.5, n_paths=n_paths, seed=1)
     fan = SimulationFan(paths=fan.paths[:, :n_steps], step_seconds=30.0,
                         quantile_levels=fan.quantile_levels,
                         quantiles=fan.quantiles[:, :n_steps],
@@ -560,10 +560,36 @@ class TestCommands:
             assert fast.paths.tobytes() == capped.paths.tobytes()
             assert fast.quantiles.tobytes() == capped.quantiles.tobytes()
 
+    def test_a_parameter_file_on_another_hour_grid_is_refused(self, tmp_path):
+        # a 3-hour, 30 s file read under m = 2 or 60 s steps, and a file
+        # with a 2-hour day: train and simulate name the file and write
+        # nothing
+        ds = tmp_path / "ds"
+        cmd_synth(E2E, str(ds))
+        good = str(ds / "true_params.json")
+        doc = read_params_json(good)
+        date = sorted(doc["days"])[1]
+        doc["days"][date] = doc["days"][date][:2]
+        short = str(tmp_path / "short.json")
+        Path(short).write_text(json.dumps(doc))
+        for cfg, path, why in (
+                (replace(E2E, m=2), good, "written for m = 3, step_seconds "
+                 "= 30.0; the config has m = 2, step_seconds = 30.0"),
+                (replace(E2E, step_seconds=60.0), good, "the config has m = "
+                 "3, step_seconds = 60.0"),
+                (E2E, short, f"day {date} holds 2 hours, m = 3")):
+            match = f"^{re.escape(path)}: .*{re.escape(why)}$"
+            with pytest.raises(ValueError, match=match):
+                cmd_train(cfg, str(ds / "weather.csv"), path,
+                          str(tmp_path / "model"))
+            with pytest.raises(ValueError, match=match):
+                cmd_simulate(cfg, path, str(tmp_path / "fans"))
+        assert sorted(os.listdir(tmp_path)) == ["ds", "short.json"]
+
     def test_evaluate_refuses_a_fan_without_a_level_it_reads(self, tmp_path):
         # evaluate reads q05, q50, q90 and q95; this fan has no q90
         day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
-        fan = make_fan(day, 0.5, n_paths=40, seed=2, substeps=1,
+        fan = make_fan(day, 0.5, n_paths=40, seed=2,
                        quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95))
         path = tmp_path / "fans" / "fan_2018-01-01.csv"
         path.parent.mkdir()
@@ -824,7 +850,8 @@ def test_cli_import_loads_no_unused_scipy_module(tmp_path):
     # scipy.special, .stats, .optimize and .fft serve no command, nor does
     # numpy.ma; tests import them in-process, so a fresh interpreter is
     # asked, after it has identified hours whose paths sit on their bounds
-    # (the censored beta) and trained a small model
+    # (the censored beta), trained a small model and run a small e2e (its
+    # climatology takes medians)
     src = os.path.dirname(os.path.dirname(pvsde.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -836,12 +863,15 @@ def test_cli_import_loads_no_unused_scipy_module(tmp_path):
             " rng=np.random.default_rng(1)).T\n"
             "assert ((P == th.c) | (P == th.d)).any(axis=1).all()\n"
             "identify_hours(P, np.ones(P.shape, dtype=bool))\n"
-            "from pvsde.pipeline import RunConfig, cmd_synth, cmd_train\n"
-            "cfg = RunConfig(n_days=12, m=2, n_members=3, hidden_size=5)\n"
+            "from pvsde.pipeline import RunConfig, cmd_e2e, cmd_synth, "
+            "cmd_train\n"
+            "cfg = RunConfig(n_days=20, m=2, n_members=3, hidden_size=5,"
+            " n_paths=50, dump_paths=10)\n"
             "d = sys.argv[1]\n"
             "cmd_synth(cfg, d)\n"
             "cmd_train(cfg, d + '/weather.csv', d + '/true_params.json',"
             " d + '/model')\n"
+            "cmd_e2e(cfg, d, d + '/e2e')\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in ("
             "['scipy', 'special'], ['scipy', 'stats'], ['scipy', 'optimize'],"
             " ['scipy', 'fft'], ['numpy', 'ma'])))")

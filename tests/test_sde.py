@@ -178,12 +178,13 @@ class TestGoldenKernel:
                                   "f72409d48f736a8e758d7ad8541ee74a")
 
     def test_fan(self):
-        # auto substeps: 2 on the CLEAR hours (h = 0.5), 1 on CLOUDY
+        # one Euler step per sample on every hour, CLEAR's a·dt = 0.33
+        # under the cap; the digest of the fan the commands write
         fan = make_fan(DayParams(hours=(CLEAR, CLOUDY, CLEAR)), 0.75,
                        n_paths=300, seed=13,
                        quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95))
         assert _sha256(fan.paths, fan.quantiles, fan.mean) == (
-            "34dac1f1178909a5703ca863ef0aeedf6cd679097276d667112a1d78356aa58a")
+            "5d8b16a1f2cba166bf6e204d3e395192fec2f3f91965ab5fe0f8a226e625abbe")
 
     def test_synth_week(self):
         _, _, pv, _ = synth_generate(SyntheticSpec(n_days=7),
@@ -279,7 +280,7 @@ class TestSimulateDay:
         return DayParams(hours=(CLEAR, CLOUDY, CLEAR))
 
     def _path(self, day, p0):
-        return make_fan(day, p0, n_paths=1, substeps=1).paths[0]
+        return make_fan(day, p0, n_paths=1).paths[0]
 
     def test_length_and_bounds(self):
         day = self._day()
@@ -308,7 +309,7 @@ class TestSimulateDay:
 class TestFan:
     def _fan(self, n_paths=200, seed=5):
         day = DayParams(hours=(CLEAR, CLOUDY))
-        return make_fan(day, 0.75, n_paths=n_paths, seed=seed, substeps=1)
+        return make_fan(day, 0.75, n_paths=n_paths, seed=seed)
 
     def test_shapes_and_quantile_order(self):
         fan = self._fan()
@@ -337,8 +338,7 @@ class TestFan:
         full = self._fan(n_paths=300)
         day = DayParams(hours=(CLEAR, CLOUDY))
         for k in (1, 299, 300, 301):
-            kept = make_fan(day, 0.75, n_paths=300, seed=5, substeps=1,
-                            n_keep=k)
+            kept = make_fan(day, 0.75, n_paths=300, seed=5, n_keep=k)
             assert kept.paths.flags.c_contiguous
             assert kept.paths.tobytes() == full.paths[:k].tobytes()
             assert kept.quantiles.tobytes() == full.quantiles.tobytes()
@@ -348,7 +348,7 @@ class TestFan:
         day = DayParams(hours=(CLEAR, CLOUDY) * 6)
         n_paths = 500
         peak = peak_bytes(lambda: make_fan(day, 0.75, n_paths=n_paths,
-                                           seed=5, substeps=1, n_keep=10))
+                                           seed=5, n_keep=10))
         day_of_states = 12 * 120 * n_paths * 8
         assert peak < day_of_states / 2, (peak, day_of_states)
 

@@ -7,7 +7,7 @@ next to the generating values.
 
 import numpy as np
 
-from pvsde import HourSamples, SdeParams, identify_hour, simulate_hour
+from pvsde import SdeParams, identify_hour, simulate_hour
 
 TRUTH = SdeParams(0.2095, 0.5496, 0.1946, 0.1263, 0.9930)
 NAMES = ("a", "b", "beta", "c", "d")
@@ -20,8 +20,7 @@ def main():
     p0 = TRUTH.c + (TRUTH.d - TRUTH.c) * u
     sim = simulate_hour(TRUTH, p0, step_seconds=30.0, n_steps=120, rng=rng)
     paths = np.vstack([p0[None, :], sim])
-    est = np.array([identify_hour(HourSamples(paths[:, j]),
-                                  seed=4242 + j).params.as_array()
+    est = np.array([identify_hour(paths[:, j], seed=4242 + j).params.as_array()
                     for j in range(paths.shape[1])])
     mean_est = est.mean(axis=0)
     truth = TRUTH.as_array()

@@ -11,18 +11,18 @@ from .sde import (DEFAULT_QUANTILE_LEVELS, DayParams,
                   StabilityError, TIME_UNIT_SECONDS, euler_paths, make_fan,
                   project_params, simulate_hour, stationary_beta_shapes,
                   stationary_sample)
-from .estimation import (AllHoursInvalidError, FitReport, HourSamples,
-                         identify_day, identify_hour, identify_hours)
+from .estimation import (AllHoursInvalidError, FitReport, identify_day,
+                         identify_hour, identify_hours)
 from .elm import elm_train, fit_scaler
-from .ensemble import (EnsembleModel, TrainingError, WeatherDay,
-                       load_ensemble, predict_params_batch, save_ensemble,
-                       train_ensemble, trimmed_mean)
+from .ensemble import (EnsembleModel, TrainingError, load_ensemble,
+                       predict_params_batch, save_ensemble, train_ensemble,
+                       trimmed_mean)
 from .metrics import (EvalInput, MetricReport, UndefinedMetricError,
                       autocorr_mismatch, evaluate, kl_divergence, nd, nrmse,
                       picp, rho_risk)
 from .weather import (FEATURE_NAMES, HourGrid, WeatherFormatError,
                       impute_days, ingest_weather, write_weather_csv)
-from .synth import SyntheticSpec, synth_generate, true_param_map
+from .synth import synth_generate, true_param_map
 from .pipeline import RunConfig, load_config, split_days
 
 __version__ = "0.1.0"
@@ -30,10 +30,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AllHoursInvalidError", "DayParams", "DEFAULT_QUANTILE_LEVELS",
     "DegenerateDistributionError", "EnsembleModel", "EvalInput",
-    "FEATURE_NAMES", "FitReport", "HourGrid", "HourSamples", "MetricReport",
-    "RunConfig", "SdeParams", "SimulationFan", "StabilityError",
-    "SyntheticSpec", "TIME_UNIT_SECONDS", "TrainingError",
-    "UndefinedMetricError", "WeatherDay", "WeatherFormatError",
+    "FEATURE_NAMES", "FitReport", "HourGrid", "MetricReport", "RunConfig",
+    "SdeParams", "SimulationFan", "StabilityError", "TIME_UNIT_SECONDS",
+    "TrainingError", "UndefinedMetricError", "WeatherFormatError",
     "autocorr_mismatch", "elm_train", "euler_paths", "evaluate", "fit_scaler",
     "identify_day", "identify_hour", "identify_hours", "impute_days",
     "ingest_weather", "kl_divergence", "load_config", "load_ensemble",

@@ -2,30 +2,16 @@
 
 Subcommands mirror the pipeline stages: synth, identify, train, predict,
 simulate, evaluate, e2e.  Failures emit a one-line machine-readable JSON
-object on stderr and exit nonzero.  PVSDE_THREADS, when set, caps the
-numeric thread pools for the process.
+object on stderr and exit nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("PVSDE_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-_apply_thread_cap()
-
-from . import pipeline  # noqa: E402  (thread caps must precede numpy)
+from . import pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:

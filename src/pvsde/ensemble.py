@@ -51,21 +51,6 @@ class TrainingError(RuntimeError):
     """An hour cannot be trained (too few valid days)."""
 
 
-@dataclass(frozen=True)
-class WeatherDay:
-    """One day's flattened weather features, hour-major."""
-
-    date: str
-    features: np.ndarray            # (m * p,)
-    feature_names: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        f = np.asarray(self.features, dtype=float).ravel()
-        object.__setattr__(self, "features", f)
-        if not np.isfinite(f).all():
-            raise ValueError("weather features must be finite after imputation")
-
-
 def _streams(master_seed: int):
     """Independent (hidden-layer, bootstrap) generators of one ensemble."""
     return [np.random.default_rng(s)
@@ -88,7 +73,6 @@ class EnsembleModel:
     master_seed: int
     scaler_mean: np.ndarray         # (m * p,)
     scaler_std: np.ndarray          # (m * p,)
-    feature_names: tuple[str, ...] = ()
     train_rmse: dict = field(default_factory=dict)
 
     @property
@@ -120,46 +104,45 @@ class EnsembleModel:
         return trimmed_mean(H @ self.output_weights[hour])
 
 
-def train_ensemble(pairs, hidden_size: int = DEFAULT_HIDDEN,
+def train_ensemble(X, theta, hidden_size: int = DEFAULT_HIDDEN,
                    n_members: int = DEFAULT_MEMBERS, master_seed: int = 0,
                    flags=None, ridge: float = DEFAULT_RIDGE
                    ) -> EnsembleModel:
-    """Train every hour's members from (WeatherDay, DayParams) pairs.
+    """Train every hour's members on the days' weather features ``X``
+    (N, m * p), hour-major, and their parameters ``theta`` (N, 5, m).
 
-    ``flags`` optionally maps each pair to a per-hour boolean mask marking
+    ``flags`` optionally gives each day a per-hour boolean mask marking
     unreliable hours; flagged hours are excluded from that hour's training
     days.  Each hour regresses on its own slice of the features.
     """
-    pairs = list(pairs)
-    if len(pairs) < MIN_SLOT_PAIRS:
+    X, targets = _features(X), np.asarray(theta, dtype=float)
+    if len(X) < MIN_SLOT_PAIRS:
         raise TrainingError(f"need >= {MIN_SLOT_PAIRS} training days, "
-                            f"got {len(pairs)}")
+                            f"got {len(X)}")
     if hidden_size < 1 or n_members < 1:
         raise ValueError("hidden_size and n_members must be >= 1")
-    m = pairs[0][1].m
-    X_all = np.stack([w.features for w, _ in pairs])
-    if X_all.shape[1] % m:
+    if targets.ndim != 3 or targets.shape[:2] != (len(X), len(PARAM_NAMES)):
+        raise ValueError(f"theta must be ({len(X)}, {len(PARAM_NAMES)}, m)")
+    m = targets.shape[2]
+    if X.ndim != 2 or X.shape[1] % m:
         raise ValueError("the features must split evenly by hour")
-    mean, std = fit_scaler(X_all)
-    targets = np.stack([dp.as_matrix() for _, dp in pairs])   # (N, 5, m)
-    trusted = (np.ones((len(pairs), m), dtype=bool) if flags is None
+    mean, std = fit_scaler(X)
+    trusted = (np.ones((len(X), m), dtype=bool) if flags is None
                else ~np.asarray(flags, dtype=bool))
     hidden_rng, boot_rng = _streams(master_seed)
     shape = (m, n_members, hidden_size)
     model = EnsembleModel(
-        hidden_weights=hidden_rng.standard_normal(
-            shape + (X_all.shape[1] // m,)),
+        hidden_weights=hidden_rng.standard_normal(shape + (X.shape[1] // m,)),
         hidden_biases=hidden_rng.standard_normal(shape),
         output_weights=np.zeros(shape + (len(PARAM_NAMES),)),
-        master_seed=master_seed, scaler_mean=mean, scaler_std=std,
-        feature_names=tuple(pairs[0][0].feature_names))
+        master_seed=master_seed, scaler_mean=mean, scaler_std=std)
     for hour in range(m):
         keep = trusted[:, hour]
         if int(keep.sum()) < MIN_SLOT_PAIRS:
             raise TrainingError(
                 f"hour={hour}: only {int(keep.sum())} valid days "
                 f"(need {MIN_SLOT_PAIRS})")
-        Z = model._hour_inputs(X_all[keep], hour)
+        Z = model._hour_inputs(X[keep], hour)
         T = targets[keep, :, hour]
         # one with-replacement resample of the n days per member (row)
         idx = boot_rng.integers(0, len(Z), size=(n_members, len(Z)))
@@ -183,17 +166,25 @@ def trimmed_mean(values):
     return kept.mean(axis=0)
 
 
-def predict_params_batch(model: EnsembleModel, days):
-    """Predict the projected DayParams of each WeatherDay, hour by hour:
-    an hour's model arrays are indexed (for a loaded model, read) just
-    before that hour is predicted."""
-    X = np.stack([d.features for d in days])
-    if X.shape[1] != model.input_dim:
+def _features(X):
+    """Weather features as a finite float matrix (N, k)."""
+    X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():
+        raise ValueError("weather features must be finite after imputation")
+    return X
+
+
+def predict_params_batch(model: EnsembleModel, X):
+    """Predict the projected DayParams of each row of the weather features
+    ``X`` (N, m * p), hour by hour: an hour's model arrays are indexed (for
+    a loaded model, read) just before that hour is predicted."""
+    X = _features(X)
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError("feature length does not match the trained model")
     raw = np.stack([model._hour_outputs(model._hour_inputs(X, hour), hour)
                     for hour in range(model.m)], axis=1)     # (N, m, 5)
     theta = project_rows(raw.transpose(2, 0, 1))                # (5, N, m)
-    return [DayParams.from_matrix(theta[:, j]) for j in range(len(days))]
+    return [DayParams.from_matrix(theta[:, j]) for j in range(len(X))]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +204,6 @@ def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
                     n_members=model.n_members,
                     master_seed=model.master_seed,
                     input_dim=model.input_dim,
-                    feature_names=list(model.feature_names),
                     scaler_mean=model.scaler_mean.tolist(),
                     scaler_std=model.scaler_std.tolist(),
                     train_rmse=model.train_rmse,
@@ -246,7 +236,6 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
               for name, want in zip(_ARRAY_FILES, shapes)}
     return EnsembleModel(**arrays, master_seed=man["master_seed"],
                          scaler_mean=mean, scaler_std=std,
-                         feature_names=tuple(man["feature_names"]),
                          train_rmse=man["train_rmse"])
 
 

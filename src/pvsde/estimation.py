@@ -112,34 +112,6 @@ def _check_rows(values, valid):
         raise ValueError("samples must be finite")
 
 
-@dataclass(frozen=True)
-class HourSamples:
-    """One hour of normalized PV samples at a fixed period ``h`` seconds.
-
-    ``valid`` marks the samples to use (all of them when omitted); a masked
-    sample may hold any value.
-    """
-
-    values: np.ndarray
-    h: float = 30.0
-    valid: np.ndarray | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        ok = (np.ones(v.shape, dtype=bool) if self.valid is None
-              else np.asarray(self.valid, dtype=bool))
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "valid", ok)
-        _check_rows(v[None], ok[None])
-        if self.h <= 0:
-            raise ValueError("sampling period must be > 0")
-
-    @property
-    def dt(self) -> float:
-        """Sampling period in model time units."""
-        return self.h / TIME_UNIT_SECONDS
-
-
 @dataclass
 class FitReport:
     params: SdeParams
@@ -540,12 +512,13 @@ def _identify_rows(s, dt, seed):
 # public operations
 
 
-def identify_hours(values, valid, h: float = 30.0,
+def identify_hours(values, valid=None, h: float = 30.0,
                    seed: int = DEFAULT_SEED) -> list[FitReport]:
     """Identify all five parameters of each hour in the rows of ``values``.
 
     ``values`` is (H, T), one hour of samples every ``h`` seconds per row;
-    ``valid`` (H, T) marks the samples to use.  Each row needs 20 valid
+    ``valid`` (H, T) marks the samples to use (all of them when omitted),
+    and a masked sample may hold any value.  Each row needs 20 valid
     samples, two of them consecutive.  Beta is that of the Euler chain
     clipped at the fitted bounds (``_censored_beta``), which the
     uncensored profile reads low.  Every hour draws the same noise
@@ -554,8 +527,11 @@ def identify_hours(values, valid, h: float = 30.0,
     non-volatile and degenerate.
     """
     values = np.asarray(values, dtype=float)
-    valid = np.asarray(valid, dtype=bool)
+    valid = (np.ones(values.shape, dtype=bool) if valid is None
+             else np.asarray(valid, dtype=bool))
     _check_rows(values, valid)
+    if not h > 0:
+        raise ValueError("sampling period must be > 0")
     s = _Rows(values, valid)
     reports: list[FitReport | None] = [None] * len(s.lo)
     flat = s.hi - s.lo <= _SPAN_EPS
@@ -574,10 +550,13 @@ def identify_hours(values, valid, h: float = 30.0,
     return reports
 
 
-def identify_hour(samples: HourSamples, seed: int = DEFAULT_SEED) -> FitReport:
-    """Identify all five parameters of one hour of samples."""
-    return identify_hours(samples.values[None], samples.valid[None],
-                          samples.h, seed)[0]
+def identify_hour(values, valid=None, h: float = 30.0,
+                  seed: int = DEFAULT_SEED) -> FitReport:
+    """Identify all five parameters of one hour of samples (T,), taken
+    every ``h`` seconds; ``valid`` (T,) as in ``identify_hours``."""
+    return identify_hours(np.asarray(values)[None],
+                          None if valid is None else np.asarray(valid)[None],
+                          h, seed)[0]
 
 
 def identify_day(values, mask=None, step_seconds: float = 30.0,

@@ -28,14 +28,14 @@ from operator import itemgetter
 
 import numpy as np
 
-from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, DEFAULT_RIDGE,
-                       PARAM_NAMES, _atomic, load_ensemble,
-                       predict_params_batch, save_ensemble, train_ensemble)
+from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, PARAM_NAMES, _atomic,
+                       load_ensemble, predict_params_batch, save_ensemble,
+                       train_ensemble)
 from .estimation import AllHoursInvalidError, identify_day
 from .metrics import (EVAL_LEVELS, EvalInput, evaluate, kl_divergence,
                       nd as nd_metric)
 from .sde import DayParams, SimulationFan, make_fan, project_rows
-from .synth import SyntheticSpec, synth_generate
+from .synth import synth_generate
 from .weather import (CSV_COLUMNS, HourGrid, impute_days, ingest_weather,
                       nanmedian, write_weather_csv)
 
@@ -62,7 +62,6 @@ class RunConfig:
     n_paths: int = 1000
     step_seconds: float = 30.0
     n_days: int = 400
-    ridge: float = DEFAULT_RIDGE
     dump_paths: int = 200
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class RunConfig:
                              f"{self.m}), got {self.start_hour}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not self.ridge >= 0:
-            raise ValueError("ridge must be >= 0")
 
     @property
     def grid(self) -> HourGrid:
@@ -373,12 +370,15 @@ def _weather_csv_rows(dates, weather_days):
 
 
 def _load_weather_days(path: str, cfg: RunConfig, medians=None):
+    """``{date: imputed feature row}`` of the weather file's usable days,
+    the medians imputed with and the dates dropped."""
     raw_days, dropped = ingest_weather(path, cfg.grid)
     if not raw_days:
         raise ValueError(f"{path}: no usable weather day ({len(dropped)} "
                          f"dropped for missing fields)")
-    days, medians = impute_days(raw_days, medians)
-    return {d.date: d for d in days}, medians, dropped
+    dates, rows = zip(*raw_days)
+    X, medians = impute_days(rows, medians)
+    return dict(zip(dates, X)), medians, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +406,20 @@ def _train(cfg: RunConfig, weather: dict, days: dict, medians, out_dir: str):
     """Train the ensemble on the parameter objects ``{date: obj}`` of the
     days with weather and save it with the weather medians under
     ``out_dir``; returns the model and the number of days trained on."""
-    pairs, flags = [], []
-    for date, obj in sorted(days.items()):
-        if date not in weather:
-            continue
-        day, day_flags = obj_to_day_params(obj)
-        pairs.append((weather[date], day))
-        flags.append([bool(UNTRUSTED_FLAGS & set(fl)) for fl in day_flags])
-    model = train_ensemble(pairs, hidden_size=cfg.hidden_size,
-                           n_members=cfg.n_members, master_seed=cfg.seed,
-                           flags=flags, ridge=cfg.ridge)
+    dates = sorted(set(days) & set(weather))
+    parsed = [obj_to_day_params(days[d]) for d in dates]
+    model = train_ensemble(
+        [weather[d] for d in dates], [day.as_matrix() for day, _ in parsed],
+        hidden_size=cfg.hidden_size, n_members=cfg.n_members,
+        master_seed=cfg.seed,
+        flags=[[bool(UNTRUSTED_FLAGS & set(fl)) for fl in day_flags]
+               for _, day_flags in parsed])
     os.makedirs(out_dir, exist_ok=True)
     with _atomic(os.path.join(out_dir, "impute.json")) as f:
         f.write(json.dumps(dict(medians=list(map(float, medians))),
                            sort_keys=True))
     save_ensemble(model, out_dir)   # manifest.json last: the model is whole
-    return model, len(pairs)
+    return model, len(dates)
 
 
 def _predict(cfg: RunConfig, model, weather: dict, dates, out_path: str):
@@ -491,10 +489,9 @@ def _climatology(pv: dict, dates):
 def cmd_synth(cfg: RunConfig, out_dir: str) -> dict:
     """Generate a synthetic dataset directory."""
     os.makedirs(out_dir, exist_ok=True)
-    spec = SyntheticSpec(n_days=cfg.n_days, grid=cfg.grid,
-                         step_seconds=cfg.step_seconds)
     dates, weather, pv, params = synth_generate(
-        spec, np.random.default_rng(cfg.seed))
+        np.random.default_rng(cfg.seed), cfg.n_days, cfg.grid,
+        cfg.step_seconds)
     with _atomic(os.path.join(out_dir, "weather.csv"), newline="") as f:
         write_weather_csv(f, _weather_csv_rows(dates, weather))
     write_pv_csv(os.path.join(out_dir, "pv.csv"), dates, pv)
@@ -528,8 +525,16 @@ def cmd_predict(cfg: RunConfig, model_dir: str, weather_path: str,
                 out_path: str) -> dict:
     """Map weather days to predicted parameters with a trained ensemble."""
     model = load_ensemble(model_dir)
-    with open(os.path.join(model_dir, "impute.json")) as f:
-        medians = np.array(json.load(f)["medians"])
+    path = os.path.join(model_dir, "impute.json")
+    with open(path) as f:
+        medians = json.load(f).get("medians")
+    try:
+        medians = np.array(medians, dtype=float)
+    except (TypeError, ValueError):
+        medians = np.array(np.nan)
+    if medians.shape != (model.input_dim,) or not np.isfinite(medians).all():
+        raise ValueError(f"{path}: medians must be {model.input_dim} finite "
+                         "numbers, one per weather feature")
     weather, _, dropped = _load_weather_days(weather_path, cfg, medians)
     preds = _predict(cfg, model, weather, sorted(weather), out_path)
     return dict(predicted=len(preds), dropped=dropped, out=out_path)

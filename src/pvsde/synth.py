@@ -13,25 +13,15 @@ in humidity order their parameters the way real clear and cloudy hours do
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .sde import (TIME_UNIT_SECONDS, DayParams, SdeParams, euler_paths,
-                  project_params, project_rows)
+from .sde import (A_CAP_UNITS, TIME_UNIT_SECONDS, DayParams, SdeParams,
+                  euler_paths, project_params, project_rows)
 from .weather import COMPASS_DEGREES, HourGrid
 
 IRRADIANCE_SCALE = 3.5      # MJ/m^2 roughly spanning the observed range
 _COMPASS = tuple(COMPASS_DEGREES)
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Shape of a generated dataset."""
-
-    n_days: int = 400
-    grid: HourGrid = HourGrid()
-    step_seconds: float = 30.0
 
 
 def _sig(z):
@@ -91,25 +81,29 @@ def _day_weather(rng, grid: HourGrid):
     return rows
 
 
-def synth_generate(spec: SyntheticSpec, rng):
-    """Generate ``(weather_rows, pv_days, true_params)`` for n_days.
+def synth_generate(rng, n_days: int = 400, grid: HourGrid = HourGrid(),
+                   step_seconds: float = 30.0):
+    """Generate ``(dates, weather_rows, pv_days, true_params)`` for n_days.
 
     ``weather_rows``: per day, a list of hourly dicts (1-hour reports);
     ``pv_days``: per day, the normalized PV array of m * 3600/step samples;
-    ``true_params``: per day, the generating DayParams.
+    ``true_params``: per day, the generating DayParams, its a at most
+    ``A_CAP_UNITS / dt`` so that one Euler step per sample stays stable.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    m = spec.grid.m
-    n_hour = int(round(3600.0 / spec.step_seconds))
+    m = grid.m
+    n_hour = int(round(3600.0 / step_seconds))
+    dt = step_seconds / TIME_UNIT_SECONDS
     weather_days, params_days = [], []
-    params = np.empty((m, 5, spec.n_days))
-    noise = np.empty((m * n_hour, spec.n_days))
-    for j in range(spec.n_days):
-        rows = _day_weather(rng, spec.grid)
+    params = np.empty((m, 5, n_days))
+    noise = np.empty((m * n_hour, n_days))
+    for j in range(n_days):
+        rows = _day_weather(rng, grid)
         theta = project_rows(np.transpose(
             [_raw_params(r["humidity"], r["cloud"], r["irradiance"])
              for r in rows]))
+        theta[0] = np.minimum(theta[0], A_CAP_UNITS / dt)
         params[:, :, j] = theta.T
         day = DayParams.from_matrix(theta)
         noise[:, j] = rng.standard_normal(m * n_hour)
@@ -120,10 +114,9 @@ def synth_generate(spec: SyntheticSpec, rng):
     # follows the same discrete-time transition the identification stage
     # inverts.
     p0 = 0.5 * (params[0, 3] + params[0, 4])
-    pv = euler_paths(params, p0, spec.step_seconds / TIME_UNIT_SECONDS,
-                     n_hour, [1] * m, noise)
+    pv = euler_paths(params, p0, dt, n_hour, [1] * m, noise)
     pv_days = list(np.ascontiguousarray(pv.T))
-    dates = [_date_label(j) for j in range(spec.n_days)]
+    dates = [_date_label(j) for j in range(n_days)]
     return dates, weather_days, pv_days, params_days
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import WeatherDay
-
 FEATURE_NAMES = ("temperature", "humidity", "pressure", "precipitation",
                  "wind_speed", "wind_sin", "wind_cos", "cloud", "irradiance")
 CSV_COLUMNS = ("timestamp", "temperature", "humidity", "pressure",
@@ -161,24 +159,20 @@ def nanmedian(X):
         return mid.sum(axis=0) / 2
 
 
-def impute_days(raw_days, medians=None):
-    """Fill NaN features with medians and build WeatherDay objects.
+def impute_days(X, medians=None):
+    """Fill the NaN features of the day rows of ``X`` (N, m * p) with
+    medians; returns the filled matrix and the medians.
 
     ``medians`` (per flattened feature position) defaults to the medians of
     the given days' valid values (0.0 where a position has none or the
     median is not finite), and is returned so a training-set fit can be
     reused on test days.
     """
-    X = np.stack([f for _, f in raw_days])
+    X = np.asarray(X, dtype=float)
     if medians is None:
         medians = nanmedian(X)
         medians = np.where(np.isfinite(medians), medians, 0.0)
-    X = np.where(np.isnan(X), medians, X)
-    m = X.shape[1] // len(FEATURE_NAMES)
-    names = tuple(f"h{i}_{n}" for i in range(m) for n in FEATURE_NAMES)
-    days = [WeatherDay(date=date, features=X[j], feature_names=names)
-            for j, (date, _) in enumerate(raw_days)]
-    return days, medians
+    return np.where(np.isnan(X), medians, X), medians
 
 
 def write_weather_csv(f, rows) -> None:

@@ -14,9 +14,8 @@ import pytest
 from scipy import stats
 
 from pvsde.elm import elm_train, fit_scaler
-from pvsde.ensemble import (WeatherDay, predict_params_batch, train_ensemble,
-                            trimmed_mean)
-from pvsde.estimation import HourSamples, identify_hour
+from pvsde.ensemble import predict_params_batch, train_ensemble, trimmed_mean
+from pvsde.estimation import identify_hour
 from pvsde.metrics import EvalInput, kl_divergence, nd, picp, rho_risk
 from pvsde.pipeline import (RunConfig, cmd_e2e, cmd_evaluate, cmd_identify,
                             cmd_predict, cmd_simulate, cmd_synth, cmd_train)
@@ -121,8 +120,7 @@ def test_criterion_3_parameter_recovery(capsys):
         sim = simulate_hour(th, p0, step_seconds=30.0, n_steps=120,
                             rng=rng, substeps=1)
         paths = np.vstack([p0[None, :], sim])
-        est = np.array([identify_hour(HourSamples(paths[:, j]),
-                                      seed=4242 + j).params.as_array()
+        est = np.array([identify_hour(paths[:, j], seed=4242 + j).params.as_array()
                         for j in range(100)])
         mean_est = est.mean(axis=0)
         truth = np.array(vals)
@@ -265,7 +263,7 @@ def _hour_features(w):
 def test_criterion_9_regime_ordering(capsys):
     """Clear-sky vs cloudy weather rows keep the identified ordering."""
     rng = np.random.default_rng(99)
-    pairs = []
+    X, theta = [], []
     for i in range(40):
         h, cl, ir = (rng.uniform(40, 100), rng.uniform(0, 9),
                      rng.uniform(0.0, 3.0))
@@ -273,8 +271,8 @@ def test_criterion_9_regime_ordering(capsys):
                  pressure=rng.uniform(995, 1010), precipitation=0.0,
                  wind_speed=rng.uniform(2, 12), wind_direction="E",
                  cloud=cl, irradiance=ir)
-        pairs.append((WeatherDay(f"s{i:03d}", _hour_features(w)),
-                      DayParams((true_param_map(h, cl, ir),))))
+        X.append(_hour_features(w))
+        theta.append(DayParams((true_param_map(h, cl, ir),)).as_matrix())
     for name, w0 in REGIME_WEATHER.items():
         th = SdeParams(*REGIME_PARAMS[name])
         for j in range(5):
@@ -284,14 +282,12 @@ def test_criterion_9_regime_ordering(capsys):
                                           + rng.normal(0.0, 1.5), 0, 100))
             w["irradiance"] = max(w["irradiance"] + rng.normal(0.0, 0.05),
                                   0.0)
-            pairs.append((WeatherDay(f"{name}{j}", _hour_features(w)),
-                          DayParams((th,))))
-    model = train_ensemble(pairs, hidden_size=60, n_members=30,
+            X.append(_hour_features(w))
+            theta.append(DayParams((th,)).as_matrix())
+    model = train_ensemble(X, theta, hidden_size=60, n_members=30,
                            master_seed=0, ridge=2.0)
     clear, cloudy = predict_params_batch(
-        model, [WeatherDay("clear", _hour_features(REGIME_WEATHER["clear"])),
-                WeatherDay("cloudy",
-                           _hour_features(REGIME_WEATHER["cloudy"]))])
+        model, [_hour_features(REGIME_WEATHER[r]) for r in ("clear", "cloudy")])
     clear, cloudy = clear.hours[0], cloudy.hours[0]
     ok = clear.b > cloudy.b and clear.beta < cloudy.beta
     _announce(capsys, "criterion 9 regime ordering", ok,

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from pvsde.estimation import (A_CAP_UNITS, A_MIN, AllHoursInvalidError,
-                              HourSamples, _censored_beta, _clamp_b,
+                              _censored_beta, _clamp_b,
                               _debias_phi, _fit_diffusion_mle, _initial_drift,
                               _lag1, _make_params, _nelder_mead_batch,
                               _reprofile_beta, _Rows, identify_day,
                               identify_hour, identify_hours)
 from pvsde.sde import DayParams, SdeParams, project_params, simulate_hour
-from pvsde.synth import SyntheticSpec, synth_generate
+from pvsde.synth import synth_generate
 
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
 
@@ -46,42 +46,44 @@ def _block_mask(n_samples, n_hours, seed, n_blocks=4, block=10):
 class TestHourSamples:
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
-            HourSamples(np.zeros(19))
+            identify_hour(np.zeros(19))
 
     def test_rejects_nonfinite(self):
         v = np.full(30, 0.5)
         v[3] = np.nan
         with pytest.raises(ValueError):
-            HourSamples(v)
+            identify_hour(v)
 
     def test_masked_samples_need_not_be_finite(self):
         v = np.linspace(0.2, 0.6, 40)
         ok = np.ones(40, dtype=bool)
         v[10:15], ok[10:15] = np.nan, False
-        assert HourSamples(v, valid=ok).valid.sum() == 35
+        p = identify_hour(v, ok).params
+        assert p.c <= 0.2 and 0.6 <= p.d
         with pytest.raises(ValueError):
-            HourSamples(v)
+            identify_hour(v)
 
     def test_counts_valid_samples_and_checks_mask_shape(self):
         v = np.linspace(0.2, 0.4, 40)
         with pytest.raises(ValueError):
-            HourSamples(v, valid=np.ones(39, dtype=bool))
+            identify_hour(v, np.ones(39, dtype=bool))
         ok = np.ones(40, dtype=bool)
         ok[5:26] = False
         with pytest.raises(ValueError):          # 19 valid samples
-            HourSamples(v, valid=ok)
+            identify_hour(v, ok)
         with pytest.raises(ValueError):          # 20 valid, none adjacent
-            HourSamples(v, valid=np.arange(40) % 2 == 0)
+            identify_hour(v, np.arange(40) % 2 == 0)
 
-    def test_dt_in_model_units(self):
-        assert HourSamples(np.linspace(0.2, 0.4, 40), h=30.0).dt == 1.0
-        assert HourSamples(np.linspace(0.2, 0.4, 40), h=60.0).dt == 2.0
+    def test_sampling_period_must_be_positive(self):
+        for h in (0.0, -30.0):
+            with pytest.raises(ValueError, match="sampling period"):
+                identify_hour(np.linspace(0.2, 0.4, 40), h=h)
 
 
 class TestIdentifyHour:
     def test_drift_recovery(self):
         paths = _simulate_hours(CLOUDY, 40, seed=2)
-        est = np.array([identify_hour(HourSamples(paths[:, j]),
+        est = np.array([identify_hour(paths[:, j],
                                       seed=4242 + j).params.as_array()
                         for j in range(40)])
         mean = est.mean(axis=0)
@@ -92,13 +94,13 @@ class TestIdentifyHour:
         paths = _simulate_hours(CLOUDY, 5, seed=3)
         for j in range(5):
             v = paths[:, j]
-            p = identify_hour(HourSamples(v), seed=11 + j).params
+            p = identify_hour(v, seed=11 + j).params
             assert p.c <= v.min() and v.max() <= p.d
 
     def test_seed_reproducibility(self):
         v = _simulate_hours(CLOUDY, 1, seed=4)[:, 0]
-        p1 = identify_hour(HourSamples(v), seed=99).params
-        p2 = identify_hour(HourSamples(v), seed=99).params
+        p1 = identify_hour(v, seed=99).params
+        p2 = identify_hour(v, seed=99).params
         assert p1 == p2
 
     def test_affine_equivariance(self):
@@ -106,8 +108,8 @@ class TestIdentifyHour:
         # s c + t, s d + t) exactly, given the same estimator seed
         v = _simulate_hours(CLOUDY, 1, seed=5)[:, 0]
         s, t = 0.25, 0.5
-        p = identify_hour(HourSamples(v), seed=7).params
-        q = identify_hour(HourSamples(s * v + t), seed=7).params
+        p = identify_hour(v, seed=7).params
+        q = identify_hour(s * v + t, seed=7).params
         assert q.a == pytest.approx(p.a, rel=1e-9)
         assert q.beta == pytest.approx(p.beta, rel=1e-9)
         assert q.b == pytest.approx(s * p.b + t, rel=1e-9)
@@ -123,8 +125,8 @@ class TestIdentifyHour:
         b_fwd, b_rev = [], []
         for j in range(30):
             v = S[:, j]
-            b_fwd.append(identify_hour(HourSamples(v), seed=21 + j).params.b)
-            b_rev.append(identify_hour(HourSamples(v[::-1].copy()),
+            b_fwd.append(identify_hour(v, seed=21 + j).params.b)
+            b_rev.append(identify_hour(v[::-1].copy(),
                                        seed=21 + j).params.b)
         assert np.mean(b_rev) == pytest.approx(np.mean(b_fwd), rel=0.05)
 
@@ -132,11 +134,11 @@ class TestIdentifyHour:
         b, p0, a = 0.8, 0.2, 0.05
         t = np.arange(121)
         v = b + (p0 - b) * (1 - a) ** t
-        p = identify_hour(HourSamples(v), seed=1).params
+        p = identify_hour(v, seed=1).params
         assert p.beta < 0.01
 
     def test_constant_series_degenerate_branch(self):
-        rep = identify_hour(HourSamples(np.full(121, 0.4)), seed=1)
+        rep = identify_hour(np.full(121, 0.4), seed=1)
         assert "degenerate" in rep.flags and "non-volatile" in rep.flags
         assert rep.params.b == pytest.approx(0.4)
         assert rep.params.c < 0.4 < rep.params.d
@@ -260,7 +262,7 @@ class TestIdentifyHours:
         mask[:7, 2] = False                       # starts inside a gap
         reps = identify_hours(paths.T, mask.T, seed=5)
         for j in range(3):
-            one = identify_hour(HourSamples(paths[:, j], valid=mask[:, j]),
+            one = identify_hour(paths[:, j], mask[:, j],
                                 seed=5)
             assert one == reps[j]
 
@@ -277,8 +279,8 @@ class TestIdentifyHours:
                                             rel=tol[name]), name
 
 
-# identify_day(pv[0], seed=11) on day 0 of synth_generate(SyntheticSpec(
-# n_days=1), default_rng(3)), with one noise stream per matching stage;
+# identify_day(pv[0], seed=11) on day 0 of synth_generate(default_rng(3),
+# n_days=1), with one noise stream per matching stage;
 # identify_hour on each hour alone gives the same values.  The censored
 # beta moved the beta column alone
 _GOLDEN_DAY = np.array([
@@ -317,8 +319,8 @@ class TestIdentifyDay:
         return np.concatenate(segs)
 
     def test_golden_clean_day(self):
-        _, _, pv, _ = synth_generate(SyntheticSpec(n_days=1),
-                                     np.random.default_rng(3))
+        _, _, pv, _ = synth_generate(np.random.default_rng(3),
+                                     n_days=1)
         day, reports = identify_day(pv[0], seed=11)
         np.testing.assert_allclose(day.as_matrix().T, _GOLDEN_DAY,
                                    rtol=1e-9, atol=0)
@@ -331,8 +333,8 @@ class TestIdentifyDay:
         # four masked blocks per hour; four hours are variance-matched, so
         # the digest pins the masked likelihood, both boundary repairs and
         # the censored beta
-        _, _, pv, _ = synth_generate(SyntheticSpec(n_days=1),
-                                     np.random.default_rng(8))
+        _, _, pv, _ = synth_generate(np.random.default_rng(8),
+                                     n_days=1)
         mask = _block_mask(120, 12, seed=13)
         day, reports = identify_day(pv[0], mask.T.ravel(), seed=11)
         theta = day.as_matrix()
@@ -348,8 +350,8 @@ class TestIdentifyDay:
     def test_short_day_keeps_clock_hours(self):
         # a day cut at 1,400 samples keeps its first 11 hours on the clock
         # grid; its last hour holds 80 samples, the rest masked
-        _, _, pv, _ = synth_generate(SyntheticSpec(n_days=1),
-                                     np.random.default_rng(3))
+        _, _, pv, _ = synth_generate(np.random.default_rng(3),
+                                     n_days=1)
         _, full = identify_day(pv[0], seed=11)
         _, cut = identify_day(pv[0][:1400], seed=11)
         assert len(cut) == 12
@@ -361,7 +363,7 @@ class TestIdentifyDay:
         values = self._day_series()
         _, reports = identify_day(values, step_seconds=30.0, seed=5)
         for i, rep in enumerate(reports):
-            one = identify_hour(HourSamples(values[120 * i:120 * (i + 1)]),
+            one = identify_hour(values[120 * i:120 * (i + 1)],
                                 seed=5)
             assert one == rep
 

@@ -23,8 +23,10 @@ from pvsde.pipeline import (RunConfig, _day_fan, cmd_e2e, cmd_evaluate,
                             obj_to_day_params, read_fan_csv,
                             read_params_json, split_days, write_fan_csv,
                             write_params_json, write_pv_csv)
-from pvsde.sde import DayParams, SdeParams, SimulationFan, make_fan
-from pvsde.synth import SyntheticSpec, synth_generate, true_param_map
+from pvsde.ensemble import TrainingError
+from pvsde.sde import (A_CAP_UNITS, DayParams, SdeParams, SimulationFan,
+                       make_fan)
+from pvsde.synth import synth_generate, true_param_map
 from pvsde.weather import HourGrid
 
 SMALL = RunConfig(n_days=6, m=3, start_hour=9, n_members=3, hidden_size=10,
@@ -38,9 +40,9 @@ MALFORMED_PV_ROWS = ("2018-01-01,0,oops,1", "2018-01-01,0,0.5",
 
 class TestSynth:
     def test_shapes_and_determinism(self):
-        spec = SyntheticSpec(n_days=4, grid=HourGrid(start_hour=9, m=3))
-        d1 = synth_generate(spec, np.random.default_rng(7))
-        d2 = synth_generate(spec, np.random.default_rng(7))
+        grid = HourGrid(start_hour=9, m=3)
+        d1 = synth_generate(np.random.default_rng(7), 4, grid)
+        d2 = synth_generate(np.random.default_rng(7), 4, grid)
         dates, weather, pv, params = d1
         assert len(dates) == len(weather) == len(pv) == len(params) == 4
         assert pv[0].shape == (3 * 120,)
@@ -48,8 +50,8 @@ class TestSynth:
         np.testing.assert_array_equal(pv[0], d2[2][0])
 
     def test_pv_within_hourly_bounds(self):
-        spec = SyntheticSpec(n_days=3, grid=HourGrid(start_hour=9, m=3))
-        _, _, pv, params = synth_generate(spec, np.random.default_rng(8))
+        _, _, pv, params = synth_generate(np.random.default_rng(8), 3,
+                                          HourGrid(start_hour=9, m=3))
         for series, day in zip(pv, params):
             for i, th in enumerate(day.hours):
                 seg = series[i * 120:(i + 1) * 120]
@@ -93,16 +95,19 @@ class TestConfig:
     def test_file_and_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("n_days = 17\nn_members = 7  # comment\n\n"
-                     "# full-line comment\nridge = 0.5\n")
+                     "# full-line comment\nsplit = 0.5\n")
         cfg = load_config(str(p), dict(seed=9))
         assert cfg.n_days == 17 and cfg.n_members == 7
-        assert cfg.ridge == 0.5 and cfg.seed == 9
+        assert cfg.split == 0.5 and cfg.seed == 9
 
     def test_unknown_key_rejected(self, tmp_path):
+        # ridge is no key: the commands train at ensemble.DEFAULT_RIDGE
         p = tmp_path / "run.cfg"
-        p.write_text("frobnicate = 3\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            load_config(str(p))
+        for text, line in (("frobnicate = 3\n", 1), ("m = 4\nridge = 2\n", 2)):
+            p.write_text(text)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:"
+                                                 rf"{line}: unknown key"):
+                load_config(str(p))
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):
@@ -111,8 +116,7 @@ class TestConfig:
     @pytest.mark.parametrize("key,bad", [
         ("n_paths", 0), ("n_members", 0), ("hidden_size", 0), ("m", 0),
         ("n_days", 0), ("step_seconds", 0.0), ("step_seconds", -30.0),
-        ("start_hour", -1), ("start_hour", 13), ("seed", -1),
-        ("ridge", -0.5)])
+        ("start_hour", -1), ("start_hour", 13), ("seed", -1)])
     def test_sizes_that_fail_inside_a_command_rejected(self, key, bad):
         with pytest.raises(ValueError, match=key):
             RunConfig(**{key: bad})
@@ -619,6 +623,49 @@ class TestCommands:
                 cmd_predict(E2E, str(tmp_path / "model"), str(path),
                             str(tmp_path / "pred.json"))
 
+    def test_training_days_without_weather_raise_training_error(self,
+                                                                tmp_path):
+        # a parameter file that shares no date with the weather file
+        ds = tmp_path / "ds"
+        cmd_synth(E2E, str(ds))
+        doc = read_params_json(str(ds / "true_params.json"))
+        doc["days"] = {"2030" + d[4:]: obj for d, obj in doc["days"].items()}
+        (tmp_path / "other.json").write_text(json.dumps(doc))
+        with pytest.raises(TrainingError, match="need >= 10 training days, "
+                                                "got 0"):
+            cmd_train(E2E, str(ds / "weather.csv"),
+                      str(tmp_path / "other.json"), str(tmp_path / "model"))
+
+    def test_predict_refuses_medians_that_are_not_one_per_feature(
+            self, tmp_path):
+        # numpy would broadcast a single median into every missing cell
+        ds, model = tmp_path / "ds", tmp_path / "model"
+        cmd_synth(E2E, str(ds))
+        cmd_train(E2E, str(ds / "weather.csv"), str(ds / "true_params.json"),
+                  str(model))
+        impute = model / "impute.json"
+        n = len(json.loads(impute.read_text())["medians"])
+        for bad in ("[12345.0]", "[NaN" + ", 1.0" * (n - 1) + "]", "null",
+                    '["x"' + ", 1.0" * (n - 1) + "]"):
+            impute.write_text('{"medians": ' + bad + "}")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(impute))}"
+                                                 f": medians must be {n} "):
+                cmd_predict(E2E, str(model), str(ds / "weather.csv"),
+                            str(tmp_path / "pred.json"))
+        assert not (tmp_path / "pred.json").exists()
+
+    def test_synth_and_e2e_at_a_60_s_step(self, tmp_path):
+        # the generating map gives a up to 0.36 per 30 s, a·dt = 0.72 at
+        # 60 s; synth caps a at A_CAP_UNITS / dt, as fits and fans do, and
+        # writes the capped a it stepped
+        cfg = replace(E2E, step_seconds=60.0)
+        cmd_synth(cfg, str(tmp_path / "ds"))
+        doc = read_params_json(str(tmp_path / "ds" / "true_params.json"))
+        a = [hour["a"] for day in doc["days"].values() for hour in day]
+        assert max(a) == A_CAP_UNITS / 2.0
+        res = cmd_e2e(cfg, str(tmp_path / "ds"), str(tmp_path / "out"))
+        assert res["n_test"] == 5 and np.isfinite(res["picp90_mean"])
+
     def test_cli_chain_and_error_json(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_days = 14\nm = 3\nstart_hour = 9\n"
@@ -844,6 +891,11 @@ class TestCommands:
                 p1 = os.path.join(root, name)
                 p2 = p1.replace(str(tmp_path / "r1"), str(tmp_path / "r2"))
                 assert open(p1, "rb").read() == open(p2, "rb").read(), p1
+
+
+def test_public_names_resolve_once():
+    assert sorted(set(pvsde.__all__)) == sorted(pvsde.__all__)
+    assert [n for n in pvsde.__all__ if not hasattr(pvsde, n)] == []
 
 
 def test_cli_import_loads_no_unused_scipy_module(tmp_path):

@@ -13,7 +13,7 @@ from pvsde.sde import (DayParams, SdeParams, SimulationFan, StabilityError,
                        _sorted_quantiles, euler_paths, make_fan,
                        project_params, project_rows, simulate_hour,
                        stationary_beta_shapes, stationary_sample)
-from pvsde.synth import SyntheticSpec, synth_generate
+from pvsde.synth import synth_generate
 
 CLEAR = SdeParams(a=0.3298, b=0.8333, beta=0.0348, c=0.6895, d=0.8477)
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
@@ -187,8 +187,8 @@ class TestGoldenKernel:
             "5d8b16a1f2cba166bf6e204d3e395192fec2f3f91965ab5fe0f8a226e625abbe")
 
     def test_synth_week(self):
-        _, _, pv, _ = synth_generate(SyntheticSpec(n_days=7),
-                                     np.random.default_rng(17))
+        _, _, pv, _ = synth_generate(np.random.default_rng(17),
+                                     n_days=7)
         assert _sha256(*pv) == ("f378800ec3d365380022b4e90ada36f2"
                                 "f85dbd1835f56710e7bc6436240b312f")
 

@@ -144,20 +144,14 @@ class TestIngest:
 
 class TestImpute:
     def test_fills_nan_with_median(self, tmp_path):
-        raw = [("d1", np.array([1.0, np.nan])),
-               ("d2", np.array([3.0, 10.0])),
-               ("d3", np.array([5.0, 20.0]))]
-        days, medians = impute_days(raw)
+        X, medians = impute_days([[1.0, np.nan], [3.0, 10.0], [5.0, 20.0]])
         assert medians[1] == 15.0
-        assert days[0].features[1] == 15.0
+        assert X[0, 1] == 15.0
 
     def test_training_medians_reused(self):
-        raw_train = [("d1", np.array([1.0, 4.0])),
-                     ("d2", np.array([3.0, 8.0]))]
-        _, medians = impute_days(raw_train)
-        raw_test = [("t1", np.array([np.nan, np.nan]))]
-        days, _ = impute_days(raw_test, medians)
-        np.testing.assert_array_equal(days[0].features, medians)
+        _, medians = impute_days([[1.0, 4.0], [3.0, 8.0]])
+        X, _ = impute_days([[np.nan, np.nan]], medians)
+        np.testing.assert_array_equal(X[0], medians)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 30), f=st.integers(1, 12),
@@ -176,5 +170,5 @@ class TestImpute:
             warnings.simplefilter("ignore", RuntimeWarning)
             want = np.nanmedian(X, axis=0)
         want = np.where(np.isfinite(want), want, 0.0)
-        _, got = impute_days([(f"d{j}", row) for j, row in enumerate(X)])
+        _, got = impute_days(X)
         assert got.tobytes() == want.tobytes()

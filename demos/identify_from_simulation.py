@@ -20,7 +20,7 @@ def main():
     p0 = TRUTH.c + (TRUTH.d - TRUTH.c) * u
     sim = simulate_hour(TRUTH, p0, step_seconds=30.0, n_steps=120, rng=rng)
     paths = np.vstack([p0[None, :], sim])
-    est = np.array([identify_hour(paths[:, j], seed=4242 + j).params.as_array()
+    est = np.array([identify_hour(paths[:, j], seed=4242 + j).params
                     for j in range(paths.shape[1])])
     mean_est = est.mean(axis=0)
     truth = TRUTH.as_array()

@@ -1,26 +1,22 @@
 """Bootstrap-aggregated ELM ensemble mapping weather features to SDE
 parameters.
 
-Each of the m daytime hours has M extreme learning machines.  Member j of
-an hour is trained on its own bootstrap resample of that hour's trusted
-training days, and one hidden layer per member serves all five parameters
-(a, b, beta, c, d) as a multi-output ELM.  The ensemble is therefore three
-arrays: hidden weights (m, M, K, p), hidden biases (m, M, K) and output
-weights (m, M, K, 5), and each hour trains with one ``elm.elm_train``
-call: one batched linear solve of the ridge normal equations over all its
-members and targets.  A prediction discards the largest and smallest 20%
-of the member outputs per parameter, averages the rest and projects the
-result onto the valid parameter set.
+Each of the m daytime hours has M extreme learning machines: member j is
+trained on its own bootstrap resample of that hour's trusted training
+days, and one hidden layer serves all five parameters (a multi-output
+ELM).  The ensemble is three arrays, hidden weights (m, M, K, p), hidden
+biases (m, M, K) and output weights (m, M, K, 5), and each hour trains
+with one ``elm.elm_train`` call.  A prediction trims 20% of the member
+outputs from each end per parameter and averages the rest; each day's
+(5, m) result becomes a ``DayParams``, whose constructor projects it.
 
 An hour's members see only that hour's p features, the hour-major slice
-of the day's feature vector.  Training draws the hidden layers once, from a
-stream seeded by the master seed alone and kept apart from the bootstrap
-stream.  A saved model stores all three arrays, so loading one draws no
-random numbers and does not depend on numpy keeping a generator's stream
-stable across versions.  Loading checks the three ``.npy`` headers and
-reads no data: a prediction reads each hour's slices of the three arrays
-just before it uses them, about 2.4 MB per hour at the default sizes, so
-it never holds more than one hour of a model.  A model trained in memory
+of the day's feature vector.  The hidden layers are drawn once, from a
+stream of the master seed kept apart from the bootstrap stream, and are
+saved, so loading draws no random numbers.  Loading checks the three
+``.npy`` headers and reads no data: a prediction reads each hour's slices
+just before it uses them (about 2.4 MB per hour at the default sizes), so
+it never holds more than one hour of a model; a model trained in memory
 is indexed by hour the same way.
 """
 
@@ -35,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elm import elm_train, fit_scaler, hidden_layer
-from .sde import DayParams, project_rows
+from .sde import DayParams
 
 PARAM_NAMES = ("a", "b", "beta", "c", "d")
 DEFAULT_HIDDEN = 100
@@ -175,16 +171,15 @@ def _features(X):
 
 
 def predict_params_batch(model: EnsembleModel, X):
-    """Predict the projected DayParams of each row of the weather features
-    ``X`` (N, m * p), hour by hour: an hour's model arrays are indexed (for
-    a loaded model, read) just before that hour is predicted."""
+    """One ``DayParams`` per row of the weather features ``X`` (N, m * p),
+    predicted hour by hour: an hour's model arrays are indexed (for a
+    loaded model, read) just before that hour is predicted."""
     X = _features(X)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError("feature length does not match the trained model")
     raw = np.stack([model._hour_outputs(model._hour_inputs(X, hour), hour)
-                    for hour in range(model.m)], axis=1)     # (N, m, 5)
-    theta = project_rows(raw.transpose(2, 0, 1))                # (5, N, m)
-    return [DayParams.from_matrix(theta[:, j]) for j in range(len(X))]
+                    for hour in range(model.m)], axis=2)     # (N, 5, m)
+    return [DayParams(theta) for theta in raw]
 
 
 # ---------------------------------------------------------------------------

@@ -8,35 +8,25 @@ only when both of its samples are valid, so a masked gap is never bridged,
 and time is counted from an hour's first valid sample.  The pieces are:
 
 * diffusion triple (c, d, beta): profiled Gaussian pseudo-likelihood over
-  the two boundary offsets (Nelder–Mead in log-offset coordinates, beta
-  profiled in closed form as a ratio of sums), with two boundary repairs —
+  the two boundary offsets (Nelder–Mead), with two boundary repairs:
   samples sticking to an extreme pin the bound just outside it, and a
-  boundary that the likelihood pushes far away (the objective is nearly
-  flat in the far bound) is re-fit by matching the simulated path variance;
-* reversion rate a: the raw lag-1 regression slope is debiased by
-  inverting Kendall's (1954) small-sample bias of the AR(1) slope,
-  E[phi_hat] = phi − (1 + 3·phi)/N, at the hour's own valid-pair count N,
-  then refined by indirect inference — simulate short paths from the
-  current estimate and adjust a until the simulated slope statistic
-  matches the observed one;
-* mean level b: generalized least squares on the relaxation curve
-  ``b + (v0 − b)(1 − a·dt)^t`` over the valid samples at their true time
-  indices, which stays accurate when the hour is a transient rather than a
-  stationary stretch;
-* beta, last: every Euler step clips the state to [c, d], so the profiled
-  beta is re-fit to the closed-form second moment of a Gaussian censored
-  at the bounds (Tobin 1958) rather than of an uncensored one.
+  runaway bound is re-fit by matching the simulated path variance;
+* reversion rate a: the lag-1 slope debiased by inverting Kendall's
+  (1954) small-sample bias of the AR(1) slope, then refined by indirect
+  inference on simulated paths;
+* mean level b: least squares on the relaxation curve
+  ``b + (v0 − b)(1 − a·dt)^t`` over the valid samples;
+* beta, last: re-fit to the second moment of a Gaussian censored at the
+  bounds (Tobin 1958), since every Euler step clips the state to [c, d].
 
 Every stage runs once for a batch of hours, in lockstep: one batched
-Nelder–Mead minimizes the profiled likelihood of all hours, and each
-matching step simulates the paths of every hour in one ``euler_paths``
-call on the full hour grid, its statistics taken over the observed sample
-and pair masks.  Each matching stage draws its noise from its own stream,
-``default_rng([seed, stage])``, one block per matching iteration, and
-every hour of a batch uses the same block, so an hour's estimate does not
-depend on the batch it is fit in.  Day-level identification batches the
-valid hours, repairs masked hours from their neighbours, and reports
-flags.
+Nelder–Mead for all hours' likelihoods, one ``euler_paths`` call per
+matching step.  Each matching stage draws from its own stream,
+``default_rng([seed, stage])``, and every hour of a batch uses the same
+noise block, so an hour's estimate does not depend on its batch.  A
+``FitReport`` holds its hour's projected (5,) row a, b, beta, c, d;
+``identify_day`` fits a day's valid hours together, fills masked hours
+from their neighbours and stacks the rows into one ``DayParams``.
 """
 
 from __future__ import annotations
@@ -47,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sde import (A_CAP_UNITS, A_MIN, BETA_MAX, TIME_UNIT_SECONDS,
-                  DayParams, SdeParams, euler_paths, project_params,
-                  project_rows)
+                  DayParams, euler_paths, project_rows)
 
 
 def __getattr__(name):
@@ -112,9 +101,9 @@ def _check_rows(values, valid):
         raise ValueError("samples must be finite")
 
 
-@dataclass
+@dataclass(eq=False)
 class FitReport:
-    params: SdeParams
+    params: np.ndarray          # (5,) a, b, beta, c, d, projected
     converged: bool
     flags: tuple[str, ...] = ()
 
@@ -501,8 +490,7 @@ def _identify_rows(s, dt, seed):
                            iters=2)
     beta = _censored_beta(s, dt, a, b, c, d)
     theta = _make_params(a, b, beta, c, d, dt)
-    return [FitReport(params=SdeParams(*theta[:, i].tolist()),
-                      converged=bool(converged[i]),
+    return [FitReport(params=theta[:, i], converged=bool(converged[i]),
                       flags=tuple(f for f, hit in zip(_REPAIR_FLAGS, hits)
                                   if hit))
             for i, hits in enumerate(repairs)]
@@ -537,9 +525,9 @@ def identify_hours(values, valid=None, h: float = 30.0,
     flat = s.hi - s.lo <= _SPAN_EPS
     for i in np.flatnonzero(flat):
         v = s.v[i][s.m[i]]
-        params = project_params(A_MIN, float(v.mean()), BETA_MIN,
-                                float(v.min()) - DEGENERATE_DELTA,
-                                float(v.max()) + DEGENERATE_DELTA)
+        params = project_rows([A_MIN, float(v.mean()), BETA_MIN,
+                               float(v.min()) - DEGENERATE_DELTA,
+                               float(v.max()) + DEGENERATE_DELTA])
         reports[i] = FitReport(params=params, converged=True,
                                flags=("non-volatile", "degenerate"))
     live = np.flatnonzero(~flat)
@@ -595,24 +583,14 @@ def identify_day(values, mask=None, step_seconds: float = 30.0,
         raise AllHoursInvalidError(
             "no hour of the day has enough valid samples")
 
-    reports: list[FitReport | None] = [None] * m
     fits = identify_hours(hours[ok], valid[ok], step_seconds, seed)
-    for i, rep in zip(np.flatnonzero(ok), fits):
-        reports[i] = rep
-    reports = _fill_invalid_hours(reports)
-    day = DayParams(hours=tuple(r.params for r in reports))
-    return day, reports
-
-
-def _fill_invalid_hours(reports):
-    """Replace invalid hours with the average of their valid neighbours."""
-    valid = [i for i, r in enumerate(reports) if r is not None]
-    filled = list(reports)
-    for i in set(range(len(reports))) - set(valid):
-        near = (max((j for j in valid if j < i), default=None),
-                min((j for j in valid if j > i), default=None))
-        mean = np.mean([reports[j].params.as_array()
-                        for j in near if j is not None], axis=0)
-        filled[i] = FitReport(params=project_params(*mean), converged=False,
-                              flags=("interpolated",))
-    return filled
+    theta = np.empty((5, m))
+    theta[:, ok] = np.transpose([rep.params for rep in fits])
+    near = np.flatnonzero(ok)
+    for i in np.flatnonzero(~ok):   # the mean of its nearest valid hours
+        k = np.searchsorted(near, i)
+        theta[:, i] = theta[:, near[max(k - 1, 0):k + 1]].mean(axis=1)
+    day, fits = DayParams(theta), iter(fits)
+    return day, [next(fits) if ok[i] else FitReport(
+        params=day.theta[:, i], converged=False, flags=("interpolated",))
+        for i in range(m)]

@@ -7,13 +7,13 @@ a day's parameters and fan do not depend on the other days of its input
 file, and the ensemble's member streams derive from the master seed.
 Every artifact is written atomically (temp file + rename) and is
 re-ingestible by the command that consumes it; a fan is a quantile CSV
-and its paths as ``.npy``.  The workflow operates on the discrete 30-second
-Euler transition end to end — the data generator,
-the estimator's internal matching simulations, and the forecast fans all
-step the same chain — so identified parameters mean the same thing at
-every stage.  The weather-to-parameter mapping is hour-local: each hour's
-parameters are predicted from that hour's weather report alone.
-``cmd_e2e`` runs every stage through the helpers its command uses.
+and its paths as ``.npy``.  Every stage steps the same discrete 30-second
+Euler chain, so identified parameters mean the same thing throughout, and
+each hour's parameters are predicted from that hour's weather alone.  A
+day's parameters stay one ``DayParams`` between the stages: a parameter
+file is read by ``_params_days`` alone and written from
+``day_params_to_obj``.  ``cmd_e2e`` runs every stage through the helpers
+its command uses.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from __future__ import annotations
 import csv
 import glob
 import json
+import math
 import os
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 from operator import itemgetter
@@ -34,7 +36,7 @@ from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, PARAM_NAMES, _atomic,
 from .estimation import AllHoursInvalidError, identify_day
 from .metrics import (EVAL_LEVELS, EvalInput, evaluate, kl_divergence,
                       nd as nd_metric)
-from .sde import DayParams, SimulationFan, make_fan, project_rows
+from .sde import DayParams, SimulationFan, make_fan
 from .synth import synth_generate
 from .weather import (CSV_COLUMNS, HourGrid, impute_days, ingest_weather,
                       nanmedian, write_weather_csv)
@@ -131,21 +133,33 @@ def _day_seed(master: int, stage: int, date: str) -> int:
 
 
 def day_params_to_obj(day: DayParams, flags=None):
-    return [dict(a=th.a, b=th.b, beta=th.beta, c=th.c, d=th.d,
+    return [dict(zip(PARAM_NAMES, col),
                  flags=list(flags[i]) if flags is not None else [])
-            for i, th in enumerate(day.hours)]
+            for i, col in enumerate(day.theta.T.tolist())]
 
 
 def obj_to_day_params(obj) -> tuple[DayParams, list]:
-    theta = project_rows([[e[k] for e in obj] for k in PARAM_NAMES])
-    flags = [tuple(e.get("flags", ())) for e in obj]
-    return DayParams.from_matrix(theta), flags
+    """A parameter file's day, a list of hour objects, as its ``DayParams``
+    and each hour's flags.  An hour that is not an object holding five
+    finite numbers a, b, beta, c and d is refused by its index."""
+    for i, hour in enumerate(obj):
+        # a bool is no number; NaN, infinities and ints past the largest
+        # double fail the bound
+        if not (isinstance(hour, dict) and all(
+                type(hour.get(k)) in (int, float)
+                and abs(hour[k]) <= sys.float_info.max for k in PARAM_NAMES)):
+            raise ValueError(f"hour {i} is not an object of five finite "
+                             "numbers a, b, beta, c and d")
+    return (DayParams([[hour[k] for hour in obj] for k in PARAM_NAMES]),
+            [tuple(hour.get("flags", ())) for hour in obj])
 
 
 def write_params_json(path: str, days: dict, step_seconds: float, m: int):
+    """Write the days ``{date: (DayParams, flags or None)}``."""
     doc = dict(schema_version=PARAMS_SCHEMA_VERSION,
                step_seconds=step_seconds, m=m,
-               days={date: obj for date, obj in sorted(days.items())})
+               days={date: day_params_to_obj(day, flags)
+                     for date, (day, flags) in sorted(days.items())})
     with _atomic(path) as f:
         f.write(json.dumps(doc, sort_keys=True, indent=1))
 
@@ -159,20 +173,28 @@ def read_params_json(path: str):
 
 
 def _params_days(cfg: RunConfig, path: str) -> dict:
-    """The days of the parameter file at ``path``, refused unless it was
-    written on the config's hour grid (``m`` and ``step_seconds``) and
-    every day holds ``m`` hours."""
+    """The days ``{date: (DayParams, flags)}`` of the parameter file at
+    ``path``, refused unless it was written on the config's hour grid
+    (``m`` and ``step_seconds``) and every day is a list of ``m`` hours
+    that ``obj_to_day_params`` reads; a refusal names the file, and the
+    day and hour at fault."""
     doc = read_params_json(path)
     grid = (doc.get("m"), doc.get("step_seconds"))
     if grid != (cfg.m, cfg.step_seconds):
         raise ValueError(f"{path}: written for m = {grid[0]}, step_seconds = "
                          f"{grid[1]}; the config has m = {cfg.m}, "
                          f"step_seconds = {cfg.step_seconds}")
+    days = {}
     for date, obj in sorted(doc["days"].items()):
-        if len(obj) != cfg.m:
-            raise ValueError(f"{path}: day {date} holds {len(obj)} hours, "
+        n = len(obj) if isinstance(obj, list) else "no list of"
+        if n != cfg.m:
+            raise ValueError(f"{path}: day {date} holds {n} hours, "
                              f"m = {cfg.m}")
-    return doc["days"]
+        try:
+            days[date] = obj_to_day_params(obj)
+        except ValueError as exc:
+            raise ValueError(f"{path}: day {date} {exc}") from None
+    return days
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +223,9 @@ def ingest_pv(path: str, dates=None, day_length: int = 2 ** 63):
     nothing else of them is checked.  Each sample sits at its ``step``
     index.  Every day is as long as the largest step of the rows kept plus
     one; a step a day lacks is masked (value 0).  A malformed row, a step
-    at or past ``day_length`` or a repeated (date, step) is reported as
-    ``path:line``, before any day is sized.
+    at or past ``day_length``, a repeated (date, step) or a valid sample
+    whose power is not finite is reported as ``path:line``, before any day
+    is sized.
 
     Lines are read about a megabyte at a time, split by ``_pv_cells`` (a
     quoted cell may not span lines), and a chunk's rows become arrays
@@ -232,7 +255,8 @@ def ingest_pv(path: str, dates=None, day_length: int = 2 ** 63):
     del chunks                      # before the repeat check's arrays
     n_steps = int(step.max()) + 1
     if (step.min() < 0 or n_steps > day_length
-            or np.bincount(day * n_steps + step).max() > 1):
+            or np.bincount(day * n_steps + step).max() > 1
+            or (valid & ~np.isfinite(power)).any()):
         _pv_locate(path, *spec, day_length)
     values = np.zeros((len(index), n_steps))
     mask = np.zeros((len(index), n_steps), dtype=bool)
@@ -265,7 +289,8 @@ def _pv_cells(lines, cols, width: int, keep) -> list:
 def _pv_locate(path: str, cols, width: int, keep, day_length: int) -> None:
     """Raise with the ``path:line`` of the first row ``ingest_pv`` rejects:
     a kept row without the four cells, a cell that does not parse, a step
-    outside 0 <= step < 2**63 or past the day, or a repeated (date, step)."""
+    outside 0 <= step < 2**63 or past the day, a repeated (date, step) or
+    a valid sample whose power is not finite."""
     seen = set()
     with open(path) as f:
         next(f)                                         # the header
@@ -275,11 +300,15 @@ def _pv_locate(path: str, cols, width: int, keep, day_length: int) -> None:
                 if not date:                    # blank or dropped
                     continue
                 key = (date[0], int(step[0]))
-                float(power[0]), int(valid[0])
+                finite = math.isfinite(float(power[0])) or not int(valid[0])
             except (IndexError, ValueError):
                 key = (None, -1)
             if not 0 <= key[1] < 2 ** 63:               # int64 steps
                 raise ValueError(f"{path}:{line_no}: malformed PV row")
+            if not finite:
+                raise ValueError(f"{path}:{line_no}: valid sample {key[1]} "
+                                 f"of {key[0]} has power {power[0]}, which "
+                                 "is not finite")
             if key[1] >= day_length:
                 raise ValueError(f"{path}:{line_no}: step {key[1]} is past "
                                  f"the day's {day_length} samples")
@@ -386,8 +415,8 @@ def _load_weather_days(path: str, cfg: RunConfig, medians=None):
 
 
 def _identify_days(cfg: RunConfig, pv: dict, dates):
-    """Parameter objects ``{date: obj}`` of ``dates``, each day seeded by
-    its date, and the dates that had no valid hour."""
+    """The identified days ``{date: (DayParams, flags)}`` of ``dates``,
+    each seeded by its date, and the dates that had no valid hour."""
     days, rejected = {}, []
     for date in dates:
         values, mask = pv[date]
@@ -398,22 +427,21 @@ def _identify_days(cfg: RunConfig, pv: dict, dates):
         except AllHoursInvalidError:
             rejected.append(date)
             continue
-        days[date] = day_params_to_obj(day, [r.flags for r in reports])
+        days[date] = day, [r.flags for r in reports]
     return days, rejected
 
 
 def _train(cfg: RunConfig, weather: dict, days: dict, medians, out_dir: str):
-    """Train the ensemble on the parameter objects ``{date: obj}`` of the
-    days with weather and save it with the weather medians under
-    ``out_dir``; returns the model and the number of days trained on."""
+    """Train the ensemble on the days ``{date: (DayParams, flags)}`` that
+    have weather and save it with the weather medians under ``out_dir``;
+    returns the model and the number of days trained on."""
     dates = sorted(set(days) & set(weather))
-    parsed = [obj_to_day_params(days[d]) for d in dates]
     model = train_ensemble(
-        [weather[d] for d in dates], [day.as_matrix() for day, _ in parsed],
+        [weather[d] for d in dates], [days[d][0].theta for d in dates],
         hidden_size=cfg.hidden_size, n_members=cfg.n_members,
         master_seed=cfg.seed,
-        flags=[[bool(UNTRUSTED_FLAGS & set(fl)) for fl in day_flags]
-               for _, day_flags in parsed])
+        flags=[[bool(UNTRUSTED_FLAGS & set(fl)) for fl in days[d][1]]
+               for d in dates])
     os.makedirs(out_dir, exist_ok=True)
     with _atomic(os.path.join(out_dir, "impute.json")) as f:
         f.write(json.dumps(dict(medians=list(map(float, medians))),
@@ -425,8 +453,7 @@ def _train(cfg: RunConfig, weather: dict, days: dict, medians, out_dir: str):
 def _predict(cfg: RunConfig, model, weather: dict, dates, out_path: str):
     """Predict and write the parameters of ``dates``; returns them."""
     preds = predict_params_batch(model, [weather[d] for d in dates])
-    write_params_json(out_path, {d: day_params_to_obj(p)
-                                 for d, p in zip(dates, preds)},
+    write_params_json(out_path, {d: (p, None) for d, p in zip(dates, preds)},
                       cfg.step_seconds, cfg.m)
     return preds
 
@@ -436,8 +463,7 @@ def _initial_state(day: DayParams, values=None, mask=None) -> float:
     of the first hour's bounds."""
     if mask is not None and mask.any():
         return float(values[np.argmax(mask)])
-    first = day.hours[0]
-    return 0.5 * (first.c + first.d)
+    return float(0.5 * day.theta[3:, 0].sum())
 
 
 def _scorable(values, mask) -> bool:
@@ -452,14 +478,15 @@ def _evaluate_days(pv: dict, dates, fan_of, out_path: str):
     """Score each of ``dates`` against its actual PV with the fan
     ``fan_of(date)`` and write the reports to ``out_path`` (eval.json).
     Steps past the end of a day's PV record count as masked.  Returns the
-    reports and the dates skipped because the metrics are undefined on
-    their actual series; a skipped day's fan is not built."""
+    reports and the dates skipped because ``pv`` has no rows of them or
+    the metrics are undefined on their actual series; a skipped day's fan
+    is not built."""
     reports, skipped = {}, []
     for date in dates:
-        values, mask = pv[date]
-        if not _scorable(values, mask):
+        if date not in pv or not _scorable(*pv[date]):
             skipped.append(date)
             continue
+        values, mask = pv[date]
         fan = fan_of(date)
         pad = (0, max(fan.n_steps - values.size, 0))
         reports[date] = evaluate(EvalInput(fan=fan, actual=np.pad(values, pad),
@@ -496,8 +523,7 @@ def cmd_synth(cfg: RunConfig, out_dir: str) -> dict:
         write_weather_csv(f, _weather_csv_rows(dates, weather))
     write_pv_csv(os.path.join(out_dir, "pv.csv"), dates, pv)
     write_params_json(os.path.join(out_dir, "true_params.json"),
-                      {date: day_params_to_obj(day)
-                       for date, day in zip(dates, params)},
+                      {date: (day, None) for date, day in zip(dates, params)},
                       cfg.step_seconds, cfg.m)
     return dict(n_days=len(dates), out=out_dir)
 
@@ -551,8 +577,7 @@ def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
     days = _params_days(cfg, params_path)
     os.makedirs(out_dir, exist_ok=True)
     pv = ingest_pv(pv_path, set(days), cfg.day_length) if pv_path else {}
-    for date, obj in sorted(days.items()):
-        day, _ = obj_to_day_params(obj)
+    for date, (day, _) in sorted(days.items()):
         fan = _day_fan(cfg, date, day, _initial_state(day, *pv.get(date, ())))
         write_fan_csv(os.path.join(out_dir, f"fan_{date}.csv"), fan)
     return dict(days=len(days), out=out_dir)
@@ -561,8 +586,9 @@ def cmd_simulate(cfg: RunConfig, params_path: str, out_dir: str,
 def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
                  out_path: str) -> dict:
     """Score every day with a fan file against its actual PV, reading only
-    those days' PV rows; days the metrics are undefined on are listed as
-    skipped, and a fan without a quantile level they read is refused."""
+    those days' PV rows; days without PV rows or that the metrics are
+    undefined on are listed as skipped, and a fan without a quantile level
+    they read is refused."""
     fans = {os.path.basename(f)[4:-4]: f for f in glob.glob(
         os.path.join(glob.escape(fan_dir), "fan_*.csv"))}
 
@@ -574,7 +600,7 @@ def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
         return fan
 
     pv = ingest_pv(pv_path, set(fans), cfg.day_length)
-    reports, skipped = _evaluate_days(pv, sorted(pv), fan_of, out_path)
+    reports, skipped = _evaluate_days(pv, sorted(fans), fan_of, out_path)
     return dict(evaluated=len(reports), skipped=skipped, out=out_path)
 
 
@@ -632,10 +658,9 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     slot_rmse = None
     true_path = os.path.join(dataset_dir, "true_params.json")
     if os.path.exists(true_path):
-        doc = read_params_json(true_path)
-        T = np.stack([obj_to_day_params(doc["days"][d])[0].as_matrix()
-                      for d in test_dates])
-        P = np.stack([p.as_matrix() for p in preds])
+        truth = _params_days(cfg, true_path)
+        T = np.stack([truth[d][0].theta for d in test_dates])
+        P = np.stack([p.theta for p in preds])
         slot_rmse = {
             name: float(np.sqrt(np.mean((P[:, i, :] - T[:, i, :]) ** 2))
                         / np.abs(T[:, i, :]).mean())

@@ -9,23 +9,18 @@ internal time unit of ``TIME_UNIT_SECONDS`` (30 s, the native sampling
 period of the PV telemetry); all public entry points take wall-clock
 seconds and convert.
 
-One kernel, ``euler_paths``, steps the discrete Euler chain for a bundle
-of paths under per-hour or per-path parameters and a given noise source.
-It has three callers: the data generator (``synth.synth_generate``, every
-synthetic day one path), the estimator's matching simulations (every
-hour's paths in one call, with per-path parameters) and the forecast fans
-(``make_fan``).  It steps in place: every substep writes into two scratch
-buffers allocated once per call and into the state itself, and evaluates
-the step's products in one fixed order, so each caller's output is the
-same to the bit as the allocating form of the step.  A fan steps one hour
-at a time, drawing that hour's noise just before, and reduces each hour's
-states to their mean, quantiles and kept paths before the next.  A fan's
-on-disk form, a quantile CSV with its paths in a ``.npy`` next to it, is
-written and read by ``pipeline`` alone.
+A day's parameters are a ``DayParams``: one read-only (5, m) array, rows
+a, b, beta, c, d, whose constructor projects it onto the parameter box
+(``project_rows``; the bounds and ``A_CAP_UNITS`` are constants here).
+``SdeParams`` is one hour's set, the input of ``simulate_hour`` and of the
+stationary law.
 
-The module owns the parameter box: every fitted, predicted, generated or
-stored hour is projected by ``project_rows`` (``project_params`` for one
-hour) onto bounds that are constants here, as is ``A_CAP_UNITS``.
+One kernel, ``euler_paths``, steps the Euler chain in place for a bundle
+of paths under per-hour or per-path parameters and a given noise source,
+the same to the bit as the allocating form of the step.  Its callers are
+the data generator (every synthetic day one path), the estimator's
+matching simulations and the forecast fans (``make_fan``), which step one
+hour at a time and keep only that hour's states.
 """
 
 from __future__ import annotations
@@ -128,29 +123,31 @@ def project_params(a, b, beta, c, d, *, log=None) -> SdeParams:
     return SdeParams(*project_rows([a, b, beta, c, d], log).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DayParams:
-    """Ordered hourly parameter sets covering one day's daytime hours."""
+    """One day's parameters: ``theta``, a read-only (5, m) float array with
+    rows a, b, beta, c, d and one column per daytime hour.  The constructor
+    projects it with ``project_rows``, the one place a day's box is
+    enforced."""
 
-    hours: tuple[SdeParams, ...]
+    theta: np.ndarray
 
     def __post_init__(self):
-        if len(self.hours) < 1:
-            raise ValueError("DayParams needs at least one hour")
-        object.__setattr__(self, "hours", tuple(self.hours))
+        theta = np.asarray(self.theta, dtype=float)
+        if theta.ndim != 2 or len(theta) != 5 or theta.shape[1] < 1:
+            raise ValueError(f"a day's parameters are (5, m >= 1), got "
+                             f"{theta.shape}")
+        theta = project_rows(theta)
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
 
     @property
     def m(self) -> int:
-        return len(self.hours)
+        return self.theta.shape[1]
 
     def as_matrix(self) -> np.ndarray:
-        """(5, m) array with rows a, b, beta, c, d."""
-        return np.stack([h.as_array() for h in self.hours], axis=1)
-
-    @classmethod
-    def from_matrix(cls, theta) -> DayParams:
-        """The hours of a valid (5, m) array, as ``as_matrix`` gives."""
-        return cls(tuple(SdeParams(*h) for h in np.asarray(theta).T.tolist()))
+        """``theta``, by the name ``pvsdebench`` reads it."""
+        return self.theta
 
 
 def _clamp_interior(p, c, d):
@@ -299,7 +296,7 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     n_hour = int(round(3600.0 / step_seconds))
     dt = step_seconds / TIME_UNIT_SECONDS
 
-    params = day.as_matrix()
+    params = day.theta.copy()
     params[0] = np.minimum(params[0], A_CAP_UNITS / dt)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     n_steps = day.m * n_hour

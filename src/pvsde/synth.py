@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .sde import (A_CAP_UNITS, TIME_UNIT_SECONDS, DayParams, SdeParams,
-                  euler_paths, project_params, project_rows)
+                  euler_paths, project_params)
 from .weather import COMPASS_DEGREES, HourGrid
 
 IRRADIANCE_SCALE = 3.5      # MJ/m^2 roughly spanning the observed range
@@ -100,12 +100,11 @@ def synth_generate(rng, n_days: int = 400, grid: HourGrid = HourGrid(),
     noise = np.empty((m * n_hour, n_days))
     for j in range(n_days):
         rows = _day_weather(rng, grid)
-        theta = project_rows(np.transpose(
-            [_raw_params(r["humidity"], r["cloud"], r["irradiance"])
-             for r in rows]))
+        theta = np.transpose([_raw_params(r["humidity"], r["cloud"],
+                                          r["irradiance"]) for r in rows])
         theta[0] = np.minimum(theta[0], A_CAP_UNITS / dt)
-        params[:, :, j] = theta.T
-        day = DayParams.from_matrix(theta)
+        day = DayParams(theta)
+        params[:, :, j] = day.theta.T
         noise[:, j] = rng.standard_normal(m * n_hour)
         weather_days.append(rows)
         params_days.append(day)

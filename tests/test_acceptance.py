@@ -120,7 +120,7 @@ def test_criterion_3_parameter_recovery(capsys):
         sim = simulate_hour(th, p0, step_seconds=30.0, n_steps=120,
                             rng=rng, substeps=1)
         paths = np.vstack([p0[None, :], sim])
-        est = np.array([identify_hour(paths[:, j], seed=4242 + j).params.as_array()
+        est = np.array([identify_hour(paths[:, j], seed=4242 + j).params
                         for j in range(100)])
         mean_est = est.mean(axis=0)
         truth = np.array(vals)
@@ -167,7 +167,7 @@ def test_criterion_5_trimmed_aggregation(capsys):
 def test_criterion_6_metric_identities(capsys):
     """Risk/KL/PICP metrics satisfy their defining identities."""
     th = SdeParams(*REGIME_PARAMS["cloudy"])
-    day = DayParams((th,))
+    day = DayParams(th.as_array()[:, None])
     fan = make_fan(day, 0.55, n_paths=4000, seed=11)
     actual = simulate_hour(th, np.array([0.55]), n_steps=fan.n_steps,
                            rng=np.random.default_rng(13), substeps=1)[:, 0]
@@ -272,7 +272,7 @@ def test_criterion_9_regime_ordering(capsys):
                  wind_speed=rng.uniform(2, 12), wind_direction="E",
                  cloud=cl, irradiance=ir)
         X.append(_hour_features(w))
-        theta.append(DayParams((true_param_map(h, cl, ir),)).as_matrix())
+        theta.append(true_param_map(h, cl, ir).as_array()[:, None])
     for name, w0 in REGIME_WEATHER.items():
         th = SdeParams(*REGIME_PARAMS[name])
         for j in range(5):
@@ -283,12 +283,13 @@ def test_criterion_9_regime_ordering(capsys):
             w["irradiance"] = max(w["irradiance"] + rng.normal(0.0, 0.05),
                                   0.0)
             X.append(_hour_features(w))
-            theta.append(DayParams((th,)).as_matrix())
+            theta.append(th.as_array()[:, None])
     model = train_ensemble(X, theta, hidden_size=60, n_members=30,
                            master_seed=0, ridge=2.0)
     clear, cloudy = predict_params_batch(
         model, [_hour_features(REGIME_WEATHER[r]) for r in ("clear", "cloudy")])
-    clear, cloudy = clear.hours[0], cloudy.hours[0]
+    clear, cloudy = (SdeParams(*day.theta[:, 0].tolist())
+                     for day in (clear, cloudy))
     ok = clear.b > cloudy.b and clear.beta < cloudy.beta
     _announce(capsys, "criterion 9 regime ordering", ok,
               f"b {clear.b:.4f} vs {cloudy.b:.4f},"

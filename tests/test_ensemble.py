@@ -11,7 +11,6 @@ from pvsde.elm import hidden_layer
 from pvsde.ensemble import (TrainingError, load_ensemble,
                             predict_params_batch, save_ensemble,
                             train_ensemble, trimmed_mean)
-from pvsde.sde import DayParams, SdeParams
 
 
 def _make_data(n_days=24, m=2, seed=0):
@@ -20,9 +19,9 @@ def _make_data(n_days=24, m=2, seed=0):
     rng = np.random.default_rng(seed)
     p = 3
     X = np.stack([rng.uniform(0.0, 1.0, m * p) for _ in range(n_days)])
-    theta = np.stack([DayParams(hours=tuple(
-        SdeParams(a=0.1 + 0.2 * u, b=0.3 + 0.4 * u, beta=0.05 + 0.1 * u,
-                  c=0.1, d=0.9) for u in x[::p])).as_matrix() for x in X])
+    theta = np.stack([np.stack([0.1 + 0.2 * u, 0.3 + 0.4 * u,
+                                0.05 + 0.1 * u, np.full(m, 0.1),
+                                np.full(m, 0.9)]) for u in X[:, ::p]])
     return X, theta
 
 
@@ -89,7 +88,7 @@ class TestTraining:
                                master_seed=1)
         X_test, theta_test = _make_data(n_days=16, seed=99)
         preds = predict_params_batch(model, X_test)
-        b = np.stack([pred.as_matrix()[1] for pred in preds])
+        b = np.stack([pred.theta[1] for pred in preds])
         assert np.abs(b - theta_test[:, 1]).mean() < 0.05
 
     def test_prediction_is_projected_valid(self):
@@ -97,9 +96,10 @@ class TestTraining:
         model = train_ensemble(X, theta, hidden_size=10, n_members=5,
                                master_seed=2)
         pred, = predict_params_batch(model, np.full((1, 6), 25.0))
-        for th in pred.hours:
-            assert th.c < th.d and th.c <= th.b <= th.d
-            assert 0.0 <= th.beta <= 1.0 and 1e-4 <= th.a <= 2.0
+        a, b, beta, c, d = pred.theta
+        assert (c < d).all() and (c <= b).all() and (b <= d).all()
+        assert ((0.0 <= beta) & (beta <= 1.0)).all()
+        assert ((1e-4 <= a) & (a <= 2.0)).all()
 
     def test_seed_determinism(self):
         X, theta = _make_data(n_days=16)
@@ -108,8 +108,8 @@ class TestTraining:
         m2 = train_ensemble(X, theta, hidden_size=10, n_members=5,
                             master_seed=4)
         np.testing.assert_array_equal(
-            predict_params_batch(m1, X[:1])[0].as_matrix(),
-            predict_params_batch(m2, X[:1])[0].as_matrix())
+            predict_params_batch(m1, X[:1])[0].theta,
+            predict_params_batch(m2, X[:1])[0].theta)
 
     def test_golden_output_weights(self, svd_ridge_solve):
         # digest of a model trained when every member drew its own
@@ -152,9 +152,9 @@ class TestTraining:
         # perturbing hour 1's features must not move hour 0's prediction
         x[0, 3:] += 0.3
         pred, = predict_params_batch(model, x)
-        np.testing.assert_array_equal(pred.as_matrix()[:, 0],
-                                      base.as_matrix()[:, 0])
-        assert not np.allclose(pred.as_matrix()[:, 1], base.as_matrix()[:, 1])
+        np.testing.assert_array_equal(pred.theta[:, 0],
+                                      base.theta[:, 0])
+        assert not np.allclose(pred.theta[:, 1], base.theta[:, 1])
 
 
 class TestPersistence:
@@ -170,8 +170,8 @@ class TestPersistence:
         path.write_text(json.dumps(dict(man, feature_names=["h0_f0"] * 6)))
         clone = load_ensemble(str(tmp_path / "model"))
         np.testing.assert_array_equal(
-            predict_params_batch(model, X[3:4])[0].as_matrix(),
-            predict_params_batch(clone, X[3:4])[0].as_matrix())
+            predict_params_batch(model, X[3:4])[0].theta,
+            predict_params_batch(clone, X[3:4])[0].theta)
 
     def test_saved_files_are_byte_deterministic(self, tmp_path):
         X, theta = _make_data(n_days=16)
@@ -279,7 +279,7 @@ class TestPersistence:
             load_ensemble(str(tmp_path / "model")), days)))
         assert peak < total / 4, (peak, total)
         for a, b in zip(got, want):
-            assert a.as_matrix().tobytes() == b.as_matrix().tobytes()
+            assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         X, theta = _make_data(n_days=16)

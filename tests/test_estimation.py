@@ -14,7 +14,7 @@ from pvsde.estimation import (A_CAP_UNITS, A_MIN, AllHoursInvalidError,
                               _lag1, _make_params, _nelder_mead_batch,
                               _reprofile_beta, _Rows, identify_day,
                               identify_hour, identify_hours)
-from pvsde.sde import DayParams, SdeParams, project_params, simulate_hour
+from pvsde.sde import SdeParams, project_params, simulate_hour
 from pvsde.synth import synth_generate
 
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
@@ -30,6 +30,18 @@ def _simulate_hours(theta, n_hours, seed, n_steps=120):
     S = simulate_hour(theta, p0, step_seconds=30.0, n_steps=n_steps,
                       rng=rng, substeps=1)
     return np.vstack([p0[None, :], S])
+
+
+def _fit(*args, **kwargs):
+    """identify_hour's (5,) parameters, read by name."""
+    return SdeParams(*identify_hour(*args, **kwargs).params.tolist())
+
+
+def _same(r, s):
+    """Whether two reports hold the same parameter bits, convergence and
+    flags."""
+    return (r.params.tobytes() == s.params.tobytes()
+            and (r.converged, r.flags) == (s.converged, s.flags))
 
 
 def _block_mask(n_samples, n_hours, seed, n_blocks=4, block=10):
@@ -58,7 +70,7 @@ class TestHourSamples:
         v = np.linspace(0.2, 0.6, 40)
         ok = np.ones(40, dtype=bool)
         v[10:15], ok[10:15] = np.nan, False
-        p = identify_hour(v, ok).params
+        p = _fit(v, ok)
         assert p.c <= 0.2 and 0.6 <= p.d
         with pytest.raises(ValueError):
             identify_hour(v)
@@ -83,8 +95,7 @@ class TestHourSamples:
 class TestIdentifyHour:
     def test_drift_recovery(self):
         paths = _simulate_hours(CLOUDY, 40, seed=2)
-        est = np.array([identify_hour(paths[:, j],
-                                      seed=4242 + j).params.as_array()
+        est = np.array([identify_hour(paths[:, j], seed=4242 + j).params
                         for j in range(40)])
         mean = est.mean(axis=0)
         assert mean[0] == pytest.approx(CLOUDY.a, rel=0.20)
@@ -94,22 +105,22 @@ class TestIdentifyHour:
         paths = _simulate_hours(CLOUDY, 5, seed=3)
         for j in range(5):
             v = paths[:, j]
-            p = identify_hour(v, seed=11 + j).params
+            p = _fit(v, seed=11 + j)
             assert p.c <= v.min() and v.max() <= p.d
 
     def test_seed_reproducibility(self):
         v = _simulate_hours(CLOUDY, 1, seed=4)[:, 0]
         p1 = identify_hour(v, seed=99).params
         p2 = identify_hour(v, seed=99).params
-        assert p1 == p2
+        assert p1.tobytes() == p2.tobytes()
 
     def test_affine_equivariance(self):
         # w = s v + t maps (a, b, beta, c, d) -> (a, s b + t, beta,
         # s c + t, s d + t) exactly, given the same estimator seed
         v = _simulate_hours(CLOUDY, 1, seed=5)[:, 0]
         s, t = 0.25, 0.5
-        p = identify_hour(v, seed=7).params
-        q = identify_hour(s * v + t, seed=7).params
+        p = _fit(v, seed=7)
+        q = _fit(s * v + t, seed=7)
         assert q.a == pytest.approx(p.a, rel=1e-9)
         assert q.beta == pytest.approx(p.beta, rel=1e-9)
         assert q.b == pytest.approx(s * p.b + t, rel=1e-9)
@@ -125,23 +136,23 @@ class TestIdentifyHour:
         b_fwd, b_rev = [], []
         for j in range(30):
             v = S[:, j]
-            b_fwd.append(identify_hour(v, seed=21 + j).params.b)
-            b_rev.append(identify_hour(v[::-1].copy(),
-                                       seed=21 + j).params.b)
+            b_fwd.append(_fit(v, seed=21 + j).b)
+            b_rev.append(_fit(v[::-1].copy(), seed=21 + j).b)
         assert np.mean(b_rev) == pytest.approx(np.mean(b_fwd), rel=0.05)
 
     def test_noiseless_ramp_has_tiny_beta(self):
         b, p0, a = 0.8, 0.2, 0.05
         t = np.arange(121)
         v = b + (p0 - b) * (1 - a) ** t
-        p = identify_hour(v, seed=1).params
+        p = _fit(v, seed=1)
         assert p.beta < 0.01
 
     def test_constant_series_degenerate_branch(self):
         rep = identify_hour(np.full(121, 0.4), seed=1)
         assert "degenerate" in rep.flags and "non-volatile" in rep.flags
-        assert rep.params.b == pytest.approx(0.4)
-        assert rep.params.c < 0.4 < rep.params.d
+        _, b, _, c, d = rep.params
+        assert b == pytest.approx(0.4)
+        assert c < 0.4 < d
 
 
 
@@ -264,7 +275,7 @@ class TestIdentifyHours:
         for j in range(3):
             one = identify_hour(paths[:, j], mask[:, j],
                                 seed=5)
-            assert one == reps[j]
+            assert _same(one, reps[j])
 
     def test_masked_blocks_recover_cloudy_hours(self):
         # the estimator must not bridge a gap: four masked 10-sample blocks
@@ -272,7 +283,7 @@ class TestIdentifyHours:
         paths = _simulate_hours(CLOUDY, 30, seed=1)
         mask = _block_mask(paths.shape[0], 30, seed=101)
         reps = identify_hours(paths.T, mask.T, seed=7)
-        mean = DayParams(tuple(r.params for r in reps)).as_matrix().mean(1)
+        mean = np.mean([r.params for r in reps], axis=0)
         tol = dict(a=0.20, b=0.20, beta=0.15, c=0.15, d=0.15)
         for i, name in enumerate(("a", "b", "beta", "c", "d")):
             assert mean[i] == pytest.approx(CLOUDY.as_array()[i],
@@ -299,7 +310,7 @@ _GOLDEN_DAY = np.array([
 ])
 
 
-# sha256 of day.as_matrix().tobytes() in test_gappy_day_bits (numpy 2.4.6),
+# sha256 of day.theta.tobytes() in test_gappy_day_bits (numpy 2.4.6),
 # and of its a, b, c, d rows alone, which the censored beta left unchanged:
 # a change to the estimator's arithmetic must keep every output bit
 _GAPPY_DAY_SHA256 = (
@@ -322,7 +333,7 @@ class TestIdentifyDay:
         _, _, pv, _ = synth_generate(np.random.default_rng(3),
                                      n_days=1)
         day, reports = identify_day(pv[0], seed=11)
-        np.testing.assert_allclose(day.as_matrix().T, _GOLDEN_DAY,
+        np.testing.assert_allclose(day.theta.T, _GOLDEN_DAY,
                                    rtol=1e-9, atol=0)
         flags = [()] * 12
         flags[2] = ("variance-matched-low",)
@@ -337,7 +348,7 @@ class TestIdentifyDay:
                                      n_days=1)
         mask = _block_mask(120, 12, seed=13)
         day, reports = identify_day(pv[0], mask.T.ravel(), seed=11)
-        theta = day.as_matrix()
+        theta = day.theta
         assert hashlib.sha256(theta.tobytes()).hexdigest() == _GAPPY_DAY_SHA256
         assert (hashlib.sha256(theta[[0, 1, 3, 4]].tobytes()).hexdigest()
                 == _GAPPY_ABCD_SHA256)
@@ -355,7 +366,7 @@ class TestIdentifyDay:
         _, full = identify_day(pv[0], seed=11)
         _, cut = identify_day(pv[0][:1400], seed=11)
         assert len(cut) == 12
-        assert cut[:11] == full[:11]
+        assert all(map(_same, cut[:11], full[:11]))
         with pytest.raises(ValueError, match="1440 samples.*11 hours"):
             identify_day(pv[0], m=11)
 
@@ -365,13 +376,17 @@ class TestIdentifyDay:
         for i, rep in enumerate(reports):
             one = identify_hour(values[120 * i:120 * (i + 1)],
                                 seed=5)
-            assert one == rep
+            assert _same(one, rep)
 
     def test_shapes_and_hour_count(self):
         values = self._day_series()
         day, reports = identify_day(values, step_seconds=30.0, seed=5)
         assert day.m == 3 and len(reports) == 3
-        assert all(r.params.c < r.params.d for r in reports)
+        assert all(r.params[3] < r.params[4] for r in reports)
+        # each report holds its hour's column of the day, to the bit
+        for i, r in enumerate(reports):
+            assert r.params.shape == (5,)
+            assert r.params.tobytes() == day.theta[:, i].tobytes()
 
     def test_masked_hour_interpolated_from_neighbours(self):
         values = self._day_series()
@@ -379,8 +394,10 @@ class TestIdentifyDay:
         mask[:120] = False
         day, reports = identify_day(values, mask, step_seconds=30.0, seed=5)
         assert "interpolated" in reports[0].flags
-        # lone neighbour: hour 0 takes hour 1's parameters
-        assert day.hours[0] == project_params(*day.hours[1].as_array())
+        # lone neighbour: hour 0 takes hour 1's parameters, and its report
+        # holds the day's column
+        assert day.theta[:, 0].tobytes() == day.theta[:, 1].tobytes()
+        assert reports[0].params.tobytes() == day.theta[:, 0].tobytes()
 
     def test_middle_hour_averages_neighbours(self):
         values = self._day_series()
@@ -388,8 +405,8 @@ class TestIdentifyDay:
         mask[120:240] = False
         day, reports = identify_day(values, mask, step_seconds=30.0, seed=5)
         assert "interpolated" in reports[1].flags
-        mean_b = 0.5 * (day.hours[0].b + day.hours[2].b)
-        assert day.hours[1].b == pytest.approx(mean_b)
+        mean_b = 0.5 * (day.theta[1, 0] + day.theta[1, 2])
+        assert day.theta[1, 1] == pytest.approx(mean_b)
 
     def test_all_invalid_raises(self):
         values = self._day_series()

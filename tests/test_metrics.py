@@ -21,7 +21,7 @@ def _fan_from_paths(paths, step_seconds=30.0):
 
 
 def _sde_input(seed=0, n_paths=400, actual_seed=1):
-    day = DayParams(hours=(CLOUDY,))
+    day = DayParams(CLOUDY.as_array()[:, None])
     fan = make_fan(day, 0.5, n_paths=n_paths, seed=seed,
                    quantile_levels=LEVELS)
     actual = make_fan(day, 0.5, n_paths=1, seed=actual_seed,
@@ -31,7 +31,7 @@ def _sde_input(seed=0, n_paths=400, actual_seed=1):
 
 def _actual_paths(n=500, seed=1):
     """Many actual days of the fan's process, from their own seed."""
-    return make_fan(DayParams(hours=(CLOUDY,)), 0.5, n_paths=n,
+    return make_fan(DayParams(CLOUDY.as_array()[:, None]), 0.5, n_paths=n,
                     seed=seed).paths
 
 
@@ -212,7 +212,7 @@ class TestEvaluate:
 
     def test_default_fan_evaluates(self):
         # make_fan's default levels hold every level the metrics read
-        day = DayParams(hours=(CLOUDY,))
+        day = DayParams(CLOUDY.as_array()[:, None])
         fan = make_fan(day, 0.5, n_paths=100, seed=0)
         actual = make_fan(day, 0.5, n_paths=1, seed=1).paths[0]
         rep = evaluate(EvalInput(fan=fan, actual=actual))

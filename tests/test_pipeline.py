@@ -24,8 +24,7 @@ from pvsde.pipeline import (RunConfig, _day_fan, cmd_e2e, cmd_evaluate,
                             read_params_json, split_days, write_fan_csv,
                             write_params_json, write_pv_csv)
 from pvsde.ensemble import TrainingError
-from pvsde.sde import (A_CAP_UNITS, DayParams, SdeParams, SimulationFan,
-                       make_fan)
+from pvsde.sde import A_CAP_UNITS, DayParams, SimulationFan, make_fan
 from pvsde.synth import synth_generate, true_param_map
 from pvsde.weather import HourGrid
 
@@ -53,9 +52,9 @@ class TestSynth:
         _, _, pv, params = synth_generate(np.random.default_rng(8), 3,
                                           HourGrid(start_hour=9, m=3))
         for series, day in zip(pv, params):
-            for i, th in enumerate(day.hours):
+            for i, (c, d) in enumerate(day.theta[3:].T):
                 seg = series[i * 120:(i + 1) * 120]
-                assert (seg >= th.c).all() and (seg <= th.d).all()
+                assert (seg >= c).all() and (seg <= d).all()
 
     def test_param_map_humidity_ordering(self):
         # drier reports map to higher, steadier production
@@ -249,6 +248,36 @@ class TestPvCsv:
         for a, b in zip(got[dates[3]], want[dates[3]]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf", "NaN"])
+    def test_valid_sample_that_is_not_finite_names_its_line(self, tmp_path,
+                                                            power):
+        # a valid sample must hold a number; a masked one may hold any,
+        # and only the kept days are checked
+        path = tmp_path / "pv.csv"
+        write_pv_csv(str(path), ["2018-01-01", "2018-01-02"],
+                     np.full((2, 240), 0.5))
+        lines = path.read_text().splitlines()
+        at = lines.index("2018-01-02,59,0.5,1")
+        lines[at] = f"2018-01-02,59,{power},1"
+        lines[3] = f"2018-01-01,2,{power},0"
+        path.write_text("\n".join(lines) + "\n")
+        match = (f"^{re.escape(str(path))}:{at + 1}: valid sample 59 of "
+                 f"2018-01-02 has power {power}, which is not finite$")
+        for dates in (None, {"2018-01-02"}):
+            with pytest.raises(ValueError, match=match):
+                ingest_pv(str(path), dates)
+        got = ingest_pv(str(path), {"2018-01-01"})
+        assert not got["2018-01-01"][1][2]
+        cfg = RunConfig(m=2)
+        with pytest.raises(ValueError, match=match):
+            cmd_identify(cfg, str(path), str(tmp_path / "params.json"))
+        day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)] * 2))
+        write_params_json(str(tmp_path / "day.json"),
+                          {"2018-01-02": (day, None)}, 30.0, 2)
+        with pytest.raises(ValueError, match=match):
+            cmd_simulate(cfg, str(tmp_path / "day.json"),
+                         str(tmp_path / "fans"), str(path))
+
     def test_repeated_step_rejected(self, tmp_path):
         path = tmp_path / "pv.csv"
         path.write_text("date,step,power,valid\n2018-01-01,0,0.1,1\n"
@@ -322,7 +351,7 @@ class TestPvCsv:
 
 class TestFanCsv:
     def test_round_trip(self, tmp_path):
-        day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
+        day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
         fan = make_fan(day, 0.5, n_paths=40, seed=2,
                        quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.9, 0.95))
         path = str(tmp_path / "fan.csv")
@@ -348,8 +377,8 @@ DAY_FAN_SHA256 = {
 @pytest.mark.parametrize("dump_paths", sorted(DAY_FAN_SHA256))
 def test_day_fan_bits(dump_paths):
     cfg = RunConfig(m=2, n_paths=300, dump_paths=dump_paths, seed=5)
-    day = DayParams(hours=(SdeParams(0.2, 0.6, 0.15, 0.1, 0.95),
-                           SdeParams(0.3, 0.4, 0.25, 0.05, 0.8)))
+    day = DayParams(np.transpose([(0.2, 0.6, 0.15, 0.1, 0.95),
+                                  (0.3, 0.4, 0.25, 0.05, 0.8)]))
     fan = _day_fan(cfg, "2018-03-04", day, 0.5)
     assert fan.paths.shape == (min(dump_paths, 300), 240)
     assert fan.paths.flags.c_contiguous
@@ -365,7 +394,7 @@ EDGE_FLOATS = (5e-324, -5e-324, -0.0, 0.0, 1 / 3, 0.1, 1e308, -1e308,
 
 
 def _fan_file(tmp_path, n_paths=4, n_steps=6):
-    day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
+    day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
     fan = make_fan(day, 0.5, n_paths=n_paths, seed=1)
     fan = SimulationFan(paths=fan.paths[:, :n_steps], step_seconds=30.0,
                         quantile_levels=fan.quantile_levels,
@@ -484,9 +513,10 @@ def test_pv_table_variants_read_like_the_plain_table(tmp_path_factory,
     values = np.array(data.draw(st.lists(
         cell, min_size=len(dates) * n_steps,
         max_size=len(dates) * n_steps))).reshape(len(dates), n_steps)
+    # an infinite power is read only in a masked sample
     masks = np.array(data.draw(st.lists(
         st.booleans(), min_size=values.size,
-        max_size=values.size))).reshape(values.shape)
+        max_size=values.size))).reshape(values.shape) & np.isfinite(values)
     root = tmp_path_factory.mktemp("pv")
     write_pv_csv(str(root / "plain.csv"), dates, values, masks)
     order = data.draw(st.permutations(range(4)))
@@ -590,9 +620,64 @@ class TestCommands:
                 cmd_simulate(cfg, path, str(tmp_path / "fans"))
         assert sorted(os.listdir(tmp_path)) == ["ds", "short.json"]
 
+    @pytest.mark.parametrize("hour,why", [
+        ([0.2, 0.5, 0.1, 0.1, 0.9], "a list"), ("a", "a string"),
+        (dict(a=0.2, beta=0.1, c=0.1, d=0.9), "no b"),
+        (dict(a=0.2, b=None, beta=0.1, c=0.1, d=0.9), "a null b"),
+        (dict(a=0.2, b="0.5", beta=0.1, c=0.1, d=0.9), "a string b"),
+        (dict(a=0.2, b=True, beta=0.1, c=0.1, d=0.9), "a boolean b"),
+        (dict(a=0.2, b=0.5, beta=float("inf"), c=0.1, d=0.9), "beta inf"),
+        (dict(a=0.2, b=0.5, beta=0.1, c=0.1, d=10 ** 400), "a huge d")])
+    def test_a_parameter_file_hour_without_five_numbers_is_refused(
+            self, tmp_path, hour, why):
+        # train, simulate and the CLI name the file, the date and the hour
+        ds = tmp_path / "ds"
+        cmd_synth(E2E, str(ds))
+        doc = read_params_json(str(ds / "true_params.json"))
+        date = sorted(doc["days"])[3]
+        doc["days"][date][1] = hour
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        match = (f"^{re.escape(str(path))}: day {date} hour 1 is not an "
+                 "object of five finite numbers a, b, beta, c and d$")
+        with pytest.raises(ValueError, match=match):
+            cmd_train(E2E, str(ds / "weather.csv"), str(path),
+                      str(tmp_path / "model"))
+        with pytest.raises(ValueError, match=match):
+            cmd_simulate(E2E, str(path), str(tmp_path / "fans"))
+        assert sorted(os.listdir(tmp_path)) == ["bad.json", "ds"], why
+        (tmp_path / "run.cfg").write_text(
+            "n_days = 20\nm = 3\nstart_hour = 9\n")
+        assert cli_main(["--config", str(tmp_path / "run.cfg"), "simulate",
+                         "--params", str(path),
+                         "--out", str(tmp_path / "fans")]) == 2
+
+    def test_evaluate_skips_a_fan_whose_day_has_no_pv_rows(self, tmp_path):
+        # three fans, a PV table without one of their days: two are
+        # scored, the third is listed as skipped, eval.json unchanged
+        ds, fans = tmp_path / "ds", tmp_path / "fans"
+        cfg = replace(SMALL, n_days=3)
+        cmd_synth(cfg, str(ds))
+        cmd_simulate(cfg, str(ds / "true_params.json"), str(fans))
+        pv = ingest_pv(str(ds / "pv.csv"))
+        dates = sorted(pv)
+        res = cmd_evaluate(cfg, str(fans), str(ds / "pv.csv"),
+                           str(tmp_path / "all.json"))
+        assert res["evaluated"] == 3 and res["skipped"] == []
+        kept = [dates[0], dates[2]]
+        write_pv_csv(str(tmp_path / "two.csv"), kept,
+                     [pv[d][0] for d in kept], [pv[d][1] for d in kept])
+        res = cmd_evaluate(cfg, str(fans), str(tmp_path / "two.csv"),
+                           str(tmp_path / "two.json"))
+        assert res["evaluated"] == 2 and res["skipped"] == [dates[1]]
+        scores = json.loads((tmp_path / "all.json").read_text())
+        del scores[dates[1]]
+        assert (tmp_path / "two.json").read_text() == json.dumps(
+            scores, sort_keys=True, indent=1)
+
     def test_evaluate_refuses_a_fan_without_a_level_it_reads(self, tmp_path):
         # evaluate reads q05, q50, q90 and q95; this fan has no q90
-        day = DayParams(hours=(SdeParams(0.2, 0.5, 0.1, 0.1, 0.9),))
+        day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
         fan = make_fan(day, 0.5, n_paths=40, seed=2,
                        quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95))
         path = tmp_path / "fans" / "fan_2018-01-01.csv"
@@ -798,7 +883,8 @@ class TestCommands:
         write_pv_csv(str(tmp_path / "alone.csv"), [date], [pv[date][0]],
                      [pv[date][1]])
         truth = read_params_json(str(ds / "true_params.json"))["days"]
-        write_params_json(str(tmp_path / "day.json"), {date: truth[date]},
+        write_params_json(str(tmp_path / "day.json"),
+                          {date: obj_to_day_params(truth[date])},
                           cfg.step_seconds, cfg.m)
         out = {}
         for tag, pv_path in (("all", ds / "pv.csv"),
@@ -876,6 +962,32 @@ class TestCommands:
         # step 2 was never observed: the median between steps 1 and 3
         np.testing.assert_allclose(median, [0.3, 0.4, 0.55, 0.7])
         np.testing.assert_array_equal(pool, values[valid])
+
+    def test_stage_chain_bytes(self, tmp_path):
+        # digests at criterion 8's config of identify's params.json and
+        # e2e's identified and predicted parameters and eval.json (numpy
+        # 2.4.6, OpenBLAS at one thread), fixed before a day's parameters
+        # became one (5, m) array from identification to fan
+        cfg = RunConfig(n_days=16, m=4, start_hour=9, n_members=12,
+                        hidden_size=20, n_paths=100, seed=5, dump_paths=20)
+        ds, run = str(tmp_path / "ds"), tmp_path / "run"
+        cmd_synth(cfg, ds)
+        cmd_identify(cfg, os.path.join(ds, "pv.csv"),
+                     str(tmp_path / "params.json"))
+        cmd_e2e(cfg, ds, str(run))
+        digests = {str(p.relative_to(tmp_path)): hashlib.sha256(
+            p.read_bytes()).hexdigest() for p in (
+                tmp_path / "params.json", run / "params_identified.json",
+                run / "params_predicted.json", run / "eval.json")}
+        assert digests == {
+            "params.json": "a613892a339259f5f31bdf8c3c5d1907"
+                           "c91040afc21df8ae5e436b383f0f6d7b",
+            "run/params_identified.json": "6ec6f592d13dddfcdc3f04250d54fbfb"
+                                          "799d7d3758d5762f707d68e6bee62d7b",
+            "run/params_predicted.json": "6551675177493281919835ea46f721c7"
+                                         "c6d847c15edf9a7edfbddfecd56c61ca",
+            "run/eval.json": "5691c5ca221cfb9822127bcb85cd292f"
+                             "88d38d5cfc97a03b2ea5a68a07330b98"}
 
     def test_e2e_rerun_is_byte_identical(self, tmp_path):
         cfg = RunConfig(n_days=14, m=3, start_hour=9, n_members=3,

@@ -19,6 +19,11 @@ CLEAR = SdeParams(a=0.3298, b=0.8333, beta=0.0348, c=0.6895, d=0.8477)
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
 
 
+def _day(*hours):
+    """The DayParams of the given hours, one column each."""
+    return DayParams(np.column_stack([h.as_array() for h in hours]))
+
+
 class TestParams:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -180,7 +185,7 @@ class TestGoldenKernel:
     def test_fan(self):
         # one Euler step per sample on every hour, CLEAR's a·dt = 0.33
         # under the cap; the digest of the fan the commands write
-        fan = make_fan(DayParams(hours=(CLEAR, CLOUDY, CLEAR)), 0.75,
+        fan = make_fan(_day(CLEAR, CLOUDY, CLEAR), 0.75,
                        n_paths=300, seed=13,
                        quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95))
         assert _sha256(fan.paths, fan.quantiles, fan.mean) == (
@@ -277,7 +282,7 @@ class TestStationaryLaw:
 
 class TestSimulateDay:
     def _day(self):
-        return DayParams(hours=(CLEAR, CLOUDY, CLEAR))
+        return _day(CLEAR, CLOUDY, CLEAR)
 
     def _path(self, day, p0):
         return make_fan(day, p0, n_paths=1).paths[0]
@@ -286,29 +291,41 @@ class TestSimulateDay:
         day = self._day()
         path = self._path(day, 0.75)
         assert path.shape == (3 * 120,)
-        for i, th in enumerate(day.hours):
+        for i, (c, d) in enumerate(day.theta[3:].T):
             seg = path[i * 120:(i + 1) * 120]
-            assert (seg >= th.c).all() and (seg <= th.d).all()
+            assert (seg >= c).all() and (seg <= d).all()
 
     def test_state_carries_across_hours(self):
         # with zero volatility the chain is deterministic, so the first
         # step of hour 2 must extend hour 1's endpoint exactly
         h1 = SdeParams(a=0.3, b=0.8, beta=0.0, c=0.1, d=0.9)
         h2 = SdeParams(a=0.2, b=0.3, beta=0.0, c=0.1, d=0.9)
-        path = self._path(DayParams(hours=(h1, h2)), 0.5)
+        path = self._path(_day(h1, h2), 0.5)
         expected = path[119] + h2.a * (h2.b - path[119])
         assert path[120] == pytest.approx(expected, rel=1e-12)
 
     def test_matrix_round_trip(self):
         day = self._day()
-        M = day.as_matrix()
-        assert M.shape == (5, 3)
-        np.testing.assert_array_equal(M[:, 1], CLOUDY.as_array())
+        assert day.theta.shape == (5, 3) and day.m == 3
+        np.testing.assert_array_equal(day.theta[:, 1], CLOUDY.as_array())
+        with pytest.raises(ValueError):
+            day.theta[0, 0] = 0.1
+
+    def test_constructor_projects_and_checks_the_shape(self):
+        raw = np.column_stack([CLEAR.as_array(), [5.0, 1.5, 3.0, 0.9, 0.1]])
+        day = DayParams(raw)
+        assert day.theta.tobytes() == project_rows(raw).tobytes()
+        assert raw[0, 1] == 5.0                 # the input is not written
+        for bad in (CLEAR.as_array(), np.zeros((5, 0)), np.zeros((4, 2))):
+            with pytest.raises(ValueError, match=r"\(5, m >= 1\)"):
+                DayParams(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            DayParams(np.full((5, 1), np.nan))
 
 
 class TestFan:
     def _fan(self, n_paths=200, seed=5):
-        day = DayParams(hours=(CLEAR, CLOUDY))
+        day = _day(CLEAR, CLOUDY)
         return make_fan(day, 0.75, n_paths=n_paths, seed=seed)
 
     def test_shapes_and_quantile_order(self):
@@ -336,7 +353,7 @@ class TestFan:
 
     def test_kept_paths_leave_quantiles_and_mean_unchanged(self):
         full = self._fan(n_paths=300)
-        day = DayParams(hours=(CLEAR, CLOUDY))
+        day = _day(CLEAR, CLOUDY)
         for k in (1, 299, 300, 301):
             kept = make_fan(day, 0.75, n_paths=300, seed=5, n_keep=k)
             assert kept.paths.flags.c_contiguous
@@ -345,7 +362,7 @@ class TestFan:
             assert kept.mean.tobytes() == full.mean.tobytes()
 
     def test_fan_holds_one_hour_of_states(self, peak_bytes):
-        day = DayParams(hours=(CLEAR, CLOUDY) * 6)
+        day = _day(*(CLEAR, CLOUDY) * 6)
         n_paths = 500
         peak = peak_bytes(lambda: make_fan(day, 0.75, n_paths=n_paths,
                                            seed=5, n_keep=10))

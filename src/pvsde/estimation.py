@@ -11,9 +11,12 @@ and time is counted from an hour's first valid sample.  The pieces are:
   the two boundary offsets (Nelder–Mead), with two boundary repairs:
   samples sticking to an extreme pin the bound just outside it, and a
   runaway bound is re-fit by matching the simulated path variance;
-* reversion rate a: the lag-1 slope debiased by inverting Kendall's
-  (1954) small-sample bias of the AR(1) slope, then refined by indirect
-  inference on simulated paths;
+* reversion rate a: the lag-1 slope, first debiased by inverting
+  Kendall's (1954) small-sample bias of the AR(1) slope, then re-fit
+  after each diffusion fit by deterministic indirect inference: the
+  observed slope is matched to its closed-form expectation under the
+  Euler chain, with the clip at the bounds and the first-order
+  finite-sample bias (Stein's lemma) of the hour's own regressors;
 * mean level b: least squares on the relaxation curve
   ``b + (v0 − b)(1 − a·dt)^t`` over the valid samples;
 * beta, last: re-fit to the second moment of a Gaussian censored at the
@@ -21,7 +24,8 @@ and time is counted from an hour's first valid sample.  The pieces are:
 
 Every stage runs once for a batch of hours, in lockstep: one batched
 Nelder–Mead for all hours' likelihoods, one ``euler_paths`` call per
-matching step.  Each matching stage draws from its own stream,
+variance-matching step.  Only variance matching draws random numbers:
+each bound's matching draws from its own stream,
 ``default_rng([seed, stage])``, and every hour of a batch uses the same
 noise block, so an hour's estimate does not depend on its batch.  A
 ``FitReport`` holds its hour's projected (5,) row a, b, beta, c, d;
@@ -64,17 +68,20 @@ _NM_FATOL = 1e-6
 # is 2·xbar − worst, a shrink halves, and the expansion, outside and inside
 # contraction are p·xbar − q·worst with these rows (p, q)
 _NM_STEPS = np.array([[3.0, 2.0], [1.5, 0.5], [0.5, -0.5]])
-_N_MATCH = 64               # simulated paths per indirect-inference step
+_N_MATCH = 64               # simulated paths per variance-matching step
 _N_VAR_ITERS = 5            # variance-matching steps per runaway boundary
 _N_CENSOR_ITERS = 4         # fixed-point steps of the censored beta
+_N_DRIFT_ITERS = 3          # fixed-point steps of the drift's slope bias
+_PHI_MAX = 0.9995           # largest lag-1 coefficient 1 − a·dt of a fit
 _RUNAWAY_FRAC = 0.3         # boundary offset (in spans) that triggers variance matching
 _STICKY_COUNT = 3           # exact repeats at an extreme that pin the bound
 _B_MARGIN = 0.02            # keep b this fraction of (d − c) inside the bounds
-_DAMP = 0.9                 # step damping for the indirect-inference updates
+_DAMP = 0.9                 # step damping of variance matching
 DEFAULT_SEED = 1729
 
-# matching stages: stage k of an hour seeded s draws from default_rng([s, k])
-_STAGE_A_FIRST, _STAGE_A_SECOND, _STAGE_VAR_HIGH, _STAGE_VAR_LOW = range(4)
+# variance-matching stages: stage k of an hour seeded s draws from
+# default_rng([s, k]); renumbering them changes every matched hour
+_STAGE_VAR_HIGH, _STAGE_VAR_LOW = 2, 3
 
 # flags of the diffusion repairs, in the order they are reported
 _REPAIR_FLAGS = ("boundary-pinned-low", "boundary-pinned-high",
@@ -141,13 +148,13 @@ def _msum(x, mask, axis):
     return np.where(mask, x, 0.0).sum(axis=axis)
 
 
-def _lag1(X, Y, mask, axis):
-    """Lag-1 covariance and variance of X over the valid pairs."""
-    n = mask.sum(axis=axis)
-    mX = np.expand_dims(_msum(X, mask, axis) / n, axis)
-    mY = np.expand_dims(_msum(Y, mask, axis) / n, axis)
-    dX = X - mX
-    return _msum(dX * (Y - mY), mask, axis) / n, _msum(dX ** 2, mask, axis) / n
+def _lag1_slope(s):
+    """The lag-1 slope Σ dx·Y / Σ dx² of each row over its valid pairs, the
+    centred regressors dx (zero off the pairs) and Σ dx²."""
+    n = s.pm.sum(axis=1)
+    dx = np.where(s.pm, s.X - (_msum(s.X, s.pm, 1) / n)[:, None], 0.0)
+    sxx = np.maximum((dx * dx).sum(axis=1), 1e-14 * n)
+    return (dx * s.Y).sum(axis=1) / sxx, dx, sxx
 
 
 def _masked_var(P, mask, axis):
@@ -156,16 +163,10 @@ def _masked_var(P, mask, axis):
     return _msum(dev * dev, mask, axis) / n
 
 
-def _pair_count(s):
-    """Valid transition pairs N of each row, at least 4 so that Kendall's
-    inversion below stays finite and increasing."""
-    return np.maximum(s.pm.sum(axis=1), 4)
-
-
 def _debias_phi(phi_raw, n):
     """Invert Kendall's bias E[phi_hat] = phi − (1 + 3 phi)/N of the lag-1
     regression slope over N pairs; d E[phi_hat]/d phi = 1 − 3/N."""
-    return np.clip((n * phi_raw + 1.0) / (n - 3.0), -0.99, 0.9995)
+    return np.clip((n * phi_raw + 1.0) / (n - 3.0), -0.99, _PHI_MAX)
 
 
 def _e2(s, dt, a, b):
@@ -192,31 +193,39 @@ def _norm_cdf(x):
     return 0.5 * np.fromiter(map(math.erfc, u), float, x.size).reshape(x.shape)
 
 
+def _censored_step(s, dt, a, b, beta, c, d, W):
+    """E[e] and E[e²] of e = Y − m per pair under the Euler chain's one-step
+    law N(m, σ²), m = X + a·dt·(b − X) and σ² = beta·dt·W, censored at c
+    and d (Tobin 1958).  With α = (c − m)/σ and γ = (d − m)/σ,
+    E[e] = (c − m)Φ(α) + (d − m)Φ(−γ) + σ[φ(α) − φ(γ)] and
+    E[e²] = σ²·[Φ(γ) − Φ(α) + αφ(α) − γφ(γ)] + (c − m)²Φ(α) + (d − m)²Φ(−γ).
+    σ² has the likelihood's floor, so α and γ are finite; far from a bound
+    Φ(α) and αφ(α) underflow to their limits, 0."""
+    m = s.X + a[:, None] * dt * (b[:, None] - s.X)
+    var = np.maximum(beta[:, None] * dt * W, SIGMA2_FLOOR)
+    sd = np.sqrt(var)
+    to_c, to_d = c[:, None] - m, d[:, None] - m
+    al, ga = to_c / sd, to_d / sd
+    p_c, p_d = _norm_cdf(al), _norm_cdf(-ga)
+    f_c, f_d = (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+                for x in (al, ga))
+    return (to_c * p_c + to_d * p_d + sd * (f_c - f_d),
+            var * (1.0 - p_c - p_d + al * f_c - ga * f_d)
+            + to_c * to_c * p_c + to_d * to_d * p_d)
+
+
 def _censored_beta(s, dt, a, b, c, d):
     """Beta of the Euler chain, whose steps are clipped to [c, d].
 
-    The one-step law is N(m, σ²), m = X + a·dt·(b − X) and σ² = beta·dt·W,
-    censored at c and d (Tobin 1958).  With α = (c − m)/σ, γ = (d − m)/σ:
-    E[e²] = σ²·[Φ(γ) − Φ(α) + αφ(α) − γφ(γ)] + (c − m)²Φ(α) + (d − m)²Φ(−γ).
     From the profiled beta (Σe² = Σσ²), ``_N_CENSOR_ITERS`` steps
-    beta ← beta·Σe²/ΣE[e²] over the valid pairs match Σe² to E[e²]
-    instead.  σ² has the likelihood's floor, so α and γ are finite, and
-    far from a bound Φ(α) and αφ(α) underflow to their limits, 0.
+    beta ← beta·Σe²/ΣE[e²] over the valid pairs match Σe² to the censored
+    second moment E[e²] of ``_censored_step`` instead.
     """
-    m = s.X + a[:, None] * dt * (b[:, None] - s.X)
-    e2_sum = _msum((s.Y - m) ** 2, s.pm, 1)
     W = np.maximum((s.X - c[:, None]) * (d[:, None] - s.X), SIGMA2_FLOOR)
+    e2_sum = _msum(_e2(s, dt, a, b), s.pm, 1)
     beta = _profiled_beta(e2_sum, _msum(W, s.pm, 1), dt)
-    to_c, to_d = c[:, None] - m, d[:, None] - m
     for _ in range(_N_CENSOR_ITERS):
-        var = np.maximum(beta[:, None] * dt * W, SIGMA2_FLOOR)
-        sd = np.sqrt(var)
-        al, ga = to_c / sd, to_d / sd
-        p_c, p_d = _norm_cdf(al), _norm_cdf(-ga)
-        tails = (al * np.exp(-0.5 * al * al)
-                 - ga * np.exp(-0.5 * ga * ga)) / math.sqrt(2.0 * math.pi)
-        e2_cens = (var * (1.0 - p_c - p_d + tails) + to_c * to_c * p_c
-                   + to_d * to_d * p_d)
+        e2_cens = _censored_step(s, dt, a, b, beta, c, d, W)[1]
         beta = np.clip(beta * e2_sum / _msum(e2_cens, s.pm, 1),
                        BETA_MIN, BETA_MAX)
     return beta
@@ -371,38 +380,48 @@ def _make_params(a, b, beta, c, d, dt):
                          beta, c, d])
 
 
-def _simulate_matching(theta, p0, dt, block):
-    """Simulate paths on the sample grid, conditioned on each row's
-    observed start; every row's paths are driven by the columns of the
-    (steps, paths) noise ``block``.  Returns (T, rows * paths) states, the
-    start included, row i's paths in columns ``i * paths`` onwards."""
-    n_paths = block.shape[1]
-    q0 = np.repeat(np.minimum(np.maximum(p0, theta[3] + 1e-9),
-                              theta[4] - 1e-9), n_paths)
-    S = euler_paths(np.repeat(theta, n_paths, axis=1)[None], q0, dt,
-                    block.shape[0], [1], np.tile(block, theta.shape[1]))
-    return np.vstack([q0[None, :], S])
+def _slope_bias(dx, pm, var, phi, sxx):
+    """E[φ̂] − φ, to first order, of the lag-1 slope φ̂ = Σ dx·Y / Σ dx² of
+    an AR(1) Y_t = φX_t + (1 − φ)b + σ_t·ε_t over its N valid pairs.
 
-
-def _fit_a_indirect(s, dt, beta, c, d, phi_obs, a, b, rng, iters):
-    """Refine a by matching the simulated lag-1 slope to the observed one.
-
-    The update uses the slope 1 − 3/N of Kendall's bias curve as the
-    Jacobian of the simulated statistic with respect to the coefficient.
+    Stein's lemma on each ε_t, which moves X_s by σ_t·φ^(s−t−1) for s > t,
+    gives −Σ_t σ_t²·[G_t/(N·Σdx²) + 2·dx_t·F_t/(Σdx²)²], G_t and F_t the
+    sums of φ^(s−t−1) and φ^(s−t−1)·dx_s over the valid pairs s > t.  At
+    the observed dx and the variances ``var`` (zero off the pairs, as dx
+    is) it keeps the hour's transient, gaps (s − t counts samples) and
+    heteroscedastic noise; a stationary homoscedastic series gives
+    Kendall's −(1 + 3φ)/N.
     """
-    pm = np.repeat(s.pm.T, _N_MATCH, axis=1)
-    slope = 1.0 - 3.0 / _pair_count(s)
-    for _ in range(iters):
-        theta = _make_params(a, b, beta, c, d, dt)
-        P = _simulate_matching(theta, s.v[:, 0], dt, rng.standard_normal(
-            (s.v.shape[1] - 1, _N_MATCH)))
-        cov, vx = _lag1(P[:-1], P[1:], pm, 0)
-        slopes = np.where(vx > 1e-14, cov / np.maximum(vx, 1e-14), 1.0)
-        phi_sim = slopes.reshape(-1, _N_MATCH).mean(axis=1)
-        phi_new = 1.0 - theta[0] * dt + _DAMP * (phi_obs - phi_sim) / slope
-        a = np.clip((1.0 - phi_new) / dt, A_MIN, A_CAP_UNITS / dt)
-        b = _fit_b_relaxation(s, dt, a, c, d)
-    return a, b
+    GF = np.zeros((2,) + dx.shape)      # by a doubling scan: φ^k <= 1
+    GF[0, :, :-1], GF[1, :, :-1] = pm[:, 1:], dx[:, 1:]
+    k, p = 1, phi[:, None]
+    while k < dx.shape[1]:
+        GF[..., :-k] += p * GF[..., k:]
+        k, p = 2 * k, p * p
+    return -((var * GF[0]).sum(axis=1) / (pm.sum(axis=1) * sxx)
+             + 2.0 * (var * dx * GF[1]).sum(axis=1) / (sxx * sxx))
+
+
+def _fit_drift(s, dt, a, b, beta, c, d):
+    """(a, b) by deterministic indirect inference: the lag-1 slope φ̂ is
+    matched to its expectation under the Euler chain at the fitted
+    (beta, c, d), φ + clip + bias(φ).  ``clip`` is the slope on X of the
+    censored step's mean shift E[e] at the last (a, b), after one step of
+    ``_censored_beta``'s fixed point (the uncensored profile reads beta
+    low); ``bias`` is ``_slope_bias``, and ``_N_DRIFT_ITERS`` fixed-point
+    steps solve for φ.  b is re-fit on the relaxation curve last."""
+    W = np.maximum((s.X - c[:, None]) * (d[:, None] - s.X), SIGMA2_FLOOR)
+    _, dx, sxx = _lag1_slope(s)
+    e1, e2 = _censored_step(s, dt, a, b, beta, c, d, W)
+    beta = np.clip(beta * _msum(_e2(s, dt, a, b), s.pm, 1)
+                   / _msum(e2, s.pm, 1), BETA_MIN, BETA_MAX)
+    var = np.where(s.pm, beta[:, None] * dt * W, 0.0)
+    phi_clip = ((s.Y - e1) * dx).sum(axis=1) / sxx
+    for _ in range(_N_DRIFT_ITERS):
+        phi = phi_clip - _slope_bias(dx, s.pm, var, 1.0 - a * dt, sxx)
+        a = np.clip((1.0 - np.minimum(phi, _PHI_MAX)) / dt, A_MIN,
+                    A_CAP_UNITS / dt)
+    return a, _fit_b_relaxation(s, dt, a, c, d)
 
 
 def _match_variance(s, dt, a, b, beta, c, d, side, rng):
@@ -412,13 +431,18 @@ def _match_variance(s, dt, a, b, beta, c, d, side, rng):
     can wander; the path variance is monotone in that offset with a known
     stationary slope, so a few damped matching steps pin it down.
     """
-    var_obs = _masked_var(s.v, s.m, 1)
+    var_obs, T = _masked_var(s.v, s.m, 1), s.v.shape[1]
     m = np.repeat(s.m.T, _N_MATCH, axis=1)
     for _ in range(_N_VAR_ITERS):
         theta = _make_params(a, b, beta, c, d, dt)
         ta, tb, tbeta, tc, td = theta
-        P = _simulate_matching(theta, s.v[:, 0], dt, rng.standard_normal(
-            (s.v.shape[1] - 1, _N_MATCH)))
+        # _N_MATCH paths per row from its observed start, every row driven
+        # by the same noise block; row i's paths are columns i·_N_MATCH on
+        q0 = np.repeat(np.minimum(np.maximum(s.v[:, 0], tc + 1e-9),
+                                  td - 1e-9), _N_MATCH)
+        P = np.vstack([q0[None], euler_paths(
+            np.repeat(theta, _N_MATCH, axis=1)[None], q0, dt, T - 1, [1],
+            np.tile(rng.standard_normal((T - 1, _N_MATCH)), len(ta)))])
         var_sim = _masked_var(P, m, 0).reshape(-1, _N_MATCH).mean(axis=1)
         if side == "d":
             slope = np.maximum(tbeta * (tb - tc) / (2.0 * ta + tbeta), 1e-9)
@@ -462,14 +486,14 @@ def _diffusion_pipeline(s, dt, a, b, seed):
 
 
 def _initial_drift(s, dt):
-    """Moment-matching starting point for (a, b) before any refinement."""
-    cov, vx = _lag1(s.X, s.Y, s.pm, 1)
-    phi_raw = cov / np.maximum(vx, 1e-14)
-    phi = _debias_phi(phi_raw, _pair_count(s))
+    """Starting (a, b) for the first diffusion fit: Kendall's inversion of
+    the lag-1 slope and the relaxation curve's level."""
+    # N at least 4 keeps Kendall's inversion finite and increasing
+    phi = _debias_phi(_lag1_slope(s)[0], np.maximum(s.pm.sum(axis=1), 4))
     a = np.clip((1.0 - phi) / dt, A_MIN, A_CAP_UNITS / dt)
     b = _fit_b_relaxation(s, dt, a, s.lo - 0.05 * s.span,
                           s.hi + 0.05 * s.span)
-    return a, b, phi_raw
+    return a, b
 
 
 def _identify_rows(s, dt, seed):
@@ -479,15 +503,11 @@ def _identify_rows(s, dt, seed):
     other's latest estimate, then corrects beta for the censoring of the
     Euler chain at the fitted bounds.
     """
-    a, b, phi_raw = _initial_drift(s, dt)
+    a, b = _initial_drift(s, dt)
     beta, c, d, *_ = _fit_diffusion_mle(s, dt, a, b)
-    a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b,
-                           np.random.default_rng([seed, _STAGE_A_FIRST]),
-                           iters=3)
+    a, b = _fit_drift(s, dt, a, b, beta, c, d)
     beta, c, d, converged, repairs = _diffusion_pipeline(s, dt, a, b, seed)
-    a, b = _fit_a_indirect(s, dt, beta, c, d, phi_raw, a, b,
-                           np.random.default_rng([seed, _STAGE_A_SECOND]),
-                           iters=2)
+    a, b = _fit_drift(s, dt, a, b, beta, c, d)
     beta = _censored_beta(s, dt, a, b, c, d)
     theta = _make_params(a, b, beta, c, d, dt)
     return [FitReport(params=theta[:, i], converged=bool(converged[i]),

@@ -141,7 +141,8 @@ def day_params_to_obj(day: DayParams, flags=None):
 def obj_to_day_params(obj) -> tuple[DayParams, list]:
     """A parameter file's day, a list of hour objects, as its ``DayParams``
     and each hour's flags.  An hour that is not an object holding five
-    finite numbers a, b, beta, c and d is refused by its index."""
+    finite numbers a, b, beta, c and d, or whose ``flags`` is present but
+    not a list of strings, is refused by its index."""
     for i, hour in enumerate(obj):
         # a bool is no number; NaN, infinities and ints past the largest
         # double fail the bound
@@ -150,6 +151,11 @@ def obj_to_day_params(obj) -> tuple[DayParams, list]:
                 and abs(hour[k]) <= sys.float_info.max for k in PARAM_NAMES)):
             raise ValueError(f"hour {i} is not an object of five finite "
                              "numbers a, b, beta, c and d")
+        flags = hour.get("flags", [])
+        if not (isinstance(flags, list)
+                and all(isinstance(f, str) for f in flags)):
+            raise ValueError(f"hour {i} has flags that are not a list of "
+                             "strings")
     return (DayParams([[hour[k] for hour in obj] for k in PARAM_NAMES]),
             [tuple(hour.get("flags", ())) for hour in obj])
 

@@ -652,6 +652,36 @@ class TestCommands:
                          "--params", str(path),
                          "--out", str(tmp_path / "fans")]) == 2
 
+    @pytest.mark.parametrize("flags", [None, "pinned", ["pinned", 3], {}])
+    def test_a_parameter_file_hour_with_bad_flags_is_refused(
+            self, tmp_path, capsys, flags):
+        # a null flags once raised TypeError (exit 1), and a string was
+        # split into one-letter flags; train, simulate and the CLI now name
+        # the file, the date and the hour
+        ds = tmp_path / "ds"
+        cmd_synth(E2E, str(ds))
+        doc = read_params_json(str(ds / "true_params.json"))
+        date = sorted(doc["days"])[2]
+        doc["days"][date][0]["flags"] = flags
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        why = (f"{path}: day {date} hour 0 has flags that are not a list "
+               "of strings")
+        with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+            cmd_train(E2E, str(ds / "weather.csv"), str(path),
+                      str(tmp_path / "model"))
+        with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+            cmd_simulate(E2E, str(path), str(tmp_path / "fans"))
+        (tmp_path / "run.cfg").write_text(
+            "n_days = 20\nm = 3\nstart_hour = 9\n")
+        capsys.readouterr()
+        assert cli_main(["--config", str(tmp_path / "run.cfg"), "simulate",
+                         "--params", str(path),
+                         "--out", str(tmp_path / "fans")]) == 2
+        assert json.loads(capsys.readouterr().err) == dict(
+            error="ValueError", message=why)
+        assert sorted(os.listdir(tmp_path)) == ["bad.json", "ds", "run.cfg"]
+
     def test_evaluate_skips_a_fan_whose_day_has_no_pv_rows(self, tmp_path):
         # three fans, a PV table without one of their days: two are
         # scored, the third is listed as skipped, eval.json unchanged
@@ -966,8 +996,8 @@ class TestCommands:
     def test_stage_chain_bytes(self, tmp_path):
         # digests at criterion 8's config of identify's params.json and
         # e2e's identified and predicted parameters and eval.json (numpy
-        # 2.4.6, OpenBLAS at one thread), fixed before a day's parameters
-        # became one (5, m) array from identification to fan
+        # 2.4.6, OpenBLAS at one thread), fixed when the drift stopped
+        # drawing random numbers
         cfg = RunConfig(n_days=16, m=4, start_hour=9, n_members=12,
                         hidden_size=20, n_paths=100, seed=5, dump_paths=20)
         ds, run = str(tmp_path / "ds"), tmp_path / "run"
@@ -980,14 +1010,14 @@ class TestCommands:
                 tmp_path / "params.json", run / "params_identified.json",
                 run / "params_predicted.json", run / "eval.json")}
         assert digests == {
-            "params.json": "a613892a339259f5f31bdf8c3c5d1907"
-                           "c91040afc21df8ae5e436b383f0f6d7b",
-            "run/params_identified.json": "6ec6f592d13dddfcdc3f04250d54fbfb"
-                                          "799d7d3758d5762f707d68e6bee62d7b",
-            "run/params_predicted.json": "6551675177493281919835ea46f721c7"
-                                         "c6d847c15edf9a7edfbddfecd56c61ca",
-            "run/eval.json": "5691c5ca221cfb9822127bcb85cd292f"
-                             "88d38d5cfc97a03b2ea5a68a07330b98"}
+            "params.json": "9a71f421b7248d7a679592d65bd66668"
+                           "e20c4faf0f60dd516c9404f95c55370b",
+            "run/params_identified.json": "e7aabde74583e5125866a1a373fae7ee"
+                                          "2f2b89ad1bb0d8620d4aef2187b36c21",
+            "run/params_predicted.json": "9da60d61e230d601260ac9d3c2704f6c"
+                                         "db62dbe3488aacc443da43ffc13ea73a",
+            "run/eval.json": "9281df3686c497edaa6e81a99aca4bab"
+                             "c48a2bc3505bc42fbdef2210ee67c37a"}
 
     def test_e2e_rerun_is_byte_identical(self, tmp_path):
         cfg = RunConfig(n_days=14, m=3, start_hour=9, n_members=3,

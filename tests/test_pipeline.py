@@ -655,9 +655,9 @@ class TestCommands:
     @pytest.mark.parametrize("flags", [None, "pinned", ["pinned", 3], {}])
     def test_a_parameter_file_hour_with_bad_flags_is_refused(
             self, tmp_path, capsys, flags):
-        # a null flags once raised TypeError (exit 1), and a string was
-        # split into one-letter flags; train, simulate and the CLI now name
-        # the file, the date and the hour
+        # flags that are null, a string (not split into letters), a list
+        # holding a number or an object: train, simulate and the CLI name
+        # the file, the date and the hour, and the CLI exits 2
         ds = tmp_path / "ds"
         cmd_synth(E2E, str(ds))
         doc = read_params_json(str(ds / "true_params.json"))

@@ -215,8 +215,7 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
     declares.  The data is read later, one hour's slice at a time, when a
     prediction indexes the array by hour (``_SavedArray``), so the files
     must stay as they are while the model is in use."""
-    with open(os.path.join(model_dir, "manifest.json")) as f:
-        man = json.load(f)
+    man = _read_object(os.path.join(model_dir, "manifest.json"))
     if man.get("format_version") != _FORMAT_VERSION:
         raise ValueError("unsupported ensemble format version; retrain")
     m, n_in = man["m"], man["input_dim"]
@@ -291,3 +290,13 @@ def _atomic(path: str, mode="w", newline=None):
     with open(tmp, mode, newline=newline) as f:
         yield f
     os.replace(tmp, path)
+
+
+def _read_object(path: str) -> dict:
+    """The JSON object the file at ``path`` holds; JSON whose top level is
+    not an object is refused with the file's name."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the top level is not a JSON object")
+    return doc

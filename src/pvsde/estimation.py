@@ -8,9 +8,8 @@ only when both of its samples are valid, so a masked gap is never bridged,
 and time is counted from an hour's first valid sample.  The pieces are:
 
 * diffusion triple (c, d, beta): profiled Gaussian pseudo-likelihood over
-  the two boundary offsets (Nelder–Mead), with two boundary repairs:
-  samples sticking to an extreme pin the bound just outside it, and a
-  runaway bound is re-fit by matching the simulated path variance;
+  the two boundary offsets (Nelder–Mead); a runaway bound is re-fit by
+  matching the simulated path variance;
 * reversion rate a: the lag-1 slope, first debiased by inverting
   Kendall's (1954) small-sample bias of the AR(1) slope, then re-fit
   after each diffusion fit by deterministic indirect inference: the
@@ -24,13 +23,14 @@ and time is counted from an hour's first valid sample.  The pieces are:
 
 Every stage runs once for a batch of hours, in lockstep: one batched
 Nelder–Mead for all hours' likelihoods, one ``euler_paths`` call per
-variance-matching step.  Only variance matching draws random numbers:
-each bound's matching draws from its own stream,
-``default_rng([seed, stage])``, and every hour of a batch uses the same
-noise block, so an hour's estimate does not depend on its batch.  A
-``FitReport`` holds its hour's projected (5,) row a, b, beta, c, d;
-``identify_day`` fits a day's valid hours together, fills masked hours
-from their neighbours and stacks the rows into one ``DayParams``.
+variance-matching step.  Only variance matching draws random numbers, and
+each hour and bound it matches draws from its own generator, keyed by the
+hour's samples alone (``_match_variance``): an hour's estimate is a function
+of its samples and mask, the same in any batch, at any position and under
+any date.  A ``FitReport`` holds its hour's projected (5,) row a, b,
+beta, c, d; ``identify_day`` fits a day's valid hours together, fills
+masked hours from their neighbours and stacks the rows into one
+``DayParams``.
 """
 
 from __future__ import annotations
@@ -74,18 +74,11 @@ _N_CENSOR_ITERS = 4         # fixed-point steps of the censored beta
 _N_DRIFT_ITERS = 3          # fixed-point steps of the drift's slope bias
 _PHI_MAX = 0.9995           # largest lag-1 coefficient 1 − a·dt of a fit
 _RUNAWAY_FRAC = 0.3         # boundary offset (in spans) that triggers variance matching
-_STICKY_COUNT = 3           # exact repeats at an extreme that pin the bound
 _B_MARGIN = 0.02            # keep b this fraction of (d − c) inside the bounds
 _DAMP = 0.9                 # step damping of variance matching
-DEFAULT_SEED = 1729
 
-# variance-matching stages: stage k of an hour seeded s draws from
-# default_rng([s, k]); renumbering them changes every matched hour
-_STAGE_VAR_HIGH, _STAGE_VAR_LOW = 2, 3
-
-# flags of the diffusion repairs, in the order they are reported
-_REPAIR_FLAGS = ("boundary-pinned-low", "boundary-pinned-high",
-                 "variance-matched-high", "variance-matched-low")
+# flags of the boundary repairs, in the order they are reported
+_REPAIR_FLAGS = ("variance-matched-high", "variance-matched-low")
 
 
 class AllHoursInvalidError(ValueError):
@@ -424,25 +417,32 @@ def _fit_drift(s, dt, a, b, beta, c, d):
     return a, _fit_b_relaxation(s, dt, a, c, d)
 
 
-def _match_variance(s, dt, a, b, beta, c, d, side, rng):
+def _match_variance(s, dt, a, b, beta, c, d, side):
     """Re-fit a runaway boundary by matching the simulated path variance.
 
     When the likelihood is nearly flat in the far boundary the fitted offset
     can wander; the path variance is monotone in that offset with a known
-    stationary slope, so a few damped matching steps pin it down.
+    stationary slope, so a few damped matching steps pin it down.  Each
+    row draws its paths' noise from its own generator, keyed by the row
+    alone: its samples in its own span units on a 2⁻³⁰ grid (which an
+    affine map of the samples keeps), a masked sample as 2³¹, and the side.
     """
     var_obs, T = _masked_var(s.v, s.m, 1), s.v.shape[1]
     m = np.repeat(s.m.T, _N_MATCH, axis=1)
+    key = np.where(s.m, np.rint((s.v - s.lo[:, None]) / s.span[:, None]
+                                * 2.0 ** 30), 2.0 ** 31)
+    rngs = [np.random.default_rng(np.append(k, side == "c").astype(np.uint32))
+            for k in key]
     for _ in range(_N_VAR_ITERS):
         theta = _make_params(a, b, beta, c, d, dt)
         ta, tb, tbeta, tc, td = theta
-        # _N_MATCH paths per row from its observed start, every row driven
-        # by the same noise block; row i's paths are columns i·_N_MATCH on
+        # _N_MATCH paths per row from its observed start; row i's paths are
+        # columns i·_N_MATCH on
         q0 = np.repeat(np.minimum(np.maximum(s.v[:, 0], tc + 1e-9),
                                   td - 1e-9), _N_MATCH)
         P = np.vstack([q0[None], euler_paths(
             np.repeat(theta, _N_MATCH, axis=1)[None], q0, dt, T - 1, [1],
-            np.tile(rng.standard_normal((T - 1, _N_MATCH)), len(ta)))])
+            np.hstack([g.standard_normal((T - 1, _N_MATCH)) for g in rngs]))])
         var_sim = _masked_var(P, m, 0).reshape(-1, _N_MATCH).mean(axis=1)
         if side == "d":
             slope = np.maximum(tbeta * (tb - tc) / (2.0 * ta + tbeta), 1e-9)
@@ -458,31 +458,20 @@ def _match_variance(s, dt, a, b, beta, c, d, side, rng):
     return beta, c, d
 
 
-def _diffusion_pipeline(s, dt, a, b, seed):
-    """Full diffusion fit: profiled likelihood plus boundary repairs.
-
-    The runaway high and low boundaries are matched on the streams
-    ``_STAGE_VAR_HIGH`` and ``_STAGE_VAR_LOW``.  Returns the fit and a
-    (B, 4) mask of the repairs in ``_REPAIR_FLAGS``.
-    """
+def _diffusion_pipeline(s, dt, a, b):
+    """Full diffusion fit: profiled likelihood plus variance matching of a
+    runaway bound.  Returns the fit and a (B, 2) mask of the repairs in
+    ``_REPAIR_FLAGS``."""
     beta, c, d, converged = _fit_diffusion_mle(s, dt, a, b)
-    pin_lo = (((s.v <= s.lo[:, None] + 1e-9) & s.m).sum(axis=1)
-              >= _STICKY_COUNT)
-    pin_hi = (((s.v >= s.hi[:, None] - 1e-9) & s.m).sum(axis=1)
-              >= _STICKY_COUNT)
-    c = np.where(pin_lo, s.lo - 1e-4 * s.span, c)
-    d = np.where(pin_hi, s.hi + 1e-4 * s.span, d)
-    run_hi = ~pin_hi & (d - s.hi > _RUNAWAY_FRAC * s.span)
-    run_lo = ~pin_lo & (s.lo - c > _RUNAWAY_FRAC * s.span)
-    for side, run, stage in (("d", run_hi, _STAGE_VAR_HIGH),
-                             ("c", run_lo, _STAGE_VAR_LOW)):
+    run_hi = d - s.hi > _RUNAWAY_FRAC * s.span
+    run_lo = s.lo - c > _RUNAWAY_FRAC * s.span
+    for side, run in (("d", run_hi), ("c", run_lo)):
         if run.any():
             beta[run], c[run], d[run] = _match_variance(
                 s.take(run), dt, a[run], b[run], beta[run], c[run], d[run],
-                side, np.random.default_rng([seed, stage]))
+                side)
     beta = _reprofile_beta(s, dt, a, b, c, d)
-    repairs = np.stack([pin_lo, pin_hi, run_hi, run_lo], axis=1)
-    return beta, c, d, converged, repairs
+    return beta, c, d, converged, np.stack([run_hi, run_lo], axis=1)
 
 
 def _initial_drift(s, dt):
@@ -496,7 +485,7 @@ def _initial_drift(s, dt):
     return a, b
 
 
-def _identify_rows(s, dt, seed):
+def _identify_rows(s, dt):
     """Identify every (non-constant) row of ``s``; one FitReport per row.
 
     Alternates the drift and diffusion fits so each step conditions on the
@@ -506,7 +495,7 @@ def _identify_rows(s, dt, seed):
     a, b = _initial_drift(s, dt)
     beta, c, d, *_ = _fit_diffusion_mle(s, dt, a, b)
     a, b = _fit_drift(s, dt, a, b, beta, c, d)
-    beta, c, d, converged, repairs = _diffusion_pipeline(s, dt, a, b, seed)
+    beta, c, d, converged, repairs = _diffusion_pipeline(s, dt, a, b)
     a, b = _fit_drift(s, dt, a, b, beta, c, d)
     beta = _censored_beta(s, dt, a, b, c, d)
     theta = _make_params(a, b, beta, c, d, dt)
@@ -520,8 +509,7 @@ def _identify_rows(s, dt, seed):
 # public operations
 
 
-def identify_hours(values, valid=None, h: float = 30.0,
-                   seed: int = DEFAULT_SEED) -> list[FitReport]:
+def identify_hours(values, valid=None, h: float = 30.0) -> list[FitReport]:
     """Identify all five parameters of each hour in the rows of ``values``.
 
     ``values`` is (H, T), one hour of samples every ``h`` seconds per row;
@@ -529,10 +517,9 @@ def identify_hours(values, valid=None, h: float = 30.0,
     and a masked sample may hold any value.  Each row needs 20 valid
     samples, two of them consecutive.  Beta is that of the Euler chain
     clipped at the fitted bounds (``_censored_beta``), which the
-    uncensored profile reads low.  Every hour draws the same noise
-    from the streams of ``seed``, so row i's report equals that of
-    ``identify_hour`` on row i alone.  A constant row is flagged
-    non-volatile and degenerate.
+    uncensored profile reads low.  A row's report depends on its samples
+    and mask alone, so row i's report equals that of ``identify_hour`` on
+    row i alone.  A constant row is flagged non-volatile and degenerate.
     """
     values = np.asarray(values, dtype=float)
     valid = (np.ones(values.shape, dtype=bool) if valid is None
@@ -552,23 +539,22 @@ def identify_hours(values, valid=None, h: float = 30.0,
                                flags=("non-volatile", "degenerate"))
     live = np.flatnonzero(~flat)
     if live.size:
-        fits = _identify_rows(s.take(live), h / TIME_UNIT_SECONDS, seed)
+        fits = _identify_rows(s.take(live), h / TIME_UNIT_SECONDS)
         for i, rep in zip(live, fits):
             reports[i] = rep
     return reports
 
 
-def identify_hour(values, valid=None, h: float = 30.0,
-                  seed: int = DEFAULT_SEED) -> FitReport:
+def identify_hour(values, valid=None, h: float = 30.0) -> FitReport:
     """Identify all five parameters of one hour of samples (T,), taken
     every ``h`` seconds; ``valid`` (T,) as in ``identify_hours``."""
     return identify_hours(np.asarray(values)[None],
                           None if valid is None else np.asarray(valid)[None],
-                          h, seed)[0]
+                          h)[0]
 
 
 def identify_day(values, mask=None, step_seconds: float = 30.0,
-                 m: int | None = None, seed: int = DEFAULT_SEED):
+                 m: int | None = None):
     """Identify per-hour parameters for a full day of samples.
 
     ``values`` is the normalized day series; ``mask`` marks valid samples
@@ -603,7 +589,7 @@ def identify_day(values, mask=None, step_seconds: float = 30.0,
         raise AllHoursInvalidError(
             "no hour of the day has enough valid samples")
 
-    fits = identify_hours(hours[ok], valid[ok], step_seconds, seed)
+    fits = identify_hours(hours[ok], valid[ok], step_seconds)
     theta = np.empty((5, m))
     theta[:, ok] = np.transpose([rep.params for rep in fits])
     near = np.flatnonzero(ok)

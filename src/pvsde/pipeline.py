@@ -1,10 +1,10 @@
 """Batch workflow: dataset generation, identification, mapping training,
 prediction, simulation, and evaluation.
 
-All commands are deterministic under a master seed: a day's estimation
-and fan seeds are functions of (master seed, stage, date label) alone, so
-a day's parameters and fan do not depend on the other days of its input
-file, and the ensemble's member streams derive from the master seed.
+All commands are deterministic under a master seed.  A day's parameters
+are a function of its PV samples alone and its fan's seed one of (master
+seed, date label) alone, so neither depends on the other days of its
+input file; the ensemble's member streams derive from the master seed.
 Every artifact is written atomically (temp file + rename) and is
 re-ingestible by the command that consumes it; a fan is a quantile CSV
 and its paths as ``.npy``.  Every stage steps the same discrete 30-second
@@ -31,8 +31,8 @@ from operator import itemgetter
 import numpy as np
 
 from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, PARAM_NAMES, _atomic,
-                       load_ensemble, predict_params_batch, save_ensemble,
-                       train_ensemble)
+                       _read_object, load_ensemble, predict_params_batch,
+                       save_ensemble, train_ensemble)
 from .estimation import AllHoursInvalidError, identify_day
 from .metrics import (EVAL_LEVELS, EvalInput, evaluate, kl_divergence,
                       nd as nd_metric)
@@ -46,9 +46,6 @@ PARAMS_SCHEMA_VERSION = 1
 # hours whose parameters were not genuinely fitted from data are kept for
 # simulation but excluded from mapping training
 UNTRUSTED_FLAGS = frozenset({"interpolated", "degenerate", "non-volatile"})
-
-# stage tags of the per-day random streams
-_IDENTIFY, _FAN = 1, 2
 
 
 @dataclass(frozen=True)
@@ -120,11 +117,11 @@ def load_config(path: str | None, overrides=None) -> RunConfig:
     return cfg
 
 
-def _day_seed(master: int, stage: int, date: str) -> int:
-    """The seed of a day's ``stage`` stream, a function of the master seed,
-    the stage and the date label alone.  The label is hashed as text, not
-    parsed: synthetic labels such as 2018-02-30 are not calendar dates."""
-    return int(np.random.SeedSequence([master, stage, *date.encode()])
+def _day_seed(master: int, date: str) -> int:
+    """The seed of a day's fan, a function of the master seed and the date
+    label alone.  The label is hashed as text, not parsed: synthetic
+    labels such as 2018-02-30 are not calendar dates."""
+    return int(np.random.SeedSequence([master, *date.encode()])
                .generate_state(1)[0])
 
 
@@ -171,10 +168,13 @@ def write_params_json(path: str, days: dict, step_seconds: float, m: int):
 
 
 def read_params_json(path: str):
-    with open(path) as f:
-        doc = json.load(f)
+    """The parameter file at ``path`` as its JSON object, refused with its
+    name unless it is of this schema and its ``days`` is an object."""
+    doc = _read_object(path)
     if doc.get("schema_version") != PARAMS_SCHEMA_VERSION:
-        raise ValueError("unsupported parameter file schema")
+        raise ValueError(f"{path}: unsupported parameter file schema")
+    if not isinstance(doc.get("days"), dict):
+        raise ValueError(f"{path}: days is not an object of dates")
     return doc
 
 
@@ -389,7 +389,7 @@ def _day_fan(cfg: RunConfig, date: str, day: DayParams, p0: float):
     ``make_fan`` keeps them (a strided slice of the paths can score
     differently in the last bit from the read-back fan)."""
     return make_fan(day, p0, step_seconds=cfg.step_seconds,
-                    n_paths=cfg.n_paths, seed=_day_seed(cfg.seed, _FAN, date),
+                    n_paths=cfg.n_paths, seed=_day_seed(cfg.seed, date),
                     n_keep=cfg.dump_paths)
 
 
@@ -421,15 +421,13 @@ def _load_weather_days(path: str, cfg: RunConfig, medians=None):
 
 
 def _identify_days(cfg: RunConfig, pv: dict, dates):
-    """The identified days ``{date: (DayParams, flags)}`` of ``dates``,
-    each seeded by its date, and the dates that had no valid hour."""
+    """The identified days ``{date: (DayParams, flags)}`` of ``dates`` and
+    the dates that had no valid hour."""
     days, rejected = {}, []
     for date in dates:
         values, mask = pv[date]
         try:
-            day, reports = identify_day(
-                values, mask, step_seconds=cfg.step_seconds, m=cfg.m,
-                seed=_day_seed(cfg.seed, _IDENTIFY, date))
+            day, reports = identify_day(values, mask, cfg.step_seconds, cfg.m)
         except AllHoursInvalidError:
             rejected.append(date)
             continue
@@ -558,8 +556,7 @@ def cmd_predict(cfg: RunConfig, model_dir: str, weather_path: str,
     """Map weather days to predicted parameters with a trained ensemble."""
     model = load_ensemble(model_dir)
     path = os.path.join(model_dir, "impute.json")
-    with open(path) as f:
-        medians = json.load(f).get("medians")
+    medians = _read_object(path).get("medians")
     try:
         medians = np.array(medians, dtype=float)
     except (TypeError, ValueError):

@@ -276,15 +276,13 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     ``A_CAP_UNITS / dt`` (a·dt at most 0.45): a predicted or hand-written
     a may exceed the Euler stability bound.
 
-    The noise comes from a single stream: the first child of
-    ``SeedSequence(seed)``, which differs from every ``default_rng(k)``
-    stream of an integer k (the estimator's day seeds among them).  Each
-    hour's (steps, n_paths) block is drawn just before that hour is
-    stepped; the blocks are the consecutive rows of the one block a single
-    draw would give.  The fan is reproducible under ``seed``, but a
-    path's noise depends on ``n_paths``.  The quantiles and mean cover
-    every path; ``paths`` keeps the first ``n_keep`` of them (all when
-    ``n_keep`` is None).
+    The noise comes from a single stream, the first child of
+    ``SeedSequence(seed)``.  Each hour's (steps, n_paths) block is drawn
+    just before that hour is stepped; the blocks are the consecutive rows
+    of the one block a single draw would give.  The fan is reproducible
+    under ``seed``, but a path's noise depends on ``n_paths``.  The
+    quantiles and mean cover every path; ``paths`` keeps the first
+    ``n_keep`` of them (all when ``n_keep`` is None).
 
     The fan is built hour by hour: each hour's (steps, n_paths) block of
     states gives that hour's mean, its kept paths and, sorted in place, its

@@ -57,6 +57,9 @@ def wind_to_angle(token: str, line: int) -> float:
     except ValueError:
         raise WeatherFormatError(
             f"line {line}: unknown wind direction {token!r}") from None
+    if math.isinf(deg):
+        raise WeatherFormatError(
+            f"line {line}: wind_direction {token!r} is not finite")
     return deg % 360.0
 
 
@@ -76,10 +79,13 @@ def _float_field(row, key, line):
     if raw == "":
         return math.nan
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise WeatherFormatError(
             f"line {line}: bad numeric value {raw!r} for {key}") from None
+    if math.isinf(value):
+        raise WeatherFormatError(f"line {line}: {key} {raw!r} is not finite")
+    return value
 
 
 def _validate(row_vals, line):
@@ -99,8 +105,9 @@ def ingest_weather(path: str, grid: HourGrid = HourGrid()):
     Returns ``(days, dropped)``: ``days`` is a list of ``(date, features)``
     with features of shape (m * 9,) possibly containing NaN for missing
     fields; ``dropped`` lists dates discarded for exceeding 20% missing.
-    A malformed row or a repeated (date, hour) raises
-    ``WeatherFormatError`` with its line.
+    A malformed row, a numeric cell that reads as an infinity or a
+    repeated (date, hour) raises ``WeatherFormatError`` with its line; an
+    empty cell is missing.
     """
     per_day: dict[str, dict[int, np.ndarray]] = {}
     with open(path, newline="") as f:

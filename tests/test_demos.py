@@ -1,10 +1,13 @@
-"""Smoke test: the demo scripts and the README's library quickstart run to
-completion."""
+"""Smoke test: the demo scripts, the README's library quickstart and its
+command-line block run to completion."""
 
 import json
 import re
 import runpy
+import shlex
 from pathlib import Path
+
+from pvsde.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -40,3 +43,22 @@ def test_readme_library_quickstart_runs(capsys):
     block, = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # every `pvsde ...` line of the README's command-line block, in order,
+    # through the CLI on a small config, exits 0
+    lines = [line.split("#", 1)[0] for line in
+             (ROOT / "README.md").read_text().splitlines()
+             if line.startswith("pvsde ")]
+    assert [shlex.split(line)[1] for line in lines] == [
+        "synth", "identify", "train", "predict", "simulate", "evaluate",
+        "e2e"]
+    (tmp_path / "run.cfg").write_text(
+        "n_days = 20\nm = 3\nstart_hour = 9\nn_members = 10\n"
+        "hidden_size = 10\nn_paths = 50\ndump_paths = 10\n")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = ["--config", "run.cfg"] + shlex.split(line)[1:]
+        assert cli_main(argv) == 0, (line, capsys.readouterr().err)
+    assert len(json.loads((tmp_path / "eval.json").read_text())) == 20

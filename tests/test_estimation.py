@@ -18,6 +18,7 @@ from pvsde.sde import SdeParams, project_params, simulate_hour
 from pvsde.synth import synth_generate
 
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
+RAINY = SdeParams(a=0.0760, b=0.0519, beta=0.0519, c=0.0, d=0.3143)
 
 
 def _simulate_hours(theta, n_hours, seed, n_steps=120):
@@ -95,7 +96,7 @@ class TestHourSamples:
 class TestIdentifyHour:
     def test_drift_recovery(self):
         paths = _simulate_hours(CLOUDY, 40, seed=2)
-        est = np.array([identify_hour(paths[:, j], seed=4242 + j).params
+        est = np.array([identify_hour(paths[:, j]).params
                         for j in range(40)])
         mean = est.mean(axis=0)
         assert mean[0] == pytest.approx(CLOUDY.a, rel=0.20)
@@ -105,27 +106,31 @@ class TestIdentifyHour:
         paths = _simulate_hours(CLOUDY, 5, seed=3)
         for j in range(5):
             v = paths[:, j]
-            p = _fit(v, seed=11 + j)
+            p = _fit(v)
             assert p.c <= v.min() and v.max() <= p.d
 
     def test_seed_reproducibility(self):
         v = _simulate_hours(CLOUDY, 1, seed=4)[:, 0]
-        p1 = identify_hour(v, seed=99).params
-        p2 = identify_hour(v, seed=99).params
+        p1 = identify_hour(v).params
+        p2 = identify_hour(v).params
         assert p1.tobytes() == p2.tobytes()
 
     def test_affine_equivariance(self):
         # w = s v + t maps (a, b, beta, c, d) -> (a, s b + t, beta,
-        # s c + t, s d + t) exactly, given the same estimator seed
-        v = _simulate_hours(CLOUDY, 1, seed=5)[:, 0]
+        # s c + t, s d + t), also on the RAINY hour, whose high bound is
+        # variance-matched: its noise is keyed by the samples in span units
         s, t = 0.25, 0.5
-        p = _fit(v, seed=7)
-        q = _fit(s * v + t, seed=7)
-        assert q.a == pytest.approx(p.a, rel=1e-9)
-        assert q.beta == pytest.approx(p.beta, rel=1e-9)
-        assert q.b == pytest.approx(s * p.b + t, rel=1e-9)
-        assert q.c == pytest.approx(s * p.c + t, rel=1e-9)
-        assert q.d == pytest.approx(s * p.d + t, rel=1e-9)
+        for v, flags in ((_simulate_hours(CLOUDY, 1, seed=5)[:, 0], ()),
+                         (_simulate_hours(RAINY, 100, seed=5)[:, 2],
+                          ("variance-matched-high",))):
+            p, q = identify_hour(v), identify_hour(s * v + t)
+            assert p.flags == q.flags == flags
+            p, q = (SdeParams(*r.params.tolist()) for r in (p, q))
+            assert q.a == pytest.approx(p.a, rel=1e-9)
+            assert q.beta == pytest.approx(p.beta, rel=1e-9)
+            assert q.b == pytest.approx(s * p.b + t, rel=1e-9)
+            assert q.c == pytest.approx(s * p.c + t, rel=1e-9)
+            assert q.d == pytest.approx(s * p.d + t, rel=1e-9)
 
     def test_time_reversal_keeps_level(self):
         # a reversed stationary record has the same marginal law, so the
@@ -136,19 +141,19 @@ class TestIdentifyHour:
         b_fwd, b_rev = [], []
         for j in range(30):
             v = S[:, j]
-            b_fwd.append(_fit(v, seed=21 + j).b)
-            b_rev.append(_fit(v[::-1].copy(), seed=21 + j).b)
+            b_fwd.append(_fit(v).b)
+            b_rev.append(_fit(v[::-1].copy()).b)
         assert np.mean(b_rev) == pytest.approx(np.mean(b_fwd), rel=0.05)
 
     def test_noiseless_ramp_has_tiny_beta(self):
         b, p0, a = 0.8, 0.2, 0.05
         t = np.arange(121)
         v = b + (p0 - b) * (1 - a) ** t
-        p = _fit(v, seed=1)
+        p = _fit(v)
         assert p.beta < 0.01
 
     def test_constant_series_degenerate_branch(self):
-        rep = identify_hour(np.full(121, 0.4), seed=1)
+        rep = identify_hour(np.full(121, 0.4))
         assert "degenerate" in rep.flags and "non-volatile" in rep.flags
         _, b, _, c, d = rep.params
         assert b == pytest.approx(0.4)
@@ -297,15 +302,19 @@ class TestCensoredBeta:
 
 class TestIdentifyHours:
     def test_row_result_does_not_depend_on_its_batch(self):
-        paths = _simulate_hours(CLOUDY, 3, seed=12)
+        # row 2 starts inside a gap and is variance-matched at both bounds;
+        # each row's report is the same alone and at either end of a batch
+        paths = _simulate_hours(CLOUDY, 3, seed=31)
         mask = _block_mask(paths.shape[0], 3, seed=13)
         mask[:, 0] = True
         mask[:7, 2] = False                       # starts inside a gap
-        reps = identify_hours(paths.T, mask.T, seed=5)
+        reps = identify_hours(paths.T, mask.T)
+        back = identify_hours(paths.T[::-1], mask.T[::-1])[::-1]
+        assert reps[2].flags == ("variance-matched-high",
+                                 "variance-matched-low")
         for j in range(3):
-            one = identify_hour(paths[:, j], mask[:, j],
-                                seed=5)
-            assert _same(one, reps[j])
+            one = identify_hour(paths[:, j], mask[:, j])
+            assert _same(one, reps[j]) and _same(one, back[j])
 
     def test_masked_blocks_recover_cloudy_hours(self):
         # the estimator must not bridge a gap: four masked 10-sample blocks
@@ -317,7 +326,7 @@ class TestIdentifyHours:
         within = {}
         for mask_seed in range(101, 121):
             mask = _block_mask(paths.shape[0], 30, seed=mask_seed)
-            reps = identify_hours(paths.T, mask.T, seed=7)
+            reps = identify_hours(paths.T, mask.T)
             mean = np.mean([r.params for r in reps], axis=0)
             rel = np.abs(mean / CLOUDY.as_array() - 1.0)
             within[mask_seed] = bool((rel <= tol).all())
@@ -325,29 +334,16 @@ class TestIdentifyHours:
         assert sum(within.values()) >= 18, sorted(
             k for k, ok in within.items() if not ok)
 
-    def test_drift_draws_no_random_numbers(self):
-        # only variance matching simulates: every hour it leaves alone
-        # holds the same bits under any estimator seed
-        paths = _simulate_hours(CLOUDY, 12, seed=3)
-        mask = _block_mask(paths.shape[0], 12, seed=4)
-        one, two = (identify_hours(paths.T, mask.T, seed=k) for k in (1, 2))
-        free = [i for i, r in enumerate(one) if not any(
-            f.startswith("variance-matched") for f in r.flags + two[i].flags)]
-        assert free
-        for i in free:
-            assert one[i].params.tobytes() == two[i].params.tobytes(), i
 
-
-# identify_day(pv[0], seed=11) on day 0 of synth_generate(default_rng(3),
-# n_days=1), with one noise stream per variance-matching stage;
-# identify_hour on each hour alone gives the same values.  The drift draws
-# no random numbers, so only hour 2, variance-matched, depends on the seed
+# identify_day(pv[0]) on day 0 of synth_generate(default_rng(3),
+# n_days=1); identify_hour on each hour alone gives the same values.  Only
+# hour 2, variance-matched, draws random numbers, from its own samples' key
 _GOLDEN_DAY = np.array([
     (0.2108671389559278, 0.7992544401567027, 0.11072515104536576, 0.6764049399768618, 0.9260301461591911),
     (0.21042553775451822, 0.799224624743734, 0.13553634134159176, 0.6756067706498537, 0.9196583473184606),
-    (0.23648094433634137, 0.8232485915678803, 0.06441888796953658, 0.5816982366466574, 0.9451282702314099),
+    (0.23637557991035452, 0.8232494187535256, 0.061216913745924806, 0.5706827857981494, 0.9451282702314099),
     (0.23688550661145302, 0.8397678681372184, 0.07600983491423266, 0.6843984609273637, 0.9509349965664999),
-    (0.3241896576394445, 0.8192687188378897, 0.10394362014116557, 0.6520079256946443, 0.9337846373708755),
+    (0.3241885247537599, 0.8192687172591502, 0.10395737679917472, 0.6520079256946443, 0.9337726426884022),
     (0.4455459795404635, 0.8125548855851152, 0.04772000480239483, 0.6106501492477231, 0.9670924298898097),
     (0.2777951285850392, 0.814721757991021, 0.12125270953336409, 0.6852442998172631, 0.9389001391206733),
     (0.28818559303410984, 0.8158153986583476, 0.08063459741455023, 0.5860814004070507, 0.9356973347407198),
@@ -362,9 +358,9 @@ _GOLDEN_DAY = np.array([
 # and of its a, b, c, d rows alone, which the censored beta does not move:
 # a change to the estimator's arithmetic must keep every output bit
 _GAPPY_DAY_SHA256 = (
-    "23a6d59960b188a1dd98723dfda7fa5a5b702e4b68fb7972b67c4d3b6589c599")
+    "477e0cdafabbfe733cf6a09e3ccc7f683279dcb7f9c208e99946e64035f9833a")
 _GAPPY_ABCD_SHA256 = (
-    "ac842529772585e9952bba38deeb590597ac31ebaa53b6a709d841d639c900be")
+    "10e89370dac791a2f0f9038fc3662ca5afc5ebdfefb15f0daf2e31777e14fe6f")
 
 class TestIdentifyDay:
     def _day_series(self, seed=9):
@@ -380,29 +376,28 @@ class TestIdentifyDay:
     def test_golden_clean_day(self):
         _, _, pv, _ = synth_generate(np.random.default_rng(3),
                                      n_days=1)
-        day, reports = identify_day(pv[0], seed=11)
+        day, reports = identify_day(pv[0])
         np.testing.assert_allclose(day.theta.T, _GOLDEN_DAY,
                                    rtol=1e-9, atol=0)
         flags = [()] * 12
         flags[2] = ("variance-matched-low",)
-        flags[4] = ("boundary-pinned-high",)
         assert [r.flags for r in reports] == flags
 
     def test_gappy_day_bits(self):
         # four masked blocks per hour; three hours are variance-matched,
         # one of them at both bounds, so the digest pins the masked
-        # likelihood, the drift, both boundary repairs and the censored beta
+        # likelihood, the drift, the keyed matching noise of both bounds
+        # and the censored beta
         _, _, pv, _ = synth_generate(np.random.default_rng(8),
                                      n_days=1)
         mask = _block_mask(120, 12, seed=13)
-        day, reports = identify_day(pv[0], mask.T.ravel(), seed=11)
+        day, reports = identify_day(pv[0], mask.T.ravel())
         theta = day.theta
         assert hashlib.sha256(theta.tobytes()).hexdigest() == _GAPPY_DAY_SHA256
         assert (hashlib.sha256(theta[[0, 1, 3, 4]].tobytes()).hexdigest()
                 == _GAPPY_ABCD_SHA256)
         flags = [()] * 12
         flags[8] = ("variance-matched-high", "variance-matched-low")
-        flags[9] = ("boundary-pinned-high",)
         flags[10] = flags[11] = ("variance-matched-high",)
         assert [r.flags for r in reports] == flags
 
@@ -411,8 +406,8 @@ class TestIdentifyDay:
         # grid; its last hour holds 80 samples, the rest masked
         _, _, pv, _ = synth_generate(np.random.default_rng(3),
                                      n_days=1)
-        _, full = identify_day(pv[0], seed=11)
-        _, cut = identify_day(pv[0][:1400], seed=11)
+        _, full = identify_day(pv[0])
+        _, cut = identify_day(pv[0][:1400])
         assert len(cut) == 12
         assert all(map(_same, cut[:11], full[:11]))
         with pytest.raises(ValueError, match="1440 samples.*11 hours"):
@@ -420,15 +415,14 @@ class TestIdentifyDay:
 
     def test_unmasked_day_equals_per_hour_reports(self):
         values = self._day_series()
-        _, reports = identify_day(values, step_seconds=30.0, seed=5)
+        _, reports = identify_day(values, step_seconds=30.0)
         for i, rep in enumerate(reports):
-            one = identify_hour(values[120 * i:120 * (i + 1)],
-                                seed=5)
+            one = identify_hour(values[120 * i:120 * (i + 1)])
             assert _same(one, rep)
 
     def test_shapes_and_hour_count(self):
         values = self._day_series()
-        day, reports = identify_day(values, step_seconds=30.0, seed=5)
+        day, reports = identify_day(values, step_seconds=30.0)
         assert day.m == 3 and len(reports) == 3
         assert all(r.params[3] < r.params[4] for r in reports)
         # each report holds its hour's column of the day, to the bit
@@ -440,7 +434,7 @@ class TestIdentifyDay:
         values = self._day_series()
         mask = np.ones(values.size, dtype=bool)
         mask[:120] = False
-        day, reports = identify_day(values, mask, step_seconds=30.0, seed=5)
+        day, reports = identify_day(values, mask, step_seconds=30.0)
         assert "interpolated" in reports[0].flags
         # lone neighbour: hour 0 takes hour 1's parameters, and its report
         # holds the day's column
@@ -451,7 +445,7 @@ class TestIdentifyDay:
         values = self._day_series()
         mask = np.ones(values.size, dtype=bool)
         mask[120:240] = False
-        day, reports = identify_day(values, mask, step_seconds=30.0, seed=5)
+        day, reports = identify_day(values, mask, step_seconds=30.0)
         assert "interpolated" in reports[1].flags
         mean_b = 0.5 * (day.theta[1, 0] + day.theta[1, 2])
         assert day.theta[1, 1] == pytest.approx(mean_b)

@@ -111,6 +111,21 @@ class TestIngest:
         with pytest.raises(WeatherFormatError, match="precipitation"):
             ingest_weather(path, GRID)
 
+    @pytest.mark.parametrize("key,raw", [
+        ("temperature", "inf"), ("irradiance", "-inf"),
+        ("humidity", "Infinity"), ("wind_direction", "-inf")])
+    def test_infinite_cell_rejected_with_line(self, tmp_path, key, raw):
+        # the second day's first hour, line 5; an empty cell stays missing
+        body = _full_day("2018-01-04") + _full_day("2018-01-05", **{key: raw})
+        with pytest.raises(WeatherFormatError,
+                           match=f"^line 5: {key} '{raw}' is not finite$"):
+            ingest_weather(_write(tmp_path, body), GRID)
+        body = (_full_day("2018-01-05", m=2)
+                + _full_day("2018-01-05", start=9, m=1, **{key: ""}))
+        days, _ = ingest_weather(_write(tmp_path, body), GRID)
+        assert np.isnan(days[0][1]).sum() == (2 if key == "wind_direction"
+                                               else 1)
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("timestamp,temperature\n2018-01-05T07:00,20\n")

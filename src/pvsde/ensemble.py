@@ -215,22 +215,29 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
     declares.  The data is read later, one hour's slice at a time, when a
     prediction indexes the array by hour (``_SavedArray``), so the files
     must stay as they are while the model is in use."""
-    man = _read_object(os.path.join(model_dir, "manifest.json"))
+    path = os.path.join(model_dir, "manifest.json")
+    man = _read_object(path)
     if man.get("format_version") != _FORMAT_VERSION:
         raise ValueError("unsupported ensemble format version; retrain")
+    for key in ("m", "input_dim", "n_members", "hidden_size"):
+        if type(man.get(key)) is not int or man[key] < 1:
+            raise ValueError(f"{path}: {key} is not a positive integer")
     m, n_in = man["m"], man["input_dim"]
-    mean = np.array(man["scaler_mean"], dtype=float)
-    std = np.array(man["scaler_std"], dtype=float)
+    try:
+        mean, std = (np.array(man[k], dtype=float)
+                     for k in ("scaler_mean", "scaler_std"))
+    except (KeyError, TypeError, ValueError):
+        mean = std = np.empty(0)
     if mean.shape != (n_in,) or std.shape != (n_in,) or n_in % m:
-        raise ValueError("manifest scaler length does not match input_dim "
-                         "or does not split evenly by hour")
+        raise ValueError(f"{path}: scaler_mean and scaler_std must each hold "
+                         f"input_dim ({n_in}) numbers, a multiple of m ({m})")
     members = (m, man["n_members"], man["hidden_size"])
     shapes = (members + (n_in // m,), members, members + (len(PARAM_NAMES),))
     arrays = {name: _SavedArray(os.path.join(model_dir, name + ".npy"), want)
               for name, want in zip(_ARRAY_FILES, shapes)}
-    return EnsembleModel(**arrays, master_seed=man["master_seed"],
+    return EnsembleModel(**arrays, master_seed=man.get("master_seed"),
                          scaler_mean=mean, scaler_std=std,
-                         train_rmse=man["train_rmse"])
+                         train_rmse=man.get("train_rmse", {}))
 
 
 class _SavedArray:
@@ -293,10 +300,13 @@ def _atomic(path: str, mode="w", newline=None):
 
 
 def _read_object(path: str) -> dict:
-    """The JSON object the file at ``path`` holds; JSON whose top level is
-    not an object is refused with the file's name."""
+    """The JSON object the file at ``path`` holds; a file that is not JSON,
+    or whose top level is not an object, is refused with the file's name."""
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: the top level is not a JSON object")
     return doc

@@ -10,12 +10,11 @@ and time is counted from an hour's first valid sample.  The pieces are:
 * diffusion triple (c, d, beta): profiled Gaussian pseudo-likelihood over
   the two boundary offsets (Nelder–Mead); a runaway bound is re-fit by
   matching the simulated path variance;
-* reversion rate a: the lag-1 slope, first debiased by inverting
-  Kendall's (1954) small-sample bias of the AR(1) slope, then re-fit
-  after each diffusion fit by deterministic indirect inference: the
-  observed slope is matched to its closed-form expectation under the
-  Euler chain, with the clip at the bounds and the first-order
-  finite-sample bias (Stein's lemma) of the hour's own regressors;
+* reversion rate a: the lag-1 slope debiased by inverting Kendall's
+  (1954) small-sample bias, then re-fit at the likelihood's start bounds
+  and after the diffusion fit by deterministic indirect inference: the
+  slope is matched to its closed-form expectation under the Euler chain,
+  with the clip at the bounds and the first-order bias (Stein's lemma);
 * mean level b: least squares on the relaxation curve
   ``b + (v0 − b)(1 − a·dt)^t`` over the valid samples;
 * beta, last: re-fit to the second moment of a Gaussian censored at the
@@ -76,6 +75,7 @@ _PHI_MAX = 0.9995           # largest lag-1 coefficient 1 − a·dt of a fit
 _RUNAWAY_FRAC = 0.3         # boundary offset (in spans) that triggers variance matching
 _B_MARGIN = 0.02            # keep b this fraction of (d − c) inside the bounds
 _DAMP = 0.9                 # step damping of variance matching
+_START_OFFSET = 0.05        # start bounds' offset (in spans) outside the samples
 
 # flags of the boundary repairs, in the order they are reported
 _REPAIR_FLAGS = ("variance-matched-high", "variance-matched-low")
@@ -337,7 +337,7 @@ def _fit_diffusion_mle(s, dt, a, b):
         return (0.5 * np.add.reduce(np.multiply(terms, P, out=T), 1),
                 beta[:, 0], c[:, 0], d[:, 0])
 
-    z0 = np.full((len(a), 2), math.log(0.05))
+    z0 = np.full((len(a), 2), math.log(_START_OFFSET))
     z, _, _, converged = _nelder_mead_batch(
         lambda z, rows: nll_parts(z, rows)[0], z0)
     _, beta, c, d = nll_parts(z, np.arange(len(a)))
@@ -397,7 +397,7 @@ def _slope_bias(dx, pm, var, phi, sxx):
 
 def _fit_drift(s, dt, a, b, beta, c, d):
     """(a, b) by deterministic indirect inference: the lag-1 slope φ̂ is
-    matched to its expectation under the Euler chain at the fitted
+    matched to its expectation under the Euler chain at the given
     (beta, c, d), φ + clip + bias(φ).  ``clip`` is the slope on X of the
     censored step's mean shift E[e] at the last (a, b), after one step of
     ``_censored_beta``'s fixed point (the uncensored profile reads beta
@@ -475,26 +475,24 @@ def _diffusion_pipeline(s, dt, a, b):
 
 
 def _initial_drift(s, dt):
-    """Starting (a, b) for the first diffusion fit: Kendall's inversion of
-    the lag-1 slope and the relaxation curve's level."""
+    """Start (a, b, beta, c, d) of the first drift fit: Kendall's a, the
+    likelihood's start bounds and the relaxation level and beta there."""
     # N at least 4 keeps Kendall's inversion finite and increasing
     phi = _debias_phi(_lag1_slope(s)[0], np.maximum(s.pm.sum(axis=1), 4))
     a = np.clip((1.0 - phi) / dt, A_MIN, A_CAP_UNITS / dt)
-    b = _fit_b_relaxation(s, dt, a, s.lo - 0.05 * s.span,
-                          s.hi + 0.05 * s.span)
-    return a, b
+    c, d = s.lo - _START_OFFSET * s.span, s.hi + _START_OFFSET * s.span
+    b = _fit_b_relaxation(s, dt, a, c, d)
+    return a, b, _reprofile_beta(s, dt, a, b, c, d), c, d
 
 
 def _identify_rows(s, dt):
     """Identify every (non-constant) row of ``s``; one FitReport per row.
 
-    Alternates the drift and diffusion fits so each step conditions on the
-    other's latest estimate, then corrects beta for the censoring of the
-    Euler chain at the fitted bounds.
+    Fits the drift at the likelihood's start bounds, the diffusion, then
+    the drift at the fitted bounds; last, corrects beta for the censoring
+    of the Euler chain at the fitted bounds.
     """
-    a, b = _initial_drift(s, dt)
-    beta, c, d, *_ = _fit_diffusion_mle(s, dt, a, b)
-    a, b = _fit_drift(s, dt, a, b, beta, c, d)
+    a, b = _fit_drift(s, dt, *_initial_drift(s, dt))
     beta, c, d, converged, repairs = _diffusion_pipeline(s, dt, a, b)
     a, b = _fit_drift(s, dt, a, b, beta, c, d)
     beta = _censored_beta(s, dt, a, b, c, d)

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from pvsde.cli import main as cli_main
 from pvsde.elm import hidden_layer
 from pvsde.ensemble import (TrainingError, load_ensemble,
                             predict_params_batch, save_ensemble,
@@ -223,6 +225,38 @@ class TestPersistence:
         (root / "manifest.json").write_text(json.dumps(man))
         with pytest.raises(ValueError, match="format version"):
             load_ensemble(str(root))
+
+    @pytest.mark.parametrize("key,value", [
+        ("m", None), ("m", "2"), ("input_dim", None), ("input_dim", 6.0),
+        ("n_members", None), ("n_members", 0), ("hidden_size", None),
+        ("hidden_size", True), ("scaler_mean", None), ("scaler_std", None),
+        ("scaler_mean", [0.5]), ("scaler_std", {"0": 1.0})])
+    def test_manifest_key_is_refused_by_name(self, tmp_path, capsys, key,
+                                             value):
+        # a key that is missing (None) or of the wrong kind: load and the
+        # CLI name the manifest and the key, and the CLI exits 2
+        model = train_ensemble(*_make_data(n_days=16), hidden_size=10,
+                               n_members=5, master_seed=15)
+        root = tmp_path / "model"
+        save_ensemble(model, str(root))
+        path = root / "manifest.json"
+        man = json.loads(path.read_text())
+        if value is None:
+            del man[key]
+        else:
+            man[key] = value
+        path.write_text(json.dumps(man))
+        why = (f"{path}: scaler_mean and scaler_std must each hold input_dim "
+               "(6) numbers, a multiple of m (2)" if key.startswith("scaler")
+               else f"{path}: {key} is not a positive integer")
+        with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+            load_ensemble(str(root))
+        capsys.readouterr()
+        assert cli_main(["predict", "--model", str(root),
+                         "--weather", str(tmp_path / "weather.csv"),
+                         "--out", str(tmp_path / "pred.json")]) == 2
+        assert json.loads(capsys.readouterr().err) == dict(
+            error="ValueError", message=why)
 
     @pytest.mark.parametrize("name", ["hidden_weights", "hidden_biases"])
     def test_bad_hidden_array_names_its_file(self, tmp_path, name):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from pvsde import estimation
 from pvsde.estimation import (A_CAP_UNITS, A_MIN, AllHoursInvalidError,
                               _censored_beta, _clamp_b,
                               _debias_phi, _fit_diffusion_mle, _initial_drift,
@@ -121,7 +122,7 @@ class TestIdentifyHour:
         # variance-matched: its noise is keyed by the samples in span units
         s, t = 0.25, 0.5
         for v, flags in ((_simulate_hours(CLOUDY, 1, seed=5)[:, 0], ()),
-                         (_simulate_hours(RAINY, 100, seed=5)[:, 2],
+                         (_simulate_hours(RAINY, 100, seed=5)[:, 7],
                           ("variance-matched-high",))):
             p, q = identify_hour(v), identify_hour(s * v + t)
             assert p.flags == q.flags == flags
@@ -272,7 +273,7 @@ class TestFitDiffusionSpeed:
     def test_fit_diffusion_mle(self, benchmark, rows):
         paths = _simulate_hours(CLOUDY, rows, seed=rows)
         s = _Rows(paths.T, _block_mask(paths.shape[0], rows, seed=rows + 1).T)
-        a, b = _initial_drift(s, 1.0)
+        a, b = _initial_drift(s, 1.0)[:2]
         beta, c, d = benchmark(_fit_diffusion_mle, s, 1.0, a, b)[:3]
         assert (c < s.lo).all() and (s.hi < d).all() and (beta > 0).all()
 
@@ -316,6 +317,25 @@ class TestIdentifyHours:
             one = identify_hour(paths[:, j], mask[:, j])
             assert _same(one, reps[j]) and _same(one, back[j])
 
+    def test_one_likelihood_fit_per_batch(self, monkeypatch):
+        # the diffusion's batched Nelder-Mead runs once per identify_hours
+        # call, on every row, whether or not a bound is variance-matched
+        calls = []
+
+        def count(f, z0):
+            calls.append(len(z0))
+            return _nelder_mead_batch(f, z0)
+
+        monkeypatch.setattr(estimation, "_nelder_mead_batch", count)
+        paths = _simulate_hours(CLOUDY, 12, seed=3)
+        assert all(r.flags == () for r in identify_hours(paths.T))
+        assert calls == [12]
+        paths = _simulate_hours(CLOUDY, 3, seed=31)
+        mask = _block_mask(paths.shape[0], 3, seed=13)
+        mask[:7, 2] = False
+        assert identify_hours(paths.T, mask.T)[2].flags
+        assert calls == [12, 3]
+
     def test_masked_blocks_recover_cloudy_hours(self):
         # the estimator must not bridge a gap: four masked 10-sample blocks
         # in each of 30 hours keep the criterion-3 tolerances on the mean,
@@ -339,18 +359,18 @@ class TestIdentifyHours:
 # n_days=1); identify_hour on each hour alone gives the same values.  Only
 # hour 2, variance-matched, draws random numbers, from its own samples' key
 _GOLDEN_DAY = np.array([
-    (0.2108671389559278, 0.7992544401567027, 0.11072515104536576, 0.6764049399768618, 0.9260301461591911),
-    (0.21042553775451822, 0.799224624743734, 0.13553634134159176, 0.6756067706498537, 0.9196583473184606),
-    (0.23637557991035452, 0.8232494187535256, 0.061216913745924806, 0.5706827857981494, 0.9451282702314099),
-    (0.23688550661145302, 0.8397678681372184, 0.07600983491423266, 0.6843984609273637, 0.9509349965664999),
-    (0.3241885247537599, 0.8192687172591502, 0.10395737679917472, 0.6520079256946443, 0.9337726426884022),
-    (0.4455459795404635, 0.8125548855851152, 0.04772000480239483, 0.6106501492477231, 0.9670924298898097),
-    (0.2777951285850392, 0.814721757991021, 0.12125270953336409, 0.6852442998172631, 0.9389001391206733),
-    (0.28818559303410984, 0.8158153986583476, 0.08063459741455023, 0.5860814004070507, 0.9356973347407198),
-    (0.29244032594212144, 0.8124343919985342, 0.15964220901086837, 0.6805813876863465, 0.9142551258004475),
-    (0.23394175797793426, 0.8129423636372526, 0.06756213723390432, 0.6403573756481616, 0.9290807771827316),
-    (0.2784008487441697, 0.822147264842264, 0.08143040106744803, 0.6735793642070818, 0.9379067424683847),
-    (0.23016630846620123, 0.7613809809157461, 0.09507651611447032, 0.599636444080903, 0.9004561954838115),
+    (0.21089649085259676, 0.7992543135340818, 0.11091273349595422, 0.6763944623990065, 0.9258554548514012),
+    (0.21048921194272285, 0.7992246353671395, 0.13573878621468746, 0.6756372232051816, 0.9195617550558002),
+    (0.2363566139170893, 0.823249567718101, 0.060613554609787804, 0.5682072309750806, 0.9450037800573102),
+    (0.2368866718120589, 0.8397678527628211, 0.07603277915684199, 0.6844251107009902, 0.950925958034339),
+    (0.3241962483411944, 0.8192687280224689, 0.10389858557693503, 0.651922814837163, 0.93376850774514),
+    (0.4455426980161695, 0.8125548649475088, 0.04760237796612746, 0.6103782596070393, 0.967242007488823),
+    (0.27781221362395325, 0.8147216321029068, 0.12131297374793504, 0.6852697938102255, 0.9388777790723938),
+    (0.28821263176303324, 0.8158154976356377, 0.0809944302431243, 0.5868547071274313, 0.9356448588174435),
+    (0.2924415647226184, 0.8124343978119244, 0.15963890438282982, 0.6805797304530453, 0.9142553318135078),
+    (0.23393602246063872, 0.812942391183881, 0.06755591267676589, 0.6403091610762955, 0.9290572108912054),
+    (0.278401444889108, 0.8221472639158142, 0.08143885365293146, 0.6735882715633936, 0.9379035363554322),
+    (0.23017039727308541, 0.7613809359896865, 0.0950782474344738, 0.5996305936435719, 0.9004490587870242),
 ])
 
 
@@ -358,9 +378,9 @@ _GOLDEN_DAY = np.array([
 # and of its a, b, c, d rows alone, which the censored beta does not move:
 # a change to the estimator's arithmetic must keep every output bit
 _GAPPY_DAY_SHA256 = (
-    "477e0cdafabbfe733cf6a09e3ccc7f683279dcb7f9c208e99946e64035f9833a")
+    "d399a1357e87b2e0dfe1ef81fbd93e487ebd1229ad4ed08afd755d709f276dd3")
 _GAPPY_ABCD_SHA256 = (
-    "10e89370dac791a2f0f9038fc3662ca5afc5ebdfefb15f0daf2e31777e14fe6f")
+    "566879f670a879353d0169bd76b41e0442ea7d9a3aa3c552c5844b5bd079c96b")
 
 class TestIdentifyDay:
     def _day_series(self, seed=9):

@@ -687,12 +687,20 @@ class TestCommands:
         (dict(schema_version=1, m=3, step_seconds=30.0),
          "days is not an object of dates"),
         (dict(schema_version=1, m=3, step_seconds=30.0, days=[]),
-         "days is not an object of dates")])
+         "days is not an object of dates"),
+        (b"{not json", "not JSON (Expecting property name enclosed in "
+                       "double quotes: line 1 column 2 (char 1))"),
+        (b'{"days": {', "not JSON (Expecting property name enclosed in "
+                        "double quotes: line 1 column 11 (char 10))")])
     def test_a_parameter_file_that_is_not_an_object_is_refused(
             self, tmp_path, capsys, doc, why):
-        # train, simulate and the CLI name the file, and the CLI exits 2
+        # train, simulate and the CLI name the file, and the CLI exits 2;
+        # bytes are the file's text as it stands, not JSON at all
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(json.dumps(doc))
         why = f"{path}: {why}"
         with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
             cmd_train(E2E, str(tmp_path / "weather.csv"), str(path),
@@ -714,17 +722,20 @@ class TestCommands:
         cmd_synth(E2E, str(ds))
         cmd_train(E2E, str(ds / "weather.csv"), str(ds / "true_params.json"),
                   str(model))
-        (model / name).write_text("[0.5, 1.5]")
         (tmp_path / "run.cfg").write_text("m = 3\nstart_hour = 9\n")
-        capsys.readouterr()
-        assert cli_main(["--config", str(tmp_path / "run.cfg"), "predict",
-                         "--model", str(model), "--weather",
-                         str(ds / "weather.csv"),
-                         "--out", str(tmp_path / "pred.json")]) == 2
-        assert json.loads(capsys.readouterr().err) == dict(
-            error="ValueError",
-            message=f"{model / name}: the top level is not a JSON object")
-        assert not (tmp_path / "pred.json").exists()
+        for text, why in (
+                ("[0.5, 1.5]", "the top level is not a JSON object"),
+                ("{not json", "not JSON (Expecting property name enclosed "
+                              "in double quotes: line 1 column 2 (char 1))")):
+            (model / name).write_text(text)
+            capsys.readouterr()
+            assert cli_main(["--config", str(tmp_path / "run.cfg"),
+                             "predict", "--model", str(model), "--weather",
+                             str(ds / "weather.csv"),
+                             "--out", str(tmp_path / "pred.json")]) == 2
+            assert json.loads(capsys.readouterr().err) == dict(
+                error="ValueError", message=f"{model / name}: {why}")
+            assert not (tmp_path / "pred.json").exists()
 
     def test_evaluate_skips_a_fan_whose_day_has_no_pv_rows(self, tmp_path):
         # three fans, a PV table without one of their days: two are
@@ -1060,8 +1071,8 @@ class TestCommands:
     def test_stage_chain_bytes(self, tmp_path):
         # digests at criterion 8's config of identify's params.json and
         # e2e's identified and predicted parameters and eval.json (numpy
-        # 2.4.6, OpenBLAS at one thread), fixed when identification lost
-        # its seed and boundary pinning, and fan seeds their stage tag
+        # 2.4.6, OpenBLAS at one thread), fixed when the first drift fit
+        # began at the likelihood's start bounds
         cfg = RunConfig(n_days=16, m=4, start_hour=9, n_members=12,
                         hidden_size=20, n_paths=100, seed=5, dump_paths=20)
         ds, run = str(tmp_path / "ds"), tmp_path / "run"
@@ -1074,14 +1085,14 @@ class TestCommands:
                 tmp_path / "params.json", run / "params_identified.json",
                 run / "params_predicted.json", run / "eval.json")}
         assert digests == {
-            "params.json": "f408adbdcf79ff4d86e1c22faccc0730"
-                           "c367c0df5caa614e710063fa6601090c",
-            "run/params_identified.json": "f77e765208c32e47804ed8433470e753"
-                                          "b89ce341bcb171ce99abcab30791539a",
-            "run/params_predicted.json": "15f9cde143f93ca6fa427ab6391cc6c7"
-                                         "e2e9cfecfaa85e2a25aaba957daf295b",
-            "run/eval.json": "8e7572f3d3e00a526f610dc3865e4dfd"
-                             "02efc7e4a4febaf34e54cdf286352edf"}
+            "params.json": "e9a01dbebdfebc40d4c5ec940933719f"
+                           "ec2b7f040f278e42d1bf5e8af1bbceba",
+            "run/params_identified.json": "b233e82afbe47aae6596f7e9fe3a02b0"
+                                          "d893ba782a2590ef64fe1df572021e60",
+            "run/params_predicted.json": "4bac4129bed751e5154cf96b4fb7e3a6"
+                                         "a8bbeb691de5719c2e7324ca1a59b290",
+            "run/eval.json": "2520fbd902c19a33c68ca7bb459bf094"
+                             "0c9cd165d629ff167d7618b98a4d39b0"}
 
     def test_e2e_rerun_is_byte_identical(self, tmp_path):
         cfg = RunConfig(n_days=14, m=3, start_hour=9, n_members=3,

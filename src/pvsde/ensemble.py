@@ -218,7 +218,8 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
     path = os.path.join(model_dir, "manifest.json")
     man = _read_object(path)
     if man.get("format_version") != _FORMAT_VERSION:
-        raise ValueError("unsupported ensemble format version; retrain")
+        raise ValueError(f"{path}: unsupported ensemble format version; "
+                         "retrain")
     for key in ("m", "input_dim", "n_members", "hidden_size"):
         if type(man.get(key)) is not int or man[key] < 1:
             raise ValueError(f"{path}: {key} is not a positive integer")
@@ -243,9 +244,8 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
 class _SavedArray:
     """A saved model array of shape ``want``, read from its ``.npy`` one
     hour at a time: ``a[hour]`` reads that hour's slice with one
-    ``np.fromfile``, ``np.asarray(a)`` the whole array.  The header is
-    parsed and checked once, here; the data must be C-ordered float64 and
-    fill the file to its end."""
+    ``np.fromfile``.  The header is parsed and checked once, here; the data
+    must be C-ordered float64 and fill the file to its end."""
 
     def __init__(self, path: str, want: tuple):
         fmt = np.lib.format
@@ -282,11 +282,6 @@ class _SavedArray:
             self.path, dtype=np.float64, count=self._hour_size,
             offset=self._offset + 8 * self._hour_size * hour,
         ).reshape(self.shape[1:])
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        a = np.fromfile(self.path, dtype=np.float64,
-                        count=math.prod(self.shape), offset=self._offset)
-        return np.asarray(a.reshape(self.shape), dtype=dtype)
 
 
 @contextmanager

@@ -12,9 +12,10 @@ and time is counted from an hour's first valid sample.  The pieces are:
   matching the simulated path variance;
 * reversion rate a: the lag-1 slope debiased by inverting Kendall's
   (1954) small-sample bias, then re-fit at the likelihood's start bounds
-  and after the diffusion fit by deterministic indirect inference: the
-  slope is matched to its closed-form expectation under the Euler chain,
-  with the clip at the bounds and the first-order bias (Stein's lemma);
+  and after the diffusion fit by deterministic indirect inference at the
+  current (c, d), beta profiled there and one censored step: the slope is
+  matched to its closed-form expectation under the Euler chain, with the
+  clip at the bounds and the first-order bias (Stein's lemma);
 * mean level b: least squares on the relaxation curve
   ``b + (v0 − b)(1 − a·dt)^t`` over the valid samples;
 * beta, last: re-fit to the second moment of a Gaussian censored at the
@@ -26,21 +27,21 @@ variance-matching step.  Only variance matching draws random numbers, and
 each hour and bound it matches draws from its own generator, keyed by the
 hour's samples alone (``_match_variance``): an hour's estimate is a function
 of its samples and mask, the same in any batch, at any position and under
-any date.  A ``FitReport`` holds its hour's projected (5,) row a, b,
-beta, c, d; ``identify_day`` fits a day's valid hours together, fills
-masked hours from their neighbours and stacks the rows into one
-``DayParams``.
+any date.  A ``FitReport`` holds its hour's projected (5,) row a, b, beta,
+c, d; ``identify_day`` fits a day's valid hours together, fills masked
+hours from their neighbours and stacks the rows into one ``DayParams``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .sde import (A_CAP_UNITS, A_MIN, BETA_MAX, TIME_UNIT_SECONDS,
-                  DayParams, euler_paths, project_rows)
+                  DayParams, euler_paths, project_rows, samples_per_hour)
 
 
 def __getattr__(name):
@@ -132,6 +133,16 @@ class _Rows:
     def take(self, rows) -> "_Rows":
         return _Rows(self.v[rows], self.m[rows])
 
+    @cached_property
+    def lag1(self):
+        """The lag-1 slope Σ dx·Y / Σ dx² of each row over its valid pairs,
+        the centred regressors dx (zero off the pairs) and Σ dx²."""
+        n = self.pm.sum(axis=1)
+        dx = np.where(self.pm,
+                      self.X - (_msum(self.X, self.pm, 1) / n)[:, None], 0.0)
+        sxx = np.maximum((dx * dx).sum(axis=1), 1e-14 * n)
+        return (dx * self.Y).sum(axis=1) / sxx, dx, sxx
+
 
 # ---------------------------------------------------------------------------
 # low-level statistics, over the valid entries along ``axis``
@@ -139,15 +150,6 @@ class _Rows:
 
 def _msum(x, mask, axis):
     return np.where(mask, x, 0.0).sum(axis=axis)
-
-
-def _lag1_slope(s):
-    """The lag-1 slope Σ dx·Y / Σ dx² of each row over its valid pairs, the
-    centred regressors dx (zero off the pairs) and Σ dx²."""
-    n = s.pm.sum(axis=1)
-    dx = np.where(s.pm, s.X - (_msum(s.X, s.pm, 1) / n)[:, None], 0.0)
-    sxx = np.maximum((dx * dx).sum(axis=1), 1e-14 * n)
-    return (dx * s.Y).sum(axis=1) / sxx, dx, sxx
 
 
 def _masked_var(P, mask, axis):
@@ -172,12 +174,6 @@ def _profiled_beta(e2_sum, w_sum, dt):
     each row's masked sums of e² and of the variance shape W."""
     beta = e2_sum / np.maximum(w_sum * dt, 1e-14)
     return np.minimum(np.maximum(beta, BETA_MIN), BETA_MAX)
-
-
-def _reprofile_beta(s, dt, a, b, c, d):
-    W = np.maximum((s.X - c[:, None]) * (d[:, None] - s.X), SIGMA2_FLOOR)
-    return _profiled_beta(_msum(_e2(s, dt, a, b), s.pm, 1),
-                          _msum(W, s.pm, 1), dt)
 
 
 def _norm_cdf(x):
@@ -207,21 +203,23 @@ def _censored_step(s, dt, a, b, beta, c, d, W):
             + to_c * to_c * p_c + to_d * to_d * p_d)
 
 
-def _censored_beta(s, dt, a, b, c, d):
+def _censored_beta(s, dt, a, b, c, d, n):
     """Beta of the Euler chain, whose steps are clipped to [c, d].
 
-    From the profiled beta (Σe² = Σσ²), ``_N_CENSOR_ITERS`` steps
-    beta ← beta·Σe²/ΣE[e²] over the valid pairs match Σe² to the censored
-    second moment E[e²] of ``_censored_step`` instead.
+    From the profiled beta (Σe² = Σσ²), ``n`` steps beta ← beta·Σe²/ΣE[e²]
+    over the valid pairs match Σe² to the censored second moment E[e²] of
+    ``_censored_step`` instead: n = 0 is the profile, ``_N_CENSOR_ITERS``
+    the fixed point.  Returns beta, the variance shape W and the E[e] of
+    the last step, at the beta from before it (None when n = 0).
     """
     W = np.maximum((s.X - c[:, None]) * (d[:, None] - s.X), SIGMA2_FLOOR)
     e2_sum = _msum(_e2(s, dt, a, b), s.pm, 1)
-    beta = _profiled_beta(e2_sum, _msum(W, s.pm, 1), dt)
-    for _ in range(_N_CENSOR_ITERS):
-        e2_cens = _censored_step(s, dt, a, b, beta, c, d, W)[1]
+    beta, e1 = _profiled_beta(e2_sum, _msum(W, s.pm, 1), dt), None
+    for _ in range(n):
+        e1, e2_cens = _censored_step(s, dt, a, b, beta, c, d, W)
         beta = np.clip(beta * e2_sum / _msum(e2_cens, s.pm, 1),
                        BETA_MIN, BETA_MAX)
-    return beta
+    return beta, W, e1
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +393,16 @@ def _slope_bias(dx, pm, var, phi, sxx):
              + 2.0 * (var * dx * GF[1]).sum(axis=1) / (sxx * sxx))
 
 
-def _fit_drift(s, dt, a, b, beta, c, d):
+def _fit_drift(s, dt, a, b, c, d):
     """(a, b) by deterministic indirect inference: the lag-1 slope φ̂ is
-    matched to its expectation under the Euler chain at the given
-    (beta, c, d), φ + clip + bias(φ).  ``clip`` is the slope on X of the
-    censored step's mean shift E[e] at the last (a, b), after one step of
-    ``_censored_beta``'s fixed point (the uncensored profile reads beta
-    low); ``bias`` is ``_slope_bias``, and ``_N_DRIFT_ITERS`` fixed-point
+    matched to its expectation under the Euler chain at the given (c, d),
+    φ + clip + bias(φ).  ``clip`` is the slope on X of the mean shift E[e]
+    of one ``_censored_beta`` step from the beta profiled at the last
+    (a, b), and ``bias`` is ``_slope_bias`` at the stepped beta (the
+    uncensored profile reads beta low); ``_N_DRIFT_ITERS`` fixed-point
     steps solve for φ.  b is re-fit on the relaxation curve last."""
-    W = np.maximum((s.X - c[:, None]) * (d[:, None] - s.X), SIGMA2_FLOOR)
-    _, dx, sxx = _lag1_slope(s)
-    e1, e2 = _censored_step(s, dt, a, b, beta, c, d, W)
-    beta = np.clip(beta * _msum(_e2(s, dt, a, b), s.pm, 1)
-                   / _msum(e2, s.pm, 1), BETA_MIN, BETA_MAX)
+    _, dx, sxx = s.lag1
+    beta, W, e1 = _censored_beta(s, dt, a, b, c, d, 1)
     var = np.where(s.pm, beta[:, None] * dt * W, 0.0)
     phi_clip = ((s.Y - e1) * dx).sum(axis=1) / sxx
     for _ in range(_N_DRIFT_ITERS):
@@ -454,53 +449,43 @@ def _match_variance(s, dt, a, b, beta, c, d, side):
             c = np.maximum(np.minimum(tc - _DAMP * (var_obs - var_sim) / slope,
                                       s.lo - 1e-3 * s.span),
                            s.lo - 2.0 * s.span)
-        beta = _reprofile_beta(s, dt, a, b, c, d)
+        beta = _censored_beta(s, dt, a, b, c, d, 0)[0]
     return beta, c, d
 
 
-def _diffusion_pipeline(s, dt, a, b):
-    """Full diffusion fit: profiled likelihood plus variance matching of a
-    runaway bound.  Returns the fit and a (B, 2) mask of the repairs in
-    ``_REPAIR_FLAGS``."""
-    beta, c, d, converged = _fit_diffusion_mle(s, dt, a, b)
-    run_hi = d - s.hi > _RUNAWAY_FRAC * s.span
-    run_lo = s.lo - c > _RUNAWAY_FRAC * s.span
-    for side, run in (("d", run_hi), ("c", run_lo)):
-        if run.any():
-            beta[run], c[run], d[run] = _match_variance(
-                s.take(run), dt, a[run], b[run], beta[run], c[run], d[run],
-                side)
-    beta = _reprofile_beta(s, dt, a, b, c, d)
-    return beta, c, d, converged, np.stack([run_hi, run_lo], axis=1)
-
-
 def _initial_drift(s, dt):
-    """Start (a, b, beta, c, d) of the first drift fit: Kendall's a, the
-    likelihood's start bounds and the relaxation level and beta there."""
+    """Start (a, b, c, d) of the first drift fit: Kendall's a, the
+    likelihood's start bounds and the relaxation level there."""
     # N at least 4 keeps Kendall's inversion finite and increasing
-    phi = _debias_phi(_lag1_slope(s)[0], np.maximum(s.pm.sum(axis=1), 4))
+    phi = _debias_phi(s.lag1[0], np.maximum(s.pm.sum(axis=1), 4))
     a = np.clip((1.0 - phi) / dt, A_MIN, A_CAP_UNITS / dt)
     c, d = s.lo - _START_OFFSET * s.span, s.hi + _START_OFFSET * s.span
-    b = _fit_b_relaxation(s, dt, a, c, d)
-    return a, b, _reprofile_beta(s, dt, a, b, c, d), c, d
+    return a, _fit_b_relaxation(s, dt, a, c, d), c, d
 
 
 def _identify_rows(s, dt):
     """Identify every (non-constant) row of ``s``; one FitReport per row.
 
-    Fits the drift at the likelihood's start bounds, the diffusion, then
-    the drift at the fitted bounds; last, corrects beta for the censoring
-    of the Euler chain at the fitted bounds.
+    Fits the drift at the likelihood's start bounds, the diffusion (a
+    runaway bound re-fit by variance matching, flagged as in
+    ``_REPAIR_FLAGS``), then the drift at the fitted bounds; last,
+    corrects beta for the censoring of the Euler chain at those bounds.
     """
     a, b = _fit_drift(s, dt, *_initial_drift(s, dt))
-    beta, c, d, converged, repairs = _diffusion_pipeline(s, dt, a, b)
-    a, b = _fit_drift(s, dt, a, b, beta, c, d)
-    beta = _censored_beta(s, dt, a, b, c, d)
+    beta, c, d, converged = _fit_diffusion_mle(s, dt, a, b)
+    repairs = np.array([d - s.hi, s.lo - c]) > _RUNAWAY_FRAC * s.span
+    for side, run in zip("dc", repairs):
+        if run.any():
+            beta[run], c[run], d[run] = _match_variance(
+                s.take(run), dt, a[run], b[run], beta[run], c[run], d[run],
+                side)
+    a, b = _fit_drift(s, dt, a, b, c, d)
+    beta = _censored_beta(s, dt, a, b, c, d, _N_CENSOR_ITERS)[0]
     theta = _make_params(a, b, beta, c, d, dt)
     return [FitReport(params=theta[:, i], converged=bool(converged[i]),
                       flags=tuple(f for f, hit in zip(_REPAIR_FLAGS, hits)
                                   if hit))
-            for i, hits in enumerate(repairs)]
+            for i, hits in enumerate(repairs.T)]
 
 
 # ---------------------------------------------------------------------------
@@ -557,23 +542,23 @@ def identify_day(values, mask=None, step_seconds: float = 30.0,
 
     ``values`` is the normalized day series; ``mask`` marks valid samples
     (all valid when omitted).  The day is cut into ``m`` clock hours of
-    ``round(3600 / step_seconds)`` samples, a short day's tail masked
+    ``sde.samples_per_hour(step_seconds)`` samples, a short day's tail masked
     (``m`` defaults to the hours the day reaches into); a window with more
     than half of its samples masked (or fewer than 20 valid, or no two
     consecutive) is invalid and receives the average of its nearest valid
     neighbours' parameters, flagged ``"interpolated"``.  The valid windows
     are identified together by ``identify_hours``, gaps included.
 
-    Returns ``(DayParams, reports)``.  Raises ValueError on a day longer
-    than ``m`` hours, AllHoursInvalidError when every window is invalid.
+    Returns ``(DayParams, reports)``.  Raises ValueError on a step that
+    leaves an hour without a sample or a day longer than ``m`` hours,
+    AllHoursInvalidError when every window is invalid.
     """
     values = np.asarray(values, dtype=float)
-    if mask is None:
-        mask = np.ones(values.size, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
+    mask = (np.ones(values.size, dtype=bool) if mask is None
+            else np.asarray(mask, dtype=bool))
     if mask.size != values.size:
         raise ValueError("mask length must match values length")
-    per_hour = max(int(round(3600.0 / step_seconds)), 1)
+    per_hour = samples_per_hour(step_seconds)
     if m is None:
         m = -(-values.size // per_hour)
     tail = m * per_hour - values.size

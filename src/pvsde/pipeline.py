@@ -36,7 +36,7 @@ from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, PARAM_NAMES, _atomic,
 from .estimation import AllHoursInvalidError, identify_day
 from .metrics import (EVAL_LEVELS, EvalInput, evaluate, kl_divergence,
                       nd as nd_metric)
-from .sde import DayParams, SimulationFan, make_fan
+from .sde import DayParams, SimulationFan, make_fan, samples_per_hour
 from .synth import synth_generate
 from .weather import (CSV_COLUMNS, HourGrid, impute_days, ingest_weather,
                       nanmedian, write_weather_csv)
@@ -72,8 +72,8 @@ class RunConfig:
                      "dump_paths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.step_seconds > 0:
-            raise ValueError("step_seconds must be > 0")
+        if not 0 < self.step_seconds <= 3600:   # at least a sample an hour
+            raise ValueError("step_seconds must be in (0, 3600]")
         if not 0 <= self.start_hour <= 24 - self.m:     # inside one day
             raise ValueError(f"start_hour must be in [0, 24 - m] (m = "
                              f"{self.m}), got {self.start_hour}")
@@ -86,7 +86,7 @@ class RunConfig:
 
     @property
     def day_length(self) -> int:    # samples in a day of the grid
-        return self.m * max(int(round(3600.0 / self.step_seconds)), 1)
+        return self.m * samples_per_hour(self.step_seconds)
 
 
 def load_config(path: str | None, overrides=None) -> RunConfig:

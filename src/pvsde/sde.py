@@ -51,6 +51,16 @@ _MAX_A_DT = 0.5
 _AUTO_A_DT = 0.25
 
 
+def samples_per_hour(step_seconds) -> int:
+    """Samples in an hour of a grid with one sample every ``step_seconds``;
+    ValueError when the step leaves an hour without a sample."""
+    n = int(round(3600.0 / step_seconds)) if step_seconds > 0 else 0
+    if n < 1:
+        raise ValueError(f"a step of {step_seconds} s leaves an hour "
+                         "without a sample")
+    return n
+
+
 class StabilityError(ValueError):
     """Euler step too coarse for the requested mean-reversion rate."""
 
@@ -291,7 +301,7 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    n_hour = int(round(3600.0 / step_seconds))
+    n_hour = samples_per_hour(step_seconds)
     dt = step_seconds / TIME_UNIT_SECONDS
 
     params = day.theta.copy()

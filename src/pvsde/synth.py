@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .sde import (A_CAP_UNITS, TIME_UNIT_SECONDS, DayParams, SdeParams,
-                  euler_paths, project_params)
+                  euler_paths, project_params, samples_per_hour)
 from .weather import COMPASS_DEGREES, HourGrid
 
 IRRADIANCE_SCALE = 3.5      # MJ/m^2 roughly spanning the observed range
@@ -93,7 +93,7 @@ def synth_generate(rng, n_days: int = 400, grid: HourGrid = HourGrid(),
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     m = grid.m
-    n_hour = int(round(3600.0 / step_seconds))
+    n_hour = samples_per_hour(step_seconds)
     dt = step_seconds / TIME_UNIT_SECONDS
     weather_days, params_days = [], []
     params = np.empty((m, 5, n_days))

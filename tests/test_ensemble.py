@@ -223,7 +223,9 @@ class TestPersistence:
         man = json.loads((root / "manifest.json").read_text())
         man["format_version"] = 1
         (root / "manifest.json").write_text(json.dumps(man))
-        with pytest.raises(ValueError, match="format version"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{root / 'manifest.json'}: unsupported ensemble format "
+                "version; retrain")):
             load_ensemble(str(root))
 
     @pytest.mark.parametrize("key,value", [
@@ -328,8 +330,9 @@ class TestPersistence:
         clone = load_ensemble(str(tmp_path / "model"))
         monkeypatch.undo()
         for name in ("hidden_weights", "hidden_biases", "output_weights"):
-            np.testing.assert_array_equal(getattr(clone, name),
-                                          getattr(model, name))
+            for h in range(model.m):
+                np.testing.assert_array_equal(getattr(clone, name)[h],
+                                              getattr(model, name)[h])
 
     def test_manifest_is_written_last(self, tmp_path, monkeypatch):
         model = train_ensemble(*_make_data(n_days=16), hidden_size=10,

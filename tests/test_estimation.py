@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from pvsde import estimation
-from pvsde.estimation import (A_CAP_UNITS, A_MIN, AllHoursInvalidError,
-                              _censored_beta, _clamp_b,
+from pvsde.estimation import (_N_CENSOR_ITERS, A_CAP_UNITS, A_MIN,
+                              AllHoursInvalidError, _censored_beta, _clamp_b,
                               _debias_phi, _fit_diffusion_mle, _initial_drift,
-                              _lag1_slope, _make_params, _nelder_mead_batch,
-                              _reprofile_beta, _Rows, _slope_bias,
-                              identify_day, identify_hour, identify_hours)
+                              _make_params, _nelder_mead_batch, _Rows,
+                              _slope_bias, identify_day, identify_hour,
+                              identify_hours)
 from pvsde.sde import SdeParams, project_params, simulate_hour
 from pvsde.synth import synth_generate
 
@@ -173,7 +173,7 @@ class TestKendallDebias:
         noise = rng.standard_normal((n, 20_000))
         for t in range(n):
             x[:, t + 1] = phi * x[:, t] + noise[t]
-        raw = np.mean(_lag1_slope(_Rows(x, np.ones(x.shape, bool)))[0])
+        raw = np.mean(_Rows(x, np.ones(x.shape, bool)).lag1[0])
         assert abs(raw - phi) > 0.01             # the bias is real
         assert _debias_phi(raw, n) == pytest.approx(phi, abs=0.005)
 
@@ -199,7 +199,7 @@ class TestSlopeBias:
         valid = np.ones(x.shape, bool)
         valid[:, 31:41] = not gap
         s = _Rows(x, valid)
-        slope, dx, sxx = _lag1_slope(s)
+        slope, dx, sxx = s.lag1
         bias = _slope_bias(dx, s.pm, s.pm.astype(float),
                            np.full(20_000, phi), sxx)
         actual = slope.mean() - phi
@@ -287,18 +287,18 @@ class TestCensoredBeta:
     def test_no_reachable_bound_keeps_the_profiled_beta(self):
         s, a, b, _, _, _ = self._hours(120)
         c, d = s.lo - 10.0, s.hi + 10.0
-        np.testing.assert_allclose(_censored_beta(s, 1.0, a, b, c, d),
-                                   _reprofile_beta(s, 1.0, a, b, c, d),
-                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            _censored_beta(s, 1.0, a, b, c, d, _N_CENSOR_ITERS)[0],
+            _censored_beta(s, 1.0, a, b, c, d, 0)[0], rtol=1e-12, atol=0)
 
     def test_true_parameters_recover_beta(self):
         # with the true a, b, c, d plugged in, the uncensored profile reads
         # beta low by the mass the chain's clipping puts on the bounds
         s, a, b, _, c, d = self._hours(480)
-        profiled = _reprofile_beta(s, 1.0, a, b, c, d).mean()
+        profiled = _censored_beta(s, 1.0, a, b, c, d, 0)[0].mean()
         assert profiled <= 0.95 * CLOUDY.beta
-        assert _censored_beta(s, 1.0, a, b, c, d).mean() == pytest.approx(
-            CLOUDY.beta, rel=0.03)
+        censored = _censored_beta(s, 1.0, a, b, c, d, _N_CENSOR_ITERS)[0]
+        assert censored.mean() == pytest.approx(CLOUDY.beta, rel=0.03)
 
 
 class TestIdentifyHours:

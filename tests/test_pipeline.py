@@ -23,6 +23,7 @@ from pvsde.pipeline import (RunConfig, _day_fan, cmd_e2e, cmd_evaluate,
                             read_params_json, split_days, write_fan_csv,
                             write_params_json, write_pv_csv)
 from pvsde.ensemble import TrainingError
+from pvsde.estimation import identify_day
 from pvsde.sde import A_CAP_UNITS, DayParams, SimulationFan, make_fan
 from pvsde.synth import synth_generate, true_param_map
 from pvsde.weather import HourGrid
@@ -139,6 +140,26 @@ class TestConfig:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "dump_paths" in err["message"]
+        assert not (tmp_path / "ds").exists()
+
+    def test_step_longer_than_an_hour_rejected(self, tmp_path, capsys):
+        # round(3600 / 7200) is 0 samples an hour: synth used to write a
+        # header-only pv.csv and simulate to fail with an IndexError
+        with pytest.raises(ValueError, match="step_seconds"):
+            RunConfig(step_seconds=7200.0)
+        with pytest.raises(ValueError, match="without a sample"):
+            make_fan(DayParams(np.tile([[0.2], [0.5], [0.1], [0.0], [1.0]],
+                                       3)), 0.5, step_seconds=7200.0)
+        with pytest.raises(ValueError, match="without a sample"):
+            identify_day(np.full(3, 0.5), step_seconds=7200.0)
+        p = tmp_path / "run.cfg"
+        p.write_text("step_seconds = 7200\n")
+        rc = cli_main(["--config", str(p), "synth",
+                       "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "step_seconds" in err["message"]
         assert not (tmp_path / "ds").exists()
 
 

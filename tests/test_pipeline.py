@@ -143,8 +143,8 @@ class TestConfig:
         assert not (tmp_path / "ds").exists()
 
     def test_step_longer_than_an_hour_rejected(self, tmp_path, capsys):
-        # round(3600 / 7200) is 0 samples an hour: synth used to write a
-        # header-only pv.csv and simulate to fail with an IndexError
+        # round(3600 / 7200) is 0 samples an hour: such a grid gives a PV
+        # table with a header and no rows, which no command can use
         with pytest.raises(ValueError, match="step_seconds"):
             RunConfig(step_seconds=7200.0)
         with pytest.raises(ValueError, match="without a sample"):

@@ -18,8 +18,8 @@ from .ensemble import (EnsembleModel, TrainingError, load_ensemble,
                        predict_params_batch, save_ensemble, train_ensemble,
                        trimmed_mean)
 from .metrics import (EvalInput, MetricReport, UndefinedMetricError,
-                      autocorr_mismatch, evaluate, kl_divergence, nd, nrmse,
-                      picp, rho_risk)
+                      evaluate, kl_divergence, nd, nrmse, picp, rho_risk,
+                      variogram_score)
 from .weather import (FEATURE_NAMES, HourGrid, WeatherFormatError,
                       impute_days, ingest_weather, write_weather_csv)
 from .synth import synth_generate, true_param_map
@@ -33,12 +33,12 @@ __all__ = [
     "FEATURE_NAMES", "FitReport", "HourGrid", "MetricReport", "RunConfig",
     "SdeParams", "SimulationFan", "StabilityError", "TIME_UNIT_SECONDS",
     "TrainingError", "UndefinedMetricError", "WeatherFormatError",
-    "autocorr_mismatch", "elm_train", "euler_paths", "evaluate", "fit_scaler",
-    "identify_day", "identify_hour", "identify_hours", "impute_days",
-    "ingest_weather", "kl_divergence", "load_config", "load_ensemble",
+    "elm_train", "euler_paths", "evaluate", "fit_scaler", "identify_day",
+    "identify_hour", "identify_hours", "impute_days", "ingest_weather",
+    "kl_divergence", "load_config", "load_ensemble",
     "make_fan", "nd", "nrmse", "picp", "predict_params_batch",
     "project_params", "rho_risk", "save_ensemble", "simulate_hour",
     "split_days", "stationary_beta_shapes", "stationary_sample",
     "synth_generate", "train_ensemble", "trimmed_mean", "true_param_map",
-    "write_weather_csv",
+    "variogram_score", "write_weather_csv",
 ]

@@ -2,8 +2,8 @@
 
 Covers interval coverage (PICP), distributional distance (discrete KL over
 a shared histogram), quantile loss (rho-risk), point-forecast errors of
-the median path (ND, NRMSE), and an autocorrelation mismatch over a short
-lag window.
+the median path (ND, NRMSE), and the variogram score of the fan's
+increments over a few short lags.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from .sde import SimulationFan
 
 KL_BINS = 50
 KL_EPS = 1e-9
-ACF_DENOM_FLOOR = 0.05
-DEFAULT_ACF_WINDOW_SECONDS = 3 * 3600.0
-_ACF_CHUNK_ROWS = 16        # rows per FFT in ``_acf``
+VS_LAGS = (1, 2, 4, 8, 16)      # the variogram score's lags, in steps
+_VS_CHUNK_PATHS = 16            # paths per sum in ``variogram_score``
 EVAL_LEVELS = (0.05, 0.5, 0.9, 0.95)    # the fan quantiles evaluate reads
 
 
@@ -56,7 +55,7 @@ class MetricReport:
     risk90: float
     nd: float
     nrmse: float
-    acf_mismatch: float
+    vs: float
 
 
 def picp(inp: EvalInput, level: float = 0.90) -> float:
@@ -132,75 +131,35 @@ def _masked_pair(p, a, mask):
     return p, a
 
 
-def _fast_len(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n (n >= 1): the FFT length
-    ``scipy.fft.next_fast_len(n, real=True)`` returns, without importing
-    ``scipy.fft``."""
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest p35 * 2^k >= n
-            best = min(best, p35 << ((n - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+def variogram_score(paths, actual, mask) -> float:
+    """Order-1/2 variogram score of a fan against the actual series
+    (Scheuerer & Hamill 2015, MWR 143:1321-1334), proper for the law of
+    the series' increments.
 
-
-def _acf(x, n_lags: int) -> np.ndarray:
-    """Empirical autocorrelation at lags 1..n_lags (rows of a 2-D input
-    are treated as independent series).  FFT-based; lag-k covariance is
-    averaged over the n - k available products.  ``n + n_lags`` points
-    keep the circular products of lags up to n_lags free of wrap-around.
-
-    The rows are transformed ``_ACF_CHUNK_ROWS`` at a time, so the FFTs'
-    memory does not grow with the number of rows.  The power spectrum is
-    ``f.real ** 2 + f.imag ** 2``, real by construction, so each row's ACF
-    is the same to the bit whichever rows share its transform."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    n = X.shape[1]
-    nfft = _fast_len(n + n_lags)
-    counts = n - np.arange(1, n_lags + 1)
-    chunks = []
-    for i in range(0, len(X), _ACF_CHUNK_ROWS):
-        rows = X[i:i + _ACF_CHUNK_ROWS]
-        xc = rows - rows.mean(axis=1, keepdims=True)
-        f = np.fft.rfft(xc, n=nfft, axis=1)
-        sums = np.fft.irfft(f.real ** 2 + f.imag ** 2, n=nfft,
-                            axis=1)[:, :n_lags + 1]
-        var = sums[:, 0] / n
-        with np.errstate(invalid="ignore", divide="ignore"):
-            acf = (sums[:, 1:] / counts) / np.maximum(var, 1e-300)[:, None]
-        chunks.append(np.where(var[:, None] > 0, acf, 0.0))
-    acf = np.concatenate(chunks)
-    return acf[0] if np.ndim(x) == 1 else acf
-
-
-def autocorr_mismatch(inp: EvalInput,
-                      window_seconds: float = DEFAULT_ACF_WINDOW_SECONDS
-                      ) -> float:
-    """Mean floored-relative gap between fan and actual autocorrelations.
-
-    Uses the longest contiguous unmasked stretch; the fan's ACF is the
-    average over its paths on the same stretch.
-    """
-    start, stop = _longest_true_run(inp.mask)
-    n_lags = int(window_seconds / inp.fan.step_seconds)
-    n_lags = min(n_lags, stop - start - 1)
-    if n_lags < 1:
-        raise ValueError("not enough contiguous data for the ACF window")
-    acf_a = _acf(inp.actual[start:stop], n_lags)
-    acf_f = _acf(inp.fan.paths[:, start:stop], n_lags).mean(axis=0)
-    denom = np.maximum(np.abs(acf_a), ACF_DENOM_FLOOR)
-    return float(np.mean(np.abs(acf_f - acf_a) / denom))
-
-
-def _longest_true_run(mask):
-    """(start, stop) of the first longest run of True in a boolean mask
-    that holds one."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    k = int(np.argmax(edges[1::2] - edges[::2]))
-    return int(edges[2 * k]), int(edges[2 * k + 1])
+    For each lag k of ``VS_LAGS`` shorter than the series, the mean over
+    the pairs (t, t + k) whose two actual samples are valid of
+    (|y[t+k] - y[t]|^1/2 - mean_j |X[j, t+k] - X[j, t]|^1/2)^2, j over the
+    fan's paths; the score is the mean over the lags with a pair, all
+    weights equal.  The paths are summed ``_VS_CHUNK_PATHS`` at a time,
+    so the memory does not grow with their number."""
+    X = np.asarray(paths, dtype=float)
+    y = np.asarray(actual, dtype=float)
+    m = np.asarray(mask, dtype=bool)
+    scores = []
+    for k in VS_LAGS:
+        t = np.flatnonzero(m[:-k] & m[k:])     # empty when k >= y.size
+        if t.size == 0:
+            continue
+        fan = np.zeros(y.size - k)
+        for i in range(0, len(X), _VS_CHUNK_PATHS):
+            d = X[i:i + _VS_CHUNK_PATHS, k:] - X[i:i + _VS_CHUNK_PATHS, :-k]
+            fan += np.sqrt(np.abs(d, out=d), out=d).sum(axis=0)
+        obs = np.sqrt(np.abs(y[t + k] - y[t]))
+        scores.append(np.mean((obs - fan[t] / len(X)) ** 2))
+    if not scores:
+        raise ValueError("no lag of the variogram score has two valid "
+                         "samples")
+    return float(np.mean(scores))
 
 
 def evaluate(inp: EvalInput) -> MetricReport:
@@ -216,5 +175,5 @@ def evaluate(inp: EvalInput) -> MetricReport:
         risk90=rho_risk(inp, 0.9),
         nd=nd(median, inp.actual, m),
         nrmse=nrmse(median, inp.actual, m),
-        acf_mismatch=autocorr_mismatch(inp),
+        vs=variogram_score(inp.fan.paths, inp.actual, m),
     )

@@ -34,8 +34,8 @@ from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, PARAM_NAMES, _atomic,
                        _read_object, load_ensemble, predict_params_batch,
                        save_ensemble, train_ensemble)
 from .estimation import AllHoursInvalidError, identify_day
-from .metrics import (EVAL_LEVELS, EvalInput, evaluate, kl_divergence,
-                      nd as nd_metric)
+from .metrics import (EVAL_LEVELS, EvalInput, MetricReport, evaluate,
+                      kl_divergence, nd as nd_metric)
 from .sde import DayParams, SimulationFan, make_fan, samples_per_hour
 from .synth import synth_generate
 from .weather import (CSV_COLUMNS, HourGrid, impute_days, ingest_weather,
@@ -331,7 +331,15 @@ def _pv_locate(path: str, cols, width: int, keep, day_length: int) -> None:
 def write_fan_csv(path: str, fan: SimulationFan) -> None:
     """Write the paths as little-endian float64 ``.npy`` next to ``path``,
     then ``path``: one ``step,mean,q05,...`` row per step, in ``%.17g``
-    (which round-trips any finite double).  A fan whose CSV exists is whole."""
+    (which round-trips any finite double).  A fan whose CSV exists is whole.
+    A fan that ``read_fan_csv`` would not read back as it is, with no path
+    or with a level that is not a whole percent, is refused."""
+    if len(fan.paths) < 1:
+        raise ValueError(f"{path}: a fan file needs at least one path")
+    for lv in fan.quantile_levels:
+        if round(100 * lv) / 100 != lv:
+            raise ValueError(f"{path}: quantile level {lv!r} is not a "
+                             "whole percent")
     with _atomic(os.path.splitext(path)[0] + ".npy", "wb") as f:
         np.save(f, np.ascontiguousarray(fan.paths, dtype="<f8"))
     names = ["q%02d" % round(100 * lv) for lv in fan.quantile_levels]
@@ -472,7 +480,7 @@ def _initial_state(day: DayParams, values=None, mask=None) -> float:
 
 def _scorable(values, mask) -> bool:
     """Whether the metrics are defined on a day's actual series: the
-    autocorrelation needs two consecutive valid samples, the normalized
+    variogram score needs two consecutive valid samples, the normalized
     errors and the rho-risk a nonzero valid sample."""
     return bool((mask[1:] & mask[:-1]).any()
                 and np.abs(values[mask]).sum() > 0)
@@ -672,9 +680,9 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     n_test = len(reports)
     summary = dict(
         n_days=len(dates), n_train=n_train, n_test=n_test,
-        **{f"{k}_mean": float(np.mean([getattr(r, k)
-                                       for r in reports.values()]))
-           for k in ("picp90", "nd", "kl", "nrmse", "acf_mismatch")},
+        **{f"{f.name}_mean": float(np.mean([getattr(r, f.name)
+                                            for r in reports.values()]))
+           for f in fields(MetricReport)},
         beats_climatology_nd=beats_nd / n_test,
         beats_climatology_kl=beats_kl / n_test,
         slot_rmse=slot_rmse,

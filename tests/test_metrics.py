@@ -1,11 +1,15 @@
 """Tests for the probabilistic forecast metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pvsde.metrics import (EvalInput, UndefinedMetricError, _acf, _fast_len,
-                           autocorr_mismatch, evaluate, kl_divergence, nd,
-                           nrmse, picp, rho_risk)
+from pvsde.metrics import (VS_LAGS, EvalInput, UndefinedMetricError, evaluate,
+                           kl_divergence, nd, nrmse, picp, rho_risk,
+                           variogram_score)
 from pvsde.sde import DayParams, SdeParams, SimulationFan, make_fan
 
 LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9, 0.95)
@@ -27,19 +31,6 @@ def _sde_input(seed=0, n_paths=400, actual_seed=1):
     actual = make_fan(day, 0.5, n_paths=1, seed=actual_seed,
                       quantile_levels=LEVELS).paths[0]
     return EvalInput(fan=fan, actual=actual)
-
-
-def _actual_paths(n=500, seed=1):
-    """Many actual days of the fan's process, from their own seed."""
-    return make_fan(DayParams(CLOUDY.as_array()[:, None]), 0.5, n_paths=n,
-                    seed=seed).paths
-
-
-def _mean_mismatch(fan, actuals):
-    """Mean 5-minute-window ACF mismatch of a fan over actual days."""
-    return np.mean([autocorr_mismatch(EvalInput(fan=fan, actual=a),
-                                      window_seconds=300.0)
-                    for a in actuals])
 
 
 class TestPointMetrics:
@@ -137,71 +128,107 @@ class TestKl:
             kl_divergence(np.array([]), np.ones(5))
 
 
-class TestAcf:
-    def test_matches_direct_loop(self):
-        # lag n - 1 is where a too-short FFT would wrap around
-        for n, n_lags in [(300, 20), (2, 1), (7, 6), (300, 299)]:
-            x = np.random.default_rng(4).normal(size=n)
-            got = _acf(x, n_lags)
-            xc = x - x.mean()
-            var = np.mean(xc ** 2)
-            expected = np.array([
-                np.sum(xc[:-k] * xc[k:]) / (x.size - k) / var
-                for k in range(1, n_lags + 1)])
-            np.testing.assert_allclose(got, expected, atol=1e-12)
+def _brute_vs(paths, actual, mask):
+    """The variogram score as a plain loop over lags, pairs and paths."""
+    n_paths, n = paths.shape
+    per_lag = []
+    for k in VS_LAGS:
+        terms = []
+        for t in range(n - k):
+            if mask[t] and mask[t + k]:
+                fan = sum(abs(paths[j, t + k] - paths[j, t]) ** 0.5
+                          for j in range(n_paths)) / n_paths
+                terms.append((abs(actual[t + k] - actual[t]) ** 0.5
+                              - fan) ** 2)
+        if terms:
+            per_lag.append(sum(terms) / len(terms))
+    return sum(per_lag) / len(per_lag)
 
-    def test_ar1_oracle(self):
-        # AR(1) with coefficient phi has ACF(k) ~= phi^k
-        rng = np.random.default_rng(5)
-        phi = 0.9
-        n = 200000
-        x = np.empty(n)
-        x[0] = 0.0
-        e = rng.normal(size=n)
-        for i in range(1, n):
-            x[i] = phi * x[i - 1] + e[i]
-        got = _acf(x, 5)
-        np.testing.assert_allclose(got, phi ** np.arange(1, 6), atol=0.02)
 
-    def test_row_does_not_depend_on_its_transform_mates(self):
-        # a fan's paths share transforms; each path's ACF is its ACF alone
-        x = np.cumsum(np.random.default_rng(8).normal(size=(200, 1440)), 1)
-        acf = _acf(x, 360)
-        for i in range(0, 200, 3):
-            assert acf[i].tobytes() == _acf(x[i], 360).tobytes(), i
+# 0 .. 1 in steps of 2^-20: exact differences, no subnormal square
+GRID_VALUE = st.integers(0, 2 ** 20).map(lambda i: i / 2 ** 20)
 
-    def test_fft_length_equals_scipy(self):
-        from scipy.fft import next_fast_len
-        for n in range(1, 20001):
-            assert _fast_len(n) == next_fast_len(n, real=True), n
 
-    def test_mismatch_small_for_matched_process(self):
-        # one 120-step hour gives a noisy empirical ACF, so a single day's
-        # mismatch swings widely even against a matched fan; its mean over
-        # many actual days of the same process is stable and bounded
-        fan = _sde_input(n_paths=500).fan
-        assert _mean_mismatch(fan, _actual_paths()) < 0.8
+class TestVariogram:
+    @pytest.mark.parametrize("n_paths, n_steps", [
+        (7, 40), (37, 40),      # one and three chunks of paths
+        (5, 3),                 # lags 4, 8 and 16 are past the series
+    ])
+    def test_matches_brute_force_loop(self, n_paths, n_steps):
+        rng = np.random.default_rng(9)
+        paths = rng.uniform(size=(n_paths, n_steps))
+        actual = rng.uniform(size=n_steps)
+        mask = rng.uniform(size=n_steps) > 0.3
+        mask[:2] = True
+        np.testing.assert_allclose(variogram_score(paths, actual, mask),
+                                   _brute_vs(paths, actual, mask),
+                                   rtol=1e-12)
 
-    def test_mismatch_large_for_white_noise_fan(self):
+    def test_no_valid_pair_is_refused(self):
+        with pytest.raises(ValueError, match="two valid samples"):
+            variogram_score(np.ones((3, 4)), np.ones(4),
+                            np.array([True, False, False, False]))
+        # no lag-1 pair, but lag 2 has one
+        mask = np.array([True, False, True, False])
+        assert variogram_score(np.ones((3, 4)), np.ones(4), mask) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_masked_actual_and_power_of_4_scale(self, data):
+        # the score reads no masked actual sample, and scaling the fan and
+        # the actual by 4 scales it by exactly 4: every square root of an
+        # increment scales by exactly 2
+        n_paths = data.draw(st.integers(1, 40))
+        n = data.draw(st.integers(2, 30))
+        cells = st.lists(GRID_VALUE, min_size=n * (n_paths + 1),
+                         max_size=n * (n_paths + 1))
+        values = np.array(data.draw(cells)).reshape(n_paths + 1, n)
+        paths, actual = values[:-1], values[-1]
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                           max_size=n)))
+        t = data.draw(st.integers(0, n - 2))
+        mask[t:t + 2] = True                    # one lag-1 pair
+        score = np.float64(variogram_score(paths, actual, mask))
+        other = actual.copy()
+        other[~mask] = data.draw(st.lists(
+            st.floats(-1e3, 1e3), min_size=n, max_size=n))[:(~mask).sum()]
+        rewritten = np.float64(variogram_score(paths, other, mask))
+        assert rewritten.tobytes() == score.tobytes()
+        scaled = np.float64(variogram_score(4 * paths, 4 * actual, mask))
+        assert scaled.tobytes() == (4 * score).tobytes()
+
+    def test_prefers_the_true_dynamics(self):
+        # one cloudy hour a day: the fan of the generating a and beta
+        # scores lower than one with both scaled, on nearly every day
+        true = DayParams(CLOUDY.as_array()[:, None])
+        wins = {0.5: 0, 2.0: 0}
+        for day in range(30):
+            actual = make_fan(true, 0.5, n_paths=1, seed=1000 + day).paths[0]
+            mask = np.ones(actual.size, dtype=bool)
+            vs = variogram_score(make_fan(true, 0.5, n_paths=200,
+                                          seed=day).paths, actual, mask)
+            for scale in wins:
+                p = replace(CLOUDY, a=scale * CLOUDY.a,
+                            beta=scale * CLOUDY.beta)
+                fan = make_fan(DayParams(p.as_array()[:, None]), 0.5,
+                               n_paths=200, seed=day)
+                wins[scale] += vs < variogram_score(fan.paths, actual, mask)
+        assert wins[0.5] >= 27 and wins[2.0] >= 27, wins
+
+    def test_white_noise_fan_scores_worse(self):
         rng = np.random.default_rng(6)
-        white = _fan_from_paths(rng.uniform(0.2, 0.8, size=(200, 120)))
-        matched = _sde_input(n_paths=200).fan
-        actuals = _actual_paths()
-        assert (_mean_mismatch(white, actuals)
-                > _mean_mismatch(matched, actuals))
+        white = rng.uniform(0.2, 0.8, size=(200, 120))
+        inp = _sde_input(n_paths=200)
+        assert (variogram_score(white, inp.actual, inp.mask)
+                > variogram_score(inp.fan.paths, inp.actual, inp.mask))
 
-    def test_uses_longest_unmasked_run(self):
-        inp0 = _sde_input()
+    def test_evaluate_reports_it(self):
+        inp = _sde_input()
         mask = np.ones(120, dtype=bool)
-        mask[10] = False  # splits into runs of 10 and 109
-        inp = EvalInput(fan=inp0.fan, actual=inp0.actual, mask=mask)
-        fan = inp0.fan
-        tail = SimulationFan(paths=fan.paths[:, 11:], step_seconds=30.0,
-                             quantile_levels=fan.quantile_levels,
-                             quantiles=fan.quantiles[:, 11:],
-                             mean=fan.mean[11:])
-        ref = EvalInput(fan=tail, actual=inp0.actual[11:])
-        assert autocorr_mismatch(inp) == autocorr_mismatch(ref)
+        mask[10] = False
+        inp = EvalInput(fan=inp.fan, actual=inp.actual, mask=mask)
+        assert evaluate(inp).vs == variogram_score(inp.fan.paths,
+                                                   inp.actual, mask)
 
 
 class TestEvaluate:

@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from pvsde.pipeline import (RunConfig, _day_fan, cmd_e2e, cmd_evaluate,
                             write_params_json, write_pv_csv)
 from pvsde.ensemble import TrainingError
 from pvsde.estimation import identify_day
+from pvsde.metrics import MetricReport
 from pvsde.sde import A_CAP_UNITS, DayParams, SimulationFan, make_fan
 from pvsde.synth import synth_generate, true_param_map
 from pvsde.weather import HourGrid
@@ -487,6 +488,21 @@ class TestFanCsvErrors:
         with pytest.raises(ValueError, match=f"^{npy}: unreadable"):
             read_fan_csv(str(path), 30.0)
 
+    @pytest.mark.parametrize("kwargs, why", [
+        (dict(quantile_levels=(0.025, 0.5, 0.975)),
+         "quantile level 0.025 is not a whole percent"),
+        (dict(n_keep=0), "a fan file needs at least one path"),
+    ], ids=["level", "no-path"])
+    def test_fan_that_would_not_read_back_is_not_written(self, tmp_path,
+                                                         kwargs, why):
+        # q02 would read back as 0.02; a (0, n) .npy is refused on reading
+        day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
+        fan = make_fan(day, 0.5, n_paths=4, seed=1, **kwargs)
+        path = tmp_path / "fan.csv"
+        with pytest.raises(ValueError, match=f"^{path}: {why}"):
+            write_fan_csv(str(path), fan)
+        assert list(tmp_path.iterdir()) == []
+
     def test_pickled_paths_are_refused(self, tmp_path):
         path, _ = _fan_file(tmp_path)
         npy = tmp_path / "fan.npy"
@@ -921,6 +937,21 @@ class TestCommands:
             str(tmp_path / "run" / "params_identified.json"))["days"]
         assert set(e2e) == set(train) - dead
 
+    def test_summary_means_are_the_metric_fields(self, tmp_path):
+        # every MetricReport field has its mean in summary.json, and no
+        # other key of the held-out scores does
+        ds, run = str(tmp_path / "ds"), tmp_path / "run"
+        cmd_synth(E2E, ds)
+        cmd_e2e(E2E, ds, str(run))
+        summary = json.loads((run / "summary.json").read_text())
+        scores = json.loads((run / "eval.json").read_text()).values()
+        means = {k for k in summary if k.endswith("_mean")}
+        assert means - {"train_rmse_mean"} == {
+            f"{f.name}_mean" for f in fields(MetricReport)}
+        for f in fields(MetricReport):
+            assert summary[f"{f.name}_mean"] == np.mean(
+                [r[f.name] for r in scores])
+
     def test_e2e_equals_the_stage_chain(self, tmp_path):
         ds, run = str(tmp_path / "ds"), tmp_path / "run"
         cmd_synth(E2E, ds)
@@ -1093,7 +1124,8 @@ class TestCommands:
         # digests at criterion 8's config of identify's params.json and
         # e2e's identified and predicted parameters and eval.json (numpy
         # 2.4.6, OpenBLAS at one thread), fixed when the first drift fit
-        # began at the likelihood's start bounds
+        # began at the likelihood's start bounds; eval.json's since the
+        # variogram score replaced the autocorrelation mismatch
         cfg = RunConfig(n_days=16, m=4, start_hour=9, n_members=12,
                         hidden_size=20, n_paths=100, seed=5, dump_paths=20)
         ds, run = str(tmp_path / "ds"), tmp_path / "run"
@@ -1112,8 +1144,8 @@ class TestCommands:
                                           "d893ba782a2590ef64fe1df572021e60",
             "run/params_predicted.json": "4bac4129bed751e5154cf96b4fb7e3a6"
                                          "a8bbeb691de5719c2e7324ca1a59b290",
-            "run/eval.json": "2520fbd902c19a33c68ca7bb459bf094"
-                             "0c9cd165d629ff167d7618b98a4d39b0"}
+            "run/eval.json": "1927ef8a0bb46c990cdf7c166ef09874"
+                             "aa630735b17267d32f8404fa7435d885"}
 
     def test_e2e_rerun_is_byte_identical(self, tmp_path):
         cfg = RunConfig(n_days=14, m=3, start_hour=9, n_members=3,

@@ -77,6 +77,7 @@ _RUNAWAY_FRAC = 0.3         # boundary offset (in spans) that triggers variance 
 _B_MARGIN = 0.02            # keep b this fraction of (d − c) inside the bounds
 _DAMP = 0.9                 # step damping of variance matching
 _START_OFFSET = 0.05        # start bounds' offset (in spans) outside the samples
+_CHUNK_DAYS = 32            # days whose hours identify_days batches together
 
 # flags of the boundary repairs, in the order they are reported
 _REPAIR_FLAGS = ("variance-matched-high", "variance-matched-low")
@@ -536,50 +537,72 @@ def identify_hour(values, valid=None, h: float = 30.0) -> FitReport:
                           h)[0]
 
 
+def identify_days(days, step_seconds: float = 30.0, m: int | None = None):
+    """Identify per-hour parameters for full days of samples.
+
+    ``days`` holds one ``(values, mask)`` pair per day: the normalized day
+    series and its valid samples (all valid when ``mask`` is None).  Each
+    day is cut into ``m`` clock hours of ``sde.samples_per_hour(step_seconds)``
+    samples, a short day's tail masked (``m`` defaults to the hours the
+    day reaches into); a window with more than half of its samples masked
+    (or fewer than 20 valid, or no two consecutive) is invalid and receives
+    the average of its nearest valid neighbours' parameters, flagged
+    ``"interpolated"``.  The valid windows of ``_CHUNK_DAYS`` days at a
+    time, gaps included, are identified together by one ``identify_hours``
+    call; an hour's report depends on its samples and mask alone, so the
+    batch moves no bit.
+
+    Returns one ``(DayParams, reports)`` per day, None for a day with no
+    valid window.  Raises ValueError on a step that leaves an hour without
+    a sample, a mask of another length or a day longer than ``m`` hours.
+    """
+    per_hour = samples_per_hour(step_seconds)
+    days, out = list(days), []
+    for first in range(0, len(days), _CHUNK_DAYS):
+        cut = []
+        for values, mask in days[first:first + _CHUNK_DAYS]:
+            values = np.asarray(values, dtype=float)
+            mask = (np.ones(values.size, dtype=bool) if mask is None
+                    else np.asarray(mask, dtype=bool))
+            if mask.size != values.size:
+                raise ValueError("mask length must match values length")
+            n = -(-values.size // per_hour) if m is None else m
+            tail = n * per_hour - values.size
+            if n < 1 or tail < 0:
+                raise ValueError(f"a day of {values.size} samples does not "
+                                 f"fit {n} hours of {per_hour} "
+                                 f"({n * per_hour})")
+            hours = np.pad(values, (0, tail)).reshape(n, per_hour)
+            valid = np.pad(mask, (0, tail)).reshape(n, per_hour)
+            ok = (valid.sum(axis=1) > 0.5 * per_hour) & _usable(valid)
+            cut.append((hours[ok], valid[ok], ok))
+        hours, valid, oks = zip(*cut)
+        fits = iter(identify_hours(np.concatenate(hours),
+                                   np.concatenate(valid), step_seconds))
+        for ok in oks:
+            if not ok.any():
+                out.append(None)
+                continue
+            reps = [next(fits) for _ in range(ok.sum())]
+            theta = np.empty((5, ok.size))
+            theta[:, ok] = np.transpose([rep.params for rep in reps])
+            near = np.flatnonzero(ok)
+            for i in np.flatnonzero(~ok):   # the mean of its nearest valid
+                k = np.searchsorted(near, i)
+                theta[:, i] = theta[:, near[max(k - 1, 0):k + 1]].mean(axis=1)
+            day, reps = DayParams(theta), iter(reps)
+            out.append((day, [next(reps) if ok[i] else FitReport(
+                params=day.theta[:, i], converged=False,
+                flags=("interpolated",)) for i in range(ok.size)]))
+    return out
+
+
 def identify_day(values, mask=None, step_seconds: float = 30.0,
                  m: int | None = None):
-    """Identify per-hour parameters for a full day of samples.
-
-    ``values`` is the normalized day series; ``mask`` marks valid samples
-    (all valid when omitted).  The day is cut into ``m`` clock hours of
-    ``sde.samples_per_hour(step_seconds)`` samples, a short day's tail masked
-    (``m`` defaults to the hours the day reaches into); a window with more
-    than half of its samples masked (or fewer than 20 valid, or no two
-    consecutive) is invalid and receives the average of its nearest valid
-    neighbours' parameters, flagged ``"interpolated"``.  The valid windows
-    are identified together by ``identify_hours``, gaps included.
-
-    Returns ``(DayParams, reports)``.  Raises ValueError on a step that
-    leaves an hour without a sample or a day longer than ``m`` hours,
-    AllHoursInvalidError when every window is invalid.
-    """
-    values = np.asarray(values, dtype=float)
-    mask = (np.ones(values.size, dtype=bool) if mask is None
-            else np.asarray(mask, dtype=bool))
-    if mask.size != values.size:
-        raise ValueError("mask length must match values length")
-    per_hour = samples_per_hour(step_seconds)
-    if m is None:
-        m = -(-values.size // per_hour)
-    tail = m * per_hour - values.size
-    if m < 1 or tail < 0:
-        raise ValueError(f"a day of {values.size} samples does not fit "
-                         f"{m} hours of {per_hour} ({m * per_hour})")
-    hours = np.pad(values, (0, tail)).reshape(m, per_hour)
-    valid = np.pad(mask, (0, tail)).reshape(m, per_hour)
-    ok = (valid.sum(axis=1) > 0.5 * per_hour) & _usable(valid)
-    if not ok.any():
+    """``identify_days`` for one day: its ``(DayParams, reports)``, and
+    AllHoursInvalidError when every window is invalid."""
+    (result,) = identify_days([(values, mask)], step_seconds, m)
+    if result is None:
         raise AllHoursInvalidError(
             "no hour of the day has enough valid samples")
-
-    fits = identify_hours(hours[ok], valid[ok], step_seconds)
-    theta = np.empty((5, m))
-    theta[:, ok] = np.transpose([rep.params for rep in fits])
-    near = np.flatnonzero(ok)
-    for i in np.flatnonzero(~ok):   # the mean of its nearest valid hours
-        k = np.searchsorted(near, i)
-        theta[:, i] = theta[:, near[max(k - 1, 0):k + 1]].mean(axis=1)
-    day, fits = DayParams(theta), iter(fits)
-    return day, [next(fits) if ok[i] else FitReport(
-        params=day.theta[:, i], converged=False, flags=("interpolated",))
-        for i in range(m)]
+    return result

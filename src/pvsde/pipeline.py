@@ -33,7 +33,9 @@ import numpy as np
 from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, PARAM_NAMES, _atomic,
                        _read_object, load_ensemble, predict_params_batch,
                        save_ensemble, train_ensemble)
-from .estimation import AllHoursInvalidError, identify_day
+# no stage calls identify_day; pvsdebench's tracer patches it under this
+# module's name
+from .estimation import identify_day, identify_days  # noqa: F401
 from .metrics import (EVAL_LEVELS, EvalInput, MetricReport, evaluate,
                       kl_divergence, nd as nd_metric)
 from .sde import DayParams, SimulationFan, make_fan, samples_per_hour
@@ -344,37 +346,51 @@ def write_fan_csv(path: str, fan: SimulationFan) -> None:
         np.save(f, np.ascontiguousarray(fan.paths, dtype="<f8"))
     names = ["q%02d" % round(100 * lv) for lv in fan.quantile_levels]
     row = "%d" + ",%.17g" * (1 + len(names)) + "\n"
-    block = np.column_stack([fan.mean, fan.quantiles.T]).tolist()
+    # one format for the block; %d writes the float step as an integer
+    block = np.column_stack([np.arange(len(fan.mean)), fan.mean,
+                             fan.quantiles.T])
     with _atomic(path) as f:
         f.write("step,mean," + ",".join(names) + "\n")
-        f.writelines(row % (i, *r) for i, r in enumerate(block))
+        f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
     """Read the fan ``write_fan_csv`` wrote to ``path``.  A malformed CSV
-    header, cell or row is reported as ``path:line``; paths that are not a
-    float64 (n >= 1, CSV rows) array, or are pickled, name the ``.npy``.
-    The quantile block is converted in one call; only a block that fails
-    is converted again row by row, to find the line to name."""
+    header, cell or row, or a step column that does not count the rows
+    from 0, is reported as ``path:line``; paths that are not a float64
+    (n >= 1, CSV rows) array, or are pickled, name the ``.npy``.  The
+    quantile block is converted in one call over one split of its text: a
+    row with a missing or extra cell shifts the step column, so only a
+    block that fails is parsed again row by row, to find the line to
+    name."""
     with open(path) as f:
         header = f.readline().strip().split(",")
         try:
             levels = [int(name[1:]) / 100.0 for name in header[2:]]
         except ValueError:
             raise ValueError(f"{path}:1: malformed fan header") from None
-        rows = [line.rstrip().split(",") for line in f]
+        body = f.read()
+    if body and not body.endswith("\n"):
+        body += "\n"
+    n = body.count("\n")
     try:
-        q = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+        q = np.array(body.replace("\n", ",").split(",")[:-1],
+                     dtype=np.float64).reshape(n, len(header))
+        if not (q[:, 0] == np.arange(n)).all():
+            raise ValueError("step column out of order")
     except ValueError:
-        for line_no, row in enumerate(rows, start=2):
+        for step, line in enumerate(body.split("\n")[:-1]):
             try:
-                cells = np.array(row, dtype=np.float64)
+                cells = np.array(line.split(","), dtype=np.float64)
             except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+                raise ValueError(f"{path}:{step + 2}: {exc}") from None
             if cells.size != len(header):
-                raise ValueError(f"{path}:{line_no}: quantile row has "
+                raise ValueError(f"{path}:{step + 2}: quantile row has "
                                  f"{cells.size} cells, the header "
                                  f"{len(header)}") from None
+            if cells[0] != step:
+                raise ValueError(f"{path}:{step + 2}: step {cells[0]:g}, "
+                                 f"expected {step}") from None
         raise
     npy = os.path.splitext(path)[0] + ".npy"
     try:
@@ -431,16 +447,11 @@ def _load_weather_days(path: str, cfg: RunConfig, medians=None):
 def _identify_days(cfg: RunConfig, pv: dict, dates):
     """The identified days ``{date: (DayParams, flags)}`` of ``dates`` and
     the dates that had no valid hour."""
-    days, rejected = {}, []
-    for date in dates:
-        values, mask = pv[date]
-        try:
-            day, reports = identify_day(values, mask, cfg.step_seconds, cfg.m)
-        except AllHoursInvalidError:
-            rejected.append(date)
-            continue
-        days[date] = day, [r.flags for r in reports]
-    return days, rejected
+    found = identify_days([pv[date] for date in dates], cfg.step_seconds,
+                          cfg.m)
+    return ({date: (res[0], [r.flags for r in res[1]])
+             for date, res in zip(dates, found) if res is not None},
+            [date for date, res in zip(dates, found) if res is None])
 
 
 def _train(cfg: RunConfig, weather: dict, days: dict, medians, out_dir: str):

@@ -178,32 +178,41 @@ def euler_paths(params, p0, dt_units, n_steps, substeps, noise):
     ``noise`` holds one standard-normal row per substep, consumed in order.
     At each hour's start the state is clamped just inside that hour's
     bounds and carried on; after every substep it is clamped to [c, d].
-    Returns the (m * n_steps, n) states after each coarse step.
+    Returns the (m * n_steps, n) states after each coarse step; ValueError
+    unless ``substeps`` holds one count >= 1 per hour.
     """
     params = np.asarray(params, dtype=float)
     p = np.array(p0, dtype=float, ndmin=1)
+    if len(substeps) != len(params) or min(substeps, default=1) < 1:
+        raise ValueError(f"need one substep count >= 1 per hour, got "
+                         f"{list(substeps)} for {len(params)} hours")
     out = np.empty((params.shape[0] * n_steps, p.size))
-    drift, diff = np.empty((2, p.size))       # scratch of every substep
-    # per-hour rows as Python floats: numpy scalars slow every step ~15%
+    # scratch of every substep, and the state between substeps of a step
+    drift, diff, state = np.empty((3, p.size))
+    # per-hour rows as 0-d arrays: a Python float operand is promoted
+    # afresh on every call, a numpy scalar costs more still
     rows = params.tolist() if params.ndim == 2 else params
     k = 0
     for i, (theta, sub) in enumerate(zip(rows, substeps)):
-        a, b, beta, c, d = theta
+        a, b, beta, c, d = map(np.asarray, theta)
         h = dt_units / sub
         if np.any(a * h > _MAX_A_DT):
             raise StabilityError(
                 f"a*dt = {np.max(a) * h:.3f} > {_MAX_A_DT}; "
                 "reduce the step or increase substeps")
-        sq = np.sqrt(h)
         scaled = h != 1.0     # x * 1.0 is x; fans and matching run at h = 1
+        h, sq = np.asarray(h), np.asarray(np.sqrt(h))
         p = _clamp_interior(p, c, d)
-        for row in range(i * n_steps, (i + 1) * n_steps):
-            for _ in range(sub):
-                # p + (a (b - p)) h + (sqrt(beta (p - c) (d - p)) sqrt(h)) z
-                # in this order: drift ends as p plus the drift term, and p
-                # holds d - p until the sum overwrites it.  The hour-start
-                # clamp and every substep's clip keep p in [c, d], so p - c
-                # and d - p are >= +0 and need no floor at zero.
+        for q_last in out[i * n_steps:(i + 1) * n_steps]:
+            for j in range(sub):
+                # q = p + (a (b - p)) h + (sqrt(beta (p - c) (d - p))
+                # sqrt(h)) z in this order: drift ends as p plus the drift
+                # term, and q holds d - p until the sum overwrites it (q
+                # may be p).  A step's last substep writes its row of
+                # ``out``, which the next step reads.  The hour-start clamp
+                # and every substep's clip keep p in [c, d], so p - c and
+                # d - p are >= +0 and need no floor at zero.
+                q = q_last if j == sub - 1 else state
                 np.subtract(b, p, out=drift)
                 np.multiply(drift, a, out=drift)
                 if scaled:
@@ -211,17 +220,17 @@ def euler_paths(params, p0, dt_units, n_steps, substeps, noise):
                 np.add(drift, p, out=drift)
                 np.subtract(p, c, out=diff)
                 np.multiply(diff, beta, out=diff)
-                np.subtract(d, p, out=p)
-                np.multiply(diff, p, out=diff)
+                np.subtract(d, p, out=q)
+                np.multiply(diff, q, out=diff)
                 np.sqrt(diff, out=diff)
                 if scaled:
                     np.multiply(diff, sq, out=diff)
                 np.multiply(diff, noise[k], out=diff)
-                np.add(drift, diff, out=p)
-                np.maximum(p, c, out=p)
-                np.minimum(p, d, out=p)
+                np.add(drift, diff, out=q)
+                np.maximum(q, c, out=q)
+                np.minimum(q, d, out=q)
+                p = q
                 k += 1
-            out[row] = p
     return out
 
 

@@ -13,8 +13,8 @@ from pvsde.estimation import (_N_CENSOR_ITERS, A_CAP_UNITS, A_MIN,
                               AllHoursInvalidError, _censored_beta, _clamp_b,
                               _debias_phi, _fit_diffusion_mle, _initial_drift,
                               _make_params, _nelder_mead_batch, _Rows,
-                              _slope_bias, identify_day, identify_hour,
-                              identify_hours)
+                              _slope_bias, identify_day, identify_days,
+                              identify_hour, identify_hours)
 from pvsde.sde import SdeParams, project_params, simulate_hour
 from pvsde.synth import synth_generate
 
@@ -479,3 +479,29 @@ class TestIdentifyDay:
     def test_mask_length_checked(self):
         with pytest.raises(ValueError):
             identify_day(np.zeros(360), np.ones(10, dtype=bool))
+
+
+class TestIdentifyDays:
+    def test_each_day_equals_identify_day_across_chunks(self, monkeypatch):
+        # chunks of two days: [all valid, an hour mostly masked],
+        # [blocks, blocks], [no valid hour], so a chunk boundary falls
+        # between every pair and the last chunk identifies no hour
+        monkeypatch.setattr(estimation, "_CHUNK_DAYS", 2)
+        _, _, pv, _ = synth_generate(np.random.default_rng(8), n_days=5)
+        masks = [None] + [_block_mask(120, 12, seed=20 + i).T.ravel()
+                          for i in range(4)]
+        masks[1][5 * 120:5 * 120 + 80] = False
+        masks[4][:] = False
+        got = identify_days(list(zip(pv, masks)), 30.0, 12)
+        assert len(got) == 5 and got[4] is None
+        with pytest.raises(AllHoursInvalidError):
+            identify_day(pv[4], masks[4], 30.0, 12)
+        assert "interpolated" in got[1][1][5].flags
+        for i in range(4):
+            day, reports = identify_day(pv[i], masks[i], 30.0, 12)
+            assert got[i][0].theta.tobytes() == day.theta.tobytes()
+            assert len(got[i][1]) == len(reports) == 12
+            assert all(map(_same, got[i][1], reports))
+
+    def test_no_day(self):
+        assert identify_days([]) == []

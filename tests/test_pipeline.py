@@ -452,6 +452,37 @@ class TestFanCsvErrors:
         assert paths.dtype == np.dtype("<f8") and paths.shape == (4, 6)
         assert paths.flags.c_contiguous
 
+    def test_row_with_a_cell_moved_to_the_next_names_file_and_line(
+            self, tmp_path):
+        # the block keeps its size, so only the shifted step column shows it
+        path, lines = _fan_file(tmp_path)
+        cells = lines[2].split(",")
+        lines[2], lines[3] = ",".join(cells[:-1]), lines[3] + "," + cells[-1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}:3: quantile row has "
+                                             "7 cells, the header 8$"):
+            read_fan_csv(str(path), 30.0)
+
+    def test_rows_out_of_order_name_file_and_line(self, tmp_path):
+        path, lines = _fan_file(tmp_path)
+        lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}:3: step 2, "
+                                             "expected 1$"):
+            read_fan_csv(str(path), 30.0)
+
+    def test_block_is_formatted_row_by_row_and_read_without_last_eol(
+            self, tmp_path):
+        path, lines = _fan_file(tmp_path, n_steps=12)
+        fan = read_fan_csv(str(path), 30.0)
+        row = "%d" + ",%.17g" * 7
+        assert lines[1:] == [row % (i, m, *q) for i, (m, q) in enumerate(
+            zip(fan.mean, fan.quantiles.T))]
+        path.write_text("\n".join(lines))
+        again = read_fan_csv(str(path), 30.0)
+        assert again.quantiles.tobytes() == fan.quantiles.tobytes()
+        assert again.mean.tobytes() == fan.mean.tobytes()
+
     def test_path_row_of_the_old_layout_names_file_and_line(self, tmp_path):
         # a fan file from before the .npy layout carries P rows
         path, lines = _fan_file(tmp_path)

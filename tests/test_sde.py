@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pvsde.pipeline import write_fan_csv
+from pvsde.pipeline import read_fan_csv, write_fan_csv
 from pvsde.sde import (DayParams, SdeParams, SimulationFan, StabilityError,
                        _sorted_quantiles, euler_paths, make_fan,
                        project_params, project_rows, simulate_hour,
@@ -143,6 +143,22 @@ class TestEulerPaths:
                                  noise[:, j:j + 1])
             np.testing.assert_array_equal(paths[:, j], single[:, 0])
 
+    @pytest.mark.parametrize("substeps", [[1], [1, 1, 1, 1], [1, 0, 1],
+                                          [2, -1, 1]])
+    def test_substeps_need_one_count_of_at_least_one_per_hour(self,
+                                                              substeps):
+        # a missing or zero count would leave rows of the output unstepped
+        hours = np.stack([CLEAR.as_array()] * 3)
+        noise = np.random.default_rng(3).standard_normal((40, 2))
+        with pytest.raises(ValueError, match="one substep count >= 1 per "
+                                             "hour"):
+            euler_paths(hours, [0.7, 0.8], 1.0, 5, substeps, noise)
+
+    def test_simulate_hour_refuses_zero_substeps(self):
+        with pytest.raises(ValueError, match="substep count"):
+            simulate_hour(CLEAR, 0.8, n_steps=5, substeps=0,
+                          rng=np.random.default_rng(3))
+
 
 def _sha256(*arrays):
     h = hashlib.sha256()
@@ -158,7 +174,8 @@ class TestGoldenKernel:
     Any reordering of the step's products changes some of these bytes.
     The first case steps at h = 0.75 and 0.375, where scaling by h is
     inexact; the per-path case and the fan's one-substep hours run at
-    h = 1, as the estimator's matching and the forecast fans do.
+    h = 1, as the estimator's matching and the forecast fans do.  The
+    one-path case splits each step into 20 substeps, as criterion 2 does.
     """
 
     def test_hourly_params_mixed_substeps(self):
@@ -181,6 +198,19 @@ class TestGoldenKernel:
                             rng.standard_normal((120, n)))
         assert _sha256(paths) == ("c6f7db6454a0af3491a6c1e8a0f1d8a9"
                                   "f72409d48f736a8e758d7ad8541ee74a")
+
+    def test_one_path_twenty_substeps(self):
+        # a scalar start and 20 substeps per step: criterion 2's h = 0.05
+        # units, then h = 1 (steps of 20 units), where the substeps pass
+        # the state between them unscaled
+        rng = np.random.default_rng(43)
+        fine = simulate_hour(CLEAR, 0.8, step_seconds=30.0, n_steps=400,
+                             rng=rng, substeps=20)
+        unit = simulate_hour(CLEAR, 0.8, step_seconds=600.0, n_steps=40,
+                             rng=rng, substeps=20)
+        assert fine.shape == (400,) and unit.shape == (40,)
+        assert _sha256(fine, unit) == ("42e6d9885fdc61b054404c8db220ba2a"
+                                       "6830242829579b48c6596ffa5ba3fc94")
 
     def test_fan(self):
         # one Euler step per sample on every hour, CLEAR's a·dt = 0.33
@@ -387,3 +417,25 @@ class TestFan:
         row = lines[1].split(",")
         assert float(row[1]) == fan.mean[0]
         assert float(row[2]) == fan.quantiles[0][0]
+
+
+class TestFanSpeed:
+    # pytest-benchmark timing of the forecast workload's fan (12 hours,
+    # 1000 paths, 200 kept) and of its files' round trip
+    def _fan(self):
+        return make_fan(_day(*(CLEAR, CLOUDY) * 6), 0.75, n_paths=1000,
+                        seed=7, n_keep=200)
+
+    def test_make_fan(self, benchmark):
+        fan = benchmark(self._fan)
+        assert fan.paths.shape == (200, 1440)
+
+    def test_fan_file_round_trip(self, benchmark, tmp_path):
+        fan, path = self._fan(), str(tmp_path / "fan.csv")
+
+        def round_trip():
+            write_fan_csv(path, fan)
+            return read_fan_csv(path, 30.0)
+
+        got = benchmark(round_trip)
+        assert got.quantiles.tobytes() == fan.quantiles.tobytes()

@@ -81,6 +81,9 @@ _CHUNK_DAYS = 32            # days whose hours identify_days batches together
 
 # flags of the boundary repairs, in the order they are reported
 _REPAIR_FLAGS = ("variance-matched-high", "variance-matched-low")
+# hours whose parameters were not genuinely fitted from data are kept for
+# simulation but excluded from mapping training
+UNTRUSTED_FLAGS = frozenset({"interpolated", "degenerate", "non-volatile"})
 
 
 class AllHoursInvalidError(ValueError):
@@ -413,8 +416,9 @@ def _fit_drift(s, dt, a, b, c, d):
     return a, _fit_b_relaxation(s, dt, a, c, d)
 
 
-def _match_variance(s, dt, a, b, beta, c, d, side):
-    """Re-fit a runaway boundary by matching the simulated path variance.
+def _match_variance(s, dt, a, b, beta, c, d, high):
+    """Re-fit each row's runaway boundary, d where ``high`` holds and c
+    elsewhere, by matching the simulated path variance.
 
     When the likelihood is nearly flat in the far boundary the fitted offset
     can wander; the path variance is monotone in that offset with a known
@@ -427,8 +431,10 @@ def _match_variance(s, dt, a, b, beta, c, d, side):
     m = np.repeat(s.m.T, _N_MATCH, axis=1)
     key = np.where(s.m, np.rint((s.v - s.lo[:, None]) / s.span[:, None]
                                 * 2.0 ** 30), 2.0 ** 31)
-    rngs = [np.random.default_rng(np.append(k, side == "c").astype(np.uint32))
-            for k in key]
+    rngs = [np.random.default_rng(np.append(k, not up).astype(np.uint32))
+            for k, up in zip(key, high)]
+    lims = np.where(high, [s.hi + 1e-3 * s.span, s.hi + 2.0 * s.span],
+                    [s.lo - 2.0 * s.span, s.lo - 1e-3 * s.span])
     for _ in range(_N_VAR_ITERS):
         theta = _make_params(a, b, beta, c, d, dt)
         ta, tb, tbeta, tc, td = theta
@@ -440,16 +446,11 @@ def _match_variance(s, dt, a, b, beta, c, d, side):
             np.repeat(theta, _N_MATCH, axis=1)[None], q0, dt, T - 1, [1],
             np.hstack([g.standard_normal((T - 1, _N_MATCH)) for g in rngs]))])
         var_sim = _masked_var(P, m, 0).reshape(-1, _N_MATCH).mean(axis=1)
-        if side == "d":
-            slope = np.maximum(tbeta * (tb - tc) / (2.0 * ta + tbeta), 1e-9)
-            d = np.minimum(np.maximum(td + _DAMP * (var_obs - var_sim) / slope,
-                                      s.hi + 1e-3 * s.span),
-                           s.hi + 2.0 * s.span)
-        else:
-            slope = np.maximum(tbeta * (td - tb) / (2.0 * ta + tbeta), 1e-9)
-            c = np.maximum(np.minimum(tc - _DAMP * (var_obs - var_sim) / slope,
-                                      s.lo - 1e-3 * s.span),
-                           s.lo - 2.0 * s.span)
+        slope = np.maximum(tbeta * np.where(high, tb - tc, td - tb)
+                           / (2.0 * ta + tbeta), 1e-9)
+        bound = np.clip(np.where(high, td, tc) + np.where(high, 1.0, -1.0)
+                        * (_DAMP * (var_obs - var_sim) / slope), *lims)
+        c, d = np.where(high, c, bound), np.where(high, bound, d)
         beta = _censored_beta(s, dt, a, b, c, d, 0)[0]
     return beta, c, d
 
@@ -474,19 +475,21 @@ def _identify_rows(s, dt):
     """
     a, b = _fit_drift(s, dt, *_initial_drift(s, dt))
     beta, c, d, converged = _fit_diffusion_mle(s, dt, a, b)
-    repairs = np.array([d - s.hi, s.lo - c]) > _RUNAWAY_FRAC * s.span
-    for side, run in zip("dc", repairs):
+    high, low = np.array([d - s.hi, s.lo - c]) > _RUNAWAY_FRAC * s.span
+    # one batch of every runaway hour, at its high bound where that ran
+    # away; an hour whose two bounds ran away then matches its low one
+    for run, up in ((high | low, high), (high & low, np.zeros_like(high))):
         if run.any():
             beta[run], c[run], d[run] = _match_variance(
                 s.take(run), dt, a[run], b[run], beta[run], c[run], d[run],
-                side)
+                up[run])
     a, b = _fit_drift(s, dt, a, b, c, d)
     beta = _censored_beta(s, dt, a, b, c, d, _N_CENSOR_ITERS)[0]
     theta = _make_params(a, b, beta, c, d, dt)
     return [FitReport(params=theta[:, i], converged=bool(converged[i]),
                       flags=tuple(f for f, hit in zip(_REPAIR_FLAGS, hits)
                                   if hit))
-            for i, hits in enumerate(repairs.T)]
+            for i, hits in enumerate(zip(high, low))]
 
 
 # ---------------------------------------------------------------------------

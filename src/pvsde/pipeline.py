@@ -35,7 +35,8 @@ from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, PARAM_NAMES, _atomic,
                        save_ensemble, train_ensemble)
 # no stage calls identify_day; pvsdebench's tracer patches it under this
 # module's name
-from .estimation import identify_day, identify_days  # noqa: F401
+from .estimation import (UNTRUSTED_FLAGS, identify_day,  # noqa: F401
+                         identify_days)
 from .metrics import (EVAL_LEVELS, EvalInput, MetricReport, evaluate,
                       kl_divergence, nd as nd_metric)
 from .sde import DayParams, SimulationFan, make_fan, samples_per_hour
@@ -44,10 +45,6 @@ from .weather import (CSV_COLUMNS, HourGrid, impute_days, ingest_weather,
                       nanmedian, write_weather_csv)
 
 PARAMS_SCHEMA_VERSION = 1
-
-# hours whose parameters were not genuinely fitted from data are kept for
-# simulation but excluded from mapping training
-UNTRUSTED_FLAGS = frozenset({"interpolated", "degenerate", "non-volatile"})
 
 
 @dataclass(frozen=True)
@@ -610,7 +607,7 @@ def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
     """Score every day with a fan file against its actual PV, reading only
     those days' PV rows; days without PV rows or that the metrics are
     undefined on are listed as skipped, and a fan without a quantile level
-    they read is refused."""
+    they read or of another step count than the config's day is refused."""
     fans = {os.path.basename(f)[4:-4]: f for f in glob.glob(
         os.path.join(glob.escape(fan_dir), "fan_*.csv"))}
 
@@ -619,6 +616,11 @@ def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
         if lacking := sorted(set(EVAL_LEVELS) - set(fan.quantile_levels)):
             raise ValueError(f"{fans[date]}:1: fan lacks quantile levels "
                              f"{lacking}, which evaluate reads")
+        if fan.n_steps != cfg.day_length:
+            raise ValueError(
+                f"{fans[date]}: fan has {fan.n_steps} steps, the config's "
+                f"day {cfg.day_length} (m = {cfg.m} hours of "
+                f"{samples_per_hour(cfg.step_seconds)} samples)")
         return fan
 
     pv = ingest_pv(pv_path, set(fans), cfg.day_length)

@@ -13,7 +13,7 @@ A day's parameters are a ``DayParams``: one read-only (5, m) array, rows
 a, b, beta, c, d, whose constructor projects it onto the parameter box
 (``project_rows``; the bounds and ``A_CAP_UNITS`` are constants here).
 ``SdeParams`` is one hour's set, the input of ``simulate_hour`` and of the
-stationary law.
+stationary law; it refuses a set that ``project_rows`` would move.
 
 One kernel, ``euler_paths``, steps the Euler chain in place for a bundle
 of paths under per-hour or per-path parameters and a given noise source,
@@ -80,29 +80,23 @@ class SdeParams:
     d: float      # upper bound
 
     def __post_init__(self):
-        if not np.isfinite([self.a, self.b, self.beta, self.c, self.d]).all():
-            raise ValueError("non-finite SDE parameter")
-        if self.a <= 0:
-            raise ValueError(f"a must be > 0, got {self.a}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not self.c < self.d:
-            raise ValueError(f"need c < d, got c={self.c}, d={self.d}")
-        if not (self.c <= self.b <= self.d):
-            raise ValueError(f"need c <= b <= d, got {self}")
+        broken = []
+        project_rows(self.as_array(), broken)
+        if broken:
+            raise ValueError(f"{self} is outside the parameter box: "
+                             f"{', '.join(broken)}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.beta, self.c, self.d])
 
 
 def project_rows(theta, log=None) -> np.ndarray:
-    """Project (5, ...) rows a, b, beta, c, d onto the SdeParams validity
-    region: swap inverted bounds, widen d - c to ``MIN_GAP`` symmetrically,
-    clamp b into [c, d], a into [A_MIN, A_MAX] and beta into [0, BETA_MAX];
-    raise ValueError on a non-finite result.  Idempotent to the bit: a
-    widened gap that rounds below MIN_GAP has d raised by an ulp.  ``log``
-    (a list, optional) collects the label of each rule that moved some
-    column."""
+    """Project (5, ...) rows a, b, beta, c, d onto the parameter box: swap
+    inverted bounds, widen d - c to ``MIN_GAP`` symmetrically, clamp b into
+    [c, d], a into [A_MIN, A_MAX] and beta into [0, BETA_MAX]; raise
+    ValueError on a non-finite result.  Idempotent to the bit: a widened gap
+    that rounds below MIN_GAP has d raised by an ulp.  ``log`` (a list,
+    optional) collects the label of each rule that moved some column."""
     a, b, beta, c, d = np.asarray(theta, dtype=float)
     swap = d < c
     c, d = np.where(swap, d, c), np.where(swap, c, d)

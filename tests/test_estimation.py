@@ -267,8 +267,9 @@ class TestNelderMeadBatch:
 
 
 class TestFitDiffusionSpeed:
-    # pytest-benchmark timing of the profiled-likelihood fit on gappy rows:
-    # 12 rows are one day's hours, 192 rows sixteen such days at once
+    # pytest-benchmark timings on gappy hours: the profiled-likelihood fit
+    # (12 rows are one day's hours, 192 rows sixteen such days at once) and
+    # a whole day's identification
     @pytest.mark.parametrize("rows", [12, 192])
     def test_fit_diffusion_mle(self, benchmark, rows):
         paths = _simulate_hours(CLOUDY, rows, seed=rows)
@@ -276,6 +277,17 @@ class TestFitDiffusionSpeed:
         a, b = _initial_drift(s, 1.0)[:2]
         beta, c, d = benchmark(_fit_diffusion_mle, s, 1.0, a, b)[:3]
         assert (c < s.lo).all() and (s.hi < d).all() and (beta > 0).all()
+
+    def test_identify_day(self, benchmark):
+        # one day masked as gappy telemetry is: four 10-sample blocks in
+        # every hour, and hour 5 with 90 of its 120 samples masked, which
+        # is interpolated
+        _, _, pv, _ = synth_generate(np.random.default_rng(8), n_days=1)
+        mask = _block_mask(120, 12, seed=13).T.copy()
+        mask[5, 20:110] = False
+        _, reports = benchmark(identify_day, pv[0], mask.ravel())
+        assert [r.flags == ("interpolated",) for r in reports] == [
+            i == 5 for i in range(12)]
 
 
 class TestCensoredBeta:
@@ -335,6 +347,30 @@ class TestIdentifyHours:
         mask[:7, 2] = False
         assert identify_hours(paths.T, mask.T)[2].flags
         assert calls == [12, 3]
+
+    def test_runaway_bounds_of_both_sides_match_in_one_batch(
+            self, monkeypatch):
+        # hour 2 of the clean golden day runs away at its low bound, hour
+        # 10 of the gappy day at its high one: one variance-matching batch
+        # holds both, and each report keeps identify_hour's bits
+        _, _, clean, _ = synth_generate(np.random.default_rng(3), n_days=1)
+        _, _, gappy, _ = synth_generate(np.random.default_rng(8), n_days=1)
+        values = np.stack([clean[0][240:360], gappy[0][1200:1320]])
+        valid = np.stack([np.ones(120, dtype=bool),
+                          _block_mask(120, 12, seed=13)[:, 10]])
+        alone = [identify_hour(v, ok) for v, ok in zip(values, valid)]
+        match, calls = estimation._match_variance, []
+
+        def count(*args):
+            calls.append(args[-1].tolist())
+            return match(*args)
+
+        monkeypatch.setattr(estimation, "_match_variance", count)
+        reps = identify_hours(values, valid)
+        assert [r.flags for r in reps] == [("variance-matched-low",),
+                                           ("variance-matched-high",)]
+        assert calls == [[False, True]]
+        assert all(map(_same, reps, alone))
 
     def test_masked_blocks_recover_cloudy_hours(self):
         # the estimator must not bridge a gap: four masked 10-sample blocks

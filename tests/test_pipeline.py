@@ -843,6 +843,22 @@ class TestCommands:
             cmd_evaluate(RunConfig(), str(path.parent),
                          str(tmp_path / "pv.csv"), str(tmp_path / "ev.json"))
 
+    def test_evaluate_refuses_a_fan_of_another_day_length(self, tmp_path):
+        # a fan simulated at m = 4 is 480 steps; the config's day at
+        # m = 12 is 1440, as is the day's PV
+        day = DayParams(np.tile([[0.2], [0.5], [0.1], [0.1], [0.9]], 4))
+        path = tmp_path / "fans" / "fan_2018-01-01.csv"
+        path.parent.mkdir()
+        write_fan_csv(str(path), make_fan(day, 0.5, n_paths=40, seed=2))
+        write_pv_csv(str(tmp_path / "pv.csv"), ["2018-01-01"],
+                     [np.linspace(0.2, 0.8, 1440)])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: fan "
+                                             "has 480 steps, .* 1440 \\(m = "
+                                             "12 hours of 120 samples\\)$"):
+            cmd_evaluate(RunConfig(), str(path.parent),
+                         str(tmp_path / "pv.csv"), str(tmp_path / "ev.json"))
+        assert not (tmp_path / "ev.json").exists()
+
     def test_weather_with_no_usable_day_names_the_file(self, tmp_path):
         ds = tmp_path / "ds"
         cmd_synth(E2E, str(ds))

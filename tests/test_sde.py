@@ -13,10 +13,13 @@ from pvsde.sde import (DayParams, SdeParams, SimulationFan, StabilityError,
                        _sorted_quantiles, euler_paths, make_fan,
                        project_params, project_rows, simulate_hour,
                        stationary_beta_shapes, stationary_sample)
-from pvsde.synth import synth_generate
+from pvsde.synth import _raw_params, synth_generate, true_param_map
 
 CLEAR = SdeParams(a=0.3298, b=0.8333, beta=0.0348, c=0.6895, d=0.8477)
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
+# the other two criterion-3 regimes
+RAINY = (0.0760, 0.0519, 0.0519, 0.0, 0.3143)
+OVERCAST = (0.0461, 0.3547, 0.1064, 0.2267, 0.6209)
 
 
 def _day(*hours):
@@ -30,6 +33,34 @@ class TestParams:
             SdeParams(a=0.1, b=0.5, beta=0.1, c=0.9, d=0.8)  # c >= d
         with pytest.raises(ValueError):
             SdeParams(a=-0.1, b=0.5, beta=0.1, c=0.0, d=1.0)
+
+    # hours outside the box, each breaking the one rule named
+    @pytest.mark.parametrize("row, rule", [
+        ((3.0, 0.5, 0.1, 0.1, 0.9), "clamped_a"),
+        ((5e-5, 0.5, 0.1, 0.1, 0.9), "clamped_a"),
+        ((0.2, 0.5, 2.0, 0.1, 0.9), "clamped_beta"),
+        ((0.2, 0.5, -0.1, 0.1, 0.9), "clamped_beta"),
+        ((0.2, 0.5, 0.1, 0.5, 0.505), "widened_bounds"),
+        ((0.2, 0.95, 0.1, 0.1, 0.9), "clamped_b"),
+        ((0.2, 0.5, 0.1, 0.9, 0.1), "swapped_bounds"),
+    ])
+    def test_refuses_a_row_the_projection_moves(self, row, rule):
+        with pytest.raises(ValueError, match=f"outside the parameter box: "
+                                             f"{rule}$"):
+            SdeParams(*row)
+        log = []
+        project_rows(row, log)
+        assert log == [rule]
+
+    def test_box_rows_construct_unchanged(self):
+        for row in (CLEAR.as_array(), CLOUDY.as_array(), RAINY, OVERCAST):
+            assert (SdeParams(*row).as_array().tobytes()
+                    == np.array(row).tobytes())
+        # the ground-truth map's hours lie in the box before its projection
+        for weather in [(h, c, i) for h in (15.0, 57.0, 75.0, 100.0)
+                        for c in (0.0, 6.0, 9.0) for i in (0.02, 1.5, 3.5)]:
+            raw = _raw_params(*weather)
+            assert SdeParams(*raw) == true_param_map(*weather)
 
     def test_as_array_order(self):
         np.testing.assert_array_equal(
@@ -112,7 +143,22 @@ class TestProjectRows:
         # bit for bit on every column, a widened gap included
         assert project_rows(block).tobytes() == block.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(_HOUR)
+    def test_sde_params_accept_exactly_the_box(self, hour):
+        # an hour constructs if and only if the projection leaves it as is
+        a, b, beta, c, d, near = hour
+        row = (a, b, beta, c, d if near is None else c + near)
+        try:
+            SdeParams(*row)
+        except ValueError:
+            assert not (project_rows(row) == row).all()
+        else:
+            assert (project_rows(row) == row).all()
+
     def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            SdeParams(0.2, 0.5, np.nan, 0.1, 0.9)
         with pytest.raises(ValueError):
             project_rows(np.array([[0.2, np.nan], [0.5] * 2, [0.1] * 2,
                                    [0.0] * 2, [1.0] * 2]))

@@ -11,7 +11,9 @@ outputs from each end per parameter and averages the rest; each day's
 (5, m) result becomes a ``DayParams``, whose constructor projects it.
 
 An hour's members see only that hour's p features, the hour-major slice
-of the day's feature vector.  The hidden layers are drawn once, from a
+of the day's feature vector; a missing (NaN) feature takes its median
+over the training days, which the model keeps: imputation runs here
+alone (``weather.impute_days``).  The hidden layers are drawn once, from a
 stream of the master seed kept apart from the bootstrap stream, and are
 saved, so loading draws no random numbers.  Loading checks the three
 ``.npy`` headers and reads no data: a prediction reads each hour's slices
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -32,6 +35,7 @@ import numpy as np
 
 from .elm import elm_train, fit_scaler, hidden_layer
 from .sde import DayParams
+from .weather import impute_days
 
 PARAM_NAMES = ("a", "b", "beta", "c", "d")
 DEFAULT_HIDDEN = 100
@@ -39,23 +43,18 @@ DEFAULT_MEMBERS = 200
 DEFAULT_RIDGE = 2.0
 TRIM_FRACTION = 0.20
 MIN_SLOT_PAIRS = 10
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _ARRAY_FILES = ("hidden_weights", "hidden_biases", "output_weights")
+_VECTORS = ("scaler_mean", "scaler_std", "medians")
 
 
 class TrainingError(RuntimeError):
     """An hour cannot be trained (too few valid days)."""
 
 
-def _streams(master_seed: int):
-    """Independent (hidden-layer, bootstrap) generators of one ensemble."""
-    return [np.random.default_rng(s)
-            for s in np.random.SeedSequence(master_seed).spawn(2)]
-
-
 @dataclass
 class EnsembleModel:
-    """Per-hour stacks of M multi-output ELMs and the shared feature scaler.
+    """Per-hour stacks of M multi-output ELMs, the feature scaler and medians.
 
     ``master_seed`` is the seed the hidden layers and bootstrap resamples
     were drawn from; the model itself uses only the arrays.  The arrays
@@ -69,6 +68,7 @@ class EnsembleModel:
     master_seed: int
     scaler_mean: np.ndarray         # (m * p,)
     scaler_std: np.ndarray          # (m * p,)
+    medians: np.ndarray             # (m * p,)
     train_rmse: dict = field(default_factory=dict)
 
     @property
@@ -105,7 +105,8 @@ def train_ensemble(X, theta, hidden_size: int = DEFAULT_HIDDEN,
                    flags=None, ridge: float = DEFAULT_RIDGE
                    ) -> EnsembleModel:
     """Train every hour's members on the days' weather features ``X``
-    (N, m * p), hour-major, and their parameters ``theta`` (N, 5, m).
+    (N, m * p), hour-major, a NaN cell taking its feature's median over
+    these days, and their parameters ``theta`` (N, 5, m).
 
     ``flags`` optionally gives each day a per-hour boolean mask marking
     unreliable hours; flagged hours are excluded from that hour's training
@@ -122,16 +123,20 @@ def train_ensemble(X, theta, hidden_size: int = DEFAULT_HIDDEN,
     m = targets.shape[2]
     if X.ndim != 2 or X.shape[1] % m:
         raise ValueError("the features must split evenly by hour")
+    X, medians = impute_days(X)
     mean, std = fit_scaler(X)
     trusted = (np.ones((len(X), m), dtype=bool) if flags is None
                else ~np.asarray(flags, dtype=bool))
-    hidden_rng, boot_rng = _streams(master_seed)
+    # independent hidden-layer and bootstrap streams of the master seed
+    hidden_rng, boot_rng = map(np.random.default_rng,
+                               np.random.SeedSequence(master_seed).spawn(2))
     shape = (m, n_members, hidden_size)
     model = EnsembleModel(
         hidden_weights=hidden_rng.standard_normal(shape + (X.shape[1] // m,)),
         hidden_biases=hidden_rng.standard_normal(shape),
         output_weights=np.zeros(shape + (len(PARAM_NAMES),)),
-        master_seed=master_seed, scaler_mean=mean, scaler_std=std)
+        master_seed=master_seed, scaler_mean=mean, scaler_std=std,
+        medians=medians)
     for hour in range(m):
         keep = trusted[:, hour]
         if int(keep.sum()) < MIN_SLOT_PAIRS:
@@ -163,20 +168,22 @@ def trimmed_mean(values):
 
 
 def _features(X):
-    """Weather features as a finite float matrix (N, k)."""
+    """Weather features as a float matrix (N, k); NaN is a missing cell."""
     X = np.asarray(X, dtype=float)
-    if not np.isfinite(X).all():
-        raise ValueError("weather features must be finite after imputation")
+    if np.isinf(X).any():
+        raise ValueError("weather features must be finite or NaN (missing)")
     return X
 
 
 def predict_params_batch(model: EnsembleModel, X):
     """One ``DayParams`` per row of the weather features ``X`` (N, m * p),
-    predicted hour by hour: an hour's model arrays are indexed (for a
-    loaded model, read) just before that hour is predicted."""
+    a NaN cell taking the model's median, predicted hour by hour: an
+    hour's model arrays are indexed (for a loaded model, read) just before
+    that hour is predicted."""
     X = _features(X)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError("feature length does not match the trained model")
+    X, _ = impute_days(X, model.medians)
     raw = np.stack([model._hour_outputs(model._hour_inputs(X, hour), hour)
                     for hour in range(model.m)], axis=2)     # (N, 5, m)
     return [DayParams(theta) for theta in raw]
@@ -201,6 +208,7 @@ def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
                     input_dim=model.input_dim,
                     scaler_mean=model.scaler_mean.tolist(),
                     scaler_std=model.scaler_std.tolist(),
+                    medians=model.medians.tolist(),
                     train_rmse=model.train_rmse,
                     param_names=list(PARAM_NAMES))
     with _atomic(os.path.join(out_dir, "manifest.json"), "wb") as f:
@@ -224,20 +232,22 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
         if type(man.get(key)) is not int or man[key] < 1:
             raise ValueError(f"{path}: {key} is not a positive integer")
     m, n_in = man["m"], man["input_dim"]
-    try:
-        mean, std = (np.array(man[k], dtype=float)
-                     for k in ("scaler_mean", "scaler_std"))
-    except (KeyError, TypeError, ValueError):
-        mean = std = np.empty(0)
-    if mean.shape != (n_in,) or std.shape != (n_in,) or n_in % m:
-        raise ValueError(f"{path}: scaler_mean and scaler_std must each hold "
-                         f"input_dim ({n_in}) numbers, a multiple of m ({m})")
+    if n_in % m:
+        raise ValueError(f"{path}: input_dim is not a multiple of m ({m})")
+    for key in _VECTORS:    # a bool is no number; NaN and infinities fail
+        v = man.get(key)
+        if not (isinstance(v, list) and len(v) == n_in and all(
+                type(x) in (int, float) and abs(x) <= sys.float_info.max
+                for x in v)) or (key == "scaler_std" and min(v) <= 0):
+            raise ValueError(f"{path}: {key} must be input_dim ({n_in}) "
+                             f"finite numbers{' > 0' * (key == 'scaler_std')}")
     members = (m, man["n_members"], man["hidden_size"])
     shapes = (members + (n_in // m,), members, members + (len(PARAM_NAMES),))
     arrays = {name: _SavedArray(os.path.join(model_dir, name + ".npy"), want)
               for name, want in zip(_ARRAY_FILES, shapes)}
     return EnsembleModel(**arrays, master_seed=man.get("master_seed"),
-                         scaler_mean=mean, scaler_std=std,
+                         **{k: np.array(man[k], dtype=float)
+                            for k in _VECTORS},
                          train_rmse=man.get("train_rmse", {}))
 
 

@@ -41,8 +41,8 @@ from .metrics import (EVAL_LEVELS, EvalInput, MetricReport, evaluate,
                       kl_divergence, nd as nd_metric)
 from .sde import DayParams, SimulationFan, make_fan, samples_per_hour
 from .synth import synth_generate
-from .weather import (CSV_COLUMNS, HourGrid, impute_days, ingest_weather,
-                      nanmedian, write_weather_csv)
+from .weather import (CSV_COLUMNS, HourGrid, ingest_weather, nanmedian,
+                      write_weather_csv)
 
 PARAMS_SCHEMA_VERSION = 1
 
@@ -425,16 +425,14 @@ def _weather_csv_rows(dates, weather_days):
                        **{k: r[k] for k in CSV_COLUMNS[1:]})
 
 
-def _load_weather_days(path: str, cfg: RunConfig, medians=None):
-    """``{date: imputed feature row}`` of the weather file's usable days,
-    the medians imputed with and the dates dropped."""
-    raw_days, dropped = ingest_weather(path, cfg.grid)
-    if not raw_days:
+def _load_weather_days(path: str, cfg: RunConfig):
+    """``{date: feature row}`` of the weather file's usable days, NaN
+    marking a missing cell, and the dates dropped."""
+    days, dropped = ingest_weather(path, cfg.grid)
+    if not days:
         raise ValueError(f"{path}: no usable weather day ({len(dropped)} "
                          f"dropped for missing fields)")
-    dates, rows = zip(*raw_days)
-    X, medians = impute_days(rows, medians)
-    return dict(zip(dates, X)), medians, dropped
+    return dict(days), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +449,10 @@ def _identify_days(cfg: RunConfig, pv: dict, dates):
             [date for date, res in zip(dates, found) if res is None])
 
 
-def _train(cfg: RunConfig, weather: dict, days: dict, medians, out_dir: str):
+def _train(cfg: RunConfig, weather: dict, days: dict, out_dir: str):
     """Train the ensemble on the days ``{date: (DayParams, flags)}`` that
-    have weather and save it with the weather medians under ``out_dir``;
-    returns the model and the number of days trained on."""
+    have weather and save it under ``out_dir``; returns the model and the
+    number of days trained on."""
     dates = sorted(set(days) & set(weather))
     model = train_ensemble(
         [weather[d] for d in dates], [days[d][0].theta for d in dates],
@@ -462,10 +460,6 @@ def _train(cfg: RunConfig, weather: dict, days: dict, medians, out_dir: str):
         master_seed=cfg.seed,
         flags=[[bool(UNTRUSTED_FLAGS & set(fl)) for fl in days[d][1]]
                for d in dates])
-    os.makedirs(out_dir, exist_ok=True)
-    with _atomic(os.path.join(out_dir, "impute.json")) as f:
-        f.write(json.dumps(dict(medians=list(map(float, medians))),
-                           sort_keys=True))
     save_ensemble(model, out_dir)   # manifest.json last: the model is whole
     return model, len(dates)
 
@@ -561,8 +555,8 @@ def cmd_train(cfg: RunConfig, weather_path: str, params_path: str,
     """Train the weather-to-parameter ensemble from identified days."""
     t0 = time.perf_counter()
     days = _params_days(cfg, params_path)
-    weather, medians, dropped = _load_weather_days(weather_path, cfg)
-    _, n_days = _train(cfg, weather, days, medians, out_dir)
+    weather, dropped = _load_weather_days(weather_path, cfg)
+    _, n_days = _train(cfg, weather, days, out_dir)
     return dict(days=n_days, dropped=dropped,
                 seconds=round(time.perf_counter() - t0, 2), out=out_dir)
 
@@ -571,16 +565,7 @@ def cmd_predict(cfg: RunConfig, model_dir: str, weather_path: str,
                 out_path: str) -> dict:
     """Map weather days to predicted parameters with a trained ensemble."""
     model = load_ensemble(model_dir)
-    path = os.path.join(model_dir, "impute.json")
-    medians = _read_object(path).get("medians")
-    try:
-        medians = np.array(medians, dtype=float)
-    except (TypeError, ValueError):
-        medians = np.array(np.nan)
-    if medians.shape != (model.input_dim,) or not np.isfinite(medians).all():
-        raise ValueError(f"{path}: medians must be {model.input_dim} finite "
-                         "numbers, one per weather feature")
-    weather, _, dropped = _load_weather_days(weather_path, cfg, medians)
+    weather, dropped = _load_weather_days(weather_path, cfg)
     preds = _predict(cfg, model, weather, sorted(weather), out_path)
     return dict(predicted=len(preds), dropped=dropped, out=out_path)
 
@@ -651,15 +636,23 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     pv = ingest_pv(os.path.join(dataset_dir, "pv.csv"), None, cfg.day_length)
-    weather, medians, _ = _load_weather_days(
+    weather, _ = _load_weather_days(
         os.path.join(dataset_dir, "weather.csv"), cfg)
     dates = sorted(set(pv) & set(weather))
     train_dates, test_dates = split_days(dates, cfg.split, cfg.seed)
+    if not test_dates:
+        raise ValueError(f"split = {cfg.split} leaves no held-out day of "
+                         f"{len(dates)} days")
+    true_path, truth = os.path.join(dataset_dir, "true_params.json"), None
+    if os.path.exists(true_path):       # generating parameters: slot RMSE
+        truth = _params_days(cfg, true_path)
+        if lacking := sorted(set(test_dates) - set(truth)):
+            raise ValueError(f"{true_path}: lacks held-out days {lacking}")
 
     identified, _ = _identify_days(cfg, pv, train_dates)
     write_params_json(os.path.join(out_dir, "params_identified.json"),
                       identified, cfg.step_seconds, cfg.m)
-    model, n_train = _train(cfg, weather, identified, medians,
+    model, n_train = _train(cfg, weather, identified,
                             os.path.join(out_dir, "model"))
     preds = _predict(cfg, model, weather, test_dates,
                      os.path.join(out_dir, "params_predicted.json"))
@@ -678,17 +671,14 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     beats_kl = sum(rep.kl < kl_divergence(pv[d][0][pv[d][1]], clim_pool)
                    for d, rep in reports.items())
 
-    # slot accuracy against the dataset's generating parameters, if known
     slot_rmse = None
-    true_path = os.path.join(dataset_dir, "true_params.json")
-    if os.path.exists(true_path):
-        truth = _params_days(cfg, true_path)
+    if truth is not None:
         T = np.stack([truth[d][0].theta for d in test_dates])
         P = np.stack([p.theta for p in preds])
         slot_rmse = {
             name: float(np.sqrt(np.mean((P[:, i, :] - T[:, i, :]) ** 2))
                         / np.abs(T[:, i, :]).mean())
-            for i, name in enumerate(("a", "b", "beta", "c", "d"))}
+            for i, name in enumerate(PARAM_NAMES)}
 
     n_test = len(reports)
     summary = dict(

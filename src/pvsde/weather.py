@@ -5,8 +5,8 @@ speed and direction, cloud okta, and irradiance.  Wind direction (a
 16-point compass label or degrees) is encoded as (sin, cos) of the compass
 angle measured clockwise from north, giving 9 numeric features per hour;
 a day is the hour-major concatenation over the daytime hour grid.  Missing
-numeric fields become NaN at parse time and are imputed with training-set
-medians before model use.
+numeric fields become NaN at parse time; ``ensemble`` alone fills them,
+with its training days' medians (``impute_days``).
 """
 
 from __future__ import annotations

@@ -61,14 +61,42 @@ class TestTraining:
                            n_members=3, master_seed=0)
 
     def test_nonfinite_features_refused(self):
+        # NaN is a missing cell, which the medians fill; an infinity is
+        # refused
         X, theta = _make_data(n_days=16)
         model = train_ensemble(X, theta, hidden_size=10, n_members=3)
-        X[2, 4] = np.nan
-        for call in (lambda: train_ensemble(X, theta, hidden_size=10,
-                                            n_members=3),
-                     lambda: predict_params_batch(model, X)):
-            with pytest.raises(ValueError, match="features must be finite"):
-                call()
+        for bad in (np.inf, -np.inf):
+            X[2, 4] = bad
+            for call in (lambda: train_ensemble(X, theta, hidden_size=10,
+                                                n_members=3),
+                         lambda: predict_params_batch(model, X)):
+                with pytest.raises(ValueError,
+                                   match="features must be finite"):
+                    call()
+
+    def test_missing_cells_take_the_training_medians(self, tmp_path):
+        # training fills a NaN with its own days' median and keeps it; a
+        # prediction fills with the kept medians, saved or in memory
+        X, theta = _make_data(n_days=16)
+        X[3, 1] = X[7, 4] = np.nan
+        model = train_ensemble(X, theta, hidden_size=10, n_members=5,
+                               master_seed=3)
+        want = np.nanmedian(X, axis=0)
+        np.testing.assert_array_equal(model.medians, want)
+        filled = np.where(np.isnan(X), want, X)
+        np.testing.assert_array_equal(
+            model.output_weights, train_ensemble(
+                filled, theta, hidden_size=10, n_members=5,
+                master_seed=3).output_weights)
+        save_ensemble(model, str(tmp_path / "model"))
+        rows = X[:2].copy()
+        rows[0, [0, 5]] = rows[1, :] = np.nan
+        for clone in (model, load_ensemble(str(tmp_path / "model"))):
+            got = predict_params_batch(clone, rows)
+            full = predict_params_batch(
+                clone, np.where(np.isnan(rows), model.medians, rows))
+            for a, b in zip(got, full):
+                assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_flagged_hours_excluded_and_reported(self):
         X, theta = _make_data(n_days=16)
@@ -196,7 +224,7 @@ class TestPersistence:
         root = tmp_path / "model"
         save_ensemble(model, str(root))
         man = json.loads((root / "manifest.json").read_text())
-        assert man["format_version"] == 3
+        assert man["format_version"] == 4
         assert "hour_local" not in man and "trim_fraction" not in man
         (root / "hidden_weights.npy").unlink()
         (root / "hidden_biases.npy").unlink()
@@ -232,11 +260,17 @@ class TestPersistence:
         ("m", None), ("m", "2"), ("input_dim", None), ("input_dim", 6.0),
         ("n_members", None), ("n_members", 0), ("hidden_size", None),
         ("hidden_size", True), ("scaler_mean", None), ("scaler_std", None),
-        ("scaler_mean", [0.5]), ("scaler_std", {"0": 1.0})])
+        ("scaler_mean", [0.5]), ("scaler_std", {"0": 1.0}),
+        ("scaler_std", [1.0] * 5 + [0.0]), ("scaler_std", [-1.0] + [1.0] * 5),
+        ("scaler_mean", [0.5] * 5 + [np.inf]),
+        ("scaler_mean", [np.nan] + [0.5] * 5), ("medians", None),
+        ("medians", [0.5] * 5), ("medians", [0.5] * 5 + [-np.inf]),
+        ("medians", [0.5] * 5 + ["0.5"]), ("medians", [True] * 6)])
     def test_manifest_key_is_refused_by_name(self, tmp_path, capsys, key,
                                              value):
-        # a key that is missing (None) or of the wrong kind: load and the
-        # CLI name the manifest and the key, and the CLI exits 2
+        # a key that is missing (None), of the wrong kind, not finite or,
+        # for a std, not positive: load and the CLI name the manifest and
+        # the key, and the CLI exits 2
         model = train_ensemble(*_make_data(n_days=16), hidden_size=10,
                                n_members=5, master_seed=15)
         root = tmp_path / "model"
@@ -248,9 +282,10 @@ class TestPersistence:
         else:
             man[key] = value
         path.write_text(json.dumps(man))
-        why = (f"{path}: scaler_mean and scaler_std must each hold input_dim "
-               "(6) numbers, a multiple of m (2)" if key.startswith("scaler")
-               else f"{path}: {key} is not a positive integer")
+        why = (f"{path}: {key} is not a positive integer"
+               if key in ("m", "input_dim", "n_members", "hidden_size") else
+               f"{path}: {key} must be input_dim (6) finite numbers"
+               + " > 0" * (key == "scaler_std"))
         with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
             load_ensemble(str(root))
         capsys.readouterr()
@@ -363,3 +398,18 @@ class TestTrainSpeed:
                           np.full_like(u, 0.1), np.full_like(u, 0.9)], axis=1)
         model = benchmark(train_ensemble, X, theta, master_seed=1, ridge=2.0)
         assert model.output_weights.shape == (12, 200, 100, 5)
+
+    def test_predict_day(self, benchmark, tmp_path):
+        # the forecast benchmark's predict stage: load a saved model of
+        # that size and predict one weather day with one missing cell
+        X = np.random.default_rng(23).uniform(0.0, 1.0, (23, 12 * 9))
+        u = X[:, ::9]
+        theta = np.stack([0.1 + 0.2 * u, 0.3 + 0.4 * u, 0.05 + 0.1 * u,
+                          np.full_like(u, 0.1), np.full_like(u, 0.9)], axis=1)
+        save_ensemble(train_ensemble(X, theta, master_seed=1),
+                      str(tmp_path / "model"))
+        day = X[:1].copy()
+        day[0, 10] = np.nan
+        pred, = benchmark(lambda: predict_params_batch(
+            load_ensemble(str(tmp_path / "model")), day))
+        assert pred.theta.shape == (5, 12) and np.isfinite(pred.theta).all()

@@ -1,9 +1,11 @@
 """Tests for the dataset generator, batch pipeline, and CLI."""
 
+import csv
 import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -27,7 +29,7 @@ from pvsde.estimation import identify_day
 from pvsde.metrics import MetricReport
 from pvsde.sde import A_CAP_UNITS, DayParams, SimulationFan, make_fan
 from pvsde.synth import synth_generate, true_param_map
-from pvsde.weather import HourGrid
+from pvsde.weather import HourGrid, ingest_weather, write_weather_csv
 
 SMALL = RunConfig(n_days=6, m=3, start_hour=9, n_members=3, hidden_size=10,
                   n_paths=50, seed=1)
@@ -783,7 +785,7 @@ class TestCommands:
         assert json.loads(capsys.readouterr().err) == dict(
             error="ValueError", message=why)
 
-    @pytest.mark.parametrize("name", ["impute.json", "manifest.json"])
+    @pytest.mark.parametrize("name", ["manifest.json"])
     def test_a_model_file_that_is_not_an_object_is_refused(
             self, tmp_path, capsys, name):
         ds, model = tmp_path / "ds", tmp_path / "model"
@@ -890,23 +892,74 @@ class TestCommands:
             cmd_train(E2E, str(ds / "weather.csv"),
                       str(tmp_path / "other.json"), str(tmp_path / "model"))
 
-    def test_predict_refuses_medians_that_are_not_one_per_feature(
-            self, tmp_path):
-        # numpy would broadcast a single median into every missing cell
-        ds, model = tmp_path / "ds", tmp_path / "model"
+    def test_e2e_trains_on_no_held_out_weather(self, tmp_path):
+        # two datasets with the same training days, one humidity cell of
+        # them blank, and differently humid held-out days: the model, its
+        # medians included, comes from the training days alone
+        ds = tmp_path / "ds"
         cmd_synth(E2E, str(ds))
-        cmd_train(E2E, str(ds / "weather.csv"), str(ds / "true_params.json"),
-                  str(model))
-        impute = model / "impute.json"
-        n = len(json.loads(impute.read_text())["medians"])
-        for bad in ("[12345.0]", "[NaN" + ", 1.0" * (n - 1) + "]", "null",
-                    '["x"' + ", 1.0" * (n - 1) + "]"):
-            impute.write_text('{"medians": ' + bad + "}")
-            with pytest.raises(ValueError, match=f"^{re.escape(str(impute))}"
-                                                 f": medians must be {n} "):
-                cmd_predict(E2E, str(model), str(ds / "weather.csv"),
-                            str(tmp_path / "pred.json"))
-        assert not (tmp_path / "pred.json").exists()
+        train, test = split_days(ingest_pv(str(ds / "pv.csv")), E2E.split,
+                                 E2E.seed)
+        with open(ds / "weather.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        rows[[r["timestamp"][:10] for r in rows].index(train[0])][
+            "humidity"] = ""
+        for tag, scale in (("a", 1.0), ("b", 0.5)):
+            shutil.copytree(ds, tmp_path / tag)
+            with open(tmp_path / tag / "weather.csv", "w", newline="") as f:
+                write_weather_csv(f, [
+                    dict(r, humidity=repr(float(r["humidity"]) * scale))
+                    if r["timestamp"][:10] in test else r for r in rows])
+            cmd_e2e(E2E, str(tmp_path / tag), str(tmp_path / f"run_{tag}"))
+        model_a, model_b = tmp_path / "run_a/model", tmp_path / "run_b/model"
+        names = sorted(p.name for p in model_a.iterdir())
+        assert names == sorted(p.name for p in model_b.iterdir())
+        for name in names:
+            assert ((model_a / name).read_bytes()
+                    == (model_b / name).read_bytes()), name
+        assert (tmp_path / "a" / "weather.csv").read_bytes() != (
+            tmp_path / "b" / "weather.csv").read_bytes()
+        weather = dict(ingest_weather(str(tmp_path / "a" / "weather.csv"),
+                                      E2E.grid)[0])
+        assert np.isnan(weather[train[0]][1])
+        assert json.loads((model_a / "manifest.json").read_text())[
+            "medians"] == np.nanmedian([weather[d] for d in train],
+                                       axis=0).tolist()
+
+    def test_e2e_refuses_a_split_that_holds_no_day_out(self, tmp_path,
+                                                        capsys):
+        # split = 0.99 keeps all 20 days for training: refused before
+        # identification, not after training
+        ds, run = tmp_path / "ds", tmp_path / "run"
+        cmd_synth(E2E, str(ds))
+        (tmp_path / "run.cfg").write_text(
+            "m = 3\nstart_hour = 9\nn_members = 3\nhidden_size = 10\n"
+            "n_paths = 50\nseed = 4\nsplit = 0.99\n")
+        capsys.readouterr()
+        assert cli_main(["--config", str(tmp_path / "run.cfg"), "e2e",
+                         "--dataset", str(ds), "--out", str(run)]) == 2
+        assert json.loads(capsys.readouterr().err) == dict(
+            error="ValueError",
+            message="split = 0.99 leaves no held-out day of 20 days")
+        assert not (run / "params_identified.json").exists()
+
+    def test_e2e_refuses_truth_that_lacks_a_held_out_day(self, tmp_path):
+        # the slot RMSE needs every held-out day's generating parameters;
+        # a truth file without some is refused before any stage runs
+        ds, run = tmp_path / "ds", tmp_path / "run"
+        cmd_synth(E2E, str(ds))
+        _, test = split_days(ingest_pv(str(ds / "pv.csv")), E2E.split,
+                             E2E.seed)
+        path = ds / "true_params.json"
+        doc = read_params_json(str(path))
+        for d in test[1:3]:
+            del doc["days"][d]
+        path.write_text(json.dumps(doc))
+        why = f"{path}: lacks held-out days {test[1:3]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+            cmd_e2e(E2E, str(ds), str(run))
+        assert not (run / "params_identified.json").exists()
+        assert not (run / "eval.json").exists()
 
     def test_synth_and_e2e_at_a_60_s_step(self, tmp_path):
         # the generating map gives a up to 0.36 per 30 s, a·dt = 0.72 at
@@ -1016,7 +1069,7 @@ class TestCommands:
                   str(tmp_path / "model"))
         names = sorted(p.name for p in (run / "model").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "model").iterdir())
-        assert "hidden_weights.npy" in names and "impute.json" in names
+        assert "hidden_weights.npy" in names and "impute.json" not in names
         for name in names:
             assert ((tmp_path / "model" / name).read_bytes()
                     == (run / "model" / name).read_bytes()), name

@@ -30,9 +30,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, PARAM_NAMES, _atomic,
-                       _read_object, load_ensemble, predict_params_batch,
-                       save_ensemble, train_ensemble)
+from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, MIN_SLOT_PAIRS,
+                       PARAM_NAMES, _atomic, _read_object, load_ensemble,
+                       predict_params_batch, save_ensemble, train_ensemble)
 # no stage calls identify_day; pvsdebench's tracer patches it under this
 # module's name
 from .estimation import (UNTRUSTED_FLAGS, identify_day,  # noqa: F401
@@ -220,14 +220,14 @@ def write_pv_csv(path: str, dates, pv_days, masks=None) -> None:
                              for s, v, ok in zip(steps, values, valid)]))
 
 
-def ingest_pv(path: str, dates=None, day_length: int = 2 ** 63):
+def ingest_pv(path: str, dates, day_length: int):
     """Read the per-day normalized PV table -> {date: (values, mask)}.
 
-    ``dates``, a set of date labels, keeps the rows of those days only:
-    the rows of other days are dropped once their date cell is read, so
-    nothing else of them is checked.  Each sample sits at its ``step``
-    index.  Every day is as long as the largest step of the rows kept plus
-    one; a step a day lacks is masked (value 0).  A malformed row, a step
+    ``dates``, a set of date labels, keeps the rows of those days only
+    (None keeps every day): the rows of other days are dropped once their
+    date cell is read, so nothing else of them is checked.  Every day is
+    ``day_length`` samples, each at its ``step`` index; a step a day lacks,
+    past its last row too, is masked (value 0).  A malformed row, a step
     at or past ``day_length``, a repeated (date, step) or a valid sample
     whose power is not finite is reported as ``path:line``, before any day
     is sized.
@@ -258,13 +258,12 @@ def ingest_pv(path: str, dates=None, day_length: int = 2 ** 63):
         return {}
     day, step, power, valid = map(np.concatenate, zip(*chunks))
     del chunks                      # before the repeat check's arrays
-    n_steps = int(step.max()) + 1
-    if (step.min() < 0 or n_steps > day_length
-            or np.bincount(day * n_steps + step).max() > 1
+    if (step.min() < 0 or step.max() >= day_length
+            or np.bincount(day * day_length + step).max() > 1
             or (valid & ~np.isfinite(power)).any()):
         _pv_locate(path, *spec, day_length)
-    values = np.zeros((len(index), n_steps))
-    mask = np.zeros((len(index), n_steps), dtype=bool)
+    values = np.zeros((len(index), day_length))
+    mask = np.zeros((len(index), day_length), dtype=bool)
     values[day, step], mask[day, step] = power, valid
     return {date: (values[k], mask[k]) for date, k in index.items()}
 
@@ -491,20 +490,17 @@ def _scorable(values, mask) -> bool:
 def _evaluate_days(pv: dict, dates, fan_of, out_path: str):
     """Score each of ``dates`` against its actual PV with the fan
     ``fan_of(date)`` and write the reports to ``out_path`` (eval.json).
-    Steps past the end of a day's PV record count as masked.  Returns the
-    reports and the dates skipped because ``pv`` has no rows of them or
-    the metrics are undefined on their actual series; a skipped day's fan
-    is not built."""
+    Returns the reports and the dates skipped because ``pv`` has no rows of
+    them or the metrics are undefined on their actual series; a skipped
+    day's fan is not built."""
     reports, skipped = {}, []
     for date in dates:
         if date not in pv or not _scorable(*pv[date]):
             skipped.append(date)
             continue
         values, mask = pv[date]
-        fan = fan_of(date)
-        pad = (0, max(fan.n_steps - values.size, 0))
-        reports[date] = evaluate(EvalInput(fan=fan, actual=np.pad(values, pad),
-                                           mask=np.pad(mask, pad)))
+        reports[date] = evaluate(EvalInput(fan=fan_of(date), actual=values,
+                                           mask=mask))
     with _atomic(out_path) as f:
         f.write(json.dumps({d: r.__dict__ for d, r in reports.items()},
                            sort_keys=True, indent=1))
@@ -544,7 +540,7 @@ def cmd_synth(cfg: RunConfig, out_dir: str) -> dict:
 
 def cmd_identify(cfg: RunConfig, pv_path: str, out_path: str) -> dict:
     """Identify per-hour parameters for every day of a PV table."""
-    pv = ingest_pv(pv_path, day_length=cfg.day_length)
+    pv = ingest_pv(pv_path, None, cfg.day_length)
     days, rejected = _identify_days(cfg, pv, sorted(pv))
     write_params_json(out_path, days, cfg.step_seconds, cfg.m)
     return dict(identified=len(days), rejected=rejected, out=out_path)
@@ -643,6 +639,10 @@ def cmd_e2e(cfg: RunConfig, dataset_dir: str, out_dir: str) -> dict:
     if not test_dates:
         raise ValueError(f"split = {cfg.split} leaves no held-out day of "
                          f"{len(dates)} days")
+    if len(train_dates) < MIN_SLOT_PAIRS:
+        raise ValueError(f"split = {cfg.split} leaves {len(train_dates)} "
+                         f"training days of {len(dates)} days, training "
+                         f"needs >= {MIN_SLOT_PAIRS}")
     true_path, truth = os.path.join(dataset_dir, "true_params.json"), None
     if os.path.exists(true_path):       # generating parameters: slot RMSE
         truth = _params_days(cfg, true_path)

@@ -122,11 +122,6 @@ def _clip(x, lo, hi):
     return np.where(x < lo, lo, np.where(x > hi, hi, x))
 
 
-def project_params(a, b, beta, c, d, *, log=None) -> SdeParams:
-    """``project_rows`` for one hour."""
-    return SdeParams(*project_rows([a, b, beta, c, d], log).tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class DayParams:
     """One day's parameters: ``theta``, a read-only (5, m) float array with
@@ -282,7 +277,7 @@ DEFAULT_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9, 0.95)
 
 
 def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
-             quantile_levels=DEFAULT_QUANTILE_LEVELS, n_keep=None):
+             n_keep=None):
     """Simulate n_paths day trajectories and cache empirical quantiles.
 
     A fan takes one Euler step per sample, so each hour's a is capped at
@@ -294,8 +289,9 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     just before that hour is stepped; the blocks are the consecutive rows
     of the one block a single draw would give.  The fan is reproducible
     under ``seed``, but a path's noise depends on ``n_paths``.  The
-    quantiles and mean cover every path; ``paths`` keeps the first
-    ``n_keep`` of them (all when ``n_keep`` is None).
+    quantiles, at ``DEFAULT_QUANTILE_LEVELS``, and the mean cover every
+    path; ``paths`` keeps the first ``n_keep`` of them (all when ``n_keep``
+    is None).
 
     The fan is built hour by hour: each hour's (steps, n_paths) block of
     states gives that hour's mean, its kept paths and, sorted in place, its
@@ -311,7 +307,7 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
     params[0] = np.minimum(params[0], A_CAP_UNITS / dt)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     n_steps = day.m * n_hour
-    levels = tuple(quantile_levels)
+    levels = DEFAULT_QUANTILE_LEVELS
     n_keep = n_paths if n_keep is None else min(n_keep, n_paths)
     paths = np.empty((n_keep, n_steps))
     quantiles = np.empty((len(levels), n_steps))

@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .sde import (A_CAP_UNITS, TIME_UNIT_SECONDS, DayParams, SdeParams,
-                  euler_paths, project_params, samples_per_hour)
+from .sde import (A_CAP_UNITS, TIME_UNIT_SECONDS, DayParams, euler_paths,
+                  samples_per_hour)
 from .weather import COMPASS_DEGREES, HourGrid
 
 IRRADIANCE_SCALE = 3.5      # MJ/m^2 roughly spanning the observed range
@@ -29,7 +29,8 @@ def _sig(z):
 
 
 def _raw_params(humidity, cloud, irradiance):
-    """``true_param_map``'s a, b, beta, c, d before the projection."""
+    """Ground-truth smooth map from one hour's weather to a, b, beta, c, d,
+    before ``DayParams`` projects them."""
     uh = humidity / 100.0
     uc = cloud / 9.0
     ui = irradiance / IRRADIANCE_SCALE
@@ -41,11 +42,6 @@ def _raw_params(humidity, cloud, irradiance):
     c = b * (0.88 - 0.45 * _sig(3.0 * (uc + uh) - 3.3))
     d = b + 1.4 * b * (1.0 - b) * (0.30 + 0.50 * _sig(1.5 - 3.0 * uh))
     return a, b, beta, c, d
-
-
-def true_param_map(humidity, cloud, irradiance) -> SdeParams:
-    """Ground-truth smooth map from one hour's weather to SDE parameters."""
-    return project_params(*_raw_params(humidity, cloud, irradiance))
 
 
 def _day_weather(rng, grid: HourGrid):

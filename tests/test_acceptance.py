@@ -19,9 +19,10 @@ from pvsde.estimation import identify_hour
 from pvsde.metrics import EvalInput, kl_divergence, nd, picp, rho_risk
 from pvsde.pipeline import (RunConfig, cmd_e2e, cmd_evaluate, cmd_identify,
                             cmd_predict, cmd_simulate, cmd_synth, cmd_train)
-from pvsde.sde import (DayParams, SdeParams, make_fan, simulate_hour,
-                       stationary_beta_shapes, stationary_sample)
-from pvsde.synth import true_param_map
+from pvsde.sde import (DayParams, SdeParams, make_fan, project_rows,
+                       simulate_hour, stationary_beta_shapes,
+                       stationary_sample)
+from pvsde.synth import _raw_params
 from pvsde.weather import COMPASS_DEGREES, encode_hour
 
 # Reference hourly regimes: identified parameters (a, b, beta, c, d) and the
@@ -272,7 +273,7 @@ def test_criterion_9_regime_ordering(capsys):
                  wind_speed=rng.uniform(2, 12), wind_direction="E",
                  cloud=cl, irradiance=ir)
         X.append(_hour_features(w))
-        theta.append(true_param_map(h, cl, ir).as_array()[:, None])
+        theta.append(project_rows(_raw_params(h, cl, ir))[:, None])
     for name, w0 in REGIME_WEATHER.items():
         th = SdeParams(*REGIME_PARAMS[name])
         for j in range(5):

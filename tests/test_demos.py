@@ -1,12 +1,14 @@
 """Smoke test: the demo scripts, the README's library quickstart and its
 command-line block run to completion."""
 
+import ast
 import json
 import re
 import runpy
 import shlex
 from pathlib import Path
 
+import pvsde
 from pvsde.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +38,23 @@ def test_forecast_day_runs(tmp_path, monkeypatch, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["n_test"] > 0 and summary["skipped"] == []
     assert (tmp_path / "demo_run" / "out" / "summary.json").exists()
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name, attribute or import of each pvsde.__all__ entry in the
+    # package's modules (its __init__ lists them all), the demos, the
+    # benchmark or the README's python block
+    files = [p for p in (*(ROOT / "src" / "pvsde").glob("*.py"),
+                         *DEMOS.glob("*.py"),
+                         *(ROOT / "pvsdebench").glob("*.py"))
+             if p.name != "__init__.py" and not p.name.startswith("test_")]
+    sources = [p.read_text() for p in files] + re.findall(
+        r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+        re.M | re.S)
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    used = {getattr(node, field[type(node)]) for text in sources
+            for node in ast.walk(ast.parse(text)) if type(node) in field}
+    assert sorted(set(pvsde.__all__) - used) == []
 
 
 def test_readme_library_quickstart_runs(capsys):

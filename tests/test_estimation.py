@@ -15,7 +15,7 @@ from pvsde.estimation import (_N_CENSOR_ITERS, A_CAP_UNITS, A_MIN,
                               _make_params, _nelder_mead_batch, _Rows,
                               _slope_bias, identify_day, identify_days,
                               identify_hour, identify_hours)
-from pvsde.sde import SdeParams, project_params, simulate_hour
+from pvsde.sde import SdeParams, project_rows, simulate_hour
 from pvsde.synth import synth_generate
 
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
@@ -211,7 +211,7 @@ class TestSlopeBias:
 
 class TestMakeParams:
     @pytest.mark.parametrize("dt", [1.0, 0.1])    # cap below / above a = 2
-    def test_equals_project_params_per_row_to_the_bit(self, dt):
+    def test_equals_project_rows_per_row_to_the_bit(self, dt):
         # swapped and narrow bounds, b outside them, a and beta outside
         # their boxes, and signed zeros
         rng = np.random.default_rng(17)
@@ -219,9 +219,8 @@ class TestMakeParams:
         c, d = rng.uniform(-0.2, 1.2, (2, 4000))
         d[::3] = c[::3] + rng.uniform(-0.02, 0.02, 1334)
         beta[:4], c[:4], d[:4], b[:4] = -0.0, 0.0, -0.0, -0.0
-        want = np.array([project_params(min(max(ai, A_MIN), A_CAP_UNITS / dt),
-                                        _clamp_b(bi, ci, di), be, ci,
-                                        di).as_array()
+        want = np.array([project_rows([min(max(ai, A_MIN), A_CAP_UNITS / dt),
+                                       _clamp_b(bi, ci, di), be, ci, di])
                          for ai, bi, be, ci, di in zip(
                              *(x.tolist() for x in (a, b, beta, c, d)))]).T
         got = _make_params(a, b, beta, c, d, dt)

@@ -26,10 +26,8 @@ def _fan_from_paths(paths, step_seconds=30.0):
 
 def _sde_input(seed=0, n_paths=400, actual_seed=1):
     day = DayParams(CLOUDY.as_array()[:, None])
-    fan = make_fan(day, 0.5, n_paths=n_paths, seed=seed,
-                   quantile_levels=LEVELS)
-    actual = make_fan(day, 0.5, n_paths=1, seed=actual_seed,
-                      quantile_levels=LEVELS).paths[0]
+    fan = make_fan(day, 0.5, n_paths=n_paths, seed=seed)
+    actual = make_fan(day, 0.5, n_paths=1, seed=actual_seed).paths[0]
     return EvalInput(fan=fan, actual=actual)
 
 

@@ -27,8 +27,9 @@ from pvsde.pipeline import (RunConfig, _day_fan, cmd_e2e, cmd_evaluate,
 from pvsde.ensemble import TrainingError
 from pvsde.estimation import identify_day
 from pvsde.metrics import MetricReport
-from pvsde.sde import A_CAP_UNITS, DayParams, SimulationFan, make_fan
-from pvsde.synth import synth_generate, true_param_map
+from pvsde.sde import (A_CAP_UNITS, DayParams, SdeParams, SimulationFan,
+                       make_fan, project_rows)
+from pvsde.synth import _raw_params, synth_generate
 from pvsde.weather import HourGrid, ingest_weather, write_weather_csv
 
 SMALL = RunConfig(n_days=6, m=3, start_hour=9, n_members=3, hidden_size=10,
@@ -61,15 +62,16 @@ class TestSynth:
 
     def test_param_map_humidity_ordering(self):
         # drier reports map to higher, steadier production
-        clear = true_param_map(humidity=57.0, cloud=6.0, irradiance=2.27)
-        cloudy = true_param_map(humidity=75.0, cloud=6.0, irradiance=2.39)
+        clear, cloudy = (SdeParams(*project_rows(_raw_params(*w)).tolist())
+                         for w in ((57.0, 6.0, 2.27), (75.0, 6.0, 2.39)))
         assert clear.b > cloudy.b
         assert clear.beta < cloudy.beta
 
     def test_param_map_outputs_valid(self):
         for h in (0.0, 40.0, 80.0, 100.0):
             for c in (0.0, 5.0, 9.0):
-                th = true_param_map(h, c, 1.5)
+                th = SdeParams(*project_rows(_raw_params(h, c, 1.5))
+                               .tolist())
                 assert th.c < th.b < th.d and 0 <= th.beta <= 1
 
     def test_synth_dataset_bytes(self, tmp_path):
@@ -187,7 +189,7 @@ class TestPvCsv:
         mask = np.ones(40, dtype=bool)
         mask[5:9] = False
         write_pv_csv(path, ["2018-01-01"], [values], [mask])
-        got = ingest_pv(path)
+        got = ingest_pv(path, None, 40)
         np.testing.assert_array_equal(got["2018-01-01"][0], values)
         np.testing.assert_array_equal(got["2018-01-01"][1], mask)
 
@@ -212,7 +214,7 @@ class TestPvCsv:
             path = tmp_path / f"{name}.csv"
             path.write_text("date,step,power,valid\n" + body + "\n",
                             newline="")
-            got[name] = ingest_pv(str(path))
+            got[name] = ingest_pv(str(path), None, 2)
         assert list(got["plain"]) == ["2018-01-02", "2018-01-01"]
         for name in ("quoted", "ragged"):
             assert list(got[name]) == list(got["plain"])
@@ -227,17 +229,28 @@ class TestPvCsv:
             path.write_text(f"date,step,power,valid\n\n{row}\n")
             with pytest.raises(ValueError,
                                match=f"^{path}:3: malformed PV row"):
-                ingest_pv(str(path))
+                ingest_pv(str(path), None, 2)
+
+    def test_a_day_is_read_onto_the_grid(self, tmp_path):
+        # rows that stop at step 999 read as 1440-sample days, masked from
+        # step 1000 on
+        path = str(tmp_path / "pv.csv")
+        values = np.random.default_rng(1).uniform(0.2, 0.8, (2, 1000))
+        write_pv_csv(path, ["2018-01-01", "2018-01-02"], values)
+        got = ingest_pv(path, None, RunConfig().day_length)
+        for j, (day, mask) in enumerate(got.values()):
+            np.testing.assert_array_equal(day, np.pad(values[j], (0, 440)))
+            np.testing.assert_array_equal(mask, np.arange(1440) < 1000)
 
     def test_sample_sits_at_its_step(self, tmp_path):
         # a step missing from one day is masked, not filled by the next
-        # sample; every day is as long as the file's largest step + 1
+        # sample; every day is as long as the day length asked for
         path = tmp_path / "pv.csv"
         path.write_text("date,step,power,valid\n"
                         "2018-01-01,0,0.1,1\n2018-01-01,1,0.2,1\n"
                         "2018-01-01,2,0.3,1\n2018-01-01,4,0.5,1\n"
                         "2018-01-02,1,0.7,0\n2018-01-02,0,0.6,1\n")
-        got = ingest_pv(str(path))
+        got = ingest_pv(str(path), None, 5)
         np.testing.assert_array_equal(got["2018-01-01"][0],
                                       [0.1, 0.2, 0.3, 0.0, 0.5])
         np.testing.assert_array_equal(got["2018-01-01"][1],
@@ -265,8 +278,8 @@ class TestPvCsv:
             at = [rows[0].index(c) for c in cols]
             (tmp_path / name).write_text("".join(
                 ",".join(r[i] for i in at) + "\n" for r in rows))
-        got = ingest_pv(str(tmp_path / "all.csv"), {dates[3]})
-        want = ingest_pv(str(tmp_path / "one.csv"))
+        got = ingest_pv(str(tmp_path / "all.csv"), {dates[3]}, 50)
+        want = ingest_pv(str(tmp_path / "one.csv"), None, 50)
         assert list(got) == list(want) == [dates[3]]
         for a, b in zip(got[dates[3]], want[dates[3]]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -288,8 +301,8 @@ class TestPvCsv:
                  f"2018-01-02 has power {power}, which is not finite$")
         for dates in (None, {"2018-01-02"}):
             with pytest.raises(ValueError, match=match):
-                ingest_pv(str(path), dates)
-        got = ingest_pv(str(path), {"2018-01-01"})
+                ingest_pv(str(path), dates, 240)
+        got = ingest_pv(str(path), {"2018-01-01"}, 240)
         assert not got["2018-01-01"][1][2]
         cfg = RunConfig(m=2)
         with pytest.raises(ValueError, match=match):
@@ -306,7 +319,7 @@ class TestPvCsv:
         path.write_text("date,step,power,valid\n2018-01-01,0,0.1,1\n"
                         "2018-01-01,1,0.2,1\n2018-01-01,1,0.2,1\n")
         with pytest.raises(ValueError, match=f"^{path}:4: repeated step 1"):
-            ingest_pv(str(path))
+            ingest_pv(str(path), None, 2)
 
     @pytest.mark.parametrize("row", MALFORMED_PV_ROWS)
     def test_malformed_row_is_checked_only_when_its_day_is_kept(
@@ -315,12 +328,12 @@ class TestPvCsv:
         path = tmp_path / "pv.csv"
         path.write_text("date,step,power,valid\n\n2018-01-02,0,0.1,1\n"
                         f"2018-01-02,1,0.2,1\n\n{row}\n2018-01-01,1,0.3,1\n")
-        got = ingest_pv(str(path), {"2018-01-02"})
+        got = ingest_pv(str(path), {"2018-01-02"}, 2)
         assert list(got) == ["2018-01-02"]
         for dates in ({"2018-01-01"}, None):
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6:"
                                                  " malformed PV row$"):
-                ingest_pv(str(path), dates)
+                ingest_pv(str(path), dates, 2)
 
     @pytest.mark.parametrize("row", MALFORMED_PV_ROWS)
     def test_malformed_row_of_a_quoted_table_names_its_line(self, tmp_path,
@@ -333,19 +346,23 @@ class TestPvCsv:
         path.write_text("\r\n".join(quoted) + "\r\n", newline="")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6:"
                                              " malformed PV row$"):
-            ingest_pv(str(path))
+            ingest_pv(str(path), None, 2)
 
     def test_step_past_the_day_names_its_line_before_sizing_a_day(
             self, tmp_path, peak_bytes):
-        # a stray step must not size every day of the table
-        cfg = RunConfig(m=2)                        # 240-sample days
-        path = tmp_path / "pv.csv"
-        for step in (2_000_000, 2 * 10 ** 9):
-            path.write_text("date,step,power,valid\n2018-01-01,0,0.1,1\n"
-                            f"2018-01-01,1,0.2,1\n2018-01-01,{step},0.3,1\n"
-                            "2018-01-02,0,0.4,1\n")
-            match = (f"^{re.escape(str(path))}:4: step {step} is past the "
-                     "day's 240 samples$")
+        # a stray step must not size every day of the table, nor overflow
+        # the repeat check's (day, step) codes: 240- and 1440-sample days
+        path, big = tmp_path / "pv.csv", 2 ** 62
+        cases = [(2, "2018-01-01,0,0.1,1\n2018-01-01,1,0.2,1\n"
+                     f"2018-01-01,{step},0.3,1\n2018-01-02,0,0.4,1\n", 4, step)
+                 for step in (2_000_000, 2 * 10 ** 9)]
+        cases += [(12, f"2018-01-01,0,0.1,1\n2018-01-02,{big},0.3,1\n", 3,
+                   big), (12, f"2018-01-01,{big},0.3,1\n", 2, big)]
+        for m, rows, line, step in cases:
+            cfg = RunConfig(m=m)
+            path.write_text("date,step,power,valid\n" + rows)
+            match = (f"^{re.escape(str(path))}:{line}: step {step} is past "
+                     f"the day's {cfg.day_length} samples$")
             with pytest.raises(ValueError, match=match):
                 cmd_identify(cfg, str(path), str(tmp_path / "params.json"))
 
@@ -369,14 +386,13 @@ class TestPvCsv:
             with pytest.raises(ValueError, match=(
                     f"^{re.escape(str(path))}:{at + 1}: repeated step 7 "
                     "of 2018-01-03$")):
-                ingest_pv(str(path), keep)
+                ingest_pv(str(path), keep, 1440)
 
 
 class TestFanCsv:
     def test_round_trip(self, tmp_path):
         day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
-        fan = make_fan(day, 0.5, n_paths=40, seed=2,
-                       quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.9, 0.95))
+        fan = make_fan(day, 0.5, n_paths=40, seed=2)
         path = str(tmp_path / "fan.csv")
         write_fan_csv(path, replace(fan, paths=fan.paths[:10]))
         got = read_fan_csv(path, 30.0)
@@ -521,16 +537,19 @@ class TestFanCsvErrors:
         with pytest.raises(ValueError, match=f"^{npy}: unreadable"):
             read_fan_csv(str(path), 30.0)
 
-    @pytest.mark.parametrize("kwargs, why", [
-        (dict(quantile_levels=(0.025, 0.5, 0.975)),
+    @pytest.mark.parametrize("levels, n_keep, why", [
+        ((0.025, 0.5, 0.975), None,
          "quantile level 0.025 is not a whole percent"),
-        (dict(n_keep=0), "a fan file needs at least one path"),
+        (None, 0, "a fan file needs at least one path"),
     ], ids=["level", "no-path"])
     def test_fan_that_would_not_read_back_is_not_written(self, tmp_path,
-                                                         kwargs, why):
+                                                         levels, n_keep, why):
         # q02 would read back as 0.02; a (0, n) .npy is refused on reading
         day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
-        fan = make_fan(day, 0.5, n_paths=4, seed=1, **kwargs)
+        fan = make_fan(day, 0.5, n_paths=4, seed=1, n_keep=n_keep)
+        if levels is not None:
+            fan = replace(fan, quantile_levels=levels,
+                          quantiles=np.quantile(fan.paths, levels, axis=0))
         path = tmp_path / "fan.csv"
         with pytest.raises(ValueError, match=f"^{path}: {why}"):
             write_fan_csv(str(path), fan)
@@ -602,14 +621,14 @@ def test_pv_table_variants_read_like_the_plain_table(tmp_path_factory,
         out += [""] * data.draw(st.integers(0, 1))
     (root / "variant.csv").write_text(eol.join(out) + eol, newline="")
     keep = set(data.draw(st.lists(st.sampled_from(dates))))
-    plain = ingest_pv(str(root / "plain.csv"))
+    plain = ingest_pv(str(root / "plain.csv"), None, n_steps)
     assert list(plain) == dates
     for j, date in enumerate(dates):
         assert plain[date][0].tobytes() == values[j].tobytes()
         assert plain[date][1].tobytes() == masks[j].tobytes()
     for dates_kept in (None, keep):
-        want = ingest_pv(str(root / "plain.csv"), dates_kept)
-        got = ingest_pv(str(root / "variant.csv"), dates_kept)
+        want = ingest_pv(str(root / "plain.csv"), dates_kept, n_steps)
+        got = ingest_pv(str(root / "variant.csv"), dates_kept, n_steps)
         assert list(got) == list(want)
         for date in want:
             for a, b in zip(got[date], want[date]):
@@ -814,7 +833,7 @@ class TestCommands:
         cfg = replace(SMALL, n_days=3)
         cmd_synth(cfg, str(ds))
         cmd_simulate(cfg, str(ds / "true_params.json"), str(fans))
-        pv = ingest_pv(str(ds / "pv.csv"))
+        pv = ingest_pv(str(ds / "pv.csv"), None, cfg.day_length)
         dates = sorted(pv)
         res = cmd_evaluate(cfg, str(fans), str(ds / "pv.csv"),
                            str(tmp_path / "all.json"))
@@ -833,8 +852,10 @@ class TestCommands:
     def test_evaluate_refuses_a_fan_without_a_level_it_reads(self, tmp_path):
         # evaluate reads q05, q50, q90 and q95; this fan has no q90
         day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
-        fan = make_fan(day, 0.5, n_paths=40, seed=2,
-                       quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95))
+        fan = make_fan(day, 0.5, n_paths=40, seed=2)
+        fan = replace(fan, quantile_levels=fan.quantile_levels[:4]
+                      + fan.quantile_levels[5:],
+                      quantiles=np.delete(fan.quantiles, 4, axis=0))
         path = tmp_path / "fans" / "fan_2018-01-01.csv"
         path.parent.mkdir()
         write_fan_csv(str(path), fan)
@@ -898,8 +919,9 @@ class TestCommands:
         # medians included, comes from the training days alone
         ds = tmp_path / "ds"
         cmd_synth(E2E, str(ds))
-        train, test = split_days(ingest_pv(str(ds / "pv.csv")), E2E.split,
-                                 E2E.seed)
+        train, test = split_days(
+            ingest_pv(str(ds / "pv.csv"), None, E2E.day_length), E2E.split,
+            E2E.seed)
         with open(ds / "weather.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         rows[[r["timestamp"][:10] for r in rows].index(train[0])][
@@ -943,13 +965,32 @@ class TestCommands:
             message="split = 0.99 leaves no held-out day of 20 days")
         assert not (run / "params_identified.json").exists()
 
+    def test_e2e_refuses_a_split_that_trains_too_few_days(self, tmp_path,
+                                                          capsys):
+        # split = 0.3 trains 6 of 20 days, under the ensemble's 10: refused
+        # before identification, not after it
+        ds, run = tmp_path / "ds", tmp_path / "run"
+        cmd_synth(E2E, str(ds))
+        (tmp_path / "run.cfg").write_text(
+            "m = 3\nstart_hour = 9\nn_members = 3\nhidden_size = 10\n"
+            "n_paths = 50\nseed = 4\nsplit = 0.3\n")
+        capsys.readouterr()
+        assert cli_main(["--config", str(tmp_path / "run.cfg"), "e2e",
+                         "--dataset", str(ds), "--out", str(run)]) == 2
+        assert json.loads(capsys.readouterr().err) == dict(
+            error="ValueError",
+            message="split = 0.3 leaves 6 training days of 20 days, "
+                    "training needs >= 10")
+        assert not (run / "params_identified.json").exists()
+
     def test_e2e_refuses_truth_that_lacks_a_held_out_day(self, tmp_path):
         # the slot RMSE needs every held-out day's generating parameters;
         # a truth file without some is refused before any stage runs
         ds, run = tmp_path / "ds", tmp_path / "run"
         cmd_synth(E2E, str(ds))
-        _, test = split_days(ingest_pv(str(ds / "pv.csv")), E2E.split,
-                             E2E.seed)
+        _, test = split_days(
+            ingest_pv(str(ds / "pv.csv"), None, E2E.day_length), E2E.split,
+            E2E.seed)
         path = ds / "true_params.json"
         doc = read_params_json(str(path))
         for d in test[1:3]:
@@ -1023,7 +1064,7 @@ class TestCommands:
         ds = str(tmp_path / "ds")
         cmd_synth(cfg, ds)
         pv_path = os.path.join(ds, "pv.csv")
-        pv = ingest_pv(pv_path)
+        pv = ingest_pv(pv_path, None, cfg.day_length)
         dates = sorted(pv)
         train, _ = split_days(dates, cfg.split, cfg.seed)
         dead = set(train[:2])
@@ -1056,8 +1097,9 @@ class TestCommands:
         ds, run = str(tmp_path / "ds"), tmp_path / "run"
         cmd_synth(E2E, ds)
         cmd_e2e(E2E, ds, str(run))
-        train, test = split_days(ingest_pv(os.path.join(ds, "pv.csv")),
-                                 E2E.split, E2E.seed)
+        train, test = split_days(
+            ingest_pv(os.path.join(ds, "pv.csv"), None, E2E.day_length),
+            E2E.split, E2E.seed)
         cmd_identify(E2E, os.path.join(ds, "pv.csv"),
                      str(tmp_path / "params.json"))
         ident = read_params_json(str(tmp_path / "params.json"))
@@ -1091,7 +1133,7 @@ class TestCommands:
         # the input files hold it alone or among other days
         ds = tmp_path / "ds"
         cmd_synth(SMALL, str(ds))
-        pv = ingest_pv(str(ds / "pv.csv"))
+        pv = ingest_pv(str(ds / "pv.csv"), None, SMALL.day_length)
         date = sorted(pv)[2]
         write_pv_csv(str(tmp_path / "alone.csv"), [date], [pv[date][0]],
                      [pv[date][1]])
@@ -1135,7 +1177,7 @@ class TestCommands:
         cfg = replace(SMALL, n_days=33, m=2)
         ds = tmp_path / "ds"
         cmd_synth(cfg, str(ds))
-        pv = ingest_pv(str(ds / "pv.csv"))
+        pv = ingest_pv(str(ds / "pv.csv"), None, cfg.day_length)
         date = sorted(pv)[17]
         write_pv_csv(str(tmp_path / "alone.csv"), [date], [pv[date][0]],
                      [pv[date][1]])
@@ -1156,11 +1198,11 @@ class TestCommands:
         assert len(out["all"]) == 3 and out["all"] == out["alone"]
 
     def test_evaluate_masks_steps_past_the_end_of_a_pv_day(self, tmp_path):
-        # a day read alone is as long as its own last step: the fan's
-        # steps past it are scored as masked samples
+        # a day whose rows stop short reads as a whole day masked past its
+        # last row: it scores as the whole day with those steps masked
         ds, fans = tmp_path / "ds", tmp_path / "fans"
         cmd_synth(SMALL, str(ds))
-        pv = ingest_pv(str(ds / "pv.csv"))
+        pv = ingest_pv(str(ds / "pv.csv"), None, SMALL.day_length)
         date = sorted(pv)[0]
         values, mask = pv[date]
         write_pv_csv(str(tmp_path / "short.csv"), [date], [values[:-5]],
@@ -1182,7 +1224,7 @@ class TestCommands:
         ds, run = str(tmp_path / "ds"), tmp_path / "run"
         cmd_synth(E2E, ds)
         pv_path = os.path.join(ds, "pv.csv")
-        pv = ingest_pv(pv_path)
+        pv = ingest_pv(pv_path, None, E2E.day_length)
         dates = sorted(pv)
         _, test = split_days(dates, E2E.split, E2E.seed)
         dead, sparse, stuck = test[:3]

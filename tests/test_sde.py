@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pvsde.pipeline import read_fan_csv, write_fan_csv
-from pvsde.sde import (DayParams, SdeParams, SimulationFan, StabilityError,
-                       _sorted_quantiles, euler_paths, make_fan,
-                       project_params, project_rows, simulate_hour,
+from pvsde.sde import (DEFAULT_QUANTILE_LEVELS, DayParams, SdeParams,
+                       SimulationFan, StabilityError, _sorted_quantiles,
+                       euler_paths, make_fan, project_rows, simulate_hour,
                        stationary_beta_shapes, stationary_sample)
-from pvsde.synth import _raw_params, synth_generate, true_param_map
+from pvsde.synth import _raw_params, synth_generate
 
 CLEAR = SdeParams(a=0.3298, b=0.8333, beta=0.0348, c=0.6895, d=0.8477)
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
@@ -60,7 +60,8 @@ class TestParams:
         for weather in [(h, c, i) for h in (15.0, 57.0, 75.0, 100.0)
                         for c in (0.0, 6.0, 9.0) for i in (0.02, 1.5, 3.5)]:
             raw = _raw_params(*weather)
-            assert SdeParams(*raw) == true_param_map(*weather)
+            assert (SdeParams(*raw).as_array().tobytes()
+                    == project_rows(raw).tobytes())
 
     def test_as_array_order(self):
         np.testing.assert_array_equal(
@@ -91,27 +92,27 @@ class TestParams:
 class TestProjection:
     def test_valid_params_unchanged(self):
         log = []
-        th = project_params(*CLEAR.as_array(), log=log)
-        assert th == CLEAR and log == []
+        th = project_rows(CLEAR.as_array(), log)
+        assert th.tobytes() == CLEAR.as_array().tobytes() and log == []
 
     def test_swaps_inverted_bounds(self):
-        th = project_params(0.2, 0.5, 0.1, 0.9, 0.1)
-        assert th.c < th.d
+        _, _, _, c, d = project_rows([0.2, 0.5, 0.1, 0.9, 0.1])
+        assert c < d
 
     def test_widens_degenerate_gap(self):
-        th = project_params(0.2, 0.5, 0.1, 0.5, 0.5)
-        assert th.d - th.c >= 0.01 - 1e-15
+        _, _, _, c, d = project_rows([0.2, 0.5, 0.1, 0.5, 0.5])
+        assert d - c >= 0.01 - 1e-15
 
     def test_clamps_b_inside(self):
-        th = project_params(0.2, 1.5, 0.1, 0.2, 0.8)
-        assert th.c <= th.b <= th.d
+        _, b, _, c, d = project_rows([0.2, 1.5, 0.1, 0.2, 0.8])
+        assert c <= b <= d
 
     def test_idempotent(self):
         log = []
-        th = project_params(5.0, 1.5, 3.0, 0.9, 0.1, log=log)
+        th = project_rows([5.0, 1.5, 3.0, 0.9, 0.1], log)
         assert log  # something was repaired
-        th2 = project_params(*th.as_array())
-        assert th2 == th
+        assert project_rows(th).tobytes() == th.tobytes()
+        SdeParams(*th.tolist())             # inside the box
 
 
 def _value(lo, hi):
@@ -136,8 +137,9 @@ class TestProjectRows:
         labels = set()
         for j, col in enumerate(raw.T.tolist()):
             hour_log = []
-            one = project_params(*col, log=hour_log)     # builds SdeParams
-            assert one.as_array().tobytes() == block[:, j].tobytes()
+            one = project_rows(col, hour_log)
+            SdeParams(*one.tolist())        # inside the box
+            assert one.tobytes() == block[:, j].tobytes()
             labels.update(hour_log)
         assert set(log) == labels and len(log) == len(labels)
         # bit for bit on every column, a widened gap included
@@ -262,10 +264,9 @@ class TestGoldenKernel:
         # one Euler step per sample on every hour, CLEAR's a·dt = 0.33
         # under the cap; the digest of the fan the commands write
         fan = make_fan(_day(CLEAR, CLOUDY, CLEAR), 0.75,
-                       n_paths=300, seed=13,
-                       quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95))
+                       n_paths=300, seed=13)
         assert _sha256(fan.paths, fan.quantiles, fan.mean) == (
-            "5d8b16a1f2cba166bf6e204d3e395192fec2f3f91965ab5fe0f8a226e625abbe")
+            "1f6c12b4bb091006dff658083d568a696d96327e9dc526fe95f2c3b03f245ac6")
 
     def test_synth_week(self):
         _, _, pv, _ = synth_generate(np.random.default_rng(17),
@@ -410,6 +411,13 @@ class TestFan:
         assert fan.quantiles.shape[1] == 240
         for lo, hi in zip(fan.quantiles[:-1], fan.quantiles[1:]):
             assert (lo <= hi + 1e-12).all()
+
+    def test_every_fan_carries_the_default_levels(self):
+        for n_paths, n_keep in ((1, None), (7, 3), (200, 200)):
+            fan = make_fan(_day(CLEAR, CLOUDY), 0.75, n_paths=n_paths,
+                           n_keep=n_keep)
+            assert fan.quantile_levels == DEFAULT_QUANTILE_LEVELS
+            assert fan.quantiles.shape == (6, 240)
 
     def test_seeded_reproducibility(self):
         a, b = self._fan(seed=9), self._fan(seed=9)

@@ -15,11 +15,9 @@ of the day's feature vector; a missing (NaN) feature takes its median
 over the training days, which the model keeps: imputation runs here
 alone (``weather.impute_days``).  The hidden layers are drawn once, from a
 stream of the master seed kept apart from the bootstrap stream, and are
-saved, so loading draws no random numbers.  Loading checks the three
-``.npy`` headers and reads no data: a prediction reads each hour's slices
-just before it uses them (about 2.4 MB per hour at the default sizes), so
-it never holds more than one hour of a model; a model trained in memory
-is indexed by hour the same way.
+saved, so loading draws no random numbers.  Loading checks each ``.npy``
+header against the manifest and then reads the array whole (about 7.2 MB
+in all at the default sizes).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .weather import impute_days
 
 PARAM_NAMES = ("a", "b", "beta", "c", "d")
 DEFAULT_HIDDEN = 100
-DEFAULT_MEMBERS = 200
+DEFAULT_MEMBERS = 50
 DEFAULT_RIDGE = 2.0
 TRIM_FRACTION = 0.20
 MIN_SLOT_PAIRS = 10
@@ -57,9 +55,8 @@ class EnsembleModel:
     """Per-hour stacks of M multi-output ELMs, the feature scaler and medians.
 
     ``master_seed`` is the seed the hidden layers and bootstrap resamples
-    were drawn from; the model itself uses only the arrays.  The arrays
-    are numpy arrays after training and ``_SavedArray``s after
-    ``load_ensemble``; either is read one hour at a time, as ``a[hour]``.
+    were drawn from; the model itself uses only the arrays, which are
+    numpy arrays whether the model was trained or loaded.
     """
 
     hidden_weights: np.ndarray = field(repr=False)   # (m, M, K, p)
@@ -92,12 +89,6 @@ class EnsembleModel:
         p = self.hidden_weights.shape[-1]
         cols = slice(hour * p, (hour + 1) * p)
         return (X[:, cols] - self.scaler_mean[cols]) / self.scaler_std[cols]
-
-    def _hour_outputs(self, Z, hour: int):
-        """Trimmed mean over members of the raw parameters (N, 5)."""
-        H = hidden_layer(Z, self.hidden_weights[hour],
-                         self.hidden_biases[hour])
-        return trimmed_mean(H @ self.output_weights[hour])
 
 
 def train_ensemble(X, theta, hidden_size: int = DEFAULT_HIDDEN,
@@ -177,15 +168,16 @@ def _features(X):
 
 def predict_params_batch(model: EnsembleModel, X):
     """One ``DayParams`` per row of the weather features ``X`` (N, m * p),
-    a NaN cell taking the model's median, predicted hour by hour: an
-    hour's model arrays are indexed (for a loaded model, read) just before
-    that hour is predicted."""
+    a NaN cell taking the model's median, predicted hour by hour from the
+    model's arrays, which ``load_ensemble`` reads whole."""
     X = _features(X)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError("feature length does not match the trained model")
     X, _ = impute_days(X, model.medians)
-    raw = np.stack([model._hour_outputs(model._hour_inputs(X, hour), hour)
-                    for hour in range(model.m)], axis=2)     # (N, 5, m)
+    raw = np.stack([trimmed_mean(
+        hidden_layer(model._hour_inputs(X, h), model.hidden_weights[h],
+                     model.hidden_biases[h]) @ model.output_weights[h])
+        for h in range(model.m)], axis=2)                    # (N, 5, m)
     return [DayParams(theta) for theta in raw]
 
 
@@ -216,13 +208,11 @@ def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
 
 
 def load_ensemble(model_dir: str) -> EnsembleModel:
-    """The model saved under ``model_dir``, its arrays left on disk.
+    """The model saved under ``model_dir``, its arrays read whole.
 
-    Each ``.npy`` header is checked against the manifest here: shape,
-    float64, C order, no pickled objects and exactly the data the header
-    declares.  The data is read later, one hour's slice at a time, when a
-    prediction indexes the array by hour (``_SavedArray``), so the files
-    must stay as they are while the model is in use."""
+    Each ``.npy`` header is checked against the manifest before its data
+    is read: shape, float64, C order, no pickled objects and exactly the
+    data the header declares."""
     path = os.path.join(model_dir, "manifest.json")
     man = _read_object(path)
     if man.get("format_version") != _FORMAT_VERSION:
@@ -243,7 +233,7 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
                              f"finite numbers{' > 0' * (key == 'scaler_std')}")
     members = (m, man["n_members"], man["hidden_size"])
     shapes = (members + (n_in // m,), members, members + (len(PARAM_NAMES),))
-    arrays = {name: _SavedArray(os.path.join(model_dir, name + ".npy"), want)
+    arrays = {name: _read_array(os.path.join(model_dir, name + ".npy"), want)
               for name, want in zip(_ARRAY_FILES, shapes)}
     return EnsembleModel(**arrays, master_seed=man.get("master_seed"),
                          **{k: np.array(man[k], dtype=float)
@@ -251,47 +241,33 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
                          train_rmse=man.get("train_rmse", {}))
 
 
-class _SavedArray:
-    """A saved model array of shape ``want``, read from its ``.npy`` one
-    hour at a time: ``a[hour]`` reads that hour's slice with one
-    ``np.fromfile``.  The header is parsed and checked once, here; the data
-    must be C-ordered float64 and fill the file to its end."""
-
-    def __init__(self, path: str, want: tuple):
-        fmt = np.lib.format
-        try:
-            with open(path, "rb") as f:
-                read_header = (fmt.read_array_header_1_0
-                               if fmt.read_magic(f) == (1, 0)
-                               else fmt.read_array_header_2_0)
-                shape, fortran_order, dtype = read_header(f)
-                offset, size = f.tell(), os.fstat(f.fileno()).st_size
-        except (OSError, ValueError) as exc:
-            raise ValueError(
-                f"{path}: unreadable model array ({exc})") from None
-        if dtype.hasobject:
-            raise ValueError(f"{path}: unreadable model array (pickled "
-                             "objects)")
-        if shape != want or dtype != np.float64:
-            raise ValueError(f"{path} holds {dtype} {shape}, "
-                             f"the manifest says float64 {want}")
-        if fortran_order:
-            raise ValueError(f"{path}: unreadable model array (Fortran "
-                             "order)")
-        if size - offset != 8 * math.prod(want):
-            raise ValueError(f"{path}: unreadable model array ({size - offset}"
-                             f" data bytes, the header declares "
-                             f"{8 * math.prod(want)})")
-        self.path, self.shape, self._offset = path, want, offset
-        self._hour_size = math.prod(want[1:])
-
-    def __getitem__(self, hour: int) -> np.ndarray:
-        if not 0 <= hour < self.shape[0]:
-            raise IndexError(f"hour {hour} of a {self.shape[0]}-hour model")
-        return np.fromfile(
-            self.path, dtype=np.float64, count=self._hour_size,
-            offset=self._offset + 8 * self._hour_size * hour,
-        ).reshape(self.shape[1:])
+def _read_array(path: str, want: tuple) -> np.ndarray:
+    """The saved model array of shape ``want``, read whole with one
+    ``np.fromfile`` once its ``.npy`` header is checked, so a file the
+    check refuses allocates nothing: the data must be C-ordered float64
+    and fill the file to its end."""
+    fmt, n = np.lib.format, math.prod(want)
+    try:
+        with open(path, "rb") as f:
+            read_header = (fmt.read_array_header_1_0
+                           if fmt.read_magic(f) == (1, 0)
+                           else fmt.read_array_header_2_0)
+            shape, fortran_order, dtype = read_header(f)
+            if dtype.hasobject:
+                raise ValueError("pickled objects")
+            if shape == want and dtype == np.float64:
+                if fortran_order:
+                    raise ValueError("Fortran order")
+                size = os.fstat(f.fileno()).st_size - f.tell()
+                if size != 8 * n:
+                    raise ValueError(f"{size} data bytes, the header "
+                                     f"declares {8 * n}")
+                return np.fromfile(f, dtype=np.float64,
+                                   count=n).reshape(want)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: unreadable model array ({exc})") from None
+    raise ValueError(f"{path} holds {dtype} {shape}, "
+                     f"the manifest says float64 {want}")
 
 
 @contextmanager

@@ -94,7 +94,7 @@ class TestSynth:
 class TestConfig:
     def test_defaults(self):
         cfg = load_config(None)
-        assert cfg.m == 12 and cfg.n_members == 200 and cfg.split == 0.70
+        assert cfg.m == 12 and cfg.n_members == 50 and cfg.split == 0.70
 
     def test_file_and_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"

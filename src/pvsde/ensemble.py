@@ -174,10 +174,11 @@ def predict_params_batch(model: EnsembleModel, X):
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError("feature length does not match the trained model")
     X, _ = impute_days(X, model.medians)
-    raw = np.stack([trimmed_mean(
-        hidden_layer(model._hour_inputs(X, h), model.hidden_weights[h],
-                     model.hidden_biases[h]) @ model.output_weights[h])
-        for h in range(model.m)], axis=2)                    # (N, 5, m)
+    raw = np.empty((len(X), len(PARAM_NAMES), model.m))
+    for hour in range(model.m):
+        H = hidden_layer(model._hour_inputs(X, hour),
+                         model.hidden_weights[hour], model.hidden_biases[hour])
+        raw[:, :, hour] = trimmed_mean(H @ model.output_weights[hour])
     return [DayParams(theta) for theta in raw]
 
 

@@ -209,11 +209,8 @@ def save_ensemble(model: EnsembleModel, out_dir: str) -> None:
 
 
 def load_ensemble(model_dir: str) -> EnsembleModel:
-    """The model saved under ``model_dir``, its arrays read whole.
-
-    Each ``.npy`` header is checked against the manifest before its data
-    is read: shape, float64, C order, no pickled objects and exactly the
-    data the header declares."""
+    """The model saved under ``model_dir``, its arrays read whole by
+    ``_read_array`` at the shapes the manifest gives."""
     path = os.path.join(model_dir, "manifest.json")
     man = _read_object(path)
     if man.get("format_version") != _FORMAT_VERSION:
@@ -243,32 +240,33 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
 
 
 def _read_array(path: str, want: tuple) -> np.ndarray:
-    """The saved model array of shape ``want``, read whole with one
-    ``np.fromfile`` once its ``.npy`` header is checked, so a file the
-    check refuses allocates nothing: the data must be C-ordered float64
-    and fill the file to its end."""
-    fmt, n = np.lib.format, math.prod(want)
+    """The float64 array of shape ``want`` (a ``None`` axis: any length
+    >= 1) in the ``.npy`` file at ``path``.  The header is checked before
+    anything is allocated, then one ``np.fromfile`` reads the data, which
+    must be C-ordered and fill the file; every refusal names the file."""
+    fmt = np.lib.format
     try:
         with open(path, "rb") as f:
             read_header = (fmt.read_array_header_1_0
                            if fmt.read_magic(f) == (1, 0)
                            else fmt.read_array_header_2_0)
             shape, fortran_order, dtype = read_header(f)
-            if dtype.hasobject:
-                raise ValueError("pickled objects")
-            if shape == want and dtype == np.float64:
+            if dtype == np.float64 and len(shape) == len(want) and all(
+                    d == w or w is None and d >= 1
+                    for d, w in zip(shape, want)):
                 if fortran_order:
                     raise ValueError("Fortran order")
+                n = math.prod(shape)
                 size = os.fstat(f.fileno()).st_size - f.tell()
                 if size != 8 * n:
                     raise ValueError(f"{size} data bytes, the header "
                                      f"declares {8 * n}")
                 return np.fromfile(f, dtype=np.float64,
-                                   count=n).reshape(want)
+                                   count=n).reshape(shape)
     except (OSError, ValueError) as exc:
-        raise ValueError(f"{path}: unreadable model array ({exc})") from None
-    raise ValueError(f"{path} holds {dtype} {shape}, "
-                     f"the manifest says float64 {want}")
+        raise ValueError(f"{path}: unreadable array ({exc})") from None
+    raise ValueError(f"{path} holds {dtype} {shape}, expected float64 "
+                     + str(want).replace("None", "n >= 1"))
 
 
 @contextmanager

@@ -18,7 +18,6 @@ KL_BINS = 50
 KL_EPS = 1e-9
 VS_LAGS = (1, 2, 4, 8, 16)      # the variogram score's lags, in steps
 _VS_CHUNK_PATHS = 16            # paths per sum in ``variogram_score``
-EVAL_LEVELS = (0.05, 0.5, 0.9, 0.95)    # the fan quantiles evaluate reads
 
 
 class UndefinedMetricError(ValueError):

@@ -6,14 +6,14 @@ are a function of its PV samples alone and its fan's seed one of (master
 seed, date label) alone, so neither depends on the other days of its
 input file; the ensemble's member streams derive from the master seed.
 Every artifact is written atomically (temp file + rename) and is
-re-ingestible by the command that consumes it; a fan is a quantile CSV
-and its paths as ``.npy``.  Every stage steps the same discrete 30-second
+re-ingestible by the command that consumes it.  A fan is a CSV under the
+one header ``_FAN_HEADER`` and its paths as ``.npy``, which the model's
+``_read_array`` reads.  Every stage steps the same discrete 30-second
 Euler chain, so identified parameters mean the same thing throughout, and
 each hour's parameters are predicted from that hour's weather alone.  A
-day's parameters stay one ``DayParams`` between the stages: a parameter
-file is read by ``_params_days`` alone and written from
-``day_params_to_obj``.  ``cmd_e2e`` runs every stage through the helpers
-its command uses.
+day's parameters stay one ``DayParams`` between the stages; their file is
+read by ``_params_days`` alone and written from ``day_params_to_obj``.
+``cmd_e2e`` runs every stage through the helpers its command uses.
 """
 
 from __future__ import annotations
@@ -31,18 +31,20 @@ from operator import itemgetter
 import numpy as np
 
 from .ensemble import (DEFAULT_HIDDEN, DEFAULT_MEMBERS, MIN_SLOT_PAIRS,
-                       PARAM_NAMES, _atomic, _read_object, load_ensemble,
-                       predict_params_batch, save_ensemble, train_ensemble)
+                       PARAM_NAMES, _atomic, _read_array, _read_object,
+                       load_ensemble, predict_params_batch, save_ensemble,
+                       train_ensemble)
 # no stage calls identify_day; pvsdebench's tracer patches it under this
 # module's name
 from .estimation import (UNTRUSTED_FLAGS, identify_day,  # noqa: F401
                          identify_days)
-from .metrics import (EVAL_LEVELS, EvalInput, MetricReport, evaluate,
-                      kl_divergence, nd as nd_metric)
-from .sde import DayParams, SimulationFan, make_fan, samples_per_hour
+from .metrics import (EvalInput, MetricReport, evaluate, kl_divergence,
+                      nd as nd_metric)
+from .sde import (DEFAULT_QUANTILE_LEVELS, DayParams, SimulationFan,
+                  make_fan, samples_per_hour)
 from .synth import synth_generate
-from .weather import (CSV_COLUMNS, HourGrid, ingest_weather, nanmedian,
-                      write_weather_csv)
+from .weather import (CSV_COLUMNS, HourGrid, _open_utf8, ingest_weather,
+                      nanmedian, write_weather_csv)
 
 PARAMS_SCHEMA_VERSION = 1
 
@@ -238,7 +240,7 @@ def ingest_pv(path: str, dates, day_length: int):
     again, to name its first bad line.
     """
     need = ("date", "step", "power", "valid")
-    with open(path) as f:               # \r\n and \r are read as \n
+    with _open_utf8(path) as f:         # \r\n and \r are read as \n
         header = next(csv.reader([f.readline()]), [])
         if not set(need) <= set(header):
             raise ValueError(f"PV CSV must have columns {sorted(need)}")
@@ -296,7 +298,7 @@ def _pv_locate(path: str, cols, width: int, keep, day_length: int) -> None:
     outside 0 <= step < 2**63 or past the day, a repeated (date, step) or
     a valid sample whose power is not finite."""
     seen = set()
-    with open(path) as f:
+    with _open_utf8(path) as f:
         next(f)                                         # the header
         for line_no, line in enumerate(f, start=2):
             try:
@@ -325,53 +327,47 @@ def _pv_locate(path: str, cols, width: int, keep, day_length: int) -> None:
 # ---------------------------------------------------------------------------
 # fan files: a CSV quantile block and the dumped paths as .npy next to it
 
+_FAN_HEADER = "step,mean," + ",".join(
+    "q%02d" % round(100 * lv) for lv in DEFAULT_QUANTILE_LEVELS)
+
 
 def write_fan_csv(path: str, fan: SimulationFan) -> None:
     """Write the paths as little-endian float64 ``.npy`` next to ``path``,
-    then ``path``: one ``step,mean,q05,...`` row per step, in ``%.17g``
-    (which round-trips any finite double).  A fan whose CSV exists is whole.
-    A fan that ``read_fan_csv`` would not read back as it is, with no path
-    or with a level that is not a whole percent, is refused."""
+    then ``path``: ``_FAN_HEADER`` and a row per step in ``%.17g``, which
+    round-trips any finite double.  A fan whose CSV exists is whole; a fan
+    with no path, which ``read_fan_csv`` would refuse, is not written."""
     if len(fan.paths) < 1:
         raise ValueError(f"{path}: a fan file needs at least one path")
-    for lv in fan.quantile_levels:
-        if round(100 * lv) / 100 != lv:
-            raise ValueError(f"{path}: quantile level {lv!r} is not a "
-                             "whole percent")
     with _atomic(os.path.splitext(path)[0] + ".npy", "wb") as f:
         np.save(f, np.ascontiguousarray(fan.paths, dtype="<f8"))
-    names = ["q%02d" % round(100 * lv) for lv in fan.quantile_levels]
-    row = "%d" + ",%.17g" * (1 + len(names)) + "\n"
+    row = "%d" + ",%.17g" * _FAN_HEADER.count(",") + "\n"
     # one format for the block; %d writes the float step as an integer
     block = np.column_stack([np.arange(len(fan.mean)), fan.mean,
                              fan.quantiles.T])
     with _atomic(path) as f:
-        f.write("step,mean," + ",".join(names) + "\n")
+        f.write(_FAN_HEADER + "\n")
         f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
-    """Read the fan ``write_fan_csv`` wrote to ``path``.  A malformed CSV
-    header, cell or row, or a step column that does not count the rows
-    from 0, is reported as ``path:line``; paths that are not a float64
-    (n >= 1, CSV rows) array, or are pickled, name the ``.npy``.  The
-    quantile block is converted in one call over one split of its text: a
-    row with a missing or extra cell shifts the step column, so only a
-    block that fails is parsed again row by row, to find the line to
-    name."""
+    """Read the fan ``write_fan_csv`` wrote to ``path``.  Another header, a
+    malformed cell or row, or a step column that does not count the rows
+    from 0, is reported as ``path:line``; ``_read_array`` reads the paths
+    as float64 (n >= 1, CSV rows), naming the ``.npy`` if it refuses them.
+    The block is converted in one call over one split of its text: a row
+    with a missing or extra cell shifts the step column, so only a block
+    that fails is parsed again row by row, to find the line to name."""
+    width = _FAN_HEADER.count(",") + 1
     with open(path) as f:
-        header = f.readline().strip().split(",")
-        try:
-            levels = [int(name[1:]) / 100.0 for name in header[2:]]
-        except ValueError:
-            raise ValueError(f"{path}:1: malformed fan header") from None
+        if f.readline().strip() != _FAN_HEADER:
+            raise ValueError(f"{path}:1: fan header must be {_FAN_HEADER}")
         body = f.read()
     if body and not body.endswith("\n"):
         body += "\n"
     n = body.count("\n")
     try:
         q = np.array(body.replace("\n", ",").split(",")[:-1],
-                     dtype=np.float64).reshape(n, len(header))
+                     dtype=np.float64).reshape(n, width)
         if not (q[:, 0] == np.arange(n)).all():
             raise ValueError("step column out of order")
     except ValueError:
@@ -380,26 +376,16 @@ def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
                 cells = np.array(line.split(","), dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}:{step + 2}: {exc}") from None
-            if cells.size != len(header):
+            if cells.size != width:
                 raise ValueError(f"{path}:{step + 2}: quantile row has "
                                  f"{cells.size} cells, the header "
-                                 f"{len(header)}") from None
+                                 f"{width}") from None
             if cells[0] != step:
                 raise ValueError(f"{path}:{step + 2}: step {cells[0]:g}, "
                                  f"expected {step}") from None
         raise
-    npy = os.path.splitext(path)[0] + ".npy"
-    try:
-        paths = np.load(npy, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise ValueError(f"{npy}: unreadable fan paths ({exc})") from None
-    if (paths.dtype != np.float64 or paths.ndim != 2 or len(paths) < 1
-            or paths.shape[1] != len(q)):
-        raise ValueError(f"{npy}: fan paths are {paths.dtype} of shape "
-                         f"{paths.shape}, need float64 (n >= 1, "
-                         f"{len(q)}) for the quantile block's rows")
+    paths = _read_array(os.path.splitext(path)[0] + ".npy", (None, n))
     return SimulationFan(paths=paths, step_seconds=step_seconds,
-                         quantile_levels=tuple(levels),
                          quantiles=q[:, 2:].T, mean=q[:, 1])
 
 
@@ -587,16 +573,13 @@ def cmd_evaluate(cfg: RunConfig, fan_dir: str, pv_path: str,
                  out_path: str) -> dict:
     """Score every day with a fan file against its actual PV, reading only
     those days' PV rows; days without PV rows or that the metrics are
-    undefined on are listed as skipped, and a fan without a quantile level
-    they read or of another step count than the config's day is refused."""
+    undefined on are listed as skipped, and a fan of another step count
+    than the config's day is refused."""
     fans = {os.path.basename(f)[4:-4]: f for f in glob.glob(
         os.path.join(glob.escape(fan_dir), "fan_*.csv"))}
 
     def fan_of(date):
         fan = read_fan_csv(fans[date], cfg.step_seconds)
-        if lacking := sorted(set(EVAL_LEVELS) - set(fan.quantile_levels)):
-            raise ValueError(f"{fans[date]}:1: fan lacks quantile levels "
-                             f"{lacking}, which evaluate reads")
         if fan.n_steps != cfg.day_length:
             raise ValueError(
                 f"{fans[date]}: fan has {fan.n_steps} steps, the config's "

@@ -244,7 +244,7 @@ def simulate_hour(theta: SdeParams, p0, step_seconds=30.0, n_steps=120,
 
 @dataclass(frozen=True)
 class SimulationFan:
-    """Monte-Carlo path bundle with cached per-step quantiles.
+    """Monte-Carlo paths with per-step quantiles at DEFAULT_QUANTILE_LEVELS.
 
     The quantiles and mean may summarize more paths than ``paths`` holds:
     a forecast fan keeps the first ``dump_paths`` of its ``n_paths`` paths,
@@ -256,8 +256,7 @@ class SimulationFan:
 
     paths: np.ndarray              # (n_paths, n_steps)
     step_seconds: float
-    quantile_levels: tuple[float, ...]
-    quantiles: np.ndarray          # (n_levels, n_steps)
+    quantiles: np.ndarray          # a row per DEFAULT_QUANTILE_LEVELS
     mean: np.ndarray               # (n_steps,)
 
     @property
@@ -265,11 +264,11 @@ class SimulationFan:
         return self.paths.shape[1]
 
     def quantile(self, level: float) -> np.ndarray:
-        for lv, q in zip(self.quantile_levels, self.quantiles):
+        for lv, q in zip(DEFAULT_QUANTILE_LEVELS, self.quantiles):
             if abs(lv - level) < 1e-12:
                 return q
         raise KeyError(f"quantile level {level} not cached "
-                       f"(have {self.quantile_levels})")
+                       f"(have {DEFAULT_QUANTILE_LEVELS})")
 
 
 # every level the metrics read: the 90% band and the 0.5 and 0.9 risks
@@ -323,8 +322,7 @@ def make_fan(day: DayParams, p0, step_seconds=30.0, n_paths=1000, seed=0,
         quantiles[:, rows] = _sorted_quantiles(hour.T, levels)
         del hour            # before the next hour's noise and states exist
     return SimulationFan(paths=paths, step_seconds=float(step_seconds),
-                         quantile_levels=levels, quantiles=quantiles,
-                         mean=mean)
+                         quantiles=quantiles, mean=mean)
 
 
 def _sorted_quantiles(paths, levels) -> np.ndarray:

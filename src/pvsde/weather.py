@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,16 @@ class HourGrid:
         return range(self.start_hour, self.start_hour + self.m)
 
 
+@contextmanager
+def _open_utf8(path: str, newline=None):
+    """The CSV file at ``path`` read as UTF-8, refused by its path if not."""
+    with open(path, encoding="utf-8", newline=newline) as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 ({exc.reason})") from None
+
+
 def wind_to_angle(token: str, line: int) -> float:
     token = token.strip()
     if token.upper() in COMPASS_DEGREES:
@@ -66,12 +77,10 @@ def wind_to_angle(token: str, line: int) -> float:
 def encode_hour(temperature, humidity, pressure, precipitation, wind_speed,
                 wind_angle_deg, cloud, irradiance) -> np.ndarray:
     """One hour's 9-feature slice in FEATURE_NAMES order."""
-    rad = math.radians(wind_angle_deg) if np.isfinite(wind_angle_deg) else np.nan
+    rad = math.radians(wind_angle_deg)     # NaN (missing) stays NaN
     return np.array([temperature, humidity, pressure, precipitation,
-                     wind_speed,
-                     math.sin(rad) if np.isfinite(rad) else np.nan,
-                     math.cos(rad) if np.isfinite(rad) else np.nan,
-                     cloud, irradiance], dtype=float)
+                     wind_speed, math.sin(rad), math.cos(rad), cloud,
+                     irradiance], dtype=float)
 
 
 def _float_field(row, key, line):
@@ -110,10 +119,9 @@ def ingest_weather(path: str, grid: HourGrid = HourGrid()):
     empty cell is missing.
     """
     per_day: dict[str, dict[int, np.ndarray]] = {}
-    with open(path, newline="") as f:
+    with _open_utf8(path, newline="") as f:
         reader = csv.DictReader(f)
-        missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
+        if missing := set(CSV_COLUMNS) - set(reader.fieldnames or ()):
             raise WeatherFormatError(
                 f"line 1: missing columns {sorted(missing)}")
         for line, row in enumerate(reader, start=2):
@@ -140,9 +148,8 @@ def ingest_weather(path: str, grid: HourGrid = HourGrid()):
                 vals["cloud"], vals["irradiance"])
 
     days, dropped = [], []
-    p = len(FEATURE_NAMES)
     for date in sorted(per_day):
-        feats = np.full((grid.m, p), np.nan)
+        feats = np.full((grid.m, len(FEATURE_NAMES)), np.nan)
         for i, hour in enumerate(grid.hours()):
             if hour in per_day[date]:
                 feats[i] = per_day[date][hour]

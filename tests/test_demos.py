@@ -57,6 +57,20 @@ def test_every_public_name_is_used_outside_the_tests():
     assert sorted(set(pvsde.__all__) - used) == []
 
 
+def test_no_module_reads_an_array_with_np_load():
+    # every .npy artifact is read by ensemble._read_array, which checks the
+    # header before it allocates
+    calls = [f"{p.name}:{node.lineno}"
+             for p in (ROOT / "src" / "pvsde").glob("*.py")
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "load"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")]
+    assert calls == []
+
+
 def test_readme_library_quickstart_runs(capsys):
     readme = (ROOT / "README.md").read_text()
     block, = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)

@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 from pvsde.metrics import (VS_LAGS, EvalInput, UndefinedMetricError, evaluate,
                            kl_divergence, nd, nrmse, picp, rho_risk,
                            variogram_score)
-from pvsde.sde import DayParams, SdeParams, SimulationFan, make_fan
+from pvsde.sde import (DEFAULT_QUANTILE_LEVELS, DayParams, SdeParams,
+                       SimulationFan, make_fan)
 
-LEVELS = (0.05, 0.25, 0.5, 0.75, 0.9, 0.95)
 CLOUDY = SdeParams(a=0.2095, b=0.5496, beta=0.1946, c=0.1263, d=0.9930)
 
 
 def _fan_from_paths(paths, step_seconds=30.0):
     paths = np.asarray(paths, dtype=float)
-    q = np.quantile(paths, LEVELS, axis=0)
+    q = np.quantile(paths, DEFAULT_QUANTILE_LEVELS, axis=0)
     return SimulationFan(paths=paths, step_seconds=step_seconds,
-                         quantile_levels=LEVELS, quantiles=q,
-                         mean=paths.mean(axis=0))
+                         quantiles=q, mean=paths.mean(axis=0))
 
 
 def _sde_input(seed=0, n_paths=400, actual_seed=1):

@@ -371,6 +371,26 @@ class TestPvCsv:
                     ingest_pv(str(path), None, cfg.day_length)
             assert peak_bytes(read) < 1 << 20
 
+    def test_a_byte_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        # a Latin-1 e-acute in the power cell of a row in the header's
+        # first decoded block, and of a row past the first megabyte
+        dates = [f"2018-01-{d:02d}" for d in range(1, 31)]
+        path = tmp_path / "pv.csv"
+        write_pv_csv(str(path), dates, np.full((30, 1440), 0.25))
+        good = path.read_bytes()
+        for row in (3, 25 * 1440):
+            lines = good.split(b"\r\n")
+            lines[row] = lines[row].replace(b"0.25", b"0.2\xe95")
+            path.write_bytes(b"\r\n".join(lines))
+            why = f"{path}: not UTF-8 (invalid continuation byte)"
+            with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+                ingest_pv(str(path), None, 1440)
+            capsys.readouterr()
+            assert cli_main(["identify", "--pv", str(path),
+                             "--out", str(tmp_path / "params.json")]) == 2
+            assert json.loads(capsys.readouterr().err) == dict(
+                error="ValueError", message=why)
+
     def test_repeated_step_past_the_first_megabyte_names_its_line(
             self, tmp_path):
         rng = np.random.default_rng(8)
@@ -400,7 +420,6 @@ class TestFanCsv:
         np.testing.assert_array_equal(got.paths, fan.paths[:10])
         np.testing.assert_array_equal(got.quantiles, fan.quantiles)
         np.testing.assert_array_equal(got.mean, fan.mean)
-        assert got.quantile_levels == fan.quantile_levels
 
 
 # sha256 of a day fan's paths, quantiles and mean, with dump_paths below,
@@ -436,7 +455,6 @@ def _fan_file(tmp_path, n_paths=4, n_steps=6):
     day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
     fan = make_fan(day, 0.5, n_paths=n_paths, seed=1)
     fan = SimulationFan(paths=fan.paths[:, :n_steps], step_seconds=30.0,
-                        quantile_levels=fan.quantile_levels,
                         quantiles=fan.quantiles[:, :n_steps],
                         mean=fan.mean[:n_steps])
     path = tmp_path / "fan.csv"
@@ -513,8 +531,9 @@ class TestFanCsvErrors:
         path, lines = _fan_file(tmp_path)
         path.write_text("\n".join(lines[:-1]) + "\n")  # last row gone
         npy = tmp_path / "fan.npy"
-        with pytest.raises(ValueError, match=f"^{npy}: .*\\(4, 6\\), need "
-                                             "float64 \\(n >= 1, 5\\)"):
+        with pytest.raises(ValueError, match=f"^{npy} holds float64 "
+                                             "\\(4, 6\\), expected float64 "
+                                             "\\(n >= 1, 5\\)$"):
             read_fan_csv(str(path), 30.0)
 
     @pytest.mark.parametrize("paths", [
@@ -527,7 +546,8 @@ class TestFanCsvErrors:
         path, _ = _fan_file(tmp_path)
         npy = tmp_path / "fan.npy"
         np.save(npy, paths)
-        with pytest.raises(ValueError, match=f"^{npy}: fan paths are "):
+        with pytest.raises(ValueError, match=f"^{npy} holds .*, expected "
+                                             "float64 \\(n >= 1, 6\\)$"):
             read_fan_csv(str(path), 30.0)
 
     def test_missing_paths_name_the_npy(self, tmp_path):
@@ -537,30 +557,59 @@ class TestFanCsvErrors:
         with pytest.raises(ValueError, match=f"^{npy}: unreadable"):
             read_fan_csv(str(path), 30.0)
 
-    @pytest.mark.parametrize("levels, n_keep, why", [
-        ((0.025, 0.5, 0.975), None,
-         "quantile level 0.025 is not a whole percent"),
-        (None, 0, "a fan file needs at least one path"),
-    ], ids=["level", "no-path"])
+    @pytest.mark.parametrize("n_keep, why", [
+        (0, "a fan file needs at least one path"),
+    ], ids=["no-path"])
     def test_fan_that_would_not_read_back_is_not_written(self, tmp_path,
-                                                         levels, n_keep, why):
-        # q02 would read back as 0.02; a (0, n) .npy is refused on reading
+                                                         n_keep, why):
+        # a (0, n) .npy is refused on reading
         day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
         fan = make_fan(day, 0.5, n_paths=4, seed=1, n_keep=n_keep)
-        if levels is not None:
-            fan = replace(fan, quantile_levels=levels,
-                          quantiles=np.quantile(fan.paths, levels, axis=0))
         path = tmp_path / "fan.csv"
         with pytest.raises(ValueError, match=f"^{path}: {why}"):
             write_fan_csv(str(path), fan)
         assert list(tmp_path.iterdir()) == []
+
+    def test_impossible_header_is_refused_before_allocation(
+            self, tmp_path, capsys, peak_bytes):
+        # 64 data bytes under a header declaring (10**7, 1440) paths, 107
+        # GiB: the header is checked against the file's size before any
+        # allocation, so read and evaluate refuse the .npy by name.  A
+        # quantile block of zeros keeps the CSV's own parse far below the
+        # bound.
+        path = tmp_path / "fans" / "fan_2018-01-01.csv"
+        path.parent.mkdir()
+        path.write_text("step,mean,q05,q25,q50,q75,q90,q95\n" + "".join(
+            f"{step}" + ",0" * 7 + "\n" for step in range(1440)))
+        npy = tmp_path / "fans" / "fan_2018-01-01.npy"
+        with open(npy, "wb") as f:
+            np.lib.format.write_array_header_1_0(f, dict(
+                descr="<f8", fortran_order=False, shape=(10**7, 1440)))
+            f.write(bytes(64))
+        why = (f"{npy}: unreadable array (64 data bytes, the header "
+               "declares 115200000000)")
+
+        def read():
+            with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+                read_fan_csv(str(path), 30.0)
+        assert peak_bytes(read) < 1 << 20
+        write_pv_csv(str(tmp_path / "pv.csv"), ["2018-01-01"],
+                     [np.linspace(0.2, 0.8, 1440)])
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--fans", str(path.parent),
+                         "--pv", str(tmp_path / "pv.csv"),
+                         "--out", str(tmp_path / "ev.json")]) == 2
+        assert json.loads(capsys.readouterr().err) == dict(
+            error="ValueError", message=why)
 
     def test_pickled_paths_are_refused(self, tmp_path):
         path, _ = _fan_file(tmp_path)
         npy = tmp_path / "fan.npy"
         np.save(npy, np.array([[0.5] * 6] * 4, dtype=object),
                 allow_pickle=True)
-        with pytest.raises(ValueError, match=f"^{npy}: unreadable.*pickle"):
+        # an object dtype is refused by the header alone: nothing unpickles
+        with pytest.raises(ValueError,
+                           match=f"^{npy} holds object \\(4, 6\\)"):
             read_fan_csv(str(path), 30.0)
 
 
@@ -571,11 +620,10 @@ def test_fan_file_round_trip_is_bit_exact(tmp_path_factory, data):
     n_steps = data.draw(st.integers(1, 8))
     cell = st.one_of(st.sampled_from(EDGE_FLOATS),
                      st.floats(allow_nan=False, allow_infinity=False))
-    grid = st.lists(cell, min_size=n_steps * (n_paths + 6),
-                    max_size=n_steps * (n_paths + 6))
-    values = np.array(data.draw(grid)).reshape(n_paths + 6, n_steps)
+    grid = st.lists(cell, min_size=n_steps * (n_paths + 7),
+                    max_size=n_steps * (n_paths + 7))
+    values = np.array(data.draw(grid)).reshape(n_paths + 7, n_steps)
     fan = SimulationFan(paths=values[:n_paths], step_seconds=30.0,
-                        quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95),
                         quantiles=values[n_paths:-1], mean=values[-1])
     path = str(tmp_path_factory.mktemp("fan") / "fan.csv")
     write_fan_csv(path, fan)
@@ -583,7 +631,6 @@ def test_fan_file_round_trip_is_bit_exact(tmp_path_factory, data):
     assert got.paths.tobytes() == fan.paths.tobytes()
     assert got.quantiles.tobytes() == fan.quantiles.tobytes()
     assert got.mean.tobytes() == fan.mean.tobytes()
-    assert got.quantile_levels == fan.quantile_levels
 
 
 @settings(max_examples=60, deadline=None)
@@ -850,19 +897,18 @@ class TestCommands:
             scores, sort_keys=True, indent=1)
 
     def test_evaluate_refuses_a_fan_without_a_level_it_reads(self, tmp_path):
-        # evaluate reads q05, q50, q90 and q95; this fan has no q90
+        # evaluate reads q05, q50, q90 and q95; this file has no q90
         day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
-        fan = make_fan(day, 0.5, n_paths=40, seed=2)
-        fan = replace(fan, quantile_levels=fan.quantile_levels[:4]
-                      + fan.quantile_levels[5:],
-                      quantiles=np.delete(fan.quantiles, 4, axis=0))
         path = tmp_path / "fans" / "fan_2018-01-01.csv"
         path.parent.mkdir()
-        write_fan_csv(str(path), fan)
+        write_fan_csv(str(path), make_fan(day, 0.5, n_paths=40, seed=2))
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(r[:6] + r[7:]) + "\n" for r in rows))
         write_pv_csv(str(tmp_path / "pv.csv"), ["2018-01-01"],
                      [np.linspace(0.2, 0.8, 120)])
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "
-                                             ".*\\[0\\.9\\]"):
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}:1: fan header must be "
+                "step,mean,q05,q25,q50,q75,q90,q95$")):
             cmd_evaluate(RunConfig(), str(path.parent),
                          str(tmp_path / "pv.csv"), str(tmp_path / "ev.json"))
 

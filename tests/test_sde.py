@@ -416,8 +416,9 @@ class TestFan:
         for n_paths, n_keep in ((1, None), (7, 3), (200, 200)):
             fan = make_fan(_day(CLEAR, CLOUDY), 0.75, n_paths=n_paths,
                            n_keep=n_keep)
-            assert fan.quantile_levels == DEFAULT_QUANTILE_LEVELS
-            assert fan.quantiles.shape == (6, 240)
+            assert fan.quantiles.shape == (len(DEFAULT_QUANTILE_LEVELS), 240)
+            for row, level in zip(fan.quantiles, DEFAULT_QUANTILE_LEVELS):
+                assert fan.quantile(level + 1e-13).tobytes() == row.tobytes()
 
     def test_seeded_reproducibility(self):
         a, b = self._fan(seed=9), self._fan(seed=9)
@@ -426,7 +427,7 @@ class TestFan:
     @pytest.mark.parametrize("n_paths", [1, 2, 999, 1000])
     def test_quantiles_equal_numpy_quantile(self, n_paths):
         fan = self._fan(n_paths=n_paths)
-        expected = np.quantile(fan.paths, fan.quantile_levels, axis=0)
+        expected = np.quantile(fan.paths, DEFAULT_QUANTILE_LEVELS, axis=0)
         assert fan.quantiles.tobytes() == expected.tobytes()
         # few distinct values make ties; levels 0 and 1 hit the end rows
         rng = np.random.default_rng(n_paths)

@@ -1,5 +1,6 @@
 """Tests for weather CSV ingestion and feature encoding."""
 
+import re
 import warnings
 
 import numpy as np
@@ -125,6 +126,17 @@ class TestIngest:
         days, _ = ingest_weather(_write(tmp_path, body), GRID)
         assert np.isnan(days[0][1]).sum() == (2 if key == "wind_direction"
                                                else 1)
+
+    def test_a_byte_that_is_not_utf8_names_the_file(self, tmp_path):
+        # a Latin-1 e-acute in a wind direction cell
+        path = _write(tmp_path, _full_day("2018-01-05"))
+        data = open(path, "rb").read()
+        with open(path, "wb") as f:
+            f.write(data.replace(b",E,", b",\xe9,", 1))
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(path)}: not UTF-8 \\(invalid continuation "
+                "byte\\)$")):
+            ingest_weather(path, GRID)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "w.csv"

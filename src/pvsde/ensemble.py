@@ -231,7 +231,8 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
                              f"finite numbers{' > 0' * (key == 'scaler_std')}")
     members = (m, man["n_members"], man["hidden_size"])
     shapes = (members + (n_in // m,), members, members + (len(PARAM_NAMES),))
-    arrays = {name: _read_array(os.path.join(model_dir, name + ".npy"), want)
+    arrays = {name: _read_array(os.path.join(model_dir, name + ".npy"), want,
+                                np.float64)
               for name, want in zip(_ARRAY_FILES, shapes)}
     return EnsembleModel(**arrays, master_seed=man.get("master_seed"),
                          **{k: np.array(man[k], dtype=float)
@@ -239,33 +240,33 @@ def load_ensemble(model_dir: str) -> EnsembleModel:
                          train_rmse=man.get("train_rmse", {}))
 
 
-def _read_array(path: str, want: tuple) -> np.ndarray:
-    """The float64 array of shape ``want`` (a ``None`` axis: any length
-    >= 1) in the ``.npy`` file at ``path``.  The header is checked before
+def _read_array(path: str, want: tuple, dtype) -> np.ndarray:
+    """The array of the float ``dtype`` and shape ``want`` (a ``None``
+    axis: any length >= 1) in the ``.npy`` file at ``path``: float64 for
+    the model, float32 for a fan's paths.  The header is checked before
     anything is allocated, then one ``np.fromfile`` reads the data, which
     must be C-ordered and fill the file; every refusal names the file."""
-    fmt = np.lib.format
+    fmt, dtype = np.lib.format, np.dtype(dtype)
     try:
         with open(path, "rb") as f:
             read_header = (fmt.read_array_header_1_0
                            if fmt.read_magic(f) == (1, 0)
                            else fmt.read_array_header_2_0)
-            shape, fortran_order, dtype = read_header(f)
-            if dtype == np.float64 and len(shape) == len(want) and all(
+            shape, fortran_order, stored = read_header(f)
+            if stored == dtype and len(shape) == len(want) and all(
                     d == w or w is None and d >= 1
                     for d, w in zip(shape, want)):
                 if fortran_order:
                     raise ValueError("Fortran order")
                 n = math.prod(shape)
                 size = os.fstat(f.fileno()).st_size - f.tell()
-                if size != 8 * n:
+                if size != dtype.itemsize * n:
                     raise ValueError(f"{size} data bytes, the header "
-                                     f"declares {8 * n}")
-                return np.fromfile(f, dtype=np.float64,
-                                   count=n).reshape(shape)
+                                     f"declares {dtype.itemsize * n}")
+                return np.fromfile(f, dtype=dtype, count=n).reshape(shape)
     except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: unreadable array ({exc})") from None
-    raise ValueError(f"{path} holds {dtype} {shape}, expected float64 "
+    raise ValueError(f"{path} holds {stored} {shape}, expected {dtype} "
                      + str(want).replace("None", "n >= 1"))
 
 

@@ -67,18 +67,26 @@ def picp(inp: EvalInput, level: float = 0.90) -> float:
     return float(np.mean((q_lo[m] <= a) & (a <= q_hi[m])))
 
 
+def _floats(x) -> np.ndarray:
+    """``x`` as an array, float32 if it is float32 and float64 otherwise:
+    a float32 fan is scored without a float64 copy."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(float, copy=False)
+
+
 def kl_divergence(actual_samples, forecast_samples) -> float:
     """Discrete KL D(actual || forecast) on a shared equal-width histogram.
 
     The samples are flattened in memory order: counts and extremes do not
     depend on the order, and a masked fan (``paths[:, mask]``, Fortran
-    order) is then not copied again."""
-    a = np.asarray(actual_samples, dtype=float).ravel(order="K")
-    f = np.asarray(forecast_samples, dtype=float).ravel(order="K")
+    order) is then not copied again, nor a float32 one (``_floats``).  The
+    edges are float64 whatever the samples' dtype."""
+    a = _floats(actual_samples).ravel(order="K")
+    f = _floats(forecast_samples).ravel(order="K")
     if a.size == 0 or f.size == 0:
         raise ValueError("both sample sets must be nonempty")
-    lo = min(a.min(), f.min())
-    hi = max(a.max(), f.max())
+    lo = float(min(a.min(), f.min()))
+    hi = float(max(a.max(), f.max()))
     if hi <= lo:
         hi = lo + 1e-12
     edges = np.linspace(lo, hi, KL_BINS + 1)
@@ -139,9 +147,10 @@ def variogram_score(paths, actual, mask) -> float:
     the pairs (t, t + k) whose two actual samples are valid of
     (|y[t+k] - y[t]|^1/2 - mean_j |X[j, t+k] - X[j, t]|^1/2)^2, j over the
     fan's paths; the score is the mean over the lags with a pair, all
-    weights equal.  The paths are summed ``_VS_CHUNK_PATHS`` at a time,
-    so the memory does not grow with their number."""
-    X = np.asarray(paths, dtype=float)
+    weights equal.  The paths are summed ``_VS_CHUNK_PATHS`` at a time, in
+    their own precision (``_floats``), so the memory does not grow with
+    their number."""
+    X = _floats(paths)
     y = np.asarray(actual, dtype=float)
     m = np.asarray(mask, dtype=bool)
     scores = []

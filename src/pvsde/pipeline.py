@@ -7,8 +7,8 @@ seed, date label) alone, so neither depends on the other days of its
 input file; the ensemble's member streams derive from the master seed.
 Every artifact is written atomically (temp file + rename) and is
 re-ingestible by the command that consumes it.  A fan is a CSV under the
-one header ``_FAN_HEADER`` and its paths as ``.npy``, which the model's
-``_read_array`` reads.  Every stage steps the same discrete 30-second
+one header ``_FAN_HEADER`` and its paths as float32 ``.npy``, which the
+model's ``_read_array`` reads.  Every stage steps the same discrete 30-second
 Euler chain, so identified parameters mean the same thing throughout, and
 each hour's parameters are predicted from that hour's weather alone.  A
 day's parameters stay one ``DayParams`` between the stages; their file is
@@ -243,7 +243,8 @@ def ingest_pv(path: str, dates, day_length: int):
     with _open_utf8(path) as f:         # \r\n and \r are read as \n
         header = next(csv.reader([f.readline()]), [])
         if not set(need) <= set(header):
-            raise ValueError(f"PV CSV must have columns {sorted(need)}")
+            raise ValueError(f"{path}:1: PV CSV must have columns "
+                             f"{sorted(need)}")
         spec = ([header.index(name) for name in need], len(header), dates)
         index, chunks = {}, []
         try:
@@ -332,29 +333,32 @@ _FAN_HEADER = "step,mean," + ",".join(
 
 
 def write_fan_csv(path: str, fan: SimulationFan) -> None:
-    """Write the paths as little-endian float64 ``.npy`` next to ``path``,
-    then ``path``: ``_FAN_HEADER`` and a row per step in ``%.17g``, which
-    round-trips any finite double.  A fan whose CSV exists is whole; a fan
-    with no path, which ``read_fan_csv`` would refuse, is not written."""
+    """Write the paths as little-endian float32 ``.npy`` next to ``path``,
+    then ``path``: ``_FAN_HEADER`` and a row per step in ``%.9g``, which
+    round-trips any finite float32.  A fan is single precision: a float64
+    fan is rounded once to float32.  A fan whose CSV exists is whole; a
+    fan with no path, which ``read_fan_csv`` would refuse, is not
+    written."""
     if len(fan.paths) < 1:
         raise ValueError(f"{path}: a fan file needs at least one path")
     with _atomic(os.path.splitext(path)[0] + ".npy", "wb") as f:
-        np.save(f, np.ascontiguousarray(fan.paths, dtype="<f8"))
-    row = "%d" + ",%.17g" * _FAN_HEADER.count(",") + "\n"
+        np.save(f, np.ascontiguousarray(fan.paths, dtype="<f4"))
+    row = "%d" + ",%.9g" * _FAN_HEADER.count(",") + "\n"
     # one format for the block; %d writes the float step as an integer
     block = np.column_stack([np.arange(len(fan.mean)), fan.mean,
-                             fan.quantiles.T])
+                             fan.quantiles.T]).astype(np.float32)
     with _atomic(path) as f:
         f.write(_FAN_HEADER + "\n")
         f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
-    """Read the fan ``write_fan_csv`` wrote to ``path``.  Another header, a
-    malformed cell or row, or a step column that does not count the rows
-    from 0, is reported as ``path:line``; ``_read_array`` reads the paths
-    as float64 (n >= 1, CSV rows), naming the ``.npy`` if it refuses them.
-    The block is converted in one call over one split of its text: a row
+    """Read the fan ``write_fan_csv`` wrote to ``path``, as float32 arrays.
+    Another header, a malformed cell or row, or a step column that does
+    not count the rows from 0, is reported as ``path:line``;
+    ``_read_array`` reads the paths as float32 (n >= 1, CSV rows), naming
+    the ``.npy`` if it refuses them, a float64 one included.  The block is
+    converted to float32 in one call over one split of its text: a row
     with a missing or extra cell shifts the step column, so only a block
     that fails is parsed again row by row, to find the line to name."""
     width = _FAN_HEADER.count(",") + 1
@@ -367,7 +371,7 @@ def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
     n = body.count("\n")
     try:
         q = np.array(body.replace("\n", ",").split(",")[:-1],
-                     dtype=np.float64).reshape(n, width)
+                     dtype=np.float32).reshape(n, width)
         if not (q[:, 0] == np.arange(n)).all():
             raise ValueError("step column out of order")
     except ValueError:
@@ -384,15 +388,16 @@ def read_fan_csv(path: str, step_seconds: float) -> SimulationFan:
                 raise ValueError(f"{path}:{step + 2}: step {cells[0]:g}, "
                                  f"expected {step}") from None
         raise
-    paths = _read_array(os.path.splitext(path)[0] + ".npy", (None, n))
+    paths = _read_array(os.path.splitext(path)[0] + ".npy", (None, n),
+                        np.float32)
     return SimulationFan(paths=paths, step_seconds=step_seconds,
                          quantiles=q[:, 2:].T, mean=q[:, 1])
 
 
 def _day_fan(cfg: RunConfig, date: str, day: DayParams, p0: float):
-    """A day's fan as its file carries it: quantiles and mean over all
-    ``n_paths`` paths, and the first ``dump_paths`` paths, C-contiguous as
-    ``make_fan`` keeps them (a strided slice of the paths can score
+    """A day's fan as its file carries it: float32 quantiles and mean over
+    all ``n_paths`` paths, and the first ``dump_paths`` paths, C-contiguous
+    as ``make_fan`` keeps them (a strided slice of the paths can score
     differently in the last bit from the read-back fan)."""
     return make_fan(day, p0, step_seconds=cfg.step_seconds,
                     n_paths=cfg.n_paths, seed=_day_seed(cfg.seed, date),

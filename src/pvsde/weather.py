@@ -35,7 +35,7 @@ COMPASS_DEGREES = {
 
 
 class WeatherFormatError(ValueError):
-    """Malformed weather CSV content; message carries the line number."""
+    """Malformed weather CSV content; message carries ``path:line``."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,9 @@ def _open_utf8(path: str, newline=None):
             raise ValueError(f"{path}: not UTF-8 ({exc.reason})") from None
 
 
-def wind_to_angle(token: str, line: int) -> float:
+def wind_to_angle(token: str, where: str) -> float:
+    """Compass degrees of a wind-direction cell; ``where`` (``path:line``)
+    prefixes a refusal."""
     token = token.strip()
     if token.upper() in COMPASS_DEGREES:
         return COMPASS_DEGREES[token.upper()]
@@ -67,10 +69,10 @@ def wind_to_angle(token: str, line: int) -> float:
         deg = float(token)
     except ValueError:
         raise WeatherFormatError(
-            f"line {line}: unknown wind direction {token!r}") from None
+            f"{where}: unknown wind direction {token!r}") from None
     if math.isinf(deg):
         raise WeatherFormatError(
-            f"line {line}: wind_direction {token!r} is not finite")
+            f"{where}: wind_direction {token!r} is not finite")
     return deg % 360.0
 
 
@@ -83,7 +85,7 @@ def encode_hour(temperature, humidity, pressure, precipitation, wind_speed,
                      irradiance], dtype=float)
 
 
-def _float_field(row, key, line):
+def _float_field(row, key, where):
     raw = (row.get(key) or "").strip()
     if raw == "":
         return math.nan
@@ -91,21 +93,21 @@ def _float_field(row, key, line):
         value = float(raw)
     except ValueError:
         raise WeatherFormatError(
-            f"line {line}: bad numeric value {raw!r} for {key}") from None
+            f"{where}: bad numeric value {raw!r} for {key}") from None
     if math.isinf(value):
-        raise WeatherFormatError(f"line {line}: {key} {raw!r} is not finite")
+        raise WeatherFormatError(f"{where}: {key} {raw!r} is not finite")
     return value
 
 
-def _validate(row_vals, line):
+def _validate(row_vals, where):
     hum, precip, cloud = (row_vals["humidity"], row_vals["precipitation"],
                           row_vals["cloud"])
     if np.isfinite(hum) and not 0.0 <= hum <= 100.0:
-        raise WeatherFormatError(f"line {line}: humidity {hum} out of [0, 100]")
+        raise WeatherFormatError(f"{where}: humidity {hum} out of [0, 100]")
     if np.isfinite(precip) and precip < 0:
-        raise WeatherFormatError(f"line {line}: negative precipitation {precip}")
+        raise WeatherFormatError(f"{where}: negative precipitation {precip}")
     if np.isfinite(cloud) and not 0.0 <= cloud <= 9.0:
-        raise WeatherFormatError(f"line {line}: cloud okta {cloud} out of [0, 9]")
+        raise WeatherFormatError(f"{where}: cloud okta {cloud} out of [0, 9]")
 
 
 def ingest_weather(path: str, grid: HourGrid = HourGrid()):
@@ -114,34 +116,35 @@ def ingest_weather(path: str, grid: HourGrid = HourGrid()):
     Returns ``(days, dropped)``: ``days`` is a list of ``(date, features)``
     with features of shape (m * 9,) possibly containing NaN for missing
     fields; ``dropped`` lists dates discarded for exceeding 20% missing.
-    A malformed row, a numeric cell that reads as an infinity or a
-    repeated (date, hour) raises ``WeatherFormatError`` with its line; an
-    empty cell is missing.
+    A missing column, a malformed row, a numeric cell that reads as an
+    infinity or a repeated (date, hour) raises ``WeatherFormatError``
+    with ``path:line``; an empty cell is missing.
     """
     per_day: dict[str, dict[int, np.ndarray]] = {}
     with _open_utf8(path, newline="") as f:
         reader = csv.DictReader(f)
         if missing := set(CSV_COLUMNS) - set(reader.fieldnames or ()):
             raise WeatherFormatError(
-                f"line 1: missing columns {sorted(missing)}")
+                f"{path}:1: missing columns {sorted(missing)}")
         for line, row in enumerate(reader, start=2):
+            where = f"{path}:{line}"
             ts = (row.get("timestamp") or "").strip()
             date, hour = ts[:10], ts[11:13]
             if (len(ts) < 13 or ts[10] not in "T " or not hour.isdecimal()
                     or int(hour) > 23):
-                raise WeatherFormatError(f"line {line}: bad timestamp {ts!r}")
+                raise WeatherFormatError(f"{where}: bad timestamp {ts!r}")
             hour = int(hour)
-            vals = {k: _float_field(row, k, line)
+            vals = {k: _float_field(row, k, where)
                     for k in ("temperature", "humidity", "pressure",
                               "precipitation", "wind_speed", "cloud",
                               "irradiance")}
-            _validate(vals, line)
+            _validate(vals, where)
             wd_raw = (row.get("wind_direction") or "").strip()
-            angle = wind_to_angle(wd_raw, line) if wd_raw else math.nan
+            angle = wind_to_angle(wd_raw, where) if wd_raw else math.nan
             day = per_day.setdefault(date, {})
             if hour in day:
                 raise WeatherFormatError(
-                    f"line {line}: repeated hour {hour:02d} of {date}")
+                    f"{where}: repeated hour {hour:02d} of {date}")
             day[hour] = encode_hour(
                 vals["temperature"], vals["humidity"], vals["pressure"],
                 vals["precipitation"], vals["wind_speed"], angle,

@@ -120,6 +120,12 @@ class TestKl:
         far = rng.normal(1.0, 1.0, 20000)
         assert kl_divergence(a, far) > kl_divergence(a, near)
 
+    def test_float32_samples_count_as_their_float64_values(self):
+        rng = np.random.default_rng(3)
+        a, f = rng.random(500), rng.random((20, 300)).astype(np.float32)
+        assert kl_divergence(a, f) == kl_divergence(a, f.astype(float))
+        assert kl_divergence(f, a) == kl_divergence(f.astype(float), a)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             kl_divergence(np.array([]), np.ones(5))
@@ -247,6 +253,19 @@ class TestEvaluate:
         rep = evaluate(inp)
         assert rep.risk50 == pytest.approx(rep.nd, abs=1e-12)
         assert rep.picp90 == picp(inp, 0.90)
+
+    def test_a_float32_fan_is_scored_without_a_float64_copy(self,
+                                                            peak_bytes):
+        # an all-valid day of 200 float32 kept paths, as the commands
+        # score it
+        day = DayParams(np.tile(CLOUDY.as_array()[:, None], 12))
+        fan = make_fan(day, 0.5, n_paths=200, seed=0)
+        fan = replace(fan, paths=np.asarray(fan.paths, dtype=np.float32))
+        actual = make_fan(day, 0.5, n_paths=1, seed=1).paths[0]
+        inp = EvalInput(fan=fan, actual=actual)
+        assert fan.paths.shape == (200, 1440)
+        peak = peak_bytes(lambda: evaluate(inp))
+        assert peak < fan.paths.size * 8, peak      # one float64 copy
 
     def test_requires_some_valid_samples(self):
         inp0 = _sde_input()

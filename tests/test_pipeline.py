@@ -391,6 +391,20 @@ class TestPvCsv:
             assert json.loads(capsys.readouterr().err) == dict(
                 error="ValueError", message=why)
 
+    def test_a_header_without_a_column_names_the_file(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "pv.csv"
+        path.write_text("day,step,power,valid\n2018-01-01,0,0.5,1\n")
+        why = (f"{path}:1: PV CSV must have columns ['date', 'power', "
+               "'step', 'valid']")
+        with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+            ingest_pv(str(path), None, 1440)
+        capsys.readouterr()
+        assert cli_main(["identify", "--pv", str(path),
+                         "--out", str(tmp_path / "params.json")]) == 2
+        assert json.loads(capsys.readouterr().err) == dict(
+            error="ValueError", message=why)
+
     def test_repeated_step_past_the_first_megabyte_names_its_line(
             self, tmp_path):
         rng = np.random.default_rng(8)
@@ -410,6 +424,15 @@ class TestPvCsv:
 
 
 class TestFanCsv:
+    def test_make_fan_and_the_reader_give_float32(self, tmp_path):
+        day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
+        fan = make_fan(day, 0.5, n_paths=40, seed=2, n_keep=10)
+        path = str(tmp_path / "fan.csv")
+        write_fan_csv(path, fan)
+        for got in (fan, read_fan_csv(path, 30.0)):
+            assert [x.dtype for x in (got.paths, got.quantiles, got.mean)] == [
+                np.float32] * 3
+
     def test_round_trip(self, tmp_path):
         day = DayParams(np.transpose([(0.2, 0.5, 0.1, 0.1, 0.9)]))
         fan = make_fan(day, 0.5, n_paths=40, seed=2)
@@ -423,12 +446,11 @@ class TestFanCsv:
 
 
 # sha256 of a day fan's paths, quantiles and mean, with dump_paths below,
-# equal to and above n_paths = 300; fixed when a fan's seed became
-# SeedSequence([seed, *date.encode()]), with no stage tag
+# equal to and above n_paths = 300; fixed when fans became float32
 DAY_FAN_SHA256 = {
-    7: "58e59f691c9ea90f1b5abbfca206826d9db156938bf37f91af3f641d6f79969b",
-    300: "d4ee88a38132b00da198e956db82d1244b3b37d2be9719327a84c60ff609299f",
-    500: "d4ee88a38132b00da198e956db82d1244b3b37d2be9719327a84c60ff609299f",
+    7: "e9cbcba475f28990034ceed25a5c1133145b158a3e41d6b76c4dc6f954505dd8",
+    300: "2fcc4806c33fcf9da76807622e30a98d7044583fdb7f45b40a9d02d3ffac6e93",
+    500: "2fcc4806c33fcf9da76807622e30a98d7044583fdb7f45b40a9d02d3ffac6e93",
 }
 
 
@@ -449,6 +471,12 @@ def test_day_fan_bits(dump_paths):
 # doubles whose shortest repr is short, long, subnormal, signed or huge
 EDGE_FLOATS = (5e-324, -5e-324, -0.0, 0.0, 1 / 3, 0.1, 1e308, -1e308,
                2.2250738585072014e-308, 0.30000000000000004)
+# float32s that are subnormal, signed, huge, the smallest normal, or just
+# below a power of two, where %.9g's last digit is finest
+EDGE_FLOAT32S = tuple(np.array(
+    [1e-45, -1e-45, -0.0, 0.0, 1 / 3, 0.1, 3.4028235e38, -3.4028235e38,
+     1.1754944e-38, 0.3], dtype=np.float32)) + tuple(
+    np.nextafter(np.float32([1.0, 0.5, 0.25]), np.float32(0)))
 
 
 def _fan_file(tmp_path, n_paths=4, n_steps=6):
@@ -479,13 +507,13 @@ class TestFanCsvErrors:
         with pytest.raises(ValueError, match=f"{path}:1: "):
             read_fan_csv(str(path), 30.0)
 
-    def test_fan_is_a_quantile_csv_and_a_float64_npy(self, tmp_path):
+    def test_fan_is_a_quantile_csv_and_a_float32_npy(self, tmp_path):
         path, lines = _fan_file(tmp_path)
         assert len(lines) == 1 + 6
         assert [line.split(",")[0] for line in lines[1:]] == list(
             map(str, range(6)))
         paths = np.load(tmp_path / "fan.npy", allow_pickle=False)
-        assert paths.dtype == np.dtype("<f8") and paths.shape == (4, 6)
+        assert paths.dtype == np.dtype("<f4") and paths.shape == (4, 6)
         assert paths.flags.c_contiguous
 
     def test_row_with_a_cell_moved_to_the_next_names_file_and_line(
@@ -511,7 +539,7 @@ class TestFanCsvErrors:
             self, tmp_path):
         path, lines = _fan_file(tmp_path, n_steps=12)
         fan = read_fan_csv(str(path), 30.0)
-        row = "%d" + ",%.17g" * 7
+        row = "%d" + ",%.9g" * 7
         assert lines[1:] == [row % (i, m, *q) for i, (m, q) in enumerate(
             zip(fan.mean, fan.quantiles.T))]
         path.write_text("\n".join(lines))
@@ -531,23 +559,23 @@ class TestFanCsvErrors:
         path, lines = _fan_file(tmp_path)
         path.write_text("\n".join(lines[:-1]) + "\n")  # last row gone
         npy = tmp_path / "fan.npy"
-        with pytest.raises(ValueError, match=f"^{npy} holds float64 "
-                                             "\\(4, 6\\), expected float64 "
+        with pytest.raises(ValueError, match=f"^{npy} holds float32 "
+                                             "\\(4, 6\\), expected float32 "
                                              "\\(n >= 1, 5\\)$"):
             read_fan_csv(str(path), 30.0)
 
     @pytest.mark.parametrize("paths", [
-        np.full((4, 6), 0.5, dtype=np.float32),
-        np.full(6, 0.5),                            # 1-D
-        np.empty((0, 6)),                           # no path
-    ], ids=["float32", "1-D", "empty"])
+        np.full((4, 6), 0.5),                       # float64
+        np.full(6, 0.5, dtype=np.float32),          # 1-D
+        np.empty((0, 6), dtype=np.float32),         # no path
+    ], ids=["float64", "1-D", "empty"])
     def test_paths_of_wrong_shape_or_dtype_name_the_npy(self, tmp_path,
                                                         paths):
         path, _ = _fan_file(tmp_path)
         npy = tmp_path / "fan.npy"
         np.save(npy, paths)
         with pytest.raises(ValueError, match=f"^{npy} holds .*, expected "
-                                             "float64 \\(n >= 1, 6\\)$"):
+                                             "float32 \\(n >= 1, 6\\)$"):
             read_fan_csv(str(path), 30.0)
 
     def test_missing_paths_name_the_npy(self, tmp_path):
@@ -572,7 +600,7 @@ class TestFanCsvErrors:
 
     def test_impossible_header_is_refused_before_allocation(
             self, tmp_path, capsys, peak_bytes):
-        # 64 data bytes under a header declaring (10**7, 1440) paths, 107
+        # 64 data bytes under a header declaring (10**7, 1440) paths, 54
         # GiB: the header is checked against the file's size before any
         # allocation, so read and evaluate refuse the .npy by name.  A
         # quantile block of zeros keeps the CSV's own parse far below the
@@ -584,10 +612,10 @@ class TestFanCsvErrors:
         npy = tmp_path / "fans" / "fan_2018-01-01.npy"
         with open(npy, "wb") as f:
             np.lib.format.write_array_header_1_0(f, dict(
-                descr="<f8", fortran_order=False, shape=(10**7, 1440)))
+                descr="<f4", fortran_order=False, shape=(10**7, 1440)))
             f.write(bytes(64))
         why = (f"{npy}: unreadable array (64 data bytes, the header "
-               "declares 115200000000)")
+               "declares 57600000000)")
 
         def read():
             with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
@@ -613,16 +641,38 @@ class TestFanCsvErrors:
             read_fan_csv(str(path), 30.0)
 
 
+FLOAT32_CELL = st.one_of(st.sampled_from(EDGE_FLOAT32S), st.floats(
+    width=32, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FLOAT32_CELL, min_size=7, max_size=7 * 12))
+def test_any_float32_in_9_digits_reads_back_to_its_bits(tmp_path_factory,
+                                                        cells):
+    # a block written by hand in the fan block's format, %.9g per cell,
+    # read by read_fan_csv's float32 parse
+    values = np.array(cells[:len(cells) // 7 * 7],
+                      dtype=np.float32).reshape(-1, 7)
+    fans = tmp_path_factory.mktemp("fan")
+    (fans / "fan.csv").write_text(
+        "step,mean,q05,q25,q50,q75,q90,q95\n" + "".join(
+            f"{step}" + ",%.9g" * 7 % tuple(row) + "\n"
+            for step, row in enumerate(values)))
+    np.save(fans / "fan.npy", np.zeros((1, len(values)), np.float32))
+    got = read_fan_csv(str(fans / "fan.csv"), 30.0)
+    assert got.mean.tobytes() == values[:, 0].tobytes()
+    assert got.quantiles.tobytes() == values[:, 1:].T.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_fan_file_round_trip_is_bit_exact(tmp_path_factory, data):
     n_paths = data.draw(st.integers(1, 4))
     n_steps = data.draw(st.integers(1, 8))
-    cell = st.one_of(st.sampled_from(EDGE_FLOATS),
-                     st.floats(allow_nan=False, allow_infinity=False))
-    grid = st.lists(cell, min_size=n_steps * (n_paths + 7),
+    grid = st.lists(FLOAT32_CELL, min_size=n_steps * (n_paths + 7),
                     max_size=n_steps * (n_paths + 7))
-    values = np.array(data.draw(grid)).reshape(n_paths + 7, n_steps)
+    values = np.array(data.draw(grid), dtype=np.float32).reshape(
+        n_paths + 7, n_steps)
     fan = SimulationFan(paths=values[:n_paths], step_seconds=30.0,
                         quantiles=values[n_paths:-1], mean=values[-1])
     path = str(tmp_path_factory.mktemp("fan") / "fan.csv")
@@ -945,6 +995,22 @@ class TestCommands:
             with pytest.raises(ValueError, match=match):
                 cmd_predict(E2E, str(tmp_path / "model"), str(path),
                             str(tmp_path / "pred.json"))
+
+    def test_a_weather_row_out_of_range_names_the_file(self, tmp_path,
+                                                       capsys):
+        params = tmp_path / "params.json"
+        write_params_json(str(params), {}, 30.0, 12)
+        path = tmp_path / "weather.csv"
+        path.write_text("timestamp,temperature,humidity,pressure,"
+                        "precipitation,wind_speed,wind_direction,cloud,"
+                        "irradiance\n2018-01-05T09:00,24,150,1004,0,11,E,6,"
+                        "2.3\n")
+        capsys.readouterr()
+        assert cli_main(["train", "--weather", str(path), "--params",
+                         str(params), "--out", str(tmp_path / "model")]) == 2
+        assert json.loads(capsys.readouterr().err) == dict(
+            error="WeatherFormatError",
+            message=f"{path}:2: humidity 150.0 out of [0, 100]")
 
     def test_training_days_without_weather_raise_training_error(self,
                                                                 tmp_path):
@@ -1312,8 +1378,8 @@ class TestCommands:
         # digests at criterion 8's config of identify's params.json and
         # e2e's identified and predicted parameters and eval.json (numpy
         # 2.4.6, OpenBLAS at one thread), fixed when the first drift fit
-        # began at the likelihood's start bounds; eval.json's since the
-        # variogram score replaced the autocorrelation mismatch
+        # began at the likelihood's start bounds; eval.json's since fans
+        # became float32
         cfg = RunConfig(n_days=16, m=4, start_hour=9, n_members=12,
                         hidden_size=20, n_paths=100, seed=5, dump_paths=20)
         ds, run = str(tmp_path / "ds"), tmp_path / "run"
@@ -1332,8 +1398,8 @@ class TestCommands:
                                           "d893ba782a2590ef64fe1df572021e60",
             "run/params_predicted.json": "4bac4129bed751e5154cf96b4fb7e3a6"
                                          "a8bbeb691de5719c2e7324ca1a59b290",
-            "run/eval.json": "1927ef8a0bb46c990cdf7c166ef09874"
-                             "aa630735b17267d32f8404fa7435d885"}
+            "run/eval.json": "8241c8aae06bf2c9b69038c5cf127a00"
+                             "eb7c29c49294d24bccb55c0f271bd88f"}
 
     def test_e2e_rerun_is_byte_identical(self, tmp_path):
         cfg = RunConfig(n_days=14, m=3, start_hour=9, n_members=3,

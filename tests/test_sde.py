@@ -202,6 +202,18 @@ class TestEulerPaths:
                                              "hour"):
             euler_paths(hours, [0.7, 0.8], 1.0, 5, substeps, noise)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_chain_runs_in_its_noises_dtype(self, dtype):
+        # float32 noise steps a float32 chain, which stays inside [c, d]
+        noise = 3.0 * np.random.default_rng(2).standard_normal((80, 50))
+        hours = np.stack([CLEAR.as_array(), CLOUDY.as_array()])
+        paths = euler_paths(hours, np.linspace(0.2, 0.9, 50), 1.0, 40,
+                            [1, 1], noise.astype(dtype))
+        assert paths.dtype == dtype
+        for hour, (c, d) in enumerate(hours[:, 3:].astype(dtype)):
+            rows = paths[40 * hour:40 * (hour + 1)]
+            assert (rows >= c).all() and (rows <= d).all()
+
     def test_simulate_hour_refuses_zero_substeps(self):
         with pytest.raises(ValueError, match="substep count"):
             simulate_hour(CLEAR, 0.8, n_steps=5, substeps=0,
@@ -262,11 +274,11 @@ class TestGoldenKernel:
 
     def test_fan(self):
         # one Euler step per sample on every hour, CLEAR's a·dt = 0.33
-        # under the cap; the digest of the fan the commands write
+        # under the cap; the digest of the float32 fan the commands write
         fan = make_fan(_day(CLEAR, CLOUDY, CLEAR), 0.75,
                        n_paths=300, seed=13)
         assert _sha256(fan.paths, fan.quantiles, fan.mean) == (
-            "1f6c12b4bb091006dff658083d568a696d96327e9dc526fe95f2c3b03f245ac6")
+            "02983e76e0a6507f13d3ce0b9128312ced6edd6b5ee01fc3b747bc5028cb211d")
 
     def test_synth_week(self):
         _, _, pv, _ = synth_generate(np.random.default_rng(17),
@@ -424,11 +436,21 @@ class TestFan:
         a, b = self._fan(seed=9), self._fan(seed=9)
         np.testing.assert_array_equal(a.paths, b.paths)
 
+    def test_the_mean_is_accumulated_in_float64_and_rounded_once(self):
+        # over the (steps, paths) states of an hour, as make_fan holds them
+        fan = self._fan(n_paths=20)
+        assert fan.mean.dtype == np.float32
+        states = np.ascontiguousarray(make_fan(_day(CLEAR), 0.75, n_paths=20,
+                                               seed=5).paths.T)
+        assert fan.mean[:120].tobytes() == states.mean(
+            axis=1, dtype=float).astype(np.float32).tobytes()
+
     @pytest.mark.parametrize("n_paths", [1, 2, 999, 1000])
     def test_quantiles_equal_numpy_quantile(self, n_paths):
+        # np.quantile of the float32 states, rounded once to float32
         fan = self._fan(n_paths=n_paths)
         expected = np.quantile(fan.paths, DEFAULT_QUANTILE_LEVELS, axis=0)
-        assert fan.quantiles.tobytes() == expected.tobytes()
+        assert fan.quantiles.tobytes() == expected.astype(np.float32).tobytes()
         # few distinct values make ties; levels 0 and 1 hit the end rows
         rng = np.random.default_rng(n_paths)
         ties = rng.integers(-20, 20, size=(n_paths, 30)) / 10

@@ -50,8 +50,8 @@ class TestWindEncoding:
         assert wind_to_angle("423.5", 1) == pytest.approx(63.5)
 
     def test_unknown_token_has_line_number(self):
-        with pytest.raises(WeatherFormatError, match="line 12"):
-            wind_to_angle("EAST?", 12)
+        with pytest.raises(WeatherFormatError, match="^w.csv:12: "):
+            wind_to_angle("EAST?", "w.csv:12")
 
     def test_east_maps_to_unit_sin(self):
         feats = encode_hour(24.1, 57, 1004.4, 0, 11.3,
@@ -93,23 +93,27 @@ class TestIngest:
         body = _full_day("2018-01-01")
         again = body.splitlines()[0].replace("24.1", "30.0")
         path = _write(tmp_path, body + again + "\n")
-        with pytest.raises(WeatherFormatError,
-                           match="^line 5: repeated hour 07 of 2018-01-01$"):
+        with pytest.raises(WeatherFormatError, match=(
+                f"^{re.escape(path)}:5: repeated hour 07 of 2018-01-01$")):
             ingest_weather(path, GRID)
 
     def test_bad_okta_rejected_with_line(self, tmp_path):
         path = _write(tmp_path, _full_day("2018-01-05", cloud=10))
-        with pytest.raises(WeatherFormatError, match="line 2.*okta"):
+        with pytest.raises(WeatherFormatError,
+                           match=f"^{re.escape(path)}:2: .*okta"):
             ingest_weather(path, GRID)
 
     def test_bad_humidity_rejected(self, tmp_path):
         path = _write(tmp_path, _full_day("2018-01-05", humidity=101))
-        with pytest.raises(WeatherFormatError, match="humidity"):
+        with pytest.raises(WeatherFormatError, match=(
+                f"^{re.escape(path)}:2: humidity 101.0 out of "
+                "\\[0, 100\\]$")):
             ingest_weather(path, GRID)
 
     def test_negative_precipitation_rejected(self, tmp_path):
         path = _write(tmp_path, _full_day("2018-01-05", precipitation=-1))
-        with pytest.raises(WeatherFormatError, match="precipitation"):
+        with pytest.raises(WeatherFormatError, match=(
+                f"^{re.escape(path)}:2: negative precipitation -1.0$")):
             ingest_weather(path, GRID)
 
     @pytest.mark.parametrize("key,raw", [
@@ -118,9 +122,10 @@ class TestIngest:
     def test_infinite_cell_rejected_with_line(self, tmp_path, key, raw):
         # the second day's first hour, line 5; an empty cell stays missing
         body = _full_day("2018-01-04") + _full_day("2018-01-05", **{key: raw})
-        with pytest.raises(WeatherFormatError,
-                           match=f"^line 5: {key} '{raw}' is not finite$"):
-            ingest_weather(_write(tmp_path, body), GRID)
+        path = _write(tmp_path, body)
+        with pytest.raises(WeatherFormatError, match=(
+                f"^{re.escape(path)}:5: {key} '{raw}' is not finite$")):
+            ingest_weather(path, GRID)
         body = (_full_day("2018-01-05", m=2)
                 + _full_day("2018-01-05", start=9, m=1, **{key: ""}))
         days, _ = ingest_weather(_write(tmp_path, body), GRID)
@@ -141,7 +146,8 @@ class TestIngest:
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("timestamp,temperature\n2018-01-05T07:00,20\n")
-        with pytest.raises(WeatherFormatError, match="missing columns"):
+        with pytest.raises(WeatherFormatError, match=(
+                f"^{re.escape(str(path))}:1: missing columns")):
             ingest_weather(str(path), GRID)
 
     def test_bad_timestamp_rejected(self, tmp_path):
@@ -153,8 +159,8 @@ class TestIngest:
                                     "2018-01-05T24:00"])
     def test_timestamp_hour_outside_the_day_rejected(self, tmp_path, ts):
         path = _write(tmp_path, f"{ts},1,2,3,4,5,E,6,7\n")
-        with pytest.raises(WeatherFormatError,
-                           match=f"line 2: bad timestamp '{ts}'"):
+        with pytest.raises(WeatherFormatError, match=(
+                f"^{re.escape(path)}:2: bad timestamp '{ts}'")):
             ingest_weather(path, GRID)
 
     def test_round_trip_through_writer(self, tmp_path):
